@@ -35,14 +35,12 @@ from .series import (
     DiskDomain,
     PowerSeries,
     TailBound,
-    add,
     differentiate,
     mul,
     numeric_taylor,
     recenter_affine,
-    recenter_affine_inverse,
 )
 from .solver import RadiusResult, bohr_radius_of_function, family_infimum_radius
-from .verify import CheckReport, proof_internal, run_default_checks
+from .verify import CheckReport, run_default_checks
 
 __version__ = "0.1.0"

@@ -16,7 +16,9 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -31,8 +33,53 @@ from .extremals import (
 )
 from .series import DEFAULT_ORDER, DiskDomain
 
-THEOREMS = ("A", "B", "1", "2", "3", "4", "corollary")
 RADIUS_MATCH_TOL = 1e-3
+
+
+@dataclass(frozen=True)
+class Bound:
+    """One theorem's bound, evaluated on its extremal family.
+
+    ``total(series, r, gamma, x)`` evaluates the bound on one family member,
+    whose series is the pair ``(h, g)`` when the family is harmonic;
+    ``radius(gamma, x)`` is the closed-form sharp radius, which is also the
+    end of the sweep's radius grid.  ``x`` is the value of the one extra
+    parameter the theorem reads and reports (``k``, ``lambda`` or ``K``), or
+    None.  ``pinned`` fixes parameters that make the theorem a special case
+    of another one.
+    """
+
+    harmonic: bool
+    total: Callable[..., functionals.FunctionalValue]
+    radius: Callable[[float, float | None], float]
+    param: str | None = None
+    pinned: dict = field(default_factory=dict)
+
+
+def _majorant_radius(gamma, x):
+    return functionals.sharp_majorant_radius(gamma)
+
+
+# Entries look the evaluators up in ``functionals`` at call time, so a
+# wrapper installed there later (a profiler or tracer) sees every call.
+_MAJORANT = Bound(False, lambda p, r, gamma, x: functionals.bohr_total(p, r), _majorant_radius)
+_HARMONIC = Bound(True, lambda hg, r, gamma, x: functionals.harmonic_total(*hg, r),
+                  lambda gamma, x: functionals.sharp_harmonic_radius(gamma, x), "k")
+BOUNDS = {
+    "A": replace(_MAJORANT, pinned={"gamma": 0.0}),
+    "B": _MAJORANT,
+    "1": Bound(False, lambda p, r, gamma, x: functionals.area_refined_total(p, r, gamma, x),
+               _majorant_radius, "K"),
+    "2": Bound(False, lambda p, r, gamma, x: functionals.norm_refined_total(p, r), _majorant_radius),
+    "3": Bound(False, lambda p, r, gamma, x: functionals.domain_ratio_area_total(p, r, x),
+               lambda gamma, x: 1.0 / (1.0 + 2.0 * x), "lambda"),
+    "4": _HARMONIC,
+    "corollary": replace(_HARMONIC, pinned={"k": 1.0}),
+}
+THEOREMS = tuple(BOUNDS)
+# A pinned theorem is a special case of another; sweeps tabulate the general one.
+SWEEP_THEOREMS = tuple(t for t, bound in BOUNDS.items() if not bound.pinned)
+THEOREM_CHOICES = {"radius": THEOREMS, "sweep": SWEEP_THEOREMS}
 
 
 def _parse_gammas(spec: str) -> list[float]:
@@ -44,48 +91,27 @@ def _parse_gammas(spec: str) -> list[float]:
     return [float(tok) for tok in spec.split(",") if tok.strip()]
 
 
-def closed_form_radius(theorem: str, gamma: float, k: float, lam: float) -> float:
-    if theorem == "A":
-        return 1.0 / 3.0
-    if theorem in ("B", "1", "2"):
-        return (1.0 + gamma) / (3.0 + gamma)
-    if theorem == "3":
-        return 1.0 / (1.0 + 2.0 * lam)
-    if theorem == "4":
-        return (1.0 + gamma) / (3.0 + 2.0 * k + gamma)
-    if theorem == "corollary":
-        return (1.0 + gamma) / (5.0 + gamma)
-    raise ValueError(f"unknown theorem id {theorem!r}")
+def _parameters(args, gamma: float) -> dict:
+    """gamma and every extra parameter: the flag's value, else its default at gamma."""
+    weight = getattr(args, "weight", None)  # sweep has no --K
+    return {
+        "gamma": gamma,
+        "k": 1.0 if args.k is None else args.k,
+        "lambda": DiskDomain(gamma).coefficient_ratio_sup if args.lam is None else args.lam,
+        "K": functionals.DEFAULT_AREA_WEIGHT if weight is None else weight,
+    }
 
 
-def _bound_factory(theorem: str, gamma: float, k: float, lam: float, weight: float, order: int,
-                   a_fixed: float | None = None):
-    """Return (family, bound_for) realizing the selected bound."""
-    a_grid = [a_fixed] if a_fixed is not None else sharpness_a_grid(14)
-    if theorem in ("4", "corollary"):
-        family = [HarmonicExtremalParams(float(a), gamma, k, 1.0) for a in a_grid]
+def _family(bound: Bound, a_grid, gamma: float, k: float) -> list:
+    if bound.harmonic:
+        return [HarmonicExtremalParams(float(a), gamma, k, 1.0) for a in a_grid]
+    return [MobiusFamilyParams(float(a), gamma) for a in a_grid]
 
-        def bound_for(params):
-            h, g = harmonic_extremal(params, order)
-            return lambda r: functionals.harmonic_total(h, g, r)
 
-        return family, bound_for
-
-    family = [MobiusFamilyParams(float(a), gamma) for a in a_grid]
-
-    def bound_for(params):
-        p = mobius_family_coeffs(params, order)
-        if theorem in ("A", "B"):
-            return lambda r: functionals.bohr_total(p, r)
-        if theorem == "1":
-            return lambda r: functionals.area_refined_total(p, r, gamma, weight)
-        if theorem == "2":
-            return lambda r: functionals.norm_refined_total(p, r)
-        if theorem == "3":
-            return lambda r: functionals.domain_ratio_area_total(p, r, lam)
-        raise ValueError(f"unknown theorem id {theorem!r}")
-
-    return family, bound_for
+def _series(bound: Bound, params, order: int):
+    if bound.harmonic:
+        return harmonic_extremal(params, order)
+    return mobius_family_coeffs(params, order)
 
 
 def _append_radius_csv(path: Path, row: dict) -> None:
@@ -100,29 +126,28 @@ def _append_radius_csv(path: Path, row: dict) -> None:
 
 def cmd_radius(args) -> int:
     theorem = args.theorem
-    gamma = 0.0 if theorem == "A" else args.gamma
-    if theorem == "A" and args.gamma not in (None, 0.0):
-        print("theorem A is the unit-disk case; use --theorem B for gamma > 0", file=sys.stderr)
+    bound = BOUNDS[theorem]
+    values = {**_parameters(args, args.gamma or 0.0), **bound.pinned}
+    gamma, k, lam, x = values["gamma"], values["k"], values["lambda"], values.get(bound.param)
+    if args.gamma not in (None, gamma):
+        print(f"theorem {theorem} is the unit-disk case; use --theorem B for gamma > 0", file=sys.stderr)
         return 2
-    gamma = gamma or 0.0
-    k = 1.0 if theorem == "corollary" else (args.k if args.k is not None else 1.0)
-    lam = args.lam if args.lam is not None else DiskDomain(gamma).coefficient_ratio_sup
-    weight = args.weight if args.weight is not None else functionals.DEFAULT_AREA_WEIGHT
 
-    family, bound_for = _bound_factory(theorem, gamma, k, lam, weight, args.order, args.a)
-    result = solver.family_infimum_radius(bound_for, family, tol=args.tol)
-    closed = closed_form_radius(theorem, gamma, k, lam)
+    a_grid = [args.a] if args.a is not None else sharpness_a_grid(14)
+
+    def bound_for(params):
+        series = _series(bound, params, args.order)
+        return lambda r: bound.total(series, r, gamma, x)
+
+    result = solver.family_infimum_radius(bound_for, _family(bound, a_grid, gamma, k), tol=args.tol)
+    closed = bound.radius(gamma, x)
     diff = abs(result.radius - closed)
 
     shown = [f"gamma={gamma:g}"]
     if args.a is not None:
         shown.append(f"a={args.a:g}")
-    if theorem in ("4", "corollary"):
-        shown.append(f"k={k:g}")
-    if theorem == "3":
-        shown.append(f"lambda={lam:g}")
-    if theorem == "1":
-        shown.append(f"K={weight:g}")
+    if bound.param is not None:
+        shown.append(f"{bound.param}={x:g}")
     print(f"theorem {theorem}: " + " ".join(shown))
     print(f"  computed radius   = {result.radius:.9f}")
     print(f"  closed-form value = {closed:.9f}")
@@ -183,42 +208,26 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    theorem = args.theorem if args.theorem in ("1", "2", "3", "4", "B") else "1"
+    bound = BOUNDS[args.theorem]
     gammas = _parse_gammas(args.gammas)
     a_grid = sharpness_a_grid(14)
     rows = []
     violations = 0
     for gamma in gammas:
-        lam = args.lam if args.lam is not None else DiskDomain(gamma).coefficient_ratio_sup
-        k = args.k if args.k is not None else 1.0
-        if theorem == "4":
-            threshold = functionals.sharp_harmonic_radius(gamma, k)
-        elif theorem == "3":
-            threshold = 1.0 / (1.0 + 2.0 * lam)
-        else:
-            threshold = functionals.sharp_majorant_radius(gamma)
-        r_values = np.linspace(0.0, threshold, args.grid)
-        for a in a_grid:
-            if theorem == "4":
-                h, g = harmonic_extremal(HarmonicExtremalParams(float(a), gamma, k, 1.0), args.order)
-            else:
-                p = mobius_family_coeffs(MobiusFamilyParams(float(a), gamma), args.order)
+        values = _parameters(args, gamma)
+        x = values.get(bound.param)
+        # only the theorem's own parameter gets a nonzero column
+        columns = [x if bound.param == name else 0.0 for name in ("k", "lambda")]
+        r_values = np.linspace(0.0, bound.radius(gamma, x), args.grid)
+        for params in _family(bound, a_grid, gamma, values["k"]):
+            series = _series(bound, params, args.order)
             for r in r_values:
                 r = float(r)
-                if theorem == "B":
-                    fv = functionals.bohr_total(p, r)
-                elif theorem == "1":
-                    fv = functionals.area_refined_total(p, r, gamma)
-                elif theorem == "2":
-                    fv = functionals.norm_refined_total(p, r)
-                elif theorem == "3":
-                    fv = functionals.domain_ratio_area_total(p, r, lam)
-                else:
-                    fv = functionals.harmonic_total(h, g, r)
+                fv = bound.total(series, r, gamma, x)
                 if fv.padded() > 1.0:
                     violations += 1
                 rows.append(
-                    [gamma, float(a), k if theorem == "4" else 0.0, lam if theorem == "3" else 0.0, r]
+                    [gamma, params.a, *columns, r]
                     + [fv.total, fv.majorant, fv.correction, fv.tail_error]
                 )
     if args.out:
@@ -227,7 +236,7 @@ def cmd_sweep(args) -> int:
             writer.writerow(["gamma", "a", "k", "lambda", "r", "total", "majorant", "correction", "tail_error"])
             for row in rows:
                 writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    print(f"sweep theorem {theorem}: {len(rows)} rows, {violations} admissibility violations")
+    print(f"sweep theorem {args.theorem}: {len(rows)} rows, {violations} admissibility violations")
     return 0 if violations == 0 else 1
 
 
@@ -241,7 +250,7 @@ def cmd_conjecture(args) -> int:
         seed=args.seed,
     )
     failures = 0
-    floor = conjecture_mod.ADMISSIBLE_FLOOR - 1e-6
+    floor = functionals.DEFAULT_AREA_WEIGHT - 1e-6
     for est in estimates:
         ok_floor = est.k_hat >= floor
         ok_witness = conjecture_mod.witness_violates(est) if np.isfinite(est.witness_a) else True
@@ -315,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("sweep", help="tabulate one bound over the (gamma, a, r) grid")
-    p.add_argument("--theorem", choices=("B", "1", "2", "3", "4"), default="1")
+    p.add_argument("--theorem", choices=SWEEP_THEOREMS, default="1")
     p.add_argument("--gammas", default="0:0.9:10")
     p.add_argument("--grid", type=int, default=64, help="radii per (gamma, a) pair")
     p.add_argument("--k", type=float, default=None)
@@ -355,6 +364,11 @@ def _apply_config(args: argparse.Namespace, config: dict, argv: list[str]) -> No
 
 
 def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    # a config file can set values argparse never checked against its choices
+    theorem = getattr(args, "theorem", None)
+    if theorem is not None and theorem not in THEOREM_CHOICES[args.command]:
+        choices = ", ".join(THEOREM_CHOICES[args.command])
+        parser.error(f"--theorem must be one of {choices}, got {theorem!r}")
     gamma = getattr(args, "gamma", None)
     if gamma is not None and not 0.0 <= gamma < 1.0:
         parser.error(f"--gamma must lie in [0, 1), got {gamma}")

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import functionals
 from .extremals import MobiusFamilyParams, mobius_family_coeffs
-from .functionals import DEFAULT_AREA_WEIGHT, sharp_majorant_radius
-from .series import DEFAULT_ORDER, DiskDomain, numeric_taylor
+from .functionals import sharp_majorant_radius
+from .series import DEFAULT_ORDER, DiskDomain, _check_gamma, numeric_taylor
 from .verify import bounded_on_disk_domain, random_blaschke
 
 __all__ = [
@@ -53,16 +53,6 @@ class ConstantEstimate:
     witness_r: float
     refinements: int
     grid_stats: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "K_hat": self.k_hat,
-            "a_witness": self.witness_a,
-            "r_witness": self.witness_r,
-            "refinements": self.refinements,
-            "grid_stats": self.grid_stats,
-        }
 
 
 def _ratio_grid(gamma: float, a_values: np.ndarray, r_values: np.ndarray, order: int) -> np.ndarray:
@@ -103,8 +93,7 @@ def estimate_constant(
     area term large enough for the violation margin of k_hat + 1e-6 to stand
     clear of roundoff, while still probing the extremal corner.
     """
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
+    _check_gamma(gamma)
     r_max = sharp_majorant_radius(gamma)
     a_lo, a_hi = a_bounds
     r_lo, r_hi = r_min, r_max
@@ -203,7 +192,3 @@ def write_estimates_csv(estimates: Sequence[ConstantEstimate], path) -> None:
         for e in estimates:
             a = "" if not np.isfinite(e.witness_a) else repr(e.witness_a)
             writer.writerow([repr(e.gamma), repr(e.k_hat), a, repr(e.witness_r), e.refinements])
-
-
-# Re-exported so callers can state the floor without a magic number.
-ADMISSIBLE_FLOOR = DEFAULT_AREA_WEIGHT

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import DEFAULT_ORDER, PowerSeries, TailBound
+from .series import DEFAULT_ORDER, PowerSeries, TailBound, _check_gamma
 
 __all__ = [
     "MobiusFamilyParams",
@@ -41,8 +41,7 @@ class MobiusFamilyParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.a < 1.0:
             raise ValueError(f"a must lie in (0, 1), got {self.a}")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
+        _check_gamma(self.gamma)
         if self.sharpness_witness and not self.a > self.gamma:
             raise ValueError("sharpness witnesses require a > gamma")
 
@@ -66,11 +65,6 @@ class MobiusFamilyParams:
         num = self.a - self.gamma - (1.0 - self.gamma) * z
         den = 1.0 - self.a * self.gamma - self.a * (1.0 - self.gamma) * z
         return num / den
-
-    def map_derivative(self, z):
-        z = np.asarray(z)
-        den = 1.0 - self.a * self.gamma - self.a * (1.0 - self.gamma) * z
-        return -(1.0 - self.gamma) * (1.0 - self.a**2) / den**2
 
 
 def mobius_family_coeffs(params: MobiusFamilyParams, order: int = DEFAULT_ORDER) -> PowerSeries:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import PowerSeries
+from .series import PowerSeries, _check_gamma
 
 __all__ = [
     "FunctionalValue",
@@ -68,11 +68,6 @@ class FunctionalValue:
 def _check_radius(r: float) -> None:
     if not 0.0 <= r < 1.0:
         raise ValueError(f"radius must lie in [0, 1), got {r}")
-
-
-def _check_gamma(gamma: float) -> None:
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
 
 
 def majorant(p: PowerSeries, r: float) -> float:
@@ -169,7 +164,7 @@ def norm_refined_total(p: PowerSeries, r: float) -> FunctionalValue:
     """Majorant plus the squared-coefficient norm correction
     (1/(1+|a_0|) + r/(1-r)) * sum_{n>=1} |a_n|^2 r^{2n}."""
     _check_radius(r)
-    a0 = abs(p.coeffs[0])
+    a0 = float(abs(p.coeffs[0]))
     factor = 1.0 / (1.0 + a0) + r / (1.0 - r)
     m = majorant(p, r)
     corr = factor * norm_f0(p, r)
@@ -193,7 +188,7 @@ def harmonic_total(h: PowerSeries, g: PowerSeries, r: float) -> FunctionalValue:
     """Joint majorant of a harmonic mapping h + conj(g): the analytic majorant
     plus the co-analytic majorant without its constant term."""
     m_h = majorant(h, r)
-    m_g = majorant(g, r) - abs(g.coeffs[0])
+    m_g = majorant(g, r) - float(abs(g.coeffs[0]))
     tail = majorant_tail_bound(h, r) + majorant_tail_bound(g, r)
     total = m_h + m_g
     return FunctionalValue(total, total, 0.0, r, tail)

@@ -24,13 +24,10 @@ __all__ = [
     "TailBound",
     "PowerSeries",
     "DiskDomain",
-    "add",
     "mul",
     "differentiate",
     "numeric_taylor",
     "recenter_affine",
-    "recenter_affine_inverse",
-    "reconstruction_error",
 ]
 
 # Extremal-family coefficients decay like q**n with q < 1; at this order the
@@ -108,41 +105,6 @@ class PowerSeries:
     def __call__(self, z):
         return self.evaluate(z)
 
-    # ------------------------------------------------------------------
-    # serialization: {"coeffs": [[re, im], ...], "order": N, "tail": {...} | null}
-
-    def to_dict(self) -> dict:
-        tail = None if self.tail is None else {"q": self.tail.q, "C": self.tail.C}
-        return {
-            "coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs],
-            "order": self.order,
-            "tail": tail,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PowerSeries":
-        coeffs = np.array([complex(re, im) for re, im in data["coeffs"]])
-        if data.get("order") is not None and int(data["order"]) != len(coeffs) - 1:
-            raise ValueError("order field disagrees with the coefficient count")
-        tail = data.get("tail")
-        return cls(coeffs, None if tail is None else TailBound(float(tail["q"]), float(tail["C"])))
-
-
-def add(p: PowerSeries, q: PowerSeries) -> PowerSeries:
-    """Coefficientwise sum, truncated to the smaller order.
-
-    Tail certificates combine by sum (C1+C2, max ratio), but only when both
-    operands are stored to the same order; otherwise the dropped high-order
-    coefficients of the longer operand are not covered by either certificate
-    and the result carries no tail bound.
-    """
-    n = min(p.order, q.order)
-    coeffs = p.coeffs[: n + 1] + q.coeffs[: n + 1]
-    tail = None
-    if p.tail is not None and q.tail is not None and p.order == q.order:
-        tail = TailBound(max(p.tail.q, q.tail.q), p.tail.C + q.tail.C)
-    return PowerSeries(coeffs, tail)
-
 
 def mul(p: PowerSeries, q: PowerSeries) -> PowerSeries:
     """Cauchy product truncated at the smaller order.
@@ -162,16 +124,6 @@ def differentiate(p: PowerSeries) -> PowerSeries:
     return PowerSeries(p.coeffs[1:] * np.arange(1, p.order + 1))
 
 
-def _sample_on_circle(f: Callable, z: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(f(z), dtype=np.complex128)
-        if vals.shape == z.shape:
-            return vals
-    except Exception:
-        pass
-    return np.array([complex(f(w)) for w in z], dtype=np.complex128)
-
-
 def numeric_taylor(f: Callable, order: int, rho: float = 0.5, samples: int | None = None) -> PowerSeries:
     """Taylor coefficients about 0 of a black-box analytic function.
 
@@ -180,6 +132,7 @@ def numeric_taylor(f: Callable, order: int, rho: float = 0.5, samples: int | Non
     the circle of radius ``rho``.  The default uses 8 samples per requested
     order, which keeps the aliasing error geometrically small; roundoff grows
     like eps / rho**n, so callers extracting high orders should raise ``rho``.
+    ``f`` is called once, on the array of all sample points.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -189,19 +142,14 @@ def numeric_taylor(f: Callable, order: int, rho: float = 0.5, samples: int | Non
     if m < 8 * order:
         raise ValueError("need at least 8 samples per coefficient order")
     z = rho * np.exp(2j * np.pi * np.arange(m) / m)
-    vals = _sample_on_circle(f, z)
+    vals = np.asarray(f(z), dtype=np.complex128)
+    if vals.shape != z.shape:
+        raise ValueError(f"function must return one value per sample point, got shape {vals.shape} for {m}")
     if not np.all(np.isfinite(vals)):
         raise ValueError("function produced non-finite samples on the circle")
     coeffs = np.fft.fft(vals)[: order + 1] / m
     coeffs = coeffs / rho ** np.arange(order + 1)
     return PowerSeries(coeffs)
-
-
-def reconstruction_error(p: PowerSeries, f: Callable, radius: float, n_points: int = 64) -> float:
-    """Max deviation |p(z) - f(z)| over a circle, as an a-posteriori accuracy report."""
-    z = radius * np.exp(2j * np.pi * np.arange(n_points) / n_points)
-    vals = _sample_on_circle(f, z)
-    return float(np.max(np.abs(p.evaluate(z) - vals)))
 
 
 def _check_gamma(gamma: float) -> None:
@@ -221,16 +169,6 @@ def recenter_affine(p: PowerSeries, gamma: float) -> PowerSeries:
     if p.tail is not None:
         tail = TailBound(p.tail.q * (1.0 - gamma), p.tail.C)
     return PowerSeries(p.coeffs * scale, tail)
-
-
-def recenter_affine_inverse(p: PowerSeries, gamma: float) -> PowerSeries:
-    """Inverse of :func:`recenter_affine`: divide coefficient n by (1-gamma)^n."""
-    _check_gamma(gamma)
-    scale = (1.0 - gamma) ** np.arange(p.order + 1)
-    tail = None
-    if p.tail is not None and p.tail.q / (1.0 - gamma) < 1.0:
-        tail = TailBound(p.tail.q / (1.0 - gamma), p.tail.C)
-    return PowerSeries(p.coeffs / scale, tail)
 
 
 @dataclass(frozen=True)

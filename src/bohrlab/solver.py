@@ -86,6 +86,8 @@ def bohr_radius_of_function(
     iterations = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # tol is below the float spacing at the crossing
+            break
         if _padded(bound(mid)) <= 1.0:
             lo = mid
         else:

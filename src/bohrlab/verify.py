@@ -8,8 +8,7 @@ slack stays above minus the assertion tolerance.
 
 The module also carries the named closed forms that drive the bounds: slack
 certificates, deficit functions of the extremal family, and the scalar
-envelopes whose sign and monotonicity structure make the radii sharp.  They
-are exposed both directly and through the :func:`proof_internal` dispatcher.
+envelopes whose sign and monotonicity structure make the radii sharp.
 """
 
 from __future__ import annotations
@@ -57,8 +56,6 @@ __all__ = [
     "family_area_deficit",
     "family_norm_deficit",
     "family_harmonic_deficit",
-    "proof_internal",
-    "PROOF_FORMS",
     "shape_reports",
     "run_default_checks",
     "reports_to_json",
@@ -370,23 +367,11 @@ def family_norm_deficit(r, a, gamma):
     return (1.0 + gamma) - t2 - t3
 
 
-def family_harmonic_deficit(r, a, gamma, k, lam, multiplier: str = "dilatation-scaled"):
+def family_harmonic_deficit(r, a, gamma, k, lam):
     """Deficit of the harmonic joint majorant on the family, scaled by
-    (1-a)/(1-a*gamma).
-
-    ``multiplier`` selects the weight of the tail sum: "dilatation-scaled"
-    uses 1 + k*lambda (the convention consistent with the family's own
-    expansion) and "plain" uses 1 + lambda; both are exposed because the two
-    appear interchangeably in sharpness discussions and coincide at k = 1.
-    """
-    if multiplier == "dilatation-scaled":
-        m = 1.0 + k * lam
-    elif multiplier == "plain":
-        m = 1.0 + lam
-    else:
-        raise ValueError(f"unknown multiplier convention {multiplier!r}")
+    (1-a)/(1-a*gamma); the tail sum carries the multiplier 1 + k*lambda."""
     d = 1.0 - a * gamma - a * (1.0 - gamma) * r
-    return (1.0 + gamma) - m * (1.0 + a) * (1.0 - gamma) * r / d
+    return (1.0 + gamma) - (1.0 + k * lam) * (1.0 + a) * (1.0 - gamma) * r / d
 
 
 def recentred_slack(r, a0_abs, gamma, weight=DEFAULT_AREA_WEIGHT):
@@ -475,33 +460,6 @@ def harmonic_radius_cap(a, gamma, k):
     return value if value.ndim else float(value)
 
 
-PROOF_FORMS = {
-    "recentred_slack": recentred_slack,
-    "recentred_slack_envelope": recentred_slack_envelope,
-    "area_coupling": area_coupling,
-    "norm_envelope": norm_envelope,
-    "norm_envelope_coeffs": norm_envelope_coeffs,
-    "norm_envelope_slope": norm_envelope_slope,
-    "norm_envelope_curvature": norm_envelope_curvature,
-    "norm_radius_criterion": norm_radius_criterion,
-    "weighted_area_slack": weighted_area_slack,
-    "harmonic_radius_cap": harmonic_radius_cap,
-    "family_area_deficit": family_area_deficit,
-    "family_norm_deficit": family_norm_deficit,
-    "family_harmonic_deficit": family_harmonic_deficit,
-}
-
-
-def proof_internal(name: str, **params):
-    """Evaluate one of the named closed forms by identifier."""
-    try:
-        fn = PROOF_FORMS[name]
-    except KeyError:
-        known = ", ".join(sorted(PROOF_FORMS))
-        raise ValueError(f"unknown closed form {name!r}; known: {known}") from None
-    return fn(**params)
-
-
 # ----------------------------------------------------------------------
 # recentred functional and the checks tying the closed forms together
 
@@ -585,13 +543,9 @@ def check_family_deficit_identity(
       area-refined total      = 1 - (1-a) * family_area_deficit(r)
       norm-refined total      = 1 - (1-a)/(1-a*gamma) * family_norm_deficit(r)
       harmonic joint majorant = 1 - (1-a)/(1-a*gamma) * family_harmonic_deficit(r)
-
-    The harmonic identity uses the dilatation-scaled multiplier; the residual
-    of the plain-multiplier convention is reported in the witness payload.
     """
     rng = np.random.default_rng(seed)
     worst_resid = 0.0
-    alt_resid = 0.0
     witness: dict = {}
     for i in range(n_samples):
         gamma = float(rng.uniform(0.0, 0.9))
@@ -613,19 +567,14 @@ def check_family_deficit_identity(
             ),
         }
         h, g = harmonic_extremal(HarmonicExtremalParams(a, gamma, k, lam), order)
-        total4 = functionals.harmonic_total(h, g, r).total
         resids["harmonic"] = abs(
-            total4 - (1.0 - pref * family_harmonic_deficit(r, a, gamma, k, lam))
-        )
-        alt_resid = max(
-            alt_resid,
-            abs(total4 - (1.0 - pref * family_harmonic_deficit(r, a, gamma, k, lam, "plain"))),
+            functionals.harmonic_total(h, g, r).total
+            - (1.0 - pref * family_harmonic_deficit(r, a, gamma, k, lam))
         )
         for label, resid in resids.items():
             if resid > worst_resid:
                 worst_resid = resid
                 witness = {"sample": i, "identity": label, "gamma": gamma, "a": a, "r": r}
-    witness["plain_multiplier_max_residual"] = float(alt_resid)
     return CheckReport.from_slack("family-deficit-identity", n_samples, -worst_resid, witness, tol)
 
 

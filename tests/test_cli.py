@@ -48,10 +48,39 @@ def test_radius_single_family_member():
     assert abs(computed - 0.5076923) < 1e-6  # (1+g)(1-ag)/((1-g)(1+2a+ag))
 
 
-@pytest.mark.parametrize("theorem,expect", [("1", None), ("2", None), ("3", None)])
-def test_radius_other_theorems_match_closed_forms(theorem, expect):
-    code, out = run_cli("radius", "--theorem", theorem, "--gamma", "0.3", "--order", "1024")
+# The sharp radii as the paper states them, as functions of (gamma, k), with
+# the coefficient-ratio supremum lambda = 1/(1+gamma) of the enlarged disk.
+CLOSED_FORMS = {
+    "A": lambda g, k: 1.0 / 3.0,
+    "B": lambda g, k: (1.0 + g) / (3.0 + g),
+    "1": lambda g, k: (1.0 + g) / (3.0 + g),
+    "2": lambda g, k: (1.0 + g) / (3.0 + g),
+    "3": lambda g, k: 1.0 / (1.0 + 2.0 / (1.0 + g)),
+    "4": lambda g, k: (1.0 + g) / (3.0 + 2.0 * k + g),
+    "corollary": lambda g, k: (1.0 + g) / (5.0 + g),
+}
+
+
+@pytest.mark.parametrize(
+    "theorem,k",
+    [("A", None), ("B", None), ("1", None), ("2", None), ("3", None), ("4", None), ("4", 0.5),
+     ("corollary", None), ("corollary", 0.5)],
+)
+def test_radius_other_theorems_match_closed_forms(theorem, k, tmp_path):
+    out = tmp_path / "radius.json"
+    gamma = 0.0 if theorem == "A" else 0.3
+    argv = ["radius", "--theorem", theorem, "--order", "1024", "--out", str(out)]
+    if theorem != "A":
+        argv += ["--gamma", str(gamma)]
+    if k is not None:
+        argv += ["--k", str(k)]
+    code, _ = run_cli(*argv)
     assert code == 0
+    payload = json.loads(out.read_text())
+    # the corollary is the k = 1 case whatever --k says
+    expected = CLOSED_FORMS[theorem](gamma, 1.0 if k is None or theorem == "corollary" else k)
+    assert payload["closed_form"] == pytest.approx(expected, rel=1e-15)
+    assert abs(payload["computed_radius"] - expected) < 1e-3
 
 
 def test_radius_artifacts(tmp_path):
@@ -101,10 +130,11 @@ def test_verify_deterministic_report_files(tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
 
 
-def test_sweep_csv_columns(tmp_path):
+@pytest.mark.parametrize("theorem", ["B", "1", "2", "3", "4"])
+def test_sweep_csv_columns(tmp_path, theorem):
     out = tmp_path / "sweep.csv"
     code, text = run_cli(
-        "sweep", "--theorem", "1", "--gammas", "0,0.5", "--grid", "8", "--order", "512",
+        "sweep", "--theorem", theorem, "--gammas", "0,0.5", "--grid", "8", "--order", "512",
         "--out", str(out),
     )
     assert code == 0
@@ -112,9 +142,10 @@ def test_sweep_csv_columns(tmp_path):
     rows = list(csv.reader(out.open()))
     assert rows[0] == ["gamma", "a", "k", "lambda", "r", "total", "majorant", "correction", "tail_error"]
     assert len(rows) == 1 + 2 * 14 * 8
-    # every row reproduces in isolation: total = majorant + correction
-    for row in rows[1:5]:
-        total, major, corr = float(row[5]), float(row[6]), float(row[7])
+    # every cell is a plain number, and every row reproduces in isolation:
+    # total = majorant + correction
+    for row in rows[1:]:
+        gamma, a, k, lam, r, total, major, corr, tail = map(float, row)
         assert abs(total - (major + corr)) < 1e-15
 
 
@@ -146,6 +177,37 @@ def test_config_file_with_flag_override(tmp_path):
     code, out = run_cli("radius", "--theorem", "B", "--gamma", "0.2", "--config", str(cfg))
     assert code == 0
     assert "gamma=0.2" in out
+
+
+@pytest.mark.parametrize(
+    "argv,theorem",
+    [
+        (["sweep", "--gammas", "0.5", "--grid", "2", "--order", "64"], "A"),
+        # an abbreviated flag does not count as given, so the file's value applies
+        (["radius", "--the", "B", "--order", "64"], "Z"),
+    ],
+    ids=["sweep", "radius"],
+)
+def test_config_theorem_outside_choices_is_a_usage_error(tmp_path, capsys, argv, theorem):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theorem": theorem}))
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", str(cfg)])
+    assert exc.value.code == 2
+    assert f"got {theorem!r}" in capsys.readouterr().err
+
+
+def test_radius_tolerance_below_float_spacing_terminates():
+    # bisection stops once the bracket cannot shrink further in double precision
+    proc = subprocess.run(
+        [sys.executable, "-m", "bohrlab.cli", "radius", "--theorem", "B", "--gamma", "0.5",
+         "--tol", "1e-20", "--order", "256"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0
+    assert "0.428571429" in proc.stdout
 
 
 def test_module_entry_point_subprocess():

@@ -1,7 +1,5 @@
 """Series arithmetic, coefficient extraction, and recentering."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -9,40 +7,13 @@ from bohrlab.series import (
     DiskDomain,
     PowerSeries,
     TailBound,
-    add,
     differentiate,
     mul,
     numeric_taylor,
     recenter_affine,
-    recenter_affine_inverse,
-    reconstruction_error,
 )
 
 from oracles import automorphism_coeffs, random_decaying_series
-
-
-def test_add_cancellation():
-    p = PowerSeries.polynomial([1.0, 1.0])
-    q = PowerSeries.polynomial([1.0, -1.0])
-    s = add(p, q)
-    assert np.allclose(s.coeffs, [2.0, 0.0])
-
-
-def test_add_identity_preserves_series_and_tail():
-    p = PowerSeries(np.array([0.3, 0.2, 0.1]), TailBound(0.5, 2.0))
-    z = PowerSeries.zero(order=2)
-    s = add(p, z)
-    assert np.array_equal(s.coeffs, p.coeffs)
-    assert s.tail == TailBound(0.5, 2.0)
-
-
-def test_add_mismatched_orders_truncates_and_drops_tail():
-    p = PowerSeries(np.array([1.0, 2.0, 3.0, 4.0]), TailBound(0.1, 1.0))
-    q = PowerSeries(np.array([1.0, 1.0]), TailBound(0.1, 1.0))
-    s = add(p, q)
-    assert s.order == 1
-    assert np.allclose(s.coeffs, [2.0, 3.0])
-    assert s.tail is None
 
 
 def test_mul_difference_of_squares():
@@ -66,8 +37,6 @@ def test_evaluation_homomorphism_add_mul():
         ca = np.concatenate([random_decaying_series(rng, 10), np.zeros(30)])
         cb = np.concatenate([random_decaying_series(rng, 10), np.zeros(30)])
         p, q = PowerSeries(ca), PowerSeries(cb)
-        z = 0.5 * np.exp(2j * np.pi * rng.uniform())
-        assert abs(add(p, q).evaluate(z) - (p.evaluate(z) + q.evaluate(z))) < 1e-12
         z = 0.3 * np.exp(2j * np.pi * rng.uniform())
         assert abs(mul(p, q).evaluate(z) - p.evaluate(z) * q.evaluate(z)) < 1e-12
 
@@ -111,7 +80,8 @@ def test_numeric_taylor_reconstructs_on_half_radius():
     a = 0.7
     f = lambda z: (a - z) / (1 - a * z)
     p = numeric_taylor(f, 32, rho=0.6)
-    assert reconstruction_error(p, f, radius=0.3) < 1e-10
+    z = 0.3 * np.exp(2j * np.pi * np.arange(64) / 64)
+    assert np.max(np.abs(p.evaluate(z) - f(z))) < 1e-10
 
 
 def test_numeric_taylor_rejects_bad_input():
@@ -123,6 +93,20 @@ def test_numeric_taylor_rejects_bad_input():
         numeric_taylor(lambda z: z, 4, rho=1.5)
     with pytest.raises(ValueError):
         numeric_taylor(lambda z: z, 4, samples=8)
+    with pytest.raises(ValueError):
+        numeric_taylor(lambda z: 1.0, 4)  # one value, not one per sample point
+
+
+def test_numeric_taylor_propagates_errors_from_the_function():
+    calls = []
+
+    def failing(z):
+        calls.append(np.shape(z))
+        raise ZeroDivisionError("inside the sampled function")
+
+    with pytest.raises(ZeroDivisionError):
+        numeric_taylor(failing, 4)
+    assert calls == [(32,)]  # one vectorised call, no per-point retry
 
 
 def test_recenter_identity_at_zero():
@@ -152,8 +136,8 @@ def test_recenter_evaluation_oracle():
 def test_recenter_roundtrip_and_domain_errors():
     rng = np.random.default_rng(1)
     p = PowerSeries(random_decaying_series(rng, 12))
-    back = recenter_affine_inverse(recenter_affine(p, 0.4), 0.4)
-    assert np.max(np.abs(back.coeffs - p.coeffs)) < 1e-14
+    back = recenter_affine(p, 0.4).coeffs / 0.6 ** np.arange(13)
+    assert np.max(np.abs(back - p.coeffs)) < 1e-14
     for bad in (-0.1, 1.0, 1.5):
         with pytest.raises(ValueError):
             recenter_affine(p, bad)
@@ -162,9 +146,7 @@ def test_recenter_roundtrip_and_domain_errors():
 def test_recenter_tail_metadata():
     p = PowerSeries(np.array([1.0, 0.5]), TailBound(0.5, 1.0))
     assert recenter_affine(p, 0.5).tail == TailBound(0.25, 1.0)
-    assert recenter_affine_inverse(p, 0.5).tail is None  # 0.5/0.5 = 1 is not a decay rate
-    q = PowerSeries(np.array([1.0, 0.5]), TailBound(0.2, 1.0))
-    assert recenter_affine_inverse(q, 0.5).tail == TailBound(0.4, 1.0)
+    assert recenter_affine(PowerSeries(np.array([1.0, 0.5])), 0.5).tail is None
 
 
 def test_tail_bound_validation_and_soundness_spot_check():
@@ -192,21 +174,6 @@ def test_series_validation():
     p = PowerSeries(np.array([1.0]))
     with pytest.raises(ValueError):
         p.coeffs[0] = 2.0  # frozen buffer
-
-
-def test_json_round_trip_schema():
-    p = PowerSeries(np.array([1.0 + 2.0j, 3.0]), TailBound(0.25, 1.5))
-    data = p.to_dict()
-    assert set(data) == {"coeffs", "order", "tail"}
-    assert data["coeffs"] == [[1.0, 2.0], [3.0, 0.0]]
-    assert data["order"] == 1
-    assert data["tail"] == {"q": 0.25, "C": 1.5}
-    q = PowerSeries.from_dict(json.loads(json.dumps(data)))
-    assert np.array_equal(q.coeffs, p.coeffs)
-    assert q.tail == p.tail
-    bare = PowerSeries(np.array([1.0]))
-    assert bare.to_dict()["tail"] is None
-    assert PowerSeries.from_dict(bare.to_dict()).tail is None
 
 
 def test_disk_domain_geometry():
