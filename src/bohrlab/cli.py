@@ -7,7 +7,8 @@ status is 0 when all executed assertions pass, 1 on an assertion failure,
 and 2 on a usage error.
 
 A JSON config file can mirror any long flag (dashes become underscores);
-flags given explicitly on the command line win over the file.
+flags given explicitly on the command line win over the file.  Config
+values go through the same argparse types and choices as the flags.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -79,16 +81,46 @@ BOUNDS = {
 THEOREMS = tuple(BOUNDS)
 # A pinned theorem is a special case of another; sweeps tabulate the general one.
 SWEEP_THEOREMS = tuple(t for t, bound in BOUNDS.items() if not bound.pinned)
-THEOREM_CHOICES = {"radius": THEOREMS, "sweep": SWEEP_THEOREMS}
+
+
+@dataclass(frozen=True)
+class _Number:
+    """argparse type: text that ``kind`` parses to a finite value passing ``ok``."""
+
+    kind: type
+    ok: Callable[[float], bool] = lambda value: True
+    rule: str = "be finite"
+
+    @property
+    def __name__(self) -> str:  # argparse names the type in its error messages
+        return self.kind.__name__
+
+    def __call__(self, text: str):
+        value = self.kind(text)
+        if not (math.isfinite(value) and self.ok(value)):
+            raise argparse.ArgumentTypeError(f"must {self.rule}, got {text}")
+        return value
+
+
+def _at_least(low: int) -> _Number:
+    return _Number(int, lambda value: value >= low, f"be at least {low}")
+
+
+_GAMMA = _Number(float, lambda value: 0.0 <= value < 1.0, "lie in [0, 1)")
+_UNIT = _Number(float, lambda value: 0.0 <= value <= 1.0, "lie in [0, 1]")
+_POSITIVE = _Number(float, lambda value: value > 0.0, "be positive")
 
 
 def _parse_gammas(spec: str) -> list[float]:
     """Either a comma list "0,0.25,0.5" or a linspace "start:stop:count"."""
     if ":" in spec:
         start, stop, count = spec.split(":")
-        values = np.linspace(float(start), float(stop), int(count))
-        return [float(v) for v in values]
-    return [float(tok) for tok in spec.split(",") if tok.strip()]
+        gammas = [float(v) for v in np.linspace(_GAMMA(start), _GAMMA(stop), _at_least(1)(count))]
+    else:
+        gammas = [_GAMMA(tok) for tok in spec.split(",") if tok.strip()]
+    if not gammas:
+        raise argparse.ArgumentTypeError(f"no gamma values in {spec!r}")
+    return gammas
 
 
 def _parameters(args, gamma: float) -> dict:
@@ -209,27 +241,21 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     bound = BOUNDS[args.theorem]
-    gammas = _parse_gammas(args.gammas)
     a_grid = sharpness_a_grid(14)
     rows = []
     violations = 0
-    for gamma in gammas:
+    for gamma in args.gammas:
         values = _parameters(args, gamma)
         x = values.get(bound.param)
         # only the theorem's own parameter gets a nonzero column
         columns = [x if bound.param == name else 0.0 for name in ("k", "lambda")]
         r_values = np.linspace(0.0, bound.radius(gamma, x), args.grid)
         for params in _family(bound, a_grid, gamma, values["k"]):
-            series = _series(bound, params, args.order)
-            for r in r_values:
-                r = float(r)
-                fv = bound.total(series, r, gamma, x)
-                if fv.padded() > 1.0:
-                    violations += 1
-                rows.append(
-                    [gamma, params.a, *columns, r]
-                    + [fv.total, fv.majorant, fv.correction, fv.tail_error]
-                )
+            fv = bound.total(_series(bound, params, args.order), r_values, gamma, x)
+            violations += int(np.count_nonzero(fv.padded() > 1.0))
+            fields = (r_values, fv.total, fv.majorant, fv.correction, fv.tail_error)
+            for cells in zip(*(f.tolist() for f in fields)):
+                rows.append([gamma, params.a, *columns, *cells])
     if args.out:
         with Path(args.out).open("w", newline="") as fh:
             writer = csv.writer(fh)
@@ -241,9 +267,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    gammas = _parse_gammas(args.gammas)
     estimates = conjecture_mod.sweep_conjecture(
-        gammas,
+        args.gammas,
         grid=args.grid,
         refinements=args.refinements,
         augment_samples=args.augment_random_samples,
@@ -297,23 +322,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--seed", type=_at_least(0), default=42)
         p.add_argument("--out", default=None, help="artifact path (.json or .csv)")
         # also accepted after the subcommand; SUPPRESS keeps the top-level value
         p.add_argument("--config", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
 
     p = sub.add_parser("radius", help="solve for a sharp radius and compare with its closed form")
     p.add_argument("--theorem", choices=THEOREMS, required=True)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--a", type=float, default=None,
-                   help="solve for one family member instead of sweeping the grid")
-    p.add_argument("--k", type=float, default=None, help="dilatation bound for the harmonic case")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
+    p.add_argument("--gamma", type=_GAMMA, default=None)
+    p.add_argument("--a", type=_Number(float, lambda value: 0.0 < value < 1.0, "lie in (0, 1)"),
+                   default=None, help="solve for one family member instead of sweeping the grid")
+    p.add_argument("--k", type=_UNIT, default=None, help="dilatation bound for the harmonic case")
+    p.add_argument("--lambda", dest="lam", type=_POSITIVE, default=None,
                    help="coefficient-ratio supremum (defaults to 1/(1+gamma))")
-    p.add_argument("--K", dest="weight", type=float, default=None,
+    p.add_argument("--K", dest="weight", type=_Number(float), default=None,
                    help="area-correction weight (defaults to 8/9)")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-10)
+    p.add_argument("--order", type=_at_least(1), default=DEFAULT_ORDER)
     common(p)
 
     p = sub.add_parser("verify", help="run the inequality check suite")
@@ -325,65 +350,75 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="tabulate one bound over the (gamma, a, r) grid")
     p.add_argument("--theorem", choices=SWEEP_THEOREMS, default="1")
-    p.add_argument("--gammas", default="0:0.9:10")
-    p.add_argument("--grid", type=int, default=64, help="radii per (gamma, a) pair")
-    p.add_argument("--k", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    p.add_argument("--gammas", type=_parse_gammas, default="0:0.9:10")
+    p.add_argument("--grid", type=_at_least(1), default=64, help="radii per (gamma, a) pair")
+    p.add_argument("--k", type=_UNIT, default=None)
+    p.add_argument("--lambda", dest="lam", type=_POSITIVE, default=None)
+    p.add_argument("--order", type=_at_least(1), default=DEFAULT_ORDER)
     common(p)
 
     p = sub.add_parser("conjecture", help="estimate the best admissible area weight per gamma")
-    p.add_argument("--gammas", default="0,0.25,0.5,0.75")
-    p.add_argument("--grid", type=int, default=64)
-    p.add_argument("--refinements", type=int, default=3)
-    p.add_argument("--augment-random-samples", type=int, default=0,
+    p.add_argument("--gammas", type=_parse_gammas, default="0,0.25,0.5,0.75")
+    p.add_argument("--grid", type=_at_least(2), default=64)
+    p.add_argument("--refinements", type=_at_least(0), default=3)
+    p.add_argument("--augment-random-samples", type=_at_least(0), default=0,
                    help="also probe this many random bounded samples")
     common(p)
 
     p = sub.add_parser("identity-check", help="closed-form deficit identities on random parameters")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--samples", type=_at_least(1), default=100)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-10)
     common(p)
 
     return parser
 
 
-def _apply_config(args: argparse.Namespace, config: dict, argv: list[str]) -> None:
-    """Fill options from the config file unless the flag appeared on the command line."""
-    given = set()
-    for token in argv:
-        if token.startswith("--"):
-            given.add(token.split("=", 1)[0][2:].replace("-", "_"))
-    alias = {"lambda": "lam", "K": "weight", "check": "checks"}
+def _config_value(action: argparse.Action, item):
+    """A config value converted by its option's own type and choices, as the
+    flag's text would be; a numeric option reads a JSON string as text in quotes."""
+    if action.nargs == 0:  # a switch
+        if not isinstance(item, bool):
+            raise TypeError(f"expected true or false, got {item!r}")
+        return item
+    numeric = isinstance(action.type, _Number)
+    text = item if isinstance(item, str) and not numeric else json.dumps(item)
+    value = text if action.type is None else action.type(text)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"must be one of {', '.join(action.choices)}, got {value!r}")
+    return value
+
+
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace, config, argv: list) -> None:
+    """Fill options from the config file unless the flag appeared on the command line.
+
+    Numeric options take JSON numbers, switches take true or false, and a
+    JSON list stands for the flag given once per item.
+    """
+    if not isinstance(config, dict):
+        parser.error("config file must hold a JSON object of option values")
+    # argparse has no public accessor for a subcommand's parser or its options
+    (subparsers,) = parser._subparsers._group_actions
+    options = {
+        flag[2:].replace("-", "_"): action
+        for action in subparsers.choices[args.command]._actions
+        if action.default is not argparse.SUPPRESS
+        for flag in action.option_strings
+    }
+    flags = [token.split("=", 1)[0][2:].replace("-", "_") for token in argv if token[:2] == "--"]
+    given = {options[flag].dest for flag in flags if flag in options}
     for key, value in config.items():
-        dest = alias.get(key, key.replace("-", "_"))
-        if key.replace("-", "_") in given or dest in given:
+        action = options.get(key.replace("-", "_"))
+        if action is None or action.dest in given:
             continue
-        if hasattr(args, dest):
-            setattr(args, dest, value)
-
-
-def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    # a config file can set values argparse never checked against its choices
-    theorem = getattr(args, "theorem", None)
-    if theorem is not None and theorem not in THEOREM_CHOICES[args.command]:
-        choices = ", ".join(THEOREM_CHOICES[args.command])
-        parser.error(f"--theorem must be one of {choices}, got {theorem!r}")
-    gamma = getattr(args, "gamma", None)
-    if gamma is not None and not 0.0 <= gamma < 1.0:
-        parser.error(f"--gamma must lie in [0, 1), got {gamma}")
-    a = getattr(args, "a", None)
-    if a is not None and not 0.0 < a < 1.0:
-        parser.error(f"--a must lie in (0, 1), got {a}")
-    k = getattr(args, "k", None)
-    if k is not None and not 0.0 <= k <= 1.0:
-        parser.error(f"--k must lie in [0, 1], got {k}")
-    lam = getattr(args, "lam", None)
-    if lam is not None and not lam > 0.0:
-        parser.error(f"--lambda must be positive, got {lam}")
-    tol = getattr(args, "tol", None)
-    if tol is not None and not tol > 0.0:
-        parser.error(f"--tol must be positive, got {tol}")
+        for item in value if isinstance(value, list) else [value]:
+            try:
+                parsed = _config_value(action, item)
+            except (argparse.ArgumentTypeError, TypeError, ValueError) as exc:
+                parser.error(f"config value for {action.option_strings[0]}: {exc}")
+            if action.nargs == 0:
+                setattr(args, action.dest, parsed)
+            else:
+                action(parser, args, parsed)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -393,10 +428,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.config:
         try:
             config = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             parser.error(f"cannot read config file: {exc}")
-        _apply_config(args, config, argv)
-    _validate(args, parser)
+        _apply_config(parser, args, config, argv)
 
     handlers = {
         "radius": cmd_radius,

@@ -55,23 +55,28 @@ class ConstantEstimate:
     grid_stats: dict
 
 
-def _ratio_grid(gamma: float, a_values: np.ndarray, r_values: np.ndarray, order: int) -> np.ndarray:
-    """(1 - majorant) / area on the (a, r) grid, with degenerate areas masked to inf."""
-    n = np.arange(order + 1, dtype=float)
-    abs_coeffs = np.empty((a_values.size, order + 1))
-    weights = np.empty_like(abs_coeffs)
-    for i, a in enumerate(a_values):
-        c = np.abs(mobius_family_coeffs(MobiusFamilyParams(float(a), gamma), order).coeffs)
-        abs_coeffs[i] = c
-        weights[i] = n * c**2
-    powers = r_values[None, :] ** n[:, None]
-    area_powers = ((r_values * (1.0 - gamma)) ** 2)[None, :] ** n[:, None]
-    majorants = abs_coeffs @ powers
-    areas = weights @ area_powers
+def _ratio(majorants, areas):
+    """(1 - majorant) / area, with degenerate areas masked to inf."""
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = (1.0 - majorants) / areas
     ratio[areas <= 0.0] = np.inf
     return ratio
+
+
+def _ratio_grid(gamma: float, a_values: np.ndarray, r_values: np.ndarray) -> np.ndarray:
+    """(1 - majorant) / area on the (a, r) grid of family members.
+
+    The family's sums are geometric: with x = q r and y = (x (1-gamma))^2 the
+    majorant is |A_0| + C x/(1-x) and the area at radius r(1-gamma) is
+    C^2 y/(1-y)^2.
+    """
+    params = [MobiusFamilyParams(float(a), gamma) for a in a_values]
+    a0 = np.array([[abs(p.constant_term)] for p in params])
+    q = np.array([[p.decay_ratio] for p in params])
+    scale = np.array([[p.coefficient_scale] for p in params])
+    x = q * r_values
+    y = (x * (1.0 - gamma)) ** 2
+    return _ratio(a0 + scale * x / (1.0 - x), scale**2 * y / (1.0 - y) ** 2)
 
 
 def estimate_constant(
@@ -80,7 +85,6 @@ def estimate_constant(
     r_min: float = 1e-3,
     grid: int = 64,
     refinements: int = 3,
-    order: int = DEFAULT_ORDER,
     augment_samples: int = 0,
     seed: int = 42,
     augment_order: int = 192,
@@ -108,7 +112,7 @@ def estimate_constant(
     for level in range(refinements + 1):
         a_vals = np.linspace(lo_a, lo_a + win_a, grid)
         r_vals = np.linspace(lo_r, lo_r + win_r, grid)
-        ratio = _ratio_grid(gamma, a_vals, r_vals, order)
+        ratio = _ratio_grid(gamma, a_vals, r_vals)
         i, j = np.unravel_index(int(np.argmin(ratio)), ratio.shape)
         if ratio[i, j] < best:
             best = float(ratio[i, j])
@@ -130,19 +134,13 @@ def estimate_constant(
         rng = np.random.default_rng(seed)
         domain = DiskDomain(gamma)
         r_vals = np.linspace(r_min, r_max, grid)
-        n = np.arange(augment_order + 1, dtype=float)
-        powers = r_vals[None, :] ** n[:, None]
-        area_powers = ((r_vals * (1.0 - gamma)) ** 2)[None, :] ** n[:, None]
         aug_min, aug_idx = np.inf, None
         for s in range(augment_samples):
             f = bounded_on_disk_domain(random_blaschke(rng), domain)
             p = numeric_taylor(f, augment_order, rho=0.9)
-            c = np.abs(p.coeffs)
-            majorants = c @ powers
-            areas = (n * c**2) @ area_powers
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = (1.0 - majorants) / areas
-            ratio[areas <= 0.0] = np.inf
+            ratio = _ratio(
+                functionals.majorant(p, r_vals), functionals.dirichlet_area(p, r_vals * (1.0 - gamma))
+            )
             j = int(np.argmin(ratio))
             if ratio[j] < aug_min:
                 aug_min, aug_idx = float(ratio[j]), s

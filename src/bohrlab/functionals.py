@@ -6,11 +6,14 @@ area, squared-coefficient norm, or co-analytic majorant), together with a
 truncation bound derived from the series tail certificate.  ``tail_error``
 is always an upper bound on the neglected mass, so asserting
 ``total + tail_error <= 1`` errs on the safe side.
+
+Every sum, tail bound and evaluator takes the radius ``r`` as a float or a
+1-D array of radii.  A float gives plain floats; an array gives values
+shaped like ``r``, each equal bit for bit to the scalar call at that radius.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,13 +48,13 @@ class FunctionalValue:
     """Value of one bound at radius r: total = majorant + correction exactly,
     and the true (untruncated) value lies within total +- tail_error."""
 
-    total: float
-    majorant: float
-    correction: float
-    r: float
-    tail_error: float
+    total: float | np.ndarray
+    majorant: float | np.ndarray
+    correction: float | np.ndarray
+    r: float | np.ndarray
+    tail_error: float | np.ndarray
 
-    def padded(self) -> float:
+    def padded(self) -> float | np.ndarray:
         """Safe-side value for <= 1 assertions."""
         return self.total + self.tail_error
 
@@ -65,46 +68,58 @@ class FunctionalValue:
         }
 
 
-def _check_radius(r: float) -> None:
-    if not 0.0 <= r < 1.0:
+def _check_radius(r: float | np.ndarray) -> None:
+    if isinstance(r, np.ndarray):
+        ok = r.ndim == 1 and bool(np.all((0.0 <= r) & (r < 1.0)))
+    else:
+        ok = 0.0 <= r < 1.0
+    if not ok:
         raise ValueError(f"radius must lie in [0, 1), got {r}")
 
 
-def majorant(p: PowerSeries, r: float) -> float:
+def _like_radius(value, r):
+    """``value`` as a plain float for a scalar radius, as it is for an array."""
+    return value if isinstance(r, np.ndarray) else float(value)
+
+
+def _power_sum(weights: np.ndarray, n: np.ndarray, x: float | np.ndarray) -> float | np.ndarray:
+    """sum_k weights_k x^n_k for each x, one dot product per row of powers,
+    so every radius rounds exactly as the scalar ``weights @ x**n`` does."""
+    return _like_radius(np.vecdot(np.power.outer(x, n), weights), x)
+
+
+def majorant(p: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:
     """Sum of |a_n| r^n over the stored coefficients."""
     _check_radius(r)
-    return float(np.abs(p.coeffs) @ r ** np.arange(p.order + 1, dtype=float))
+    return _power_sum(np.abs(p.coeffs), np.arange(p.order + 1, dtype=float), r)
 
 
-def majorant_tail_bound(p: PowerSeries, r: float) -> float:
+def majorant_tail_bound(p: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:
     """Upper bound on sum_{n>N} |a_n| r^n from the tail certificate (0 if absent)."""
     _check_radius(r)
     if p.tail is None or p.tail.C == 0.0:
-        return 0.0
-    x = p.tail.q * r
-    if x >= 1.0:
-        return math.inf
-    return p.tail.C * x ** (p.order + 1) / (1.0 - x)
+        return 0.0 * r
+    x = p.tail.q * r  # below one: q < 1 and r < 1
+    return _like_radius(p.tail.C * np.power(x, p.order + 1) / (1.0 - x), r)
 
 
-def norm_f0(p: PowerSeries, r: float) -> float:
+def norm_f0(p: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:
     """Squared-coefficient norm of the constant-free part: sum_{n>=1} |a_n|^2 r^{2n}."""
     _check_radius(r)
     n = np.arange(1, p.order + 1, dtype=float)
-    return float(np.abs(p.coeffs[1:]) ** 2 @ (r**2) ** n)
+    # squares are products: Python's float ** 2 and numpy's can round apart
+    return _power_sum(np.abs(p.coeffs[1:]) ** 2, n, r * r)
 
 
-def norm_f0_tail_bound(p: PowerSeries, r: float) -> float:
+def norm_f0_tail_bound(p: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:
     _check_radius(r)
     if p.tail is None or p.tail.C == 0.0:
-        return 0.0
-    x = (p.tail.q * r) ** 2
-    if x >= 1.0:
-        return math.inf
-    return p.tail.C**2 * x ** (p.order + 1) / (1.0 - x)
+        return 0.0 * r
+    x = (p.tail.q * r) * (p.tail.q * r)
+    return _like_radius(p.tail.C**2 * np.power(x, p.order + 1) / (1.0 - x), r)
 
 
-def dirichlet_area(p: PowerSeries, r: float) -> float:
+def dirichlet_area(p: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:
     """Multiplicity-counted image area over pi: sum_{n>=1} n |a_n|^2 r^{2n}.
 
     By Parseval this equals (1/pi) * integral of |f'|^2 over the disk of
@@ -112,20 +127,19 @@ def dirichlet_area(p: PowerSeries, r: float) -> float:
     """
     _check_radius(r)
     n = np.arange(1, p.order + 1, dtype=float)
-    return float((n * np.abs(p.coeffs[1:]) ** 2) @ (r**2) ** n)
+    return _power_sum(n * np.abs(p.coeffs[1:]) ** 2, n, r * r)
 
 
-def dirichlet_area_tail_bound(p: PowerSeries, r: float) -> float:
+def dirichlet_area_tail_bound(p: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:
     """Upper bound on sum_{n>N} n |a_n|^2 r^{2n} from the tail certificate."""
     _check_radius(r)
     if p.tail is None or p.tail.C == 0.0:
-        return 0.0
-    x = (p.tail.q * r) ** 2
-    if x >= 1.0:
-        return math.inf
+        return 0.0 * r
+    x = (p.tail.q * r) * (p.tail.q * r)
     n1 = p.order + 1
     # sum_{n>N} n x^n = x^{N+1} ((N+1) - N x) / (1-x)^2
-    return p.tail.C**2 * x**n1 * (n1 - p.order * x) / (1.0 - x) ** 2
+    tail = p.tail.C**2 * np.power(x, n1) * (n1 - p.order * x) / ((1.0 - x) * (1.0 - x))
+    return _like_radius(tail, r)
 
 
 def area_upper_bound(a0_abs: float, r: float) -> float:
@@ -136,14 +150,14 @@ def area_upper_bound(a0_abs: float, r: float) -> float:
     return (1.0 - a0_abs**2) ** 2 * r**2 / (1.0 - r**2) ** 2
 
 
-def bohr_total(p: PowerSeries, r: float) -> FunctionalValue:
+def bohr_total(p: PowerSeries, r: float | np.ndarray) -> FunctionalValue:
     """Plain majorant with no correction term."""
     m = majorant(p, r)
-    return FunctionalValue(m, m, 0.0, r, majorant_tail_bound(p, r))
+    return FunctionalValue(m, m, 0.0 * r, r, majorant_tail_bound(p, r))
 
 
 def area_refined_total(
-    p: PowerSeries, r: float, gamma: float, weight: float = DEFAULT_AREA_WEIGHT
+    p: PowerSeries, r: float | np.ndarray, gamma: float, weight: float = DEFAULT_AREA_WEIGHT
 ) -> FunctionalValue:
     """Majorant plus weighted image-area correction for functions bounded on
     the enlarged disk of parameter gamma.
@@ -160,7 +174,7 @@ def area_refined_total(
     return FunctionalValue(m + weight * area, m, weight * area, r, tail)
 
 
-def norm_refined_total(p: PowerSeries, r: float) -> FunctionalValue:
+def norm_refined_total(p: PowerSeries, r: float | np.ndarray) -> FunctionalValue:
     """Majorant plus the squared-coefficient norm correction
     (1/(1+|a_0|) + r/(1-r)) * sum_{n>=1} |a_n|^2 r^{2n}."""
     _check_radius(r)
@@ -172,7 +186,7 @@ def norm_refined_total(p: PowerSeries, r: float) -> FunctionalValue:
     return FunctionalValue(m + corr, m, corr, r, tail)
 
 
-def domain_ratio_area_total(p: PowerSeries, r: float, ratio_sup: float) -> FunctionalValue:
+def domain_ratio_area_total(p: PowerSeries, r: float | np.ndarray, ratio_sup: float) -> FunctionalValue:
     """Majorant plus 2 ((1+L)/(1+2L))^2 times the Dirichlet area, where L is
     the domain's coefficient-ratio supremum sup |a_n|/(1-|a_0|^2)."""
     if not ratio_sup > 0.0:
@@ -184,14 +198,14 @@ def domain_ratio_area_total(p: PowerSeries, r: float, ratio_sup: float) -> Funct
     return FunctionalValue(m + corr, m, corr, r, tail)
 
 
-def harmonic_total(h: PowerSeries, g: PowerSeries, r: float) -> FunctionalValue:
+def harmonic_total(h: PowerSeries, g: PowerSeries, r: float | np.ndarray) -> FunctionalValue:
     """Joint majorant of a harmonic mapping h + conj(g): the analytic majorant
     plus the co-analytic majorant without its constant term."""
     m_h = majorant(h, r)
     m_g = majorant(g, r) - float(abs(g.coeffs[0]))
     tail = majorant_tail_bound(h, r) + majorant_tail_bound(g, r)
     total = m_h + m_g
-    return FunctionalValue(total, total, 0.0, r, tail)
+    return FunctionalValue(total, total, 0.0 * r, r, tail)
 
 
 def sharp_majorant_radius(gamma: float) -> float:

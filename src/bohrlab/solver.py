@@ -117,7 +117,6 @@ def family_infimum_radius(
     bound_for: Callable[[Any], Callable[[float], FunctionalValue | float]],
     family: Iterable[Any],
     tol: float = 1e-10,
-    refine: bool = True,
 ) -> RadiusResult:
     """Minimum per-function radius over a parameter family.
 
@@ -148,14 +147,12 @@ def family_infimum_radius(
     witness = members[best]
     radius = base.radius
 
-    grid_error = 0.0
-    if refine:
-        for params in _dyadic_midpoints(members, best):
-            res = bohr_radius_of_function(bound_for(params), tol)
-            if res.status != "no_radius" and res.radius < radius:
-                radius = res.radius
-                witness = params
-        grid_error = abs(base.radius - radius)
+    for params in _dyadic_midpoints(members, best):
+        res = bohr_radius_of_function(bound_for(params), tol)
+        if res.status != "no_radius" and res.radius < radius:
+            radius = res.radius
+            witness = params
+    grid_error = abs(base.radius - radius)
 
     status = "constrained" if any(r.constrained for r in results) else "unconstrained"
     return RadiusResult(

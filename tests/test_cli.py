@@ -102,12 +102,24 @@ def test_radius_artifacts(tmp_path):
 
 
 def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["radius", "--theorem", "Z"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["radius", "--theorem", "B", "--gamma", "1.5"])
-    assert exc.value.code == 2
+    # out-of-range values, and values that would leave no work to do
+    for argv in (
+        ["radius", "--theorem", "Z"],
+        ["radius", "--theorem", "B", "--gamma", "1.5"],
+        ["radius", "--theorem", "B", "--order", "0"],
+        ["sweep", "--gammas", "1.5"],
+        ["sweep", "--gammas", "0:0.9:0"],
+        ["sweep", "--grid", "0"],
+        ["conjecture", "--gammas", "1.5"],
+        ["conjecture", "--gammas", ","],
+        ["conjecture", "--grid", "1"],
+        ["conjecture", "--refinements", "-1"],
+        ["identity-check", "--samples", "0"],
+        ["verify", "--seed", "-1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_verify_fast_and_filter(tmp_path):
@@ -195,6 +207,34 @@ def test_config_theorem_outside_choices_is_a_usage_error(tmp_path, capsys, argv,
         main(argv + ["--config", str(cfg)])
     assert exc.value.code == 2
     assert f"got {theorem!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,config,message",
+    [
+        (["radius", "--theorem", "B"], [{"theorem": "B"}], "JSON object"),
+        (["radius", "--theorem", "B"], {"gamma": "0.5"}, "--gamma"),
+        (["radius", "--theorem", "B"], {"gamma": 1.5}, "must lie in [0, 1)"),
+        (["radius", "--theorem", "B"], {"order": 512.5}, "--order"),
+        (["verify"], {"fast": 1}, "expected true or false"),
+    ],
+    ids=["list", "quoted-number", "out-of-range", "fraction-for-int", "number-for-switch"],
+)
+def test_bad_config_file_is_a_usage_error(tmp_path, capsys, argv, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", str(cfg)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_config_switches_and_repeated_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"check": ["schwarz-pick", "coefficient-bounds"], "fast": True}))
+    code, text = run_cli("verify", "--config", str(cfg))
+    assert code == 0
+    assert [line.split()[1] for line in text.splitlines()] == ["schwarz-pick", "coefficient-bounds"]
 
 
 def test_radius_tolerance_below_float_spacing_terminates():

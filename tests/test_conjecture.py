@@ -1,13 +1,17 @@
 """Constant explorer: admissibility floor, witness validity, determinism."""
 
+import numpy as np
+
 from bohrlab import functionals
 from bohrlab.conjecture import (
+    _ratio_grid,
     estimate_constant,
     non_monotonic_pairs,
     sweep_conjecture,
     witness_violates,
     write_estimates_csv,
 )
+from bohrlab.extremals import MobiusFamilyParams, mobius_family_coeffs
 
 FLOOR = 8.0 / 9.0 - 1e-6
 
@@ -76,3 +80,20 @@ def test_non_monotonic_pairs_are_diagnostics():
 def test_degenerate_single_point_sweep():
     estimates = sweep_conjecture([0.0], grid=32, refinements=1)
     assert len(estimates) == 1
+
+
+def test_ratio_grid_matches_the_series_evaluator():
+    # the closed-form geometric sums against the order-2048 series; a < gamma
+    # gives a negative constant term A_0
+    for gamma in (0.0, 0.4, 0.8):
+        a_values = np.array([0.05, 0.3, 0.6, 0.9, 0.99])
+        r_values = np.linspace(1e-3, functionals.sharp_majorant_radius(gamma), 16)
+        grid = _ratio_grid(gamma, a_values, r_values)
+        for i, a in enumerate(a_values):
+            p = mobius_family_coeffs(MobiusFamilyParams(float(a), gamma))
+            fv = functionals.area_refined_total(p, r_values, gamma, weight=1.0)
+            series = (1.0 - fv.majorant) / fv.correction
+            # 1 - majorant cancels near the sharp radius, which puts about
+            # eps / area of absolute rounding error into the series side
+            slack = 1e-12 * series + 4.0 * np.finfo(float).eps / fv.correction
+            assert np.all(np.abs(grid[i] - series) <= slack)

@@ -5,15 +5,18 @@ import pytest
 
 from bohrlab.extremals import MobiusFamilyParams, harmonic_extremal, HarmonicExtremalParams, mobius_family_coeffs
 from bohrlab.functionals import (
+    FunctionalValue,
     area_refined_total,
     area_upper_bound,
     bohr_total,
     dirichlet_area,
+    dirichlet_area_tail_bound,
     domain_ratio_area_total,
     harmonic_total,
     majorant,
     majorant_tail_bound,
     norm_f0,
+    norm_f0_tail_bound,
     norm_refined_total,
     sharp_harmonic_radius,
     sharp_majorant_radius,
@@ -38,7 +41,7 @@ def test_majorant_constant():
 
 def test_majorant_domain_error():
     p = PowerSeries.constant(1.0)
-    for r in (1.0, 1.5, -0.1):
+    for r in (1.0, 1.5, -0.1, np.array([0.2, 1.0]), np.array([np.nan]), np.zeros((2, 2))):
         with pytest.raises(ValueError):
             majorant(p, r)
 
@@ -68,8 +71,6 @@ def test_majorant_tail_bound_is_sound():
 
 
 def test_norm_and_area_tail_bounds_are_sound():
-    from bohrlab.functionals import dirichlet_area_tail_bound, norm_f0_tail_bound
-
     full = mobius_family_coeffs(MobiusFamilyParams(0.9, 0.1), 4096)
     short = mobius_family_coeffs(MobiusFamilyParams(0.9, 0.1), 24)
     r = 0.6
@@ -77,6 +78,42 @@ def test_norm_and_area_tail_bounds_are_sound():
     assert dirichlet_area(full, r) <= dirichlet_area(short, r) + dirichlet_area_tail_bound(short, r) + 1e-14
     assert norm_f0_tail_bound(short, r) > 0.0
     assert dirichlet_area_tail_bound(short, r) > 0.0
+
+
+# A short series keeps every tail bound nonzero; the last case has no tail certificate.
+_SHORT = mobius_family_coeffs(MobiusFamilyParams(0.9, 0.3), 24)
+_H, _G = harmonic_extremal(HarmonicExtremalParams(0.9, 0.3, k=0.7, lambda_mix=0.5), 24)
+_UNCERTIFIED = PowerSeries(_SHORT.coeffs)
+_BY_RADIUS = {
+    "majorant": lambda r: majorant(_SHORT, r),
+    "majorant_tail_bound": lambda r: majorant_tail_bound(_SHORT, r),
+    "norm_f0": lambda r: norm_f0(_SHORT, r),
+    "norm_f0_tail_bound": lambda r: norm_f0_tail_bound(_SHORT, r),
+    "dirichlet_area": lambda r: dirichlet_area(_SHORT, r),
+    "dirichlet_area_tail_bound": lambda r: dirichlet_area_tail_bound(_SHORT, r),
+    "bohr_total": lambda r: bohr_total(_SHORT, r),
+    "area_refined_total": lambda r: area_refined_total(_SHORT, r, 0.3),
+    "norm_refined_total": lambda r: norm_refined_total(_SHORT, r),
+    "domain_ratio_area_total": lambda r: domain_ratio_area_total(_SHORT, r, 0.7),
+    "harmonic_total": lambda r: harmonic_total(_H, _G, r),
+    "uncertified_tail_bound": lambda r: dirichlet_area_tail_bound(_UNCERTIFIED, r),
+}
+
+
+@pytest.mark.parametrize("name", list(_BY_RADIUS))
+def test_vector_radii_equal_scalar_calls_bit_for_bit(name):
+    def fields(value):
+        if isinstance(value, FunctionalValue):
+            return [value.total, value.majorant, value.correction, value.r, value.tail_error]
+        return [value]
+
+    radii = np.linspace(0.0, 0.9, 37)
+    vector = fields(_BY_RADIUS[name](radii))
+    scalar = [fields(_BY_RADIUS[name](float(r))) for r in radii]
+    for i, column in enumerate(vector):
+        assert isinstance(column, np.ndarray) and column.shape == radii.shape
+        assert all(type(row[i]) is float for row in scalar)
+        assert np.array_equal(column, [row[i] for row in scalar])
 
 
 def test_functional_value_serialization():

@@ -109,7 +109,7 @@ def test_family_propagates_no_radius():
     def bound_for(params):
         return lambda r: 2.0  # always violated
 
-    res = family_infimum_radius(bound_for, [Big()], tol=1e-6, refine=False)
+    res = family_infimum_radius(bound_for, [Big()], tol=1e-6)
     assert res.status == "no_radius"
 
 
