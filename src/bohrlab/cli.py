@@ -285,6 +285,9 @@ def cmd_conjecture(args) -> int:
             f"gamma={est.gamma:<6g} K_hat={est.k_hat:.6f} "
             f"witness=(a={est.witness_a:.6g}, r={est.witness_r:.6g}) [{status}]"
         )
+        for edge in conjecture_mod.window_edges(est):
+            print(f"note: gamma={est.gamma:g} witness {edge}: K_hat is the window's minimum, "
+                  "not an interior optimum")
     endpoint = next((e for e in estimates if e.gamma == 0.0), None)
     if endpoint is not None:
         ref = 16.0 / 9.0
@@ -408,7 +411,9 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace, con
     given = {options[flag].dest for flag in flags if flag in options}
     for key, value in config.items():
         action = options.get(key.replace("-", "_"))
-        if action is None or action.dest in given:
+        if action is None:
+            parser.error(f"config key {key!r} names no option of {args.command}")
+        if action.dest in given:
             continue
         for item in value if isinstance(value, list) else [value]:
             try:

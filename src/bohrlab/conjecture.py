@@ -32,6 +32,7 @@ __all__ = [
     "non_monotonic_pairs",
     "write_estimates_csv",
     "witness_violates",
+    "window_edges",
 ]
 
 CSV_HEADER = ["gamma", "K_hat", "a_witness", "r_witness", "refinements"]
@@ -162,6 +163,28 @@ def witness_violates(estimate: ConstantEstimate, bump: float = 1e-6, order: int 
         p, estimate.witness_r, estimate.gamma, weight=estimate.k_hat + bump
     )
     return value.total > 1.0
+
+
+def window_edges(estimate: ConstantEstimate) -> list[str]:
+    """The witness coordinates that lie on an edge of the search window, as
+    "a=0.99 on the upper edge of [0.05, 0.99]".
+
+    The a window is ``a_bounds`` and the r window is [r_min, r0], r0 the sharp
+    radius.  A witness on an edge marks the window's minimum: the ratio may
+    keep falling outside it, so k_hat is no interior optimum there.
+    """
+    stats = estimate.grid_stats
+    windows = (
+        ("a", estimate.witness_a, stats["a_bounds"]),
+        ("r", estimate.witness_r, (stats["r_min"], sharp_majorant_radius(estimate.gamma))),
+    )
+    edges = []
+    for name, value, (lo, hi) in windows:
+        for side, edge in (("lower", lo), ("upper", hi)):
+            # far below one step of the finest grid: only the edge point itself
+            if abs(value - edge) <= 1e-9 * (hi - lo):
+                edges.append(f"{name}={value:g} on the {side} edge of [{lo:g}, {hi:g}]")
+    return edges
 
 
 def sweep_conjecture(gammas: Sequence[float], **kwargs) -> list[ConstantEstimate]:

@@ -3,9 +3,11 @@
 Each evaluator returns a :class:`FunctionalValue` splitting the result into
 the majorant part (absolute-coefficient sum) and a correction part (image
 area, squared-coefficient norm, or co-analytic majorant), together with a
-truncation bound derived from the series tail certificate.  ``tail_error``
-is always an upper bound on the neglected mass, so asserting
-``total + tail_error <= 1`` errs on the safe side.
+truncation bound.  ``tail_error`` is always an upper bound on the neglected
+mass, so asserting ``total + tail_error <= 1`` errs on the safe side.  The
+neglected mass is the series past the stored order, bounded by the tail
+certificate, plus the stored terms past the cut: each sum stops where the
+stored terms it skips are certified to add at most 2^-60.
 
 Every sum, tail bound and evaluator takes the radius ``r`` as a float or a
 1-D array of radii.  A float gives plain floats; an array gives values
@@ -82,41 +84,128 @@ def _like_radius(value, r):
     return value if isinstance(r, np.ndarray) else float(value)
 
 
-def _power_sum(weights: np.ndarray, n: np.ndarray, x: float | np.ndarray) -> float | np.ndarray:
-    """sum_k weights_k x^n_k for each x, one dot product per row of powers,
-    so every radius rounds exactly as the scalar ``weights @ x**n`` does."""
-    return _like_radius(np.vecdot(np.power.outer(x, n), weights), x)
+# A sum stops at the shortest length L on the ladder 32, 64, 128, ... whose
+# skipped stored terms provably add at most _CUT; that bound goes into the
+# sum's tail bound.  Far below every tolerance, and below the rounding of any
+# sum near one, so the stored digits of a total barely ever change.
+_CUT = 2.0**-60
+_FIRST_LENGTH = 32
+
+
+@dataclass(frozen=True)
+class _Terms:
+    """Terms w_k x^n_k of one power sum, with the lengths L it may stop at.
+
+    ``lengths`` ends with the full length; ``heads[j]`` is the exponent of the
+    first term skipped at ``lengths[j]`` and ``suffix[j]`` bounds the skipped
+    weights, sum_{k >= L} w_k, from above (0 at the full length).
+    """
+
+    weights: np.ndarray
+    exponents: np.ndarray
+    lengths: np.ndarray
+    heads: np.ndarray
+    suffix: np.ndarray
+
+
+def _terms(p: PowerSeries, kind: str) -> _Terms:
+    """The terms of one of the three sums over p's coefficients, built once per series."""
+    memo = p._memo
+    if kind not in memo:
+        n = np.arange(p.order + 1, dtype=float)
+        if kind == "majorant":
+            weights = np.abs(p.coeffs)
+        else:  # "norm" and "area" run from n = 1
+            n = n[1:]
+            weights = np.abs(p.coeffs[1:]) ** 2
+            if kind == "area":
+                weights = n * weights
+        size = weights.size
+        lengths = [_FIRST_LENGTH << j for j in range(size.bit_length()) if _FIRST_LENGTH << j < size]
+        # suffix sums of nonnegative terms err by less than size * 2^-53
+        # relative; the factor covers that and the rounding of x^n_L * S_L
+        tails = np.cumsum(weights[::-1])[::-1][lengths] * (1.0 + size * 2.0**-52)
+        memo[kind] = _Terms(
+            weights, n, np.array(lengths + [size]), np.append(n[lengths], 0.0), np.append(tails, 0.0)
+        )
+    return memo[kind]
+
+
+def _power_sum(terms: _Terms, x: float | np.ndarray):
+    """(sum_k w_k x^n_k, bound on the stored terms it skipped) for each x.
+
+    Each x sums its first L terms, L the shortest length with x^n_L S_L <=
+    _CUT: every skipped term is at most x^n_L times its weight, as x < 1 and
+    the exponents increase.  L depends on x alone and each sum is one dot
+    product, so every x rounds exactly as the scalar call does.
+    """
+    xs = np.atleast_1d(x)
+    bounds = np.power.outer(xs, terms.heads) * terms.suffix
+    pick = np.argmax(bounds <= _CUT, axis=1)
+    skipped = bounds[np.arange(xs.size), pick]
+    lengths = terms.lengths[pick]
+    value = np.empty(xs.shape)
+    # sorted(set()) rather than np.unique, which imports numpy.ma
+    for length in sorted(set(lengths.tolist())):
+        rows = lengths == length
+        powers = np.power.outer(xs[rows], terms.exponents[:length])
+        value[rows] = np.vecdot(powers, terms.weights[:length])
+    if isinstance(x, np.ndarray):
+        return value, skipped
+    return float(value[0]), float(skipped[0])
+
+
+def _majorant(p: PowerSeries, r):
+    """(sum of |a_n| r^n over the terms summed, bound on the rest of the series)."""
+    value, skipped = _power_sum(_terms(p, "majorant"), r)
+    if p.tail is None or p.tail.C == 0.0:
+        return value, skipped
+    x = p.tail.q * r  # below one: q < 1 and r < 1
+    return value, _like_radius(p.tail.C * np.power(x, p.order + 1) / (1.0 - x), r) + skipped
+
+
+def _norm_f0(p: PowerSeries, r):
+    # squares are products: Python's float ** 2 and numpy's can round apart
+    value, skipped = _power_sum(_terms(p, "norm"), r * r)
+    if p.tail is None or p.tail.C == 0.0:
+        return value, skipped
+    x = (p.tail.q * r) * (p.tail.q * r)
+    return value, _like_radius(p.tail.C**2 * np.power(x, p.order + 1) / (1.0 - x), r) + skipped
+
+
+def _dirichlet_area(p: PowerSeries, r):
+    value, skipped = _power_sum(_terms(p, "area"), r * r)
+    if p.tail is None or p.tail.C == 0.0:
+        return value, skipped
+    x = (p.tail.q * r) * (p.tail.q * r)
+    n1 = p.order + 1
+    # sum_{n>N} n x^n = x^{N+1} ((N+1) - N x) / (1-x)^2
+    tail = p.tail.C**2 * np.power(x, n1) * (n1 - p.order * x) / ((1.0 - x) * (1.0 - x))
+    return value, _like_radius(tail, r) + skipped
 
 
 def majorant(p: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:
-    """Sum of |a_n| r^n over the stored coefficients."""
+    """Sum of |a_n| r^n over the stored coefficients, up to the cut."""
     _check_radius(r)
-    return _power_sum(np.abs(p.coeffs), np.arange(p.order + 1, dtype=float), r)
+    return _majorant(p, r)[0]
 
 
 def majorant_tail_bound(p: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:
-    """Upper bound on sum_{n>N} |a_n| r^n from the tail certificate (0 if absent)."""
+    """Upper bound on the rest of sum |a_n| r^n: the stored terms past the cut,
+    plus sum_{n>N} from the tail certificate (nothing if absent)."""
     _check_radius(r)
-    if p.tail is None or p.tail.C == 0.0:
-        return 0.0 * r
-    x = p.tail.q * r  # below one: q < 1 and r < 1
-    return _like_radius(p.tail.C * np.power(x, p.order + 1) / (1.0 - x), r)
+    return _majorant(p, r)[1]
 
 
 def norm_f0(p: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:
     """Squared-coefficient norm of the constant-free part: sum_{n>=1} |a_n|^2 r^{2n}."""
     _check_radius(r)
-    n = np.arange(1, p.order + 1, dtype=float)
-    # squares are products: Python's float ** 2 and numpy's can round apart
-    return _power_sum(np.abs(p.coeffs[1:]) ** 2, n, r * r)
+    return _norm_f0(p, r)[0]
 
 
 def norm_f0_tail_bound(p: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:
     _check_radius(r)
-    if p.tail is None or p.tail.C == 0.0:
-        return 0.0 * r
-    x = (p.tail.q * r) * (p.tail.q * r)
-    return _like_radius(p.tail.C**2 * np.power(x, p.order + 1) / (1.0 - x), r)
+    return _norm_f0(p, r)[1]
 
 
 def dirichlet_area(p: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:
@@ -126,20 +215,13 @@ def dirichlet_area(p: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:
     radius r; for univalent f it is exactly the image area over pi.
     """
     _check_radius(r)
-    n = np.arange(1, p.order + 1, dtype=float)
-    return _power_sum(n * np.abs(p.coeffs[1:]) ** 2, n, r * r)
+    return _dirichlet_area(p, r)[0]
 
 
 def dirichlet_area_tail_bound(p: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:
-    """Upper bound on sum_{n>N} n |a_n|^2 r^{2n} from the tail certificate."""
+    """Upper bound on the rest of sum n |a_n|^2 r^{2n}, as for the majorant."""
     _check_radius(r)
-    if p.tail is None or p.tail.C == 0.0:
-        return 0.0 * r
-    x = (p.tail.q * r) * (p.tail.q * r)
-    n1 = p.order + 1
-    # sum_{n>N} n x^n = x^{N+1} ((N+1) - N x) / (1-x)^2
-    tail = p.tail.C**2 * np.power(x, n1) * (n1 - p.order * x) / ((1.0 - x) * (1.0 - x))
-    return _like_radius(tail, r)
+    return _dirichlet_area(p, r)[1]
 
 
 def area_upper_bound(a0_abs: float, r: float) -> float:
@@ -152,8 +234,9 @@ def area_upper_bound(a0_abs: float, r: float) -> float:
 
 def bohr_total(p: PowerSeries, r: float | np.ndarray) -> FunctionalValue:
     """Plain majorant with no correction term."""
-    m = majorant(p, r)
-    return FunctionalValue(m, m, 0.0 * r, r, majorant_tail_bound(p, r))
+    _check_radius(r)
+    m, tail = _majorant(p, r)
+    return FunctionalValue(m, m, 0.0 * r, r, tail)
 
 
 def area_refined_total(
@@ -168,10 +251,10 @@ def area_refined_total(
     readings of the correction term agree.
     """
     _check_gamma(gamma)
-    m = majorant(p, r)
-    area = dirichlet_area(p, r * (1.0 - gamma))
-    tail = majorant_tail_bound(p, r) + weight * dirichlet_area_tail_bound(p, r * (1.0 - gamma))
-    return FunctionalValue(m + weight * area, m, weight * area, r, tail)
+    _check_radius(r)
+    m, m_tail = _majorant(p, r)
+    area, area_tail = _dirichlet_area(p, r * (1.0 - gamma))
+    return FunctionalValue(m + weight * area, m, weight * area, r, m_tail + weight * area_tail)
 
 
 def norm_refined_total(p: PowerSeries, r: float | np.ndarray) -> FunctionalValue:
@@ -180,10 +263,10 @@ def norm_refined_total(p: PowerSeries, r: float | np.ndarray) -> FunctionalValue
     _check_radius(r)
     a0 = float(abs(p.coeffs[0]))
     factor = 1.0 / (1.0 + a0) + r / (1.0 - r)
-    m = majorant(p, r)
-    corr = factor * norm_f0(p, r)
-    tail = majorant_tail_bound(p, r) + factor * norm_f0_tail_bound(p, r)
-    return FunctionalValue(m + corr, m, corr, r, tail)
+    m, m_tail = _majorant(p, r)
+    norm, norm_tail = _norm_f0(p, r)
+    corr = factor * norm
+    return FunctionalValue(m + corr, m, corr, r, m_tail + factor * norm_tail)
 
 
 def domain_ratio_area_total(p: PowerSeries, r: float | np.ndarray, ratio_sup: float) -> FunctionalValue:
@@ -192,20 +275,21 @@ def domain_ratio_area_total(p: PowerSeries, r: float | np.ndarray, ratio_sup: fl
     if not ratio_sup > 0.0:
         raise ValueError(f"coefficient-ratio supremum must be positive, got {ratio_sup}")
     weight = 2.0 * ((1.0 + ratio_sup) / (1.0 + 2.0 * ratio_sup)) ** 2
-    m = majorant(p, r)
-    corr = weight * dirichlet_area(p, r)
-    tail = majorant_tail_bound(p, r) + weight * dirichlet_area_tail_bound(p, r)
-    return FunctionalValue(m + corr, m, corr, r, tail)
+    _check_radius(r)
+    m, m_tail = _majorant(p, r)
+    area, area_tail = _dirichlet_area(p, r)
+    corr = weight * area
+    return FunctionalValue(m + corr, m, corr, r, m_tail + weight * area_tail)
 
 
 def harmonic_total(h: PowerSeries, g: PowerSeries, r: float | np.ndarray) -> FunctionalValue:
     """Joint majorant of a harmonic mapping h + conj(g): the analytic majorant
     plus the co-analytic majorant without its constant term."""
-    m_h = majorant(h, r)
-    m_g = majorant(g, r) - float(abs(g.coeffs[0]))
-    tail = majorant_tail_bound(h, r) + majorant_tail_bound(g, r)
-    total = m_h + m_g
-    return FunctionalValue(total, total, 0.0 * r, r, tail)
+    _check_radius(r)
+    m_h, h_tail = _majorant(h, r)
+    m_g, g_tail = _majorant(g, r)
+    total = m_h + (m_g - float(abs(g.coeffs[0])))
+    return FunctionalValue(total, total, 0.0 * r, r, h_tail + g_tail)
 
 
 def sharp_majorant_radius(gamma: float) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -97,6 +98,13 @@ class PowerSeries:
 
     def abs_coeffs(self) -> np.ndarray:
         return np.abs(self.coeffs)
+
+    @cached_property
+    def _memo(self) -> dict:
+        """Values derived from the coefficients, stored here by the code that
+        computes them so that each is computed once per series (the
+        evaluators' weight tables in :mod:`functionals`)."""
+        return {}
 
     def evaluate(self, z):
         """Evaluate at z (scalar or array).  For a series about c pass z - c."""

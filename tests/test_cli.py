@@ -2,11 +2,14 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bohrlab
 from bohrlab.cli import main
 
 
@@ -173,6 +176,20 @@ def test_conjecture_command(tmp_path):
     assert len(rows) == 3
 
 
+def test_conjecture_notes_a_witness_on_the_window_edge():
+    # the family ratio keeps falling toward a = 1 and r = r0, so the default
+    # window's corner holds the witness
+    code, text = run_cli("conjecture", "--gammas", "0.5", "--grid", "16", "--refinements", "1")
+    assert code == 0
+    notes = [line for line in text.splitlines() if "edge" in line]
+    assert notes == [
+        "note: gamma=0.5 witness a=0.99 on the upper edge of [0.05, 0.99]: "
+        "K_hat is the window's minimum, not an interior optimum",
+        "note: gamma=0.5 witness r=0.428571 on the upper edge of [0.001, 0.428571]: "
+        "K_hat is the window's minimum, not an interior optimum",
+    ]
+
+
 def test_identity_check_command():
     code, text = run_cli("identity-check", "--samples", "25", "--seed", "7")
     assert code == 0
@@ -217,8 +234,9 @@ def test_config_theorem_outside_choices_is_a_usage_error(tmp_path, capsys, argv,
         (["radius", "--theorem", "B"], {"gamma": 1.5}, "must lie in [0, 1)"),
         (["radius", "--theorem", "B"], {"order": 512.5}, "--order"),
         (["verify"], {"fast": 1}, "expected true or false"),
+        (["radius", "--theorem", "B"], {"gama": 0.5}, "config key 'gama' names no option of radius"),
     ],
-    ids=["list", "quoted-number", "out-of-range", "fraction-for-int", "number-for-switch"],
+    ids=["list", "quoted-number", "out-of-range", "fraction-for-int", "number-for-switch", "unknown-key"],
 )
 def test_bad_config_file_is_a_usage_error(tmp_path, capsys, argv, config, message):
     cfg = tmp_path / "cfg.json"
@@ -258,3 +276,18 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "0.428571429" in proc.stdout
+
+
+def test_radius_and_sweep_do_not_import_numpy_ma():
+    # numpy.ma loads lazily (np.unique imports it) and adds to peak memory
+    script = (
+        "import sys\n"
+        "from bohrlab.cli import main\n"
+        "main(['radius', '--theorem', 'B', '--gamma', '0.5', '--order', '256'])\n"
+        "main(['sweep', '--gammas', '0.5', '--grid', '8', '--order', '256'])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(bohrlab.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

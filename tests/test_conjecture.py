@@ -1,5 +1,7 @@
 """Constant explorer: admissibility floor, witness validity, determinism."""
 
+import dataclasses
+
 import numpy as np
 
 from bohrlab import functionals
@@ -8,6 +10,7 @@ from bohrlab.conjecture import (
     estimate_constant,
     non_monotonic_pairs,
     sweep_conjecture,
+    window_edges,
     witness_violates,
     write_estimates_csv,
 )
@@ -97,3 +100,13 @@ def test_ratio_grid_matches_the_series_evaluator():
             # eps / area of absolute rounding error into the series side
             slack = 1e-12 * series + 4.0 * np.finfo(float).eps / fv.correction
             assert np.all(np.abs(grid[i] - series) <= slack)
+
+
+def test_window_edges_names_only_edge_coordinates():
+    est = estimate_constant(0.0, grid=16, refinements=1)
+    assert [edge.split(" on ")[0] for edge in window_edges(est)] == ["a=0.99", "r=0.333333"]
+    inside = dataclasses.replace(est, witness_a=0.5, witness_r=0.2)
+    assert window_edges(inside) == []
+    # a random sample's witness has no a; its r is still checked
+    sample = dataclasses.replace(est, witness_a=float("nan"), witness_r=1e-3)
+    assert window_edges(sample) == ["r=0.001 on the lower edge of [0.001, 0.333333]"]

@@ -1,7 +1,14 @@
 """Bound evaluators against brute-force summation and quadrature oracles."""
 
+from unittest import mock
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bohrlab import functionals
 
 from bohrlab.extremals import MobiusFamilyParams, harmonic_extremal, HarmonicExtremalParams, mobius_family_coeffs
 from bohrlab.functionals import (
@@ -279,3 +286,105 @@ def test_sharp_radius_helpers():
         sharp_majorant_radius(1.0)
     with pytest.raises(ValueError):
         sharp_harmonic_radius(0.5, 2.0)
+
+
+# Each sum stops where its stored remainder is certified negligible and adds
+# that remainder's bound to its tail bound.  Rounding allowance: relative,
+# for the coefficients' and the dot product's roundoff (2 eps seen).
+_EPS = np.finfo(float).eps
+_ROUNDING = 8 * _EPS
+_SUMS = (
+    (majorant, majorant_tail_bound),
+    (norm_f0, norm_f0_tail_bound),
+    (dirichlet_area, dirichlet_area_tail_bound),
+)
+
+
+def _assert_cut_is_sound(p, r, exact):
+    """``exact`` holds the 50-digit value of each full series at r."""
+    # the certificate's closed form is not rounded up, and it amplifies the
+    # rounding of x = q r by its exponent N + 1 and by 1 / (1 - x)
+    amplify = 0.0 if p.tail is None else 2.0 * (p.order + 1 + 1.0 / (1.0 - p.tail.q * r))
+    for (value_fn, tail_fn), full_series in zip(_SUMS, exact):
+        value, tail = value_fn(p, r), tail_fn(p, r)
+        slack = _ROUNDING * float(full_series) + amplify * _EPS * tail + np.finfo(float).tiny
+        assert value <= full_series + slack
+        assert value + tail >= full_series - slack
+        # the same kernel with no cut sums every stored term
+        with mock.patch.object(functionals, "_CUT", 0.0):
+            full, full_tail = value_fn(p, r), tail_fn(p, r)
+        assert abs(value - full) <= tail + 1e-15
+        assert full_tail <= tail <= full_tail + 2.0**-60
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    a=st.floats(0.01, 0.9999),
+    gamma=st.floats(0.0, 0.95),
+    order=st.sampled_from([24, 256, 2048]),
+    r=st.floats(0.0, 0.999),
+)
+def test_cut_sums_are_sound_on_the_family(a, gamma, order, r):
+    params = MobiusFamilyParams(a, gamma)
+    p = mobius_family_coeffs(params, order)
+    with mpmath.workdps(50):
+        q, scale = mpmath.mpf(params.decay_ratio), mpmath.mpf(params.coefficient_scale)
+        # the squared sums run over the float r * r the evaluators use
+        x, y = q * r, q * q * mpmath.mpf(r * r)
+        exact = (
+            abs(mpmath.mpf(params.constant_term)) + scale * x / (1 - x),
+            scale**2 * y / (1 - y),
+            scale**2 * y / (1 - y) ** 2,
+        )
+    _assert_cut_is_sound(p, r, exact)
+
+
+def _spike(n):
+    """z^n with no tail certificate: past a cut below n, its whole mass is skipped."""
+    coeffs = np.zeros(2 * n + 1)
+    coeffs[n] = 1.0
+    return PowerSeries(coeffs)
+
+
+_UNCERTIFIED_SERIES = {
+    "numeric_taylor": numeric_taylor(random_blaschke(np.random.default_rng(5)), 128, rho=0.9),
+    "spike_32": _spike(32),
+    "spike_64": _spike(64),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(_UNCERTIFIED_SERIES)), r=st.floats(0.0, 0.999))
+def test_cut_sums_are_sound_without_a_certificate(name, r):
+    p = _UNCERTIFIED_SERIES[name]
+    assert p.tail is None
+    with mpmath.workdps(50):
+        w = [mpmath.mpf(float(c)) for c in np.abs(p.coeffs)]
+        x = mpmath.mpf(r * r)
+        exact = (
+            mpmath.fsum(c * mpmath.mpf(r) ** n for n, c in enumerate(w)),
+            mpmath.fsum(c**2 * x**n for n, c in enumerate(w) if n),
+            mpmath.fsum(n * c**2 * x**n for n, c in enumerate(w) if n),
+        )
+    _assert_cut_is_sound(p, r, exact)
+
+
+def test_cut_lengths_per_radius_keep_vector_calls_bit_for_bit():
+    # radii up to 0.999 stop at every length from 32 to the full 2049
+    p = mobius_family_coeffs(MobiusFamilyParams(0.99, 0.2))
+    radii = np.linspace(0.0, 0.999, 101)
+    for fn in (fn for pair in _SUMS for fn in pair):
+        assert np.array_equal(fn(p, radii), [fn(p, float(r)) for r in radii])
+
+
+def test_integer_radius_sums_in_floating_point():
+    p = mobius_family_coeffs(MobiusFamilyParams(0.9, 0.5))
+    assert majorant(p, 0) == majorant(p, 0.0) == abs(p.coeffs[0])
+
+
+def test_spike_past_the_cut_lands_in_the_tail_bound():
+    # at r = 0.27, r^32 is below 2^-60: the sum stops before a_32 and the
+    # tail bound carries all of it
+    p = _spike(32)
+    assert majorant(p, 0.27) == 0.0
+    assert majorant_tail_bound(p, 0.27) >= 0.27**32
