@@ -3,7 +3,7 @@
 The package computes, verifies, and sharpness-tests the radius bounds
 satisfied by bounded analytic and harmonic mappings whose domain is a disk
 that contains the unit disk and touches it internally: truncated series
-arithmetic, closed-form extremal families, bound evaluators, bisection
+arithmetic, closed-form extremal families, bound evaluators, ITP
 radius solvers, a sampled inequality-check suite, and a grid explorer for
 the best admissible area-correction weight.
 """

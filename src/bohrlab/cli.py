@@ -222,14 +222,12 @@ def cmd_radius(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    reports = verify.run_default_checks(seed=args.seed, fast=args.fast)
-    if args.checks:
-        wanted = set(args.checks)
-        reports = [r for r in reports if r.name in wanted]
-        unknown = wanted - {r.name for r in reports}
-        if unknown:
-            print(f"unknown check names: {sorted(unknown)}", file=sys.stderr)
-            return 2
+    checks = verify.default_checks(seed=args.seed, fast=args.fast)
+    unknown = set(args.checks or ()) - set(checks)
+    if unknown:
+        print(f"unknown check names: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    reports = [check() for name, check in checks.items() if not args.checks or name in args.checks]
     width = max(len(r.name) for r in reports)
     for r in reports:
         flag = "PASS" if r.passed else "FAIL"

@@ -155,13 +155,23 @@ def _power_sum(terms: _Terms, x: float | np.ndarray):
     return float(value[0]), float(skipped[0])
 
 
+def _rounded_up(tail, p: PowerSeries, x, r):
+    """A certificate tail at radius r, scaled up to cover its rounding: x =
+    fl(q r) or fl(fl(q r)^2) is off by a relative e <= u = 2^-53 or 4u (against
+    q^2 r*r, exact or rounded), which moves x^(N+1) by (N+1) e, 1/(1-x)^k by
+    k e/(1-x) and N+1 - N x by at most S e, S = N+1 + 1/(1-x) >= 2; the form's
+    own roundings add at most (S + 10) u.  The worst, the area form, is off by
+    2S * 4u + (S + 10) u <= 14 S u, under the factor's 8 S 2^-52 = 16 S u."""
+    return _like_radius(tail * (1.0 + 8.0 * (p.order + 1 + 1.0 / (1.0 - x)) * 2.0**-52), r)
+
+
 def _majorant(p: PowerSeries, r):
     """(sum of |a_n| r^n over the terms summed, bound on the rest of the series)."""
     value, skipped = _power_sum(_terms(p, "majorant"), r)
     if p.tail is None or p.tail.C == 0.0:
         return value, skipped
     x = p.tail.q * r  # below one: q < 1 and r < 1
-    return value, _like_radius(p.tail.C * np.power(x, p.order + 1) / (1.0 - x), r) + skipped
+    return value, _rounded_up(p.tail.C * np.power(x, p.order + 1) / (1.0 - x), p, x, r) + skipped
 
 
 def _norm_f0(p: PowerSeries, r):
@@ -170,7 +180,7 @@ def _norm_f0(p: PowerSeries, r):
     if p.tail is None or p.tail.C == 0.0:
         return value, skipped
     x = (p.tail.q * r) * (p.tail.q * r)
-    return value, _like_radius(p.tail.C**2 * np.power(x, p.order + 1) / (1.0 - x), r) + skipped
+    return value, _rounded_up(p.tail.C**2 * np.power(x, p.order + 1) / (1.0 - x), p, x, r) + skipped
 
 
 def _dirichlet_area(p: PowerSeries, r):
@@ -181,7 +191,7 @@ def _dirichlet_area(p: PowerSeries, r):
     n1 = p.order + 1
     # sum_{n>N} n x^n = x^{N+1} ((N+1) - N x) / (1-x)^2
     tail = p.tail.C**2 * np.power(x, n1) * (n1 - p.order * x) / ((1.0 - x) * (1.0 - x))
-    return value, _like_radius(tail, r) + skipped
+    return value, _rounded_up(tail, p, x, r) + skipped
 
 
 def majorant(p: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:

@@ -96,9 +96,6 @@ class PowerSeries:
         """Truncation order N; ``coeffs`` holds a_0..a_N."""
         return self.coeffs.size - 1
 
-    def abs_coeffs(self) -> np.ndarray:
-        return np.abs(self.coeffs)
-
     @cached_property
     def _memo(self) -> dict:
         """Values derived from the coefficients, stored here by the code that

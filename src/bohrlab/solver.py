@@ -2,9 +2,9 @@
 
 The per-function radius is the largest r at which the (tail-padded) bound
 stays at or below one.  All bounds handled here are nondecreasing in r, so
-plain bisection on a fixed bracket is both robust and cheap; family sweeps
-take a minimum over an explicit witness grid and refine locally around the
-argmin.
+ITP bracketing on a fixed bracket is both robust and cheap (at most one
+step more than bisection's worst case); family sweeps take a minimum over
+an explicit witness grid and refine locally around the argmin.
 """
 
 from __future__ import annotations
@@ -18,9 +18,12 @@ from .functionals import FunctionalValue
 
 __all__ = ["UPPER_LIMIT", "RadiusResult", "bohr_radius_of_function", "family_infimum_radius"]
 
-# Fixed bisection bracket; the bounds lose smoothness as r -> 1, so the
+# Fixed search bracket; the bounds lose smoothness as r -> 1, so the
 # search never probes past this point.
 UPPER_LIMIT = 1.0 - 1e-6
+
+# ITP constants (Oliveira and Takahashi, ACM TOMS 47(1), 2020)
+_KAPPA_1, _KAPPA_2, _N0 = 0.2, 2.0, 1
 
 
 @dataclass(frozen=True)
@@ -29,7 +32,8 @@ class RadiusResult:
 
     status is "constrained" when the bound actually crosses one,
     "unconstrained" when it never does on [0, UPPER_LIMIT], and "no_radius"
-    when the bound already exceeds one at r = 0.
+    when the bound already exceeds one at r = 0.  ``members`` lists a family's
+    solved members (grid, then refinement midpoints): a, radius, iterations.
     """
 
     radius: float
@@ -39,6 +43,7 @@ class RadiusResult:
     witness: Any = None
     status: str = "constrained"
     diagnostics: tuple[str, ...] = ()
+    members: tuple[dict, ...] = ()
 
     @property
     def constrained(self) -> bool:
@@ -56,6 +61,7 @@ class RadiusResult:
             "witness": witness,
             "status": self.status,
             "diagnostics": list(self.diagnostics),
+            "members": list(self.members),
         }
 
 
@@ -70,28 +76,42 @@ def bohr_radius_of_function(
     tol: float = 1e-10,
     upper: float = UPPER_LIMIT,
 ) -> RadiusResult:
-    """Largest r in [0, upper] with bound(r) <= 1, found by bisection.
+    """Largest r in [0, upper] with bound(r) <= 1, found by ITP bracketing
+    in at most ceil(log2(upper/tol)) + 1 steps.
 
-    The boolean predicate "bound <= 1" is monotone, so on a plateau where the
-    bound sits exactly at one the search converges to the plateau's upper
-    end, matching the supremum semantics of the radius definition.
+    The predicate "bound <= 1" is monotone and decides which end moves, so on
+    a plateau where the bound sits exactly at one the search converges to the
+    plateau's upper end, matching the supremum semantics of the radius
+    definition.
     """
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
-    if _padded(bound(0.0)) > 1.0:
+    if (f_lo := _padded(bound(0.0)) - 1.0) > 0.0:
         return RadiusResult(math.nan, (0.0, 0.0), tol, 0, None, "no_radius")
-    if _padded(bound(upper)) <= 1.0:
+    if (f_hi := _padded(bound(upper)) - 1.0) <= 0.0:
         return RadiusResult(upper, (upper, upper), tol, 1, None, "unconstrained")
     lo, hi = 0.0, upper
+    # after step j the bracket is at most target * 2^(steps - j - 1) wide;
+    # target sits a few ulps under tol to absorb each step's rounding
+    steps, target = math.ceil(math.log2(upper / tol)) + _N0, tol - 8.0 * math.ulp(upper)
     iterations = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # tol is below the float spacing at the crossing
             break
-        if _padded(bound(mid)) <= 1.0:
-            lo = mid
+        # interpolate (regula falsi), truncate toward mid by _KAPPA_1/upper *
+        # width^_KAPPA_2, project into the band that keeps the step budget
+        falsi = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        shift = _KAPPA_1 / upper * (hi - lo) ** _KAPPA_2
+        point = falsi + math.copysign(shift, mid - falsi) if shift <= abs(mid - falsi) else mid
+        band = max(math.ldexp(target, steps - iterations - 1) - 0.5 * (hi - lo), 0.0)
+        point = min(max(point, mid - band), mid + band)
+        point = point if lo < point < hi else mid  # NaN included
+        value = _padded(bound(point))
+        if value <= 1.0:
+            lo, f_lo = point, value - 1.0
         else:
-            hi = mid
+            hi, f_hi = point, value - 1.0
         iterations += 1
     return RadiusResult(lo, (lo, hi), hi - lo, iterations, None, "constrained")
 
@@ -101,16 +121,9 @@ def _dyadic_midpoints(family: Sequence[Any], index: int) -> list[Any]:
     params = family[index]
     if not (dataclasses.is_dataclass(params) and hasattr(params, "a")):
         return []
-    extra = []
-    for j in (index - 1, index + 1):
-        if 0 <= j < len(family):
-            other = family[j]
-            if not hasattr(other, "a"):
-                continue
-            a_mid = 1.0 - math.sqrt((1.0 - params.a) * (1.0 - other.a))
-            if 0.0 < a_mid < 1.0:
-                extra.append(dataclasses.replace(params, a=a_mid))
-    return extra
+    others = [family[j].a for j in (index - 1, index + 1) if 0 <= j < len(family) and hasattr(family[j], "a")]
+    a_mids = [1.0 - math.sqrt((1.0 - params.a) * (1.0 - a)) for a in others]
+    return [dataclasses.replace(params, a=a_mid) for a_mid in a_mids if 0.0 < a_mid < 1.0]
 
 
 def family_infimum_radius(
@@ -131,36 +144,37 @@ def family_infimum_radius(
         raise ValueError("family must be nonempty")
 
     results = [bohr_radius_of_function(bound_for(p), tol) for p in members]
-    for params, res in zip(members, results):
+    solved = list(zip(members, results))
+    for params, res in solved:
         if res.status == "no_radius":
             return dataclasses.replace(res, witness=params)
 
     diagnostics: list[str] = []
     if all(hasattr(p, "a") for p in members):
-        by_a = sorted(zip(members, results), key=lambda pr: pr[0].a)
-        radii = [res.radius for _, res in by_a]
+        radii = [res.radius for _, res in sorted(solved, key=lambda pr: pr[0].a)]
         if any(radii[i] < radii[i + 1] - tol for i in range(len(radii) - 1)):
             diagnostics.append("per-function radius is not nonincreasing in a")
 
     best = min(range(len(members)), key=lambda i: results[i].radius)
-    base = results[best]
-    witness = members[best]
+    witness, base = solved[best]
     radius = base.radius
 
     for params in _dyadic_midpoints(members, best):
         res = bohr_radius_of_function(bound_for(params), tol)
+        solved.append((params, res))
         if res.status != "no_radius" and res.radius < radius:
             radius = res.radius
             witness = params
     grid_error = abs(base.radius - radius)
 
-    status = "constrained" if any(r.constrained for r in results) else "unconstrained"
     return RadiusResult(
         radius=radius,
         bracket=(radius, radius + base.tol),
         tol=tol + grid_error,
         iterations=sum(r.iterations for r in results),
         witness=witness,
-        status=status,
+        status="constrained" if any(r.constrained for r in results) else "unconstrained",
         diagnostics=tuple(diagnostics),
+        members=tuple(dict(a=getattr(p, "a", None), radius=r.radius, iterations=r.iterations)
+                      for p, r in solved),
     )

@@ -13,6 +13,7 @@ envelopes whose sign and monotonicity structure make the radii sharp.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -57,6 +58,7 @@ __all__ = [
     "family_norm_deficit",
     "family_harmonic_deficit",
     "shape_reports",
+    "default_checks",
     "run_default_checks",
     "reports_to_json",
 ]
@@ -711,21 +713,37 @@ def shape_reports(grid: int = 400) -> list[CheckReport]:
 # batch runner
 
 
-def run_default_checks(seed: int = 42, fast: bool = False) -> list[CheckReport]:
-    """All checks with their default sample sizes, in a fixed order."""
+# Report names of shape_reports, in its order.
+SHAPE_CHECKS = tuple("shape:" + name for name in """
+    recentred-slack-increasing slack-envelope-nonpositive slack-envelope-increasing
+    area-coupling-decreasing family-deficit-decreasing norm-envelope-concave-increasing
+    weighted-area-slack norm-radius-root harmonic-radius-cap family-deficit-limit
+    family-deficit-limit-scaled""".split())
+
+
+def default_checks(seed: int = 42, fast: bool = False) -> dict[str, Callable[[], CheckReport]]:
+    """Every check by report name, in a fixed order, each a thunk with its
+    default sample size; the shape checks share one shape_reports() call."""
     scale = 0.4 if fast else 1.0
 
     def n(base: int) -> int:
         return max(10, int(base * scale))
 
-    reports = [
-        check_schwarz_pick(n_samples=n(200), seed=seed),
-        check_coefficient_bounds(n_samples=n(120), seed=seed),
-        check_ruscheweyh(n_samples=n(100), seed=seed),
-        check_dilatation_coefficients(n_samples=n(100), seed=seed),
-        check_family_deficit_identity(n_samples=n(100), seed=seed, order=1024 if fast else 2048),
-        check_recentred_consistency(seed=seed),
-        check_recentred_slack_certificate(n_samples=n(30), seed=seed),
-    ]
-    reports.extend(shape_reports())
-    return reports
+    checks = {
+        "schwarz-pick": lambda: check_schwarz_pick(n_samples=n(200), seed=seed),
+        "coefficient-bounds": lambda: check_coefficient_bounds(n_samples=n(120), seed=seed),
+        "ruscheweyh-derivatives": lambda: check_ruscheweyh(n_samples=n(100), seed=seed),
+        "dilatation-coefficients": lambda: check_dilatation_coefficients(n_samples=n(100), seed=seed),
+        "family-deficit-identity":
+            lambda: check_family_deficit_identity(n(100), seed, 1024 if fast else 2048),
+        "recentred-consistency": lambda: check_recentred_consistency(seed=seed),
+        "recentred-slack-certificate": lambda: check_recentred_slack_certificate(n(30), seed=seed),
+    }
+    shapes = functools.cache(lambda: {report.name: report for report in shape_reports()})
+    checks.update({name: lambda name=name: shapes()[name] for name in SHAPE_CHECKS})
+    return checks
+
+
+def run_default_checks(seed: int = 42, fast: bool = False) -> list[CheckReport]:
+    """All checks with their default sample sizes, in a fixed order."""
+    return [check() for check in default_checks(seed, fast).values()]

@@ -70,3 +70,17 @@ def random_decaying_series(rng, order: int, decay: float = 0.6) -> np.ndarray:
     """Random complex coefficients with geometric decay, for evaluation tests."""
     mags = decay ** np.arange(order + 1)
     return (rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)) * mags
+
+
+def bisection_radius(padded, tol: float = 1e-10, upper: float = 1.0 - 1e-6) -> tuple[float, int]:
+    """(largest r in [0, upper] with padded(r) <= 1, steps) by plain bisection.
+
+    ``padded(0) <= 1 < padded(upper)`` is assumed; the loop stops when the
+    bracket is at most tol wide or its midpoint is one of its ends.
+    """
+    lo, hi, steps = 0.0, upper, 0
+    while hi - lo > tol and 0.5 * (lo + hi) not in (lo, hi):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if padded(mid) <= 1.0 else (lo, mid)
+        steps += 1
+    return lo, steps

@@ -10,7 +10,13 @@ from pathlib import Path
 import pytest
 
 import bohrlab
+from bohrlab import verify
 from bohrlab.cli import main
+from bohrlab.extremals import MobiusFamilyParams, mobius_family_coeffs, sharpness_a_grid
+from bohrlab.functionals import bohr_total
+from bohrlab.solver import UPPER_LIMIT
+
+from oracles import bisection_radius
 
 
 def run_cli(*argv):
@@ -104,6 +110,26 @@ def test_radius_artifacts(tmp_path):
     assert len(rows) == 3
 
 
+def test_radius_json_lists_members_and_itp_saves_evaluator_calls(tmp_path):
+    out = tmp_path / "radius.json"
+    assert run_cli("radius", "--theorem", "B", "--gamma", "0.5", "--out", str(out))[0] == 0
+    result = json.loads(out.read_text())["result"]
+    grid = [float(a) for a in sharpness_a_grid(14)]
+    members = result["members"]
+    assert [m["a"] for m in members[:14]] == grid and len(members) == 15  # + one refinement midpoint
+    assert min(m["radius"] for m in members) == result["radius"]
+    assert sum(m["iterations"] for m in members[:14]) == result["iterations"]
+    # plain bisection on the same 14 members takes 443 steps; ITP at most 45% of that
+    bisection_steps = 0
+    for a in grid:
+        p = mobius_family_coeffs(MobiusFamilyParams(a, 0.5))
+        padded = lambda r: bohr_total(p, r).padded()
+        # a = gamma = 0.5 never reaches one: both solvers count its one probe
+        bisection_steps += bisection_radius(padded)[1] if padded(UPPER_LIMIT) > 1.0 else 1
+    assert bisection_steps == 443
+    assert result["iterations"] <= 0.45 * bisection_steps
+
+
 def test_usage_error_exit_code():
     # out-of-range values, and values that would leave no work to do
     for argv in (
@@ -136,6 +162,46 @@ def test_verify_fast_and_filter(tmp_path):
     assert "schwarz-pick" in text
     code, _ = run_cli("verify", "--check", "nope", "--fast")
     assert code == 2
+
+
+_CHECK_FUNCTIONS = (
+    "check_schwarz_pick",
+    "check_coefficient_bounds",
+    "check_ruscheweyh",
+    "check_dilatation_coefficients",
+    "check_family_deficit_identity",
+    "check_recentred_consistency",
+    "check_recentred_slack_certificate",
+    "shape_reports",
+)
+
+
+@pytest.mark.parametrize(
+    "name,runs",
+    [("coefficient-bounds", "check_coefficient_bounds"), ("shape:norm-radius-root", "shape_reports")],
+)
+def test_verify_check_runs_only_the_named_check(monkeypatch, name, runs):
+    def fail(*args, **kwargs):
+        raise AssertionError("a check that was not asked for ran")
+
+    for fn in _CHECK_FUNCTIONS:
+        if fn != runs:
+            monkeypatch.setattr(verify, fn, fail)
+    code, text = run_cli("verify", "--check", name, "--fast")
+    assert code == 0
+    assert [line.split()[1] for line in text.splitlines()] == [name]
+    monkeypatch.setattr(verify, runs, fail)
+    assert run_cli("verify", "--check", name, "--check", "nope")[0] == 2  # before any check runs
+
+
+def test_verify_shape_checks_share_one_shape_reports_call(monkeypatch):
+    calls = []
+    shape_reports = verify.shape_reports
+    monkeypatch.setattr(verify, "shape_reports", lambda: calls.append(1) or shape_reports())
+    checks = verify.default_checks()
+    assert [checks[name]().name for name in verify.SHAPE_CHECKS] == list(verify.SHAPE_CHECKS)
+    assert calls == [1]
+    assert [r.name for r in shape_reports()] == list(verify.SHAPE_CHECKS)
 
 
 def test_verify_deterministic_report_files(tmp_path):
@@ -256,7 +322,7 @@ def test_config_switches_and_repeated_flags(tmp_path):
 
 
 def test_radius_tolerance_below_float_spacing_terminates():
-    # bisection stops once the bracket cannot shrink further in double precision
+    # ITP bracketing stops once the bracket cannot shrink further in double precision
     proc = subprocess.run(
         [sys.executable, "-m", "bohrlab.cli", "radius", "--theorem", "B", "--gamma", "0.5",
          "--tol", "1e-20", "--order", "256"],

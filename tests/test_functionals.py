@@ -5,7 +5,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bohrlab import functionals
@@ -388,3 +388,42 @@ def test_spike_past_the_cut_lands_in_the_tail_bound():
     p = _spike(32)
     assert majorant(p, 0.27) == 0.0
     assert majorant_tail_bound(p, 0.27) >= 0.27**32
+
+
+def _family_sums_50_digits(params, r):
+    """50-digit majorant, norm and area of the whole family member at r; the
+    squared sums run over the float r * r the evaluators use."""
+    with mpmath.workdps(50):
+        q, scale = mpmath.mpf(params.decay_ratio), mpmath.mpf(params.coefficient_scale)
+        x, y = q * r, q * q * mpmath.mpf(r * r)
+        return (
+            abs(mpmath.mpf(params.constant_term)) + scale * x / (1 - x),
+            scale**2 * y / (1 - y),
+            scale**2 * y / (1 - y) ** 2,
+        )
+
+
+def _assert_value_plus_tail_covers(p, r, exact):
+    for (value_fn, tail_fn), full_series in zip(_SUMS, exact):
+        assert value_fn(p, r) + tail_fn(p, r) >= full_series - _ROUNDING * abs(full_series)
+
+
+def test_certificate_tail_is_rounded_up_at_q_r_near_one():
+    # unrounded, area + tail fell 764 eps short here and norm + tail 382 eps
+    params = MobiusFamilyParams(0.9999, 0.0)
+    _assert_value_plus_tail_covers(mobius_family_coeffs(params, 24), 0.999, _family_sums_50_digits(params, 0.999))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    a=st.floats(0.999, 0.99999),
+    gamma=st.floats(0.0, 0.9),
+    order=st.sampled_from([24, 256, 2048]),
+    qr=st.floats(0.99, 0.999),
+)
+def test_certificate_tail_covers_the_series_for_q_r_near_one(a, gamma, order, qr):
+    params = MobiusFamilyParams(a, gamma)
+    r = qr / params.decay_ratio
+    assume(r < 1.0)
+    p = mobius_family_coeffs(params, order)
+    _assert_value_plus_tail_covers(p, r, _family_sums_50_digits(params, r))

@@ -1,13 +1,18 @@
-"""Bisection radius solver and family sweeps."""
+"""ITP radius solver and family sweeps."""
 
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bohrlab.cli import BOUNDS
 from bohrlab.extremals import HarmonicExtremalParams, MobiusFamilyParams, harmonic_extremal, mobius_family_coeffs, sharpness_a_grid
-from bohrlab.functionals import bohr_total, harmonic_total, sharp_harmonic_radius
-from bohrlab.series import PowerSeries
+from bohrlab.functionals import DEFAULT_AREA_WEIGHT, bohr_total, harmonic_total, sharp_harmonic_radius
+from bohrlab.series import DiskDomain, PowerSeries
 from bohrlab.solver import UPPER_LIMIT, bohr_radius_of_function, family_infimum_radius
+
+from oracles import bisection_radius
 
 
 def majorant_bound(params, order=2048):
@@ -133,3 +138,91 @@ def test_result_serialization():
     res = bohr_radius_of_function(majorant_bound(MobiusFamilyParams(0.9, 0.0)))
     data = res.to_dict()
     assert set(data) >= {"radius", "bracket", "tol", "iterations", "witness", "status"}
+
+
+def test_family_result_keeps_every_member():
+    family = [MobiusFamilyParams(float(a), 0.25) for a in sharpness_a_grid(10)]
+    res = family_infimum_radius(majorant_bound, family, tol=1e-10)
+    members = res.to_dict()["members"]
+    # the grid, then the refinement midpoint below the argmin at the grid's end
+    assert [m["a"] for m in members[: len(family)]] == [p.a for p in family]
+    assert len(members) == len(family) + 1
+    assert family[-2].a < members[-1]["a"] < family[-1].a
+    assert min(m["radius"] for m in members) == res.radius
+    assert sum(m["iterations"] for m in members[: len(family)]) == res.iterations
+    for m, params in zip(members, family):
+        assert m["radius"] == bohr_radius_of_function(majorant_bound(params)).radius
+
+
+def _theorem_bound(theorem, gamma, k, a):
+    """padded bound of one member of the theorem's extremal family, as ``radius`` builds it."""
+    bound = BOUNDS[theorem]
+    values = {"gamma": gamma, "k": k, "lambda": DiskDomain(gamma).coefficient_ratio_sup, "K": DEFAULT_AREA_WEIGHT}
+    values.update(bound.pinned)
+    gamma, x = values["gamma"], values.get(bound.param)
+    if bound.harmonic:
+        series = harmonic_extremal(HarmonicExtremalParams(a, gamma, values["k"], 1.0))
+    else:
+        series = mobius_family_coeffs(MobiusFamilyParams(a, gamma))
+    return lambda r: bound.total(series, r, gamma, x).padded()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    theorem=st.sampled_from(sorted(BOUNDS)),
+    gamma=st.floats(0.0, 0.9),
+    k=st.floats(0.0, 1.0),
+    a=st.floats(0.01, 1.0 - 2.0**-14),
+)
+def test_itp_brackets_the_bisection_radius_on_every_theorem(theorem, gamma, k, a):
+    tol = 1e-10
+    padded = _theorem_bound(theorem, gamma, k, a)
+    res = bohr_radius_of_function(padded, tol=tol)
+    if res.status == "unconstrained":  # small a: the bound stays below one
+        assert padded(UPPER_LIMIT) <= 1.0
+        return
+    lo, hi = res.bracket
+    assert padded(lo) <= 1.0 < padded(hi)
+    assert hi - lo <= tol
+    assert res.radius == lo
+    assert abs(res.radius - bisection_radius(padded, tol)[0]) <= tol
+
+
+def _adversaries(c):
+    """Bounds crossing one at c in the worst ways for interpolation."""
+    return {
+        "step": lambda r: 0.5 if r <= c else 1.5,
+        "lopsided-step": lambda r: 1.0 - 1e-300 if r <= c else 1e300,
+        "plateau": lambda r: 1.0 if r <= c else 1.0 + (r - c),
+        "jump": lambda r: r / c if r <= c else 2.0 + r,
+        "nan-past": lambda r: 0.9 * r / c if r <= c else math.nan,
+        # interpolation hits the crossing, then keeps landing on the bracket end
+        "linear": lambda r: r / c,
+    }
+
+
+def _solve_probing_inside(bound, tol):
+    """Solve, asserting that every step probes strictly inside the current bracket."""
+    probes = []
+    res = bohr_radius_of_function(lambda r: probes.append(r) or bound(r), tol=tol)
+    lo, hi = 0.0, UPPER_LIMIT
+    for r in probes[2:]:  # after the two end probes, one per step
+        assert lo < r < hi
+        lo, hi = (r, hi) if bound(r) <= 1.0 else (lo, r)
+    assert (lo, hi) == res.bracket and len(probes) - 2 == res.iterations
+    return res
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    c=st.floats(1e-3, UPPER_LIMIT - 1e-3),
+    tol=st.sampled_from([1e-6, 1e-10, 1e-13]),
+)
+def test_itp_worst_case_stays_within_one_step_of_bisection(c, tol):
+    cap = math.ceil(math.log2(UPPER_LIMIT / tol)) + 1
+    for name, bound in _adversaries(c).items():
+        res = _solve_probing_inside(bound, tol)
+        lo, hi = res.bracket
+        assert res.iterations <= cap, name
+        assert bound(lo) <= 1.0 and not bound(hi) <= 1.0, name
+        assert hi - lo <= tol and abs(lo - c) <= tol, name
