@@ -19,7 +19,6 @@ from .extremals import (
 from .functionals import (
     FunctionalValue,
     area_refined_total,
-    area_upper_bound,
     bohr_total,
     dirichlet_area,
     domain_ratio_area_total,

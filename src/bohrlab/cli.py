@@ -18,7 +18,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -198,7 +198,7 @@ def cmd_radius(args) -> int:
             "computed_radius": result.radius,
             "closed_form": closed,
             "abs_diff": diff,
-            "result": result.to_dict(),
+            "result": asdict(result),
         }
         if out.suffix == ".csv":
             _append_radius_csv(
@@ -313,11 +313,17 @@ def cmd_identity_check(args) -> int:
     return 0 if report.passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser by name.
+
+    No parser accepts an abbreviated flag: ``--gam`` is a usage error, not
+    ``--gamma``, so a flag counts as given exactly when its name appears.
+    """
     parser = argparse.ArgumentParser(
         prog="bohrlab",
         description="Sharp-radius computations and inequality checks for bounded "
         "analytic and harmonic mappings on enlarged disks.",
+        allow_abbrev=False,
     )
     parser.add_argument("--config", help="JSON file of default option values", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -328,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
         # also accepted after the subcommand; SUPPRESS keeps the top-level value
         p.add_argument("--config", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
 
-    p = sub.add_parser("radius", help="solve for a sharp radius and compare with its closed form")
+    p = sub.add_parser("radius", help="solve for a sharp radius and compare with its closed form",
+                       allow_abbrev=False)
     p.add_argument("--theorem", choices=THEOREMS, required=True)
     p.add_argument("--gamma", type=_GAMMA, default=None)
     p.add_argument("--a", type=_Number(float, lambda value: 0.0 < value < 1.0, "lie in (0, 1)"),
@@ -342,14 +349,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=_at_least(1), default=DEFAULT_ORDER)
     common(p)
 
-    p = sub.add_parser("verify", help="run the inequality check suite")
+    p = sub.add_parser("verify", help="run the inequality check suite", allow_abbrev=False)
     p.add_argument("--all", action="store_true", help="run every check (default)")
     p.add_argument("--check", dest="checks", action="append", default=None,
                    help="run only the named check (repeatable)")
     p.add_argument("--fast", action="store_true", help="reduced sample counts")
     common(p)
 
-    p = sub.add_parser("sweep", help="tabulate one bound over the (gamma, a, r) grid")
+    p = sub.add_parser("sweep", help="tabulate one bound over the (gamma, a, r) grid", allow_abbrev=False)
     p.add_argument("--theorem", choices=SWEEP_THEOREMS, default="1")
     p.add_argument("--gammas", type=_parse_gammas, default="0:0.9:10")
     p.add_argument("--grid", type=_at_least(1), default=64, help="radii per (gamma, a) pair")
@@ -358,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=_at_least(1), default=DEFAULT_ORDER)
     common(p)
 
-    p = sub.add_parser("conjecture", help="estimate the best admissible area weight per gamma")
+    p = sub.add_parser("conjecture", help="estimate the best admissible area weight per gamma",
+                       allow_abbrev=False)
     p.add_argument("--gammas", type=_parse_gammas, default="0,0.25,0.5,0.75")
     p.add_argument("--grid", type=_at_least(2), default=64)
     p.add_argument("--refinements", type=_at_least(0), default=3)
@@ -366,12 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also probe this many random bounded samples")
     common(p)
 
-    p = sub.add_parser("identity-check", help="closed-form deficit identities on random parameters")
+    p = sub.add_parser("identity-check", help="closed-form deficit identities on random parameters",
+                       allow_abbrev=False)
     p.add_argument("--samples", type=_at_least(1), default=100)
     p.add_argument("--tol", type=_POSITIVE, default=1e-10)
     common(p)
 
-    return parser
+    return parser, sub.choices
 
 
 def _config_value(action: argparse.Action, item):
@@ -390,18 +399,18 @@ def _config_value(action: argparse.Action, item):
 
 
 def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace, config, argv: list) -> None:
-    """Fill options from the config file unless the flag appeared on the command line.
+    """Fill options of the subcommand ``parser`` from the config file unless
+    the flag appeared on the command line.
 
     Numeric options take JSON numbers, switches take true or false, and a
     JSON list stands for the flag given once per item.
     """
     if not isinstance(config, dict):
         parser.error("config file must hold a JSON object of option values")
-    # argparse has no public accessor for a subcommand's parser or its options
-    (subparsers,) = parser._subparsers._group_actions
+    # argparse has no public accessor for a parser's options
     options = {
         flag[2:].replace("-", "_"): action
-        for action in subparsers.choices[args.command]._actions
+        for action in parser._actions
         if action.default is not argparse.SUPPRESS
         for flag in action.option_strings
     }
@@ -426,14 +435,14 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace, con
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     if args.config:
         try:
             config = json.loads(Path(args.config).read_text())
         except (OSError, ValueError) as exc:
             parser.error(f"cannot read config file: {exc}")
-        _apply_config(parser, args, config, argv)
+        _apply_config(commands[args.command], args, config, argv)
 
     handlers = {
         "radius": cmd_radius,

@@ -59,13 +59,6 @@ class MobiusFamilyParams:
         """C with |a_n| = C * q**n for n >= 1."""
         return (1.0 - self.a**2) / (self.a * (1.0 - self.a * self.gamma))
 
-    def map(self, z):
-        """Evaluate the family member (a - gamma - (1-gamma) z) / (1 - a*gamma - a (1-gamma) z)."""
-        z = np.asarray(z)
-        num = self.a - self.gamma - (1.0 - self.gamma) * z
-        den = 1.0 - self.a * self.gamma - self.a * (1.0 - self.gamma) * z
-        return num / den
-
 
 def mobius_family_coeffs(params: MobiusFamilyParams, order: int = DEFAULT_ORDER) -> PowerSeries:
     """Unit-disk Taylor coefficients of a family member.

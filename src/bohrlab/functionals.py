@@ -30,7 +30,6 @@ __all__ = [
     "norm_f0_tail_bound",
     "dirichlet_area",
     "dirichlet_area_tail_bound",
-    "area_upper_bound",
     "bohr_total",
     "area_refined_total",
     "norm_refined_total",
@@ -59,15 +58,6 @@ class FunctionalValue:
     def padded(self) -> float | np.ndarray:
         """Safe-side value for <= 1 assertions."""
         return self.total + self.tail_error
-
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "majorant": self.majorant,
-            "correction": self.correction,
-            "r": self.r,
-            "tail_error": self.tail_error,
-        }
 
 
 def _check_radius(r: float | np.ndarray) -> None:
@@ -232,14 +222,6 @@ def dirichlet_area_tail_bound(p: PowerSeries, r: float | np.ndarray) -> float | 
     """Upper bound on the rest of sum n |a_n|^2 r^{2n}, as for the majorant."""
     _check_radius(r)
     return _dirichlet_area(p, r)[1]
-
-
-def area_upper_bound(a0_abs: float, r: float) -> float:
-    """Bound (1-|a_0|^2)^2 r^2 / (1-r^2)^2 on the Dirichlet area of any bounded function."""
-    if not 0.0 <= a0_abs <= 1.0:
-        raise ValueError(f"|a_0| must lie in [0, 1], got {a0_abs}")
-    _check_radius(r)
-    return (1.0 - a0_abs**2) ** 2 * r**2 / (1.0 - r**2) ** 2
 
 
 def bohr_total(p: PowerSeries, r: float | np.ndarray) -> FunctionalValue:

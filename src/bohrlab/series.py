@@ -202,13 +202,6 @@ class DiskDomain:
         """sup |a_n| / (1 - |a_0|^2) over bounded analytic functions on the domain."""
         return 1.0 / (1.0 + self.gamma)
 
-    def contains(self, z) -> np.ndarray:
-        return np.abs(np.asarray(z) - self.center) < self.radius
-
-    def from_unit_disk(self, z):
-        """Affine bijection sending the unit disk onto this domain."""
-        return (np.asarray(z) - self.gamma) / (1.0 - self.gamma)
-
     def to_unit_disk(self, w):
-        """Inverse of :meth:`from_unit_disk`; contracts the domain into the unit disk."""
+        """Affine bijection sending this domain onto the unit disk."""
         return self.gamma + (1.0 - self.gamma) * np.asarray(w)

@@ -3,8 +3,8 @@
 The per-function radius is the largest r at which the (tail-padded) bound
 stays at or below one.  All bounds handled here are nondecreasing in r, so
 ITP bracketing on a fixed bracket is both robust and cheap (at most one
-step more than bisection's worst case); family sweeps take a minimum over
-an explicit witness grid and refine locally around the argmin.
+step more than bisection's worst case); a family's radius is the minimum
+over the members it is given.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from itertools import pairwise
+from typing import Any, Callable, Iterable
 
 from .functionals import FunctionalValue
 
@@ -32,8 +33,9 @@ class RadiusResult:
 
     status is "constrained" when the bound actually crosses one,
     "unconstrained" when it never does on [0, UPPER_LIMIT], and "no_radius"
-    when the bound already exceeds one at r = 0.  ``members`` lists a family's
-    solved members (grid, then refinement midpoints): a, radius, iterations.
+    when the bound already exceeds one at r = 0.  ``members`` lists each
+    member of a family solve, in the order given: a, radius, iterations.
+    ``dataclasses.asdict`` gives the JSON form.
     """
 
     radius: float
@@ -48,21 +50,6 @@ class RadiusResult:
     @property
     def constrained(self) -> bool:
         return self.status == "constrained"
-
-    def to_dict(self) -> dict:
-        witness = self.witness
-        if dataclasses.is_dataclass(witness):
-            witness = dataclasses.asdict(witness)
-        return {
-            "radius": self.radius,
-            "bracket": list(self.bracket),
-            "tol": self.tol,
-            "iterations": self.iterations,
-            "witness": witness,
-            "status": self.status,
-            "diagnostics": list(self.diagnostics),
-            "members": list(self.members),
-        }
 
 
 def _padded(value) -> float:
@@ -116,16 +103,6 @@ def bohr_radius_of_function(
     return RadiusResult(lo, (lo, hi), hi - lo, iterations, None, "constrained")
 
 
-def _dyadic_midpoints(family: Sequence[Any], index: int) -> list[Any]:
-    """Midpoints (geometric in 1-a) between the argmin and its neighbors."""
-    params = family[index]
-    if not (dataclasses.is_dataclass(params) and hasattr(params, "a")):
-        return []
-    others = [family[j].a for j in (index - 1, index + 1) if 0 <= j < len(family) and hasattr(family[j], "a")]
-    a_mids = [1.0 - math.sqrt((1.0 - params.a) * (1.0 - a)) for a in others]
-    return [dataclasses.replace(params, a=a_mid) for a_mid in a_mids if 0.0 < a_mid < 1.0]
-
-
 def family_infimum_radius(
     bound_for: Callable[[Any], Callable[[float], FunctionalValue | float]],
     family: Iterable[Any],
@@ -134,47 +111,33 @@ def family_infimum_radius(
     """Minimum per-function radius over a parameter family.
 
     ``bound_for(params)`` must return the radius-indexed bound of one family
-    member.  The witness is the argmin's parameters.  One local refinement
-    pass inserts dyadic midpoints around the argmin (for families exposing an
-    ``a`` field) and the reported tolerance adds the difference between the
-    coarse and refined minima as a grid-limit estimate.
+    member, whose params carry ``a`` and ``gamma``.  The witness is the
+    argmin's parameters.  Among the sharpness witnesses (a > gamma) the
+    radius should not rise with a; a rise is reported in ``diagnostics``.
     """
     members = list(family)
     if not members:
         raise ValueError("family must be nonempty")
 
     results = [bohr_radius_of_function(bound_for(p), tol) for p in members]
-    solved = list(zip(members, results))
-    for params, res in solved:
+    for params, res in zip(members, results):
         if res.status == "no_radius":
             return dataclasses.replace(res, witness=params)
 
-    diagnostics: list[str] = []
-    if all(hasattr(p, "a") for p in members):
-        radii = [res.radius for _, res in sorted(solved, key=lambda pr: pr[0].a)]
-        if any(radii[i] < radii[i + 1] - tol for i in range(len(radii) - 1)):
-            diagnostics.append("per-function radius is not nonincreasing in a")
+    witnesses = sorted((p.a, res.radius) for p, res in zip(members, results) if p.a > p.gamma)
+    rises = any(left < right - tol for (_, left), (_, right) in pairwise(witnesses))
+    diagnostics = ("per-function radius is not nonincreasing in a",) if rises else ()
 
     best = min(range(len(members)), key=lambda i: results[i].radius)
-    witness, base = solved[best]
-    radius = base.radius
-
-    for params in _dyadic_midpoints(members, best):
-        res = bohr_radius_of_function(bound_for(params), tol)
-        solved.append((params, res))
-        if res.status != "no_radius" and res.radius < radius:
-            radius = res.radius
-            witness = params
-    grid_error = abs(base.radius - radius)
-
+    base = results[best]
     return RadiusResult(
-        radius=radius,
-        bracket=(radius, radius + base.tol),
-        tol=tol + grid_error,
+        radius=base.radius,
+        bracket=(base.radius, base.radius + base.tol),
+        tol=tol,
         iterations=sum(r.iterations for r in results),
-        witness=witness,
+        witness=members[best],
         status="constrained" if any(r.constrained for r in results) else "unconstrained",
-        diagnostics=tuple(diagnostics),
-        members=tuple(dict(a=getattr(p, "a", None), radius=r.radius, iterations=r.iterations)
-                      for p, r in solved),
+        diagnostics=diagnostics,
+        members=tuple(dict(a=p.a, radius=r.radius, iterations=r.iterations)
+                      for p, r in zip(members, results)),
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,7 +33,6 @@ from .series import DiskDomain, PowerSeries, differentiate, mul, numeric_taylor,
 __all__ = [
     "CheckReport",
     "BlaschkeProduct",
-    "AnalyticSample",
     "random_blaschke",
     "bounded_on_disk_domain",
     "check_schwarz_pick",
@@ -85,19 +84,9 @@ class CheckReport:
         worst = float(worst_slack)
         return cls(name, int(samples), worst, witness, bool(worst >= -tolerance), float(tolerance))
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "worst_slack": self.worst_slack,
-            "witness": self.witness,
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-        }
-
 
 def reports_to_json(reports: Sequence[CheckReport]) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True)
+    return json.dumps([asdict(r) for r in reports], indent=2, sort_keys=True)
 
 
 # ----------------------------------------------------------------------
@@ -134,20 +123,6 @@ class BlaschkeProduct:
             total = total + term
         total = self.rotation * total
         return total[()] if total.ndim == 0 else total
-
-
-@dataclass(frozen=True)
-class AnalyticSample:
-    """Callable-with-derivative wrapper for hand-built test functions."""
-
-    func: Callable
-    dfunc: Callable
-
-    def __call__(self, z):
-        return self.func(z)
-
-    def deriv(self, z):
-        return self.dfunc(z)
 
 
 def random_blaschke(rng, max_factors: int = 4, zero_radius: float = 0.9, rotate: bool = True) -> BlaschkeProduct:

@@ -7,6 +7,9 @@ the evaluators under test, so agreement is meaningful.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
 
@@ -84,3 +87,45 @@ def bisection_radius(padded, tol: float = 1e-10, upper: float = 1.0 - 1e-6) -> t
         lo, hi = (mid, hi) if padded(mid) <= 1.0 else (lo, mid)
         steps += 1
     return lo, steps
+
+
+def area_upper_bound(a0_abs: float, r: float) -> float:
+    """Bound (1-|a_0|^2)^2 r^2 / (1-r^2)^2 on the Dirichlet area of any bounded function."""
+    if not 0.0 <= a0_abs <= 1.0:
+        raise ValueError(f"|a_0| must lie in [0, 1], got {a0_abs}")
+    if not 0.0 <= r < 1.0:
+        raise ValueError(f"radius must lie in [0, 1), got {r}")
+    return (1.0 - a0_abs**2) ** 2 * r**2 / (1.0 - r**2) ** 2
+
+
+def disk_domain_contains(domain, z) -> np.ndarray:
+    """Whether z lies in the open disk of ``domain`` (a ``DiskDomain``)."""
+    return np.abs(np.asarray(z) - domain.center) < domain.radius
+
+
+def from_unit_disk(domain, z):
+    """Affine bijection sending the unit disk onto ``domain`` (a ``DiskDomain``)."""
+    return (np.asarray(z) - domain.gamma) / (1.0 - domain.gamma)
+
+
+def family_member(params, z):
+    """The family member (a - gamma - (1-gamma) z) / (1 - a*gamma - a (1-gamma) z)
+    of ``params`` (a ``MobiusFamilyParams``), evaluated in closed form."""
+    z = np.asarray(z)
+    num = params.a - params.gamma - (1.0 - params.gamma) * z
+    den = 1.0 - params.a * params.gamma - params.a * (1.0 - params.gamma) * z
+    return num / den
+
+
+@dataclass(frozen=True)
+class AnalyticSample:
+    """Callable-with-derivative wrapper for hand-built test functions."""
+
+    func: Callable
+    dfunc: Callable
+
+    def __call__(self, z):
+        return self.func(z)
+
+    def deriv(self, z):
+        return self.dfunc(z)

@@ -31,7 +31,7 @@ from bohrlab.series import DiskDomain, PowerSeries, numeric_taylor
 from bohrlab.solver import family_infimum_radius
 from bohrlab.verify import random_blaschke
 
-from oracles import quadrature_mean_square_derivative, random_decaying_series
+from oracles import family_member, quadrature_mean_square_derivative, random_decaying_series
 
 GAMMA_GRID = [round(0.1 * i, 10) for i in range(10)]
 A_GRID = [float(a) for a in sharpness_a_grid(14)]
@@ -216,7 +216,7 @@ def test_criterion_11_oracle_equivalence():
         p = PowerSeries.polynomial(coeffs)
         worst_area = max(worst_area, abs(dirichlet_area(p, r) - quadrature_mean_square_derivative(coeffs, r)))
     params = MobiusFamilyParams(0.5, 0.25)
-    numeric = numeric_taylor(params.map, 32, rho=0.9)
+    numeric = numeric_taylor(lambda z: family_member(params, z), 32, rho=0.9)
     closed = mobius_family_coeffs(params, 32)
     worst_coeff = float(np.max(np.abs(numeric.coeffs - closed.coeffs)))
     ok = worst_area < 1e-8 and worst_coeff < 1e-10

@@ -116,9 +116,9 @@ def test_radius_json_lists_members_and_itp_saves_evaluator_calls(tmp_path):
     result = json.loads(out.read_text())["result"]
     grid = [float(a) for a in sharpness_a_grid(14)]
     members = result["members"]
-    assert [m["a"] for m in members[:14]] == grid and len(members) == 15  # + one refinement midpoint
+    assert [m["a"] for m in members] == grid
     assert min(m["radius"] for m in members) == result["radius"]
-    assert sum(m["iterations"] for m in members[:14]) == result["iterations"]
+    assert sum(m["iterations"] for m in members) == result["iterations"]
     # plain bisection on the same 14 members takes 443 steps; ITP at most 45% of that
     bisection_steps = 0
     for a in grid:
@@ -128,6 +128,15 @@ def test_radius_json_lists_members_and_itp_saves_evaluator_calls(tmp_path):
         bisection_steps += bisection_radius(padded)[1] if padded(UPPER_LIMIT) > 1.0 else 1
     assert bisection_steps == 443
     assert result["iterations"] <= 0.45 * bisection_steps
+
+
+def test_radius_monotonicity_note_ignores_members_below_gamma(tmp_path):
+    # grid members with a <= gamma are no sharpness witnesses; their radii may rise with a
+    out = tmp_path / "radius.json"
+    code, text = run_cli("radius", "--theorem", "1", "--gamma", "0.9", "--out", str(out))
+    assert code == 0
+    assert "note:" not in text
+    assert json.loads(out.read_text())["result"]["diagnostics"] == []
 
 
 def test_usage_error_exit_code():
@@ -276,12 +285,8 @@ def test_config_file_with_flag_override(tmp_path):
 
 @pytest.mark.parametrize(
     "argv,theorem",
-    [
-        (["sweep", "--gammas", "0.5", "--grid", "2", "--order", "64"], "A"),
-        # an abbreviated flag does not count as given, so the file's value applies
-        (["radius", "--the", "B", "--order", "64"], "Z"),
-    ],
-    ids=["sweep", "radius"],
+    [(["sweep", "--gammas", "0.5", "--grid", "2", "--order", "64"], "A")],
+    ids=["sweep"],
 )
 def test_config_theorem_outside_choices_is_a_usage_error(tmp_path, capsys, argv, theorem):
     cfg = tmp_path / "cfg.json"
@@ -290,6 +295,26 @@ def test_config_theorem_outside_choices_is_a_usage_error(tmp_path, capsys, argv,
         main(argv + ["--config", str(cfg)])
     assert exc.value.code == 2
     assert f"got {theorem!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["radius", "--the", "B", "--gamma", "0.5"], "required: --theorem"),
+        (["radius", "--theorem", "B", "--gam", "0.5"], "unrecognized arguments: --gam 0.5"),
+        (["--conf={cfg}", "radius", "--theorem", "B"], "unrecognized arguments: --conf="),
+    ],
+    ids=["the", "gam", "top-level-conf"],
+)
+def test_abbreviated_flag_is_a_usage_error(tmp_path, capsys, argv, message):
+    # an abbreviation would otherwise run with the config file's value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theorem": "1", "gamma": 0.3}))
+    argv = [token.format(cfg=cfg) for token in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--order", "64", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

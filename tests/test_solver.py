@@ -1,5 +1,7 @@
 """ITP radius solver and family sweeps."""
 
+import dataclasses
+import json
 import math
 
 import pytest
@@ -135,21 +137,20 @@ def test_family_empty_rejected():
 
 
 def test_result_serialization():
-    res = bohr_radius_of_function(majorant_bound(MobiusFamilyParams(0.9, 0.0)))
-    data = res.to_dict()
-    assert set(data) >= {"radius", "bracket", "tol", "iterations", "witness", "status"}
+    res = family_infimum_radius(majorant_bound, [MobiusFamilyParams(0.9, 0.0)])
+    data = json.loads(json.dumps(dataclasses.asdict(res)))
+    assert set(data) == {"radius", "bracket", "tol", "iterations", "witness", "status", "diagnostics", "members"}
+    assert data["witness"] == {"a": 0.9, "gamma": 0.0, "sharpness_witness": False}
+    assert data["bracket"] == list(res.bracket) and data["radius"] == res.radius
 
 
 def test_family_result_keeps_every_member():
     family = [MobiusFamilyParams(float(a), 0.25) for a in sharpness_a_grid(10)]
     res = family_infimum_radius(majorant_bound, family, tol=1e-10)
-    members = res.to_dict()["members"]
-    # the grid, then the refinement midpoint below the argmin at the grid's end
-    assert [m["a"] for m in members[: len(family)]] == [p.a for p in family]
-    assert len(members) == len(family) + 1
-    assert family[-2].a < members[-1]["a"] < family[-1].a
+    members = dataclasses.asdict(res)["members"]
+    assert [m["a"] for m in members] == [p.a for p in family]
     assert min(m["radius"] for m in members) == res.radius
-    assert sum(m["iterations"] for m in members[: len(family)]) == res.iterations
+    assert sum(m["iterations"] for m in members) == res.iterations
     for m, params in zip(members, family):
         assert m["radius"] == bohr_radius_of_function(majorant_bound(params)).radius
 

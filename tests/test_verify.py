@@ -9,7 +9,6 @@ from bohrlab import functionals
 from bohrlab.extremals import MobiusFamilyParams, mobius_family_coeffs
 from bohrlab.series import DiskDomain, PowerSeries, numeric_taylor
 from bohrlab.verify import (
-    AnalyticSample,
     CheckReport,
     area_coupling,
     bounded_on_disk_domain,
@@ -37,7 +36,7 @@ from bohrlab.verify import (
     weighted_area_slack,
 )
 
-from oracles import automorphism_coeffs
+from oracles import AnalyticSample, automorphism_coeffs
 
 
 def test_blaschke_product_bounded_and_derivative():
