@@ -338,7 +338,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                        allow_abbrev=False)
     p.add_argument("--theorem", choices=THEOREMS, required=True)
     p.add_argument("--gamma", type=_GAMMA, default=None)
-    p.add_argument("--a", type=_Number(float, lambda value: 0.0 < value < 1.0, "lie in (0, 1)"),
+    # below 1e-150 the squared tail constant ((1 - a^2) / a)^2 of the member overflows
+    p.add_argument("--a", type=_Number(float, lambda value: 1e-150 <= value < 1.0, "lie in [1e-150, 1)"),
                    default=None, help="solve for one family member instead of sweeping the grid")
     p.add_argument("--k", type=_UNIT, default=None, help="dilatation bound for the harmonic case")
     p.add_argument("--lambda", dest="lam", type=_POSITIVE, default=None,

@@ -10,6 +10,7 @@ part, giving a constant dilatation modulus k * lambda.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,9 +71,11 @@ def mobius_family_coeffs(params: MobiusFamilyParams, order: int = DEFAULT_ORDER)
         raise ValueError("order must be at least 1")
     q = params.decay_ratio
     scale = params.coefficient_scale
-    coeffs = np.empty(order + 1, dtype=np.complex128)
+    # q**n < 2^-1100 rounds to zero, which libm is slow to reach: store zeros
+    kept = min(order, int(1100.0 / -math.log2(q))) if q > 0.0 else 0
+    coeffs = np.zeros(order + 1, dtype=np.complex128)
     coeffs[0] = params.constant_term
-    coeffs[1:] = -scale * q ** np.arange(1, order + 1)
+    coeffs[1 : kept + 1] = -scale * q ** np.arange(1, kept + 1)
     return PowerSeries(coeffs, TailBound(q, scale))
 
 

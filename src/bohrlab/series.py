@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -28,6 +28,7 @@ __all__ = [
     "mul",
     "differentiate",
     "numeric_taylor",
+    "taylor_coefficients",
     "recenter_affine",
 ]
 
@@ -129,6 +130,20 @@ def differentiate(p: PowerSeries) -> PowerSeries:
     return PowerSeries(p.coeffs[1:] * np.arange(1, p.order + 1))
 
 
+@lru_cache(maxsize=64)
+def _circle(m: int, rho: float) -> np.ndarray:
+    """The m sample points rho e^{2 pi i j/m}, read-only, shared by every caller."""
+    z = rho * np.exp(2j * np.pi * np.arange(m) / m)
+    z.setflags(write=False)
+    return z
+
+
+def taylor_coefficients(vals: np.ndarray, order: int, rho: float) -> np.ndarray:
+    """a_0..a_order of each f with ``vals[..., j]`` = f(rho e^{2 pi i j/m}), by one FFT per row."""
+    coeffs = np.fft.fft(vals)[..., : order + 1] / vals.shape[-1]
+    return coeffs / rho ** np.arange(order + 1)
+
+
 def numeric_taylor(f: Callable, order: int, rho: float = 0.5, samples: int | None = None) -> PowerSeries:
     """Taylor coefficients about 0 of a black-box analytic function.
 
@@ -137,7 +152,7 @@ def numeric_taylor(f: Callable, order: int, rho: float = 0.5, samples: int | Non
     the circle of radius ``rho``.  The default uses 8 samples per requested
     order, which keeps the aliasing error geometrically small; roundoff grows
     like eps / rho**n, so callers extracting high orders should raise ``rho``.
-    ``f`` is called once, on the array of all sample points.
+    ``f`` is called once, on the cached, read-only array of all sample points.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -146,15 +161,13 @@ def numeric_taylor(f: Callable, order: int, rho: float = 0.5, samples: int | Non
     m = 8 * order if samples is None else int(samples)
     if m < 8 * order:
         raise ValueError("need at least 8 samples per coefficient order")
-    z = rho * np.exp(2j * np.pi * np.arange(m) / m)
+    z = _circle(m, rho)
     vals = np.asarray(f(z), dtype=np.complex128)
     if vals.shape != z.shape:
         raise ValueError(f"function must return one value per sample point, got shape {vals.shape} for {m}")
     if not np.all(np.isfinite(vals)):
         raise ValueError("function produced non-finite samples on the circle")
-    coeffs = np.fft.fft(vals)[: order + 1] / m
-    coeffs = coeffs / rho ** np.arange(order + 1)
-    return PowerSeries(coeffs)
+    return PowerSeries(taylor_coefficients(vals, order, rho))
 
 
 def _check_gamma(gamma: float) -> None:

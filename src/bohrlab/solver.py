@@ -32,10 +32,11 @@ class RadiusResult:
     """Computed sharp radius with its bracketing interval.
 
     status is "constrained" when the bound actually crosses one,
-    "unconstrained" when it never does on [0, UPPER_LIMIT], and "no_radius"
-    when the bound already exceeds one at r = 0.  ``members`` lists each
-    member of a family solve, in the order given: a, radius, iterations.
-    ``dataclasses.asdict`` gives the JSON form.
+    "unconstrained" when it never does on [0, UPPER_LIMIT] (the radius then
+    lies in the bracket (UPPER_LIMIT, 1)), and "no_radius" when the bound
+    already exceeds one at r = 0.  ``members`` lists each member of a family
+    solve, in the order given: a, radius, iterations.  ``dataclasses.asdict``
+    gives the JSON form.
     """
 
     radius: float
@@ -76,7 +77,7 @@ def bohr_radius_of_function(
     if (f_lo := _padded(bound(0.0)) - 1.0) > 0.0:
         return RadiusResult(math.nan, (0.0, 0.0), tol, 0, None, "no_radius")
     if (f_hi := _padded(bound(upper)) - 1.0) <= 0.0:
-        return RadiusResult(upper, (upper, upper), tol, 1, None, "unconstrained")
+        return RadiusResult(upper, (upper, 1.0), 1.0 - upper, 1, None, "unconstrained")
     lo, hi = 0.0, upper
     # after step j the bracket is at most target * 2^(steps - j - 1) wide;
     # target sits a few ulps under tol to absorb each step's rounding
@@ -133,10 +134,11 @@ def family_infimum_radius(
     return RadiusResult(
         radius=base.radius,
         bracket=(base.radius, base.radius + base.tol),
-        tol=tol,
+        tol=tol if base.constrained else base.tol,
         iterations=sum(r.iterations for r in results),
         witness=members[best],
-        status="constrained" if any(r.constrained for r in results) else "unconstrained",
+        # a constrained member's radius lies below every unconstrained one's
+        status=base.status,
         diagnostics=diagnostics,
         members=tuple(dict(a=p.a, radius=r.radius, iterations=r.iterations)
                       for p, r in zip(members, results)),

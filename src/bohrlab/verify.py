@@ -28,7 +28,8 @@ from .extremals import (
     mobius_family_coeffs,
 )
 from .functionals import DEFAULT_AREA_WEIGHT, FunctionalValue, sharp_majorant_radius
-from .series import DiskDomain, PowerSeries, differentiate, mul, numeric_taylor, recenter_affine
+from .series import (DiskDomain, PowerSeries, _circle, differentiate, mul, numeric_taylor, recenter_affine,
+                     taylor_coefficients)
 
 __all__ = [
     "CheckReport",
@@ -113,16 +114,24 @@ class BlaschkeProduct:
         return out[()] if out.ndim == 0 else out
 
     def deriv(self, z):
+        return self.value_and_deriv(z)[1]
+
+    def value_and_deriv(self, z):
+        """(f(z), f'(z)), each factor's w - z and 1 - conj(w) z formed once."""
         z = np.asarray(z, dtype=np.complex128)
+        nums = [w - z for w in self.zeros]
+        dens = [1.0 - np.conjugate(w) * z for w in self.zeros]
+        value = np.full(z.shape, self.rotation, dtype=np.complex128)
         total = np.zeros(z.shape, dtype=np.complex128)
         for j, w in enumerate(self.zeros):
-            term = -(1.0 - abs(w) ** 2) / (1.0 - np.conjugate(w) * z) ** 2
-            for i, v in enumerate(self.zeros):
+            value = value * nums[j] / dens[j]
+            term = -(1.0 - abs(w) ** 2) / dens[j] ** 2
+            for i in range(len(self.zeros)):
                 if i != j:
-                    term = term * (v - z) / (1.0 - np.conjugate(v) * z)
+                    term = term * nums[i] / dens[i]
             total = total + term
         total = self.rotation * total
-        return total[()] if total.ndim == 0 else total
+        return value[()], total[()]
 
 
 def random_blaschke(rng, max_factors: int = 4, zero_radius: float = 0.9, rotate: bool = True) -> BlaschkeProduct:
@@ -165,23 +174,20 @@ def check_schwarz_pick(
         samples = [random_blaschke(rng) for _ in range(n_samples)]
     z = _disk_grid() if grid is None else np.asarray(grid)
     r = np.abs(z)
+    one_minus_r2 = 1.0 - r**2
     worst = np.inf
     witness: dict = {}
     for idx, f in enumerate(samples):
-        vals = np.abs(np.asarray(f(z)))
-        derivs = np.abs(np.asarray(f.deriv(z)))
+        pair = f.value_and_deriv(z) if isinstance(f, BlaschkeProduct) else (f(z), f.deriv(z))
+        vals, derivs = (np.abs(np.asarray(v)) for v in pair)
         f0 = abs(complex(f(0.0)))
         growth = (r + f0) / (1.0 + f0 * r) - vals
-        slope = (1.0 - vals**2) / (1.0 - r**2) - derivs
+        slope = (1.0 - vals**2) / one_minus_r2 - derivs
         for label, slack in (("growth", growth), ("derivative", slope)):
             j = int(np.argmin(slack))
             if slack[j] < worst:
                 worst = float(slack[j])
-                witness = {
-                    "sample": idx,
-                    "inequality": label,
-                    "z": [float(z[j].real), float(z[j].imag)],
-                }
+                witness = {"sample": idx, "inequality": label, "z": [float(z[j].real), float(z[j].imag)]}
     return CheckReport.from_slack("schwarz-pick", len(samples), worst, witness, tol)
 
 
@@ -222,37 +228,34 @@ def check_ruscheweyh(
     """Off-center derivative bound
     |f^(n)(alpha)| / n! <= (1 - |f(alpha)|^2) / ((1-|alpha|)^(n-1) (1-|alpha|^2)).
 
-    Derivatives are extracted as Taylor coefficients of f(alpha + s u),
-    which keeps the rescaled coefficients well conditioned; samples whose
-    extraction fails are skipped and counted in the witness payload.
+    Derivatives are Taylor coefficients of f(alpha + s u), which keeps them
+    well conditioned; each sample is evaluated on every centre's circle at
+    once, and a centre whose samples are not finite is skipped and counted.
     """
     rng = np.random.default_rng(seed)
     worst = np.inf
     witness: dict = {}
     skipped = 0
     powers = np.arange(1, n_max + 1, dtype=float)
+    centres = [complex(alpha) for alpha in alphas]
+    scales = [0.45 * (1.0 - abs(alpha)) for alpha in centres]
+    points = np.array([alpha + s * _circle(8 * n_max, 0.5) for alpha, s in zip(centres, scales)])
+    scale_powers = np.array([s**powers for s in scales])
+    denoms = np.array([(1.0 - abs(alpha)) ** (powers - 1.0) * (1.0 - abs(alpha) ** 2) for alpha in centres])
     for i in range(n_samples):
-        f = random_blaschke(rng)
-        for alpha in alphas:
-            alpha = complex(alpha)
-            s = 0.45 * (1.0 - abs(alpha))
-            try:
-                p = numeric_taylor(lambda u: f(alpha + s * u), n_max, rho=0.5)
-            except ValueError:
-                skipped += 1
-                continue
-            fa = abs(p.coeffs[0])
-            derivs = np.abs(p.coeffs[1:]) / s**powers
-            bounds = (1.0 - fa**2) / ((1.0 - abs(alpha)) ** (powers - 1.0) * (1.0 - abs(alpha) ** 2))
-            slack = bounds - derivs
-            j = int(np.argmin(slack))
-            if slack[j] < worst:
-                worst = float(slack[j])
-                witness = {
-                    "sample": i,
-                    "alpha": [alpha.real, alpha.imag],
-                    "n": j + 1,
-                }
+        vals = random_blaschke(rng)(points)
+        rows = np.flatnonzero(np.isfinite(vals).all(axis=1))
+        skipped += len(centres) - rows.size
+        if rows.size == 0:
+            continue
+        coeffs = taylor_coefficients(vals[rows], n_max, 0.5)
+        fa = np.hypot(coeffs[:, :1].real, coeffs[:, :1].imag)  # as abs() rounds a scalar
+        slack = (1.0 - fa**2) / denoms[rows] - np.abs(coeffs[:, 1:]) / scale_powers[rows]
+        row, j = np.unravel_index(np.argmin(slack), slack.shape)
+        if slack[row, j] < worst:
+            worst = float(slack[row, j])
+            alpha = centres[rows[row]]
+            witness = {"sample": i, "alpha": [alpha.real, alpha.imag], "n": int(j) + 1}
     witness["skipped"] = skipped
     return CheckReport.from_slack("ruscheweyh-derivatives", n_samples * len(alphas), worst, witness, tol)
 
@@ -287,15 +290,13 @@ def check_dilatation_coefficients(
             worst = float(slacks[j])
             witness = dict(payload, r=float(r_grid[j]))
 
-    powers = None
+    powers = r_grid[None, :] ** np.arange(order + 1, dtype=float)[:, None]
     for i in range(n_samples):
         h = numeric_taylor(random_blaschke(rng), order, rho=rho)
         omega = numeric_taylor(random_blaschke(rng), order, rho=rho)
         prod = mul(omega, differentiate(h))
         b = np.zeros(order + 1, dtype=np.complex128)
         b[1:] = k * prod.coeffs / np.arange(1, order + 1)
-        if powers is None:
-            powers = r_grid[None, :] ** np.arange(order + 1, dtype=float)[:, None]
         lhs = np.abs(b) ** 2 @ powers
         rhs = k**2 * (np.abs(h.coeffs) ** 2 @ powers)
         fold(rhs - lhs, {"sample": i, "kind": "integrated-dilatation", "k": k})
@@ -442,19 +443,19 @@ def harmonic_radius_cap(a, gamma, k):
 
 
 def recentred_area_total(
-    p: PowerSeries, r: float, gamma: float, weight: float = DEFAULT_AREA_WEIGHT
+    p: PowerSeries, r: float | np.ndarray, gamma: float, weight: float = DEFAULT_AREA_WEIGHT
 ) -> FunctionalValue:
     """Majorant of a series expanded about gamma plus the weighted Dirichlet
-    area of its unit-disk rescaling at the same radius.
+    area of its unit-disk rescaling at the same radius (or radii, as in
+    :mod:`functionals`).
 
     Feeding it the recentred coefficients of a function on the enlarged disk
     at radius r*(1-gamma) reproduces :func:`functionals.area_refined_total`.
     """
-    G = recenter_affine(p, gamma)
-    m = functionals.majorant(p, r)
-    area = functionals.dirichlet_area(G, r)
-    tail = functionals.majorant_tail_bound(p, r) + weight * functionals.dirichlet_area_tail_bound(G, r)
-    return FunctionalValue(m + weight * area, m, weight * area, r, tail)
+    functionals._check_radius(r)
+    m, m_tail = functionals._majorant(p, r)
+    area, area_tail = functionals._dirichlet_area(recenter_affine(p, gamma), r)
+    return FunctionalValue(m + weight * area, m, weight * area, r, m_tail + weight * area_tail)
 
 
 def check_recentred_consistency(
@@ -502,12 +503,12 @@ def check_recentred_slack_certificate(
         c = numeric_taylor(lambda u: f(gamma + s * u), order, rho=0.9)
         alpha = PowerSeries(c.coeffs / s ** np.arange(order + 1))
         a0 = abs(alpha.coeffs[0])
-        for r in np.linspace(0.05, 0.8 * (1.0 - gamma), 6):
-            total = recentred_area_total(alpha, float(r), gamma).total
-            cap = 1.0 + recentred_slack(float(r), a0, gamma)
-            if cap - total < worst:
-                worst = cap - total
-                witness = {"sample": i, "gamma": gamma, "r": float(r), "a0_abs": float(a0)}
+        r = np.linspace(0.05, 0.8 * (1.0 - gamma), 6)
+        slack = 1.0 + recentred_slack(r, a0, gamma) - recentred_area_total(alpha, r, gamma).total
+        j = int(np.argmin(slack))
+        if slack[j] < worst:
+            worst = slack[j]
+            witness = {"sample": i, "gamma": gamma, "r": float(r[j]), "a0_abs": float(a0)}
     return CheckReport.from_slack("recentred-slack-certificate", n_samples, worst, witness, tol)
 
 
@@ -532,22 +533,22 @@ def check_family_deficit_identity(
         lam = float(rng.uniform(0.0, 1.0))
         pref = (1.0 - a) / (1.0 - a * gamma)
 
-        p = mobius_family_coeffs(MobiusFamilyParams(a, gamma, sharpness_witness=True), order)
+        MobiusFamilyParams(a, gamma, sharpness_witness=True)  # a > gamma; h is this member
+        h, g = harmonic_extremal(HarmonicExtremalParams(a, gamma, k, lam), order)
         resids = {
             "area": abs(
-                functionals.area_refined_total(p, r, gamma).total
+                functionals.area_refined_total(h, r, gamma).total
                 - (1.0 - (1.0 - a) * family_area_deficit(r, a, gamma))
             ),
             "norm": abs(
-                functionals.norm_refined_total(p, r).total
+                functionals.norm_refined_total(h, r).total
                 - (1.0 - pref * family_norm_deficit(r, a, gamma))
             ),
+            "harmonic": abs(
+                functionals.harmonic_total(h, g, r).total
+                - (1.0 - pref * family_harmonic_deficit(r, a, gamma, k, lam))
+            ),
         }
-        h, g = harmonic_extremal(HarmonicExtremalParams(a, gamma, k, lam), order)
-        resids["harmonic"] = abs(
-            functionals.harmonic_total(h, g, r).total
-            - (1.0 - pref * family_harmonic_deficit(r, a, gamma, k, lam))
-        )
         for label, resid in resids.items():
             if resid > worst_resid:
                 worst_resid = resid

@@ -1,8 +1,13 @@
 """Independent oracles for the test suite.
 
-Everything here is deliberately written from first principles (direct
-summation of the defining formulas, pointwise quadrature) and never calls
-the evaluators under test, so agreement is meaningful.
+Everything above the reference section is deliberately written from first
+principles (direct summation of the defining formulas, pointwise quadrature)
+and never calls the evaluators under test, so agreement is meaningful.
+
+The reference section keeps the plain per-sample versions of code that the
+package now runs batched: the uncached ``numeric_taylor``, the O(n^2)
+Blaschke derivative, the full family power vector and four sampled checks.
+Tests assert that the batched code equals them bit for bit.
 """
 
 from __future__ import annotations
@@ -129,3 +134,158 @@ class AnalyticSample:
 
     def deriv(self, z):
         return self.dfunc(z)
+
+
+# ----------------------------------------------------------------------
+# references: the per-sample code that the package now runs batched
+
+
+def numeric_taylor_reference(f: Callable, order: int, rho: float = 0.5) -> np.ndarray:
+    """``series.numeric_taylor`` coefficients from a freshly built circle of 8 * order points."""
+    m = 8 * order
+    z = rho * np.exp(2j * np.pi * np.arange(m) / m)
+    vals = np.asarray(f(z), dtype=np.complex128)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("function produced non-finite samples on the circle")
+    coeffs = np.fft.fft(vals)[: order + 1] / m
+    return coeffs / rho ** np.arange(order + 1)
+
+
+def family_coeffs_reference(params, order: int) -> np.ndarray:
+    """Family coefficients with every power q**n computed, underflowed ones included."""
+    coeffs = np.empty(order + 1, dtype=np.complex128)
+    coeffs[0] = params.constant_term
+    coeffs[1:] = -params.coefficient_scale * params.decay_ratio ** np.arange(1, order + 1)
+    return coeffs
+
+
+def blaschke_deriv_reference(f, z):
+    """Derivative of a ``BlaschkeProduct``, each factor's terms formed afresh per product."""
+    z = np.asarray(z, dtype=np.complex128)
+    total = np.zeros(z.shape, dtype=np.complex128)
+    for j, w in enumerate(f.zeros):
+        term = -(1.0 - abs(w) ** 2) / (1.0 - np.conjugate(w) * z) ** 2
+        for i, v in enumerate(f.zeros):
+            if i != j:
+                term = term * (v - z) / (1.0 - np.conjugate(v) * z)
+        total = total + term
+    total = f.rotation * total
+    return total[()] if total.ndim == 0 else total
+
+
+def schwarz_pick_reference(n_samples: int = 200, seed: int = 42, tol: float = 1e-10):
+    """``check_schwarz_pick`` with f(z) and the reference derivative per sample."""
+    from bohrlab import verify
+
+    rng = np.random.default_rng(seed)
+    samples = [verify.random_blaschke(rng) for _ in range(n_samples)]
+    z = verify._disk_grid()
+    r = np.abs(z)
+    worst, witness = np.inf, {}
+    for idx, f in enumerate(samples):
+        vals = np.abs(np.asarray(f(z)))
+        derivs = np.abs(np.asarray(blaschke_deriv_reference(f, z)))
+        f0 = abs(complex(f(0.0)))
+        growth = (r + f0) / (1.0 + f0 * r) - vals
+        slope = (1.0 - vals**2) / (1.0 - r**2) - derivs
+        for label, slack in (("growth", growth), ("derivative", slope)):
+            j = int(np.argmin(slack))
+            if slack[j] < worst:
+                worst = float(slack[j])
+                witness = {"sample": idx, "inequality": label, "z": [float(z[j].real), float(z[j].imag)]}
+    return verify.CheckReport.from_slack("schwarz-pick", len(samples), worst, witness, tol)
+
+
+def ruscheweyh_reference(
+    n_samples: int = 100,
+    alphas=(0.0, 0.3, -0.45, 0.25j, -0.2 - 0.35j),
+    n_max: int = 8,
+    seed: int = 42,
+    tol: float = 1e-8,
+):
+    """``check_ruscheweyh`` with one ``numeric_taylor`` call per sample and centre."""
+    from bohrlab import verify
+    from bohrlab.series import numeric_taylor
+
+    rng = np.random.default_rng(seed)
+    worst, witness, skipped = np.inf, {}, 0
+    powers = np.arange(1, n_max + 1, dtype=float)
+    for i in range(n_samples):
+        f = verify.random_blaschke(rng)
+        for alpha in alphas:
+            alpha = complex(alpha)
+            s = 0.45 * (1.0 - abs(alpha))
+            try:
+                p = numeric_taylor(lambda u: f(alpha + s * u), n_max, rho=0.5)
+            except ValueError:
+                skipped += 1
+                continue
+            fa = abs(p.coeffs[0])
+            derivs = np.abs(p.coeffs[1:]) / s**powers
+            bounds = (1.0 - fa**2) / ((1.0 - abs(alpha)) ** (powers - 1.0) * (1.0 - abs(alpha) ** 2))
+            slack = bounds - derivs
+            j = int(np.argmin(slack))
+            if slack[j] < worst:
+                worst = float(slack[j])
+                witness = {"sample": i, "alpha": [alpha.real, alpha.imag], "n": j + 1}
+    witness["skipped"] = skipped
+    return verify.CheckReport.from_slack("ruscheweyh-derivatives", n_samples * len(alphas), worst, witness, tol)
+
+
+def family_deficit_identity_reference(n_samples: int = 100, seed: int = 42, order: int = 2048, tol: float = 1e-10):
+    """``check_family_deficit_identity`` building the family member twice per
+    sample: once alone for the area and norm identities, once inside the
+    harmonic pair."""
+    from bohrlab import functionals, verify
+    from bohrlab.extremals import (HarmonicExtremalParams, MobiusFamilyParams, harmonic_extremal,
+                                   mobius_family_coeffs)
+
+    rng = np.random.default_rng(seed)
+    worst_resid, witness = 0.0, {}
+    for i in range(n_samples):
+        gamma = float(rng.uniform(0.0, 0.9))
+        a = float(rng.uniform(max(gamma + 0.02, 0.05), 0.995))
+        r = float(rng.uniform(0.01, 0.9))
+        k = float(rng.uniform(0.0, 1.0))
+        lam = float(rng.uniform(0.0, 1.0))
+        pref = (1.0 - a) / (1.0 - a * gamma)
+        p = mobius_family_coeffs(MobiusFamilyParams(a, gamma, sharpness_witness=True), order)
+        resids = {
+            "area": abs(functionals.area_refined_total(p, r, gamma).total
+                        - (1.0 - (1.0 - a) * verify.family_area_deficit(r, a, gamma))),
+            "norm": abs(functionals.norm_refined_total(p, r).total
+                        - (1.0 - pref * verify.family_norm_deficit(r, a, gamma))),
+        }
+        h, g = harmonic_extremal(HarmonicExtremalParams(a, gamma, k, lam), order)
+        resids["harmonic"] = abs(functionals.harmonic_total(h, g, r).total
+                                 - (1.0 - pref * verify.family_harmonic_deficit(r, a, gamma, k, lam)))
+        for label, resid in resids.items():
+            if resid > worst_resid:
+                worst_resid = resid
+                witness = {"sample": i, "identity": label, "gamma": gamma, "a": a, "r": r}
+    return verify.CheckReport.from_slack("family-deficit-identity", n_samples, -worst_resid, witness, tol)
+
+
+def recentred_slack_certificate_reference(
+    n_samples: int = 30, gammas=(0.0, 0.3, 0.6), order: int = 96, seed: int = 42, tol: float = 1e-8
+):
+    """``check_recentred_slack_certificate`` with one scalar call per radius."""
+    from bohrlab import verify
+    from bohrlab.series import PowerSeries, numeric_taylor
+
+    rng = np.random.default_rng(seed)
+    worst, witness = np.inf, {}
+    for i in range(n_samples):
+        gamma = float(gammas[i % len(gammas)])
+        f = verify.random_blaschke(rng)
+        s = 0.9 * (1.0 - gamma)
+        c = numeric_taylor(lambda u: f(gamma + s * u), order, rho=0.9)
+        alpha = PowerSeries(c.coeffs / s ** np.arange(order + 1))
+        a0 = abs(alpha.coeffs[0])
+        for r in np.linspace(0.05, 0.8 * (1.0 - gamma), 6):
+            total = verify.recentred_area_total(alpha, float(r), gamma).total
+            cap = 1.0 + verify.recentred_slack(float(r), a0, gamma)
+            if cap - total < worst:
+                worst = cap - total
+                witness = {"sample": i, "gamma": gamma, "r": float(r), "a0_abs": float(a0)}
+    return verify.CheckReport.from_slack("recentred-slack-certificate", n_samples, worst, witness, tol)

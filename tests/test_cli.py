@@ -8,10 +8,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bohrlab
 from bohrlab import verify
-from bohrlab.cli import main
+from bohrlab.cli import THEOREMS, main
 from bohrlab.extremals import MobiusFamilyParams, mobius_family_coeffs, sharpness_a_grid
 from bohrlab.functionals import bohr_total
 from bohrlab.solver import UPPER_LIMIT
@@ -128,6 +130,16 @@ def test_radius_json_lists_members_and_itp_saves_evaluator_calls(tmp_path):
         bisection_steps += bisection_radius(padded)[1] if padded(UPPER_LIMIT) > 1.0 else 1
     assert bisection_steps == 443
     assert result["iterations"] <= 0.45 * bisection_steps
+
+
+def test_radius_unconstrained_member_reports_the_bracket_up_to_one(tmp_path):
+    out = tmp_path / "u.json"
+    assert run_cli("radius", "--theorem", "B", "--gamma", "0.5", "--a", "0.3", "--out", str(out))[0] == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["status"] == "unconstrained"
+    assert result["radius"] == UPPER_LIMIT
+    assert result["bracket"] == [UPPER_LIMIT, 1.0]
+    assert result["tol"] == 1.0 - UPPER_LIMIT
 
 
 def test_radius_monotonicity_note_ignores_members_below_gamma(tmp_path):
@@ -382,3 +394,102 @@ def test_radius_and_sweep_do_not_import_numpy_ma():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+# Text for each option: (in-range values, out-of-range or malformed ones).
+_OPTION_TEXT = {
+    "theorem": (list(THEOREMS), ["Z"]),
+    "gamma": (["0", "0.3", "0.95"], ["1", "-0.1", "nan", "abc"]),
+    "a": (["0.3", "0.99", "1e-150"], ["1e-160", "5e-324", "0", "1.5"]),
+    "k": (["0", "0.5", "1"], ["1.2"]),
+    "lambda": (["0.5", "2"], ["0", "-1"]),
+    "K": (["0", "0.8", "100", "-5"], ["inf"]),
+    "tol": (["1e-10", "1e-3", "1e-20", "10"], ["0"]),
+    "order": (["1", "16", "64"], ["0"]),
+    "seed": (["0", "7"], ["-1"]),
+    "gammas": (["0.3", "0,0.5", "0:0.9:3"], ["0:2:3", "", "x"]),
+    "grid": (["1", "2", "8"], ["0"]),
+    "refinements": (["0", "1"], ["-1"]),
+    "augment-random-samples": (["0", "2"], ["-1"]),
+    "samples": (["1", "5"], ["0"]),
+    "check": (["schwarz-pick", "shape:norm-radius-root", "recentred-consistency"], ["nope"]),
+    "unknown": ([], ["1"]),
+}
+
+
+def _text(name):
+    """One option's text, in range three times as often as not."""
+    good, bad = _OPTION_TEXT[name]
+    return st.sampled_from(3 * good + bad)
+
+
+# Options each command always gets (small sizes: --order <= 64, --samples <= 5, verify --fast),
+# then options it may get.
+_COMMAND_OPTIONS = {
+    "radius": (("theorem", "order"), ("gamma", "a", "k", "lambda", "K", "tol", "seed")),
+    "verify": (("fast",), ("check", "seed")),
+    "sweep": (("order",), ("theorem", "gammas", "grid", "k", "lambda", "seed")),
+    "conjecture": ((), ("gammas", "grid", "refinements", "augment-random-samples", "seed")),
+    "identity-check": (("samples",), ("tol", "seed")),
+}
+
+
+@st.composite
+def _invocations(draw):
+    """(argv, config or None) for one random command line."""
+    command = draw(st.sampled_from(sorted(_COMMAND_OPTIONS)))
+    always, names = _COMMAND_OPTIONS[command]
+    argv = [command]
+    for name in always + tuple(draw(st.lists(st.sampled_from(names), max_size=4, unique=True))):
+        argv += ["--fast"] if name == "fast" else [f"--{name}", draw(_text(name))]
+    config = None
+    if draw(st.booleans()):
+        keys = draw(st.lists(st.sampled_from(names + ("unknown",)), max_size=3, unique=True))
+        config = {}
+        for key in keys:
+            text = draw(_text(key))
+            try:  # numbers as JSON numbers where they parse, else as strings
+                config[key] = json.loads(text)
+            except ValueError:
+                config[key] = text
+    return argv, config
+
+
+@pytest.fixture(scope="module")
+def property_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-property")
+
+
+@settings(max_examples=50)
+@given(invocation=_invocations(), out=st.sampled_from([None, "out.json", "out.csv"]))
+def test_random_command_lines_exit_0_1_or_2(property_dir, invocation, out):
+    import contextlib
+    import io
+
+    argv, config = invocation
+    if out is not None:
+        argv = argv + ["--out", str(property_dir / out)]
+    if config is not None:
+        cfg = property_dir / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2), argv
+
+
+def test_tiny_family_parameter_is_a_usage_error_without_traceback():
+    # ((1 - a^2) / a)^2 overflows for a below about 1e-154: theorem 1 ended in an OverflowError
+    proc = subprocess.run(
+        [sys.executable, "-m", "bohrlab.cli", "radius", "--theorem", "1", "--gamma", "0.5", "--a", "1e-160",
+         "--order", "64"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "--a" in proc.stderr

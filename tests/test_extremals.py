@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bohrlab.extremals import (
     HarmonicExtremalParams,
@@ -12,7 +14,7 @@ from bohrlab.extremals import (
 )
 from bohrlab.series import differentiate, numeric_taylor
 
-from oracles import automorphism_coeffs, family_coefficient, family_member
+from oracles import automorphism_coeffs, family_coeffs_reference, family_coefficient, family_member
 
 
 def test_params_validation():
@@ -84,6 +86,19 @@ def test_extremal_limit_behavior():
         prev_tail = tail_sum
     assert abs(p.coeffs[0] - 1.0) < 1e-3
     assert tail_sum < 1e-3
+
+
+@settings(max_examples=60)
+@given(
+    a=st.floats(1e-3, 1.0 - 2.0**-14),
+    gamma=st.floats(0.0, 0.99),
+    order=st.sampled_from([1, 24, 256, 2048]),
+)
+@example(a=0.3, gamma=0.0, order=2048)  # q = 0.3: q^n underflows past n = 618
+@example(a=1e-3, gamma=0.2, order=256)  # q^n underflows past n = 104
+def test_family_coefficients_equal_the_full_power_vector(a, gamma, order):
+    params = MobiusFamilyParams(a, gamma)
+    assert np.array_equal(mobius_family_coeffs(params, order).coeffs, family_coeffs_reference(params, order))
 
 
 def test_sharpness_grid():

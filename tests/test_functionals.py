@@ -318,7 +318,7 @@ def _assert_cut_is_sound(p, r, exact):
         assert full_tail <= tail <= full_tail + 2.0**-60
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(
     a=st.floats(0.01, 0.9999),
     gamma=st.floats(0.0, 0.95),
@@ -354,7 +354,7 @@ _UNCERTIFIED_SERIES = {
 }
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(name=st.sampled_from(sorted(_UNCERTIFIED_SERIES)), r=st.floats(0.0, 0.999))
 def test_cut_sums_are_sound_without_a_certificate(name, r):
     p = _UNCERTIFIED_SERIES[name]
@@ -415,7 +415,7 @@ def test_certificate_tail_is_rounded_up_at_q_r_near_one():
     _assert_value_plus_tail_covers(mobius_family_coeffs(params, 24), 0.999, _family_sums_50_digits(params, 0.999))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(
     a=st.floats(0.999, 0.99999),
     gamma=st.floats(0.0, 0.9),

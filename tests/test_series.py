@@ -11,9 +11,16 @@ from bohrlab.series import (
     mul,
     numeric_taylor,
     recenter_affine,
+    taylor_coefficients,
 )
 
-from oracles import automorphism_coeffs, disk_domain_contains, from_unit_disk, random_decaying_series
+from oracles import (
+    automorphism_coeffs,
+    disk_domain_contains,
+    from_unit_disk,
+    numeric_taylor_reference,
+    random_decaying_series,
+)
 
 
 def test_mul_difference_of_squares():
@@ -107,6 +114,39 @@ def test_numeric_taylor_propagates_errors_from_the_function():
     with pytest.raises(ZeroDivisionError):
         numeric_taylor(failing, 4)
     assert calls == [(32,)]  # one vectorised call, no per-point retry
+
+
+def test_numeric_taylor_on_the_cached_circle_equals_a_fresh_circle():
+    rng = np.random.default_rng(4)
+    for order, rho in ((8, 0.5), (96, 0.9), (128, 0.92), (16, 0.5)):
+        for _ in range(2):  # the second call reads the cached circle
+            c = random_decaying_series(rng, 12)
+            f = lambda z: np.polynomial.polynomial.polyval(z, c) / (1.3 - z)
+            assert np.array_equal(numeric_taylor(f, order, rho).coeffs, numeric_taylor_reference(f, order, rho))
+
+
+def test_taylor_coefficients_rows_equal_numeric_taylor():
+    rng = np.random.default_rng(5)
+    z = 0.5 * np.exp(2j * np.pi * np.arange(64) / 64)
+    centres = [0.0, 0.3, -0.45, 0.25j, -0.2 - 0.35j]
+    shifts = [rng.normal(size=3) + 1j * rng.normal(size=3) for _ in centres]
+    funcs = [lambda u, c=c, d=d: np.exp(c + 0.3 * u) + np.polynomial.polynomial.polyval(u, d)
+             for c, d in zip(centres, shifts)]
+    rows = taylor_coefficients(np.array([f(z) for f in funcs]), 8, 0.5)
+    assert rows.shape == (5, 9)
+    for row, f in zip(rows, funcs):
+        assert np.array_equal(row, numeric_taylor(f, 8, 0.5).coeffs)
+
+
+def test_function_writing_into_its_samples_raises():
+    def scribble(z):
+        z *= 2.0
+        return z
+
+    with pytest.raises(ValueError, match="read-only"):
+        numeric_taylor(scribble, 4)
+    # the shared circle is untouched: a later extraction is still exact
+    assert np.allclose(numeric_taylor(lambda z: z, 4).coeffs, [0, 1, 0, 0, 0], atol=1e-15)
 
 
 def test_recenter_identity_at_zero():

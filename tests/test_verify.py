@@ -36,7 +36,17 @@ from bohrlab.verify import (
     weighted_area_slack,
 )
 
-from oracles import AnalyticSample, automorphism_coeffs
+from bohrlab import verify
+from oracles import (
+    AnalyticSample,
+    automorphism_coeffs,
+    blaschke_deriv_reference,
+    family_deficit_identity_reference,
+    random_decaying_series,
+    recentred_slack_certificate_reference,
+    ruscheweyh_reference,
+    schwarz_pick_reference,
+)
 
 
 def test_blaschke_product_bounded_and_derivative():
@@ -49,6 +59,41 @@ def test_blaschke_product_bounded_and_derivative():
         for w in (0.2 + 0.1j, -0.4j):
             fd = (b(w + h) - b(w - h)) / (2 * h)
             assert abs(b.deriv(w) - fd) < 1e-6
+
+
+def test_value_and_deriv_equals_call_and_reference_derivative():
+    rng = np.random.default_rng(8)
+    z = verify._disk_grid()
+    for _ in range(50):
+        b = random_blaschke(rng)
+        value, deriv = b.value_and_deriv(z)
+        assert np.array_equal(value, b(z))
+        assert np.array_equal(deriv, blaschke_deriv_reference(b, z))
+        assert np.array_equal(b.deriv(z), deriv)
+        value0, deriv0 = b.value_and_deriv(0.3 - 0.2j)
+        assert value0 == b(0.3 - 0.2j) and deriv0 == blaschke_deriv_reference(b, 0.3 - 0.2j)
+        assert np.ndim(value0) == 0 and np.ndim(deriv0) == 0
+
+
+@pytest.mark.parametrize("seed", [42, 5, 7])
+@pytest.mark.parametrize("check, reference, kwargs", [
+    (check_schwarz_pick, schwarz_pick_reference, {"n_samples": 200}),
+    (check_ruscheweyh, ruscheweyh_reference, {"n_samples": 100}),
+    (check_family_deficit_identity, family_deficit_identity_reference, {"n_samples": 40}),
+    (check_recentred_slack_certificate, recentred_slack_certificate_reference, {"n_samples": 30}),
+], ids=["schwarz-pick", "ruscheweyh", "family-deficit-identity", "recentred-slack-certificate"])
+def test_rewritten_checks_equal_their_per_sample_references(check, reference, kwargs, seed):
+    assert check(seed=seed, **kwargs) == reference(seed=seed, **kwargs)
+
+
+def test_ruscheweyh_skips_and_counts_non_finite_rows(monkeypatch):
+    # the identity, but NaN right of Re z = 0.25, which only the circle about 0.3 reaches
+    nan_near = lambda rng: (lambda z: np.where(z.real > 0.25, np.nan, z))
+    monkeypatch.setattr(verify, "random_blaschke", nan_near)
+    report = check_ruscheweyh(n_samples=3)
+    assert report.witness["skipped"] == 3
+    assert report.witness["alpha"] != [0.3, 0.0]
+    assert report == ruscheweyh_reference(n_samples=3)
 
 
 def test_schwarz_pick_identity_map_has_zero_slack():
@@ -169,6 +214,19 @@ def test_recentred_functional_matches_centered_route():
     direct = functionals.area_refined_total(p, r, gamma).total
     recentred = recentred_area_total(alpha, r * (1.0 - gamma), gamma).total
     assert abs(direct - recentred) < 1e-12
+
+
+def test_vector_recentred_area_total_equals_scalar_calls():
+    rng = np.random.default_rng(9)
+    alpha = PowerSeries(random_decaying_series(rng, 96, 0.8))
+    for gamma in (0.0, 0.3, 0.6):
+        r = np.linspace(0.05, 0.8 * (1.0 - gamma), 6)
+        vector = recentred_area_total(alpha, r, gamma)
+        for j, rj in enumerate(r):
+            scalar = recentred_area_total(alpha, float(rj), gamma)
+            for field in ("total", "majorant", "correction", "tail_error"):
+                assert getattr(vector, field)[j] == getattr(scalar, field), field
+            assert isinstance(scalar.total, float)
 
 
 def test_recentred_slack_certificate_suite():
