@@ -18,6 +18,7 @@ from .extremals import (
 )
 from .functionals import (
     FunctionalValue,
+    SeriesStack,
     area_refined_total,
     bohr_total,
     dirichlet_area,

@@ -109,6 +109,8 @@ def _at_least(low: int) -> _Number:
 _GAMMA = _Number(float, lambda value: 0.0 <= value < 1.0, "lie in [0, 1)")
 _UNIT = _Number(float, lambda value: 0.0 <= value <= 1.0, "lie in [0, 1]")
 _POSITIVE = _Number(float, lambda value: value > 0.0, "be positive")
+# the closed form (1+gamma)/(3+gamma) of theorem 1 is proven for these weights only
+_WEIGHT = _Number(float, lambda value: 0.0 <= value <= functionals.DEFAULT_AREA_WEIGHT, "lie in [0, 8/9]")
 
 
 def _parse_gammas(spec: str) -> list[float]:
@@ -166,12 +168,13 @@ def cmd_radius(args) -> int:
         return 2
 
     a_grid = [args.a] if args.a is not None else sharpness_a_grid(14)
-
-    def bound_for(params):
-        series = _series(bound, params, args.order)
-        return lambda r: bound.total(series, r, gamma, x)
-
-    result = solver.family_infimum_radius(bound_for, _family(bound, a_grid, gamma, k), tol=args.tol)
+    family = _family(bound, a_grid, gamma, k)
+    # every member's series, stacked once: each solver round is one evaluator call
+    members = [_series(bound, params, args.order) for params in family]
+    stack = (tuple(map(functionals.SeriesStack, zip(*members))) if bound.harmonic
+             else functionals.SeriesStack(members))
+    del members  # the stack holds a copy: free the series before the solve
+    result = solver.family_infimum_radius(lambda r: bound.total(stack, r, gamma, x), family, tol=args.tol)
     closed = bound.radius(gamma, x)
     diff = abs(result.radius - closed)
 
@@ -344,8 +347,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--k", type=_UNIT, default=None, help="dilatation bound for the harmonic case")
     p.add_argument("--lambda", dest="lam", type=_POSITIVE, default=None,
                    help="coefficient-ratio supremum (defaults to 1/(1+gamma))")
-    p.add_argument("--K", dest="weight", type=_Number(float), default=None,
-                   help="area-correction weight (defaults to 8/9)")
+    p.add_argument("--K", dest="weight", type=_WEIGHT, default=None,
+                   help="area-correction weight in [0, 8/9] (defaults to 8/9)")
     p.add_argument("--tol", type=_POSITIVE, default=1e-10)
     p.add_argument("--order", type=_at_least(1), default=DEFAULT_ORDER)
     common(p)

@@ -12,11 +12,16 @@ stored terms it skips are certified to add at most 2^-60.
 Every sum, tail bound and evaluator takes the radius ``r`` as a float or a
 1-D array of radii.  A float gives plain floats; an array gives values
 shaped like ``r``, each equal bit for bit to the scalar call at that radius.
+In place of a series, each also takes a :class:`SeriesStack` of same-order
+series with one radius per member: row i then equals, bit for bit, the call
+on member i alone at r[i], so a family is evaluated in one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Iterable
 
 import numpy as np
 
@@ -24,6 +29,7 @@ from .series import PowerSeries, _check_gamma
 
 __all__ = [
     "FunctionalValue",
+    "SeriesStack",
     "majorant",
     "majorant_tail_bound",
     "norm_f0",
@@ -60,18 +66,46 @@ class FunctionalValue:
         return self.total + self.tail_error
 
 
-def _check_radius(r: float | np.ndarray) -> None:
+class SeriesStack:
+    """Series of one order, evaluated together at one radius per member.
+
+    ``coeffs`` and the evaluators' weight tables have one row per member;
+    ``tail.q`` and ``tail.C`` are arrays, 0 where a member has no certificate.
+    """
+
+    def __init__(self, members: Iterable[PowerSeries]) -> None:
+        members = tuple(members)
+        if not members or len({m.order for m in members}) != 1:
+            raise ValueError("a stack needs one or more series of one order")
+        self.coeffs = np.stack([m.coeffs for m in members])
+        self.order = members[0].order
+        tails = [(m.tail.q, m.tail.C) if m.tail is not None else (0.0, 0.0) for m in members]
+        self.tail = SimpleNamespace(q=np.array([q for q, _ in tails]), C=np.array([c for _, c in tails]))
+        self._memo: dict = {}
+
+
+def _check_radius(r: float | np.ndarray, *series) -> None:
     if isinstance(r, np.ndarray):
         ok = r.ndim == 1 and bool(np.all((0.0 <= r) & (r < 1.0)))
     else:
         ok = 0.0 <= r < 1.0
     if not ok:
         raise ValueError(f"radius must lie in [0, 1), got {r}")
+    for p in series:
+        if isinstance(p, SeriesStack) and np.shape(r) != p.coeffs.shape[:1]:
+            raise ValueError(f"a stack of series takes one radius per member, got {r}")
 
 
 def _like_radius(value, r):
     """``value`` as a plain float for a scalar radius, as it is for an array."""
     return value if isinstance(r, np.ndarray) else float(value)
+
+
+def _constant_modulus(p, r):
+    """|a_0|, one per row for a stack, each rounded as the scalar ``abs()`` rounds
+    it: numpy's vectorised complex ``np.abs`` can differ by an ulp, ``np.hypot`` can not."""
+    a0 = p.coeffs.T[0]
+    return _like_radius(np.hypot(a0.real, a0.imag) if a0.ndim else abs(a0), r)
 
 
 # A sum stops at the shortest length L on the ladder 32, 64, 128, ... whose
@@ -87,8 +121,10 @@ class _Terms:
     """Terms w_k x^n_k of one power sum, with the lengths L it may stop at.
 
     ``lengths`` ends with the full length; ``heads[j]`` is the exponent of the
-    first term skipped at ``lengths[j]`` and ``suffix[j]`` bounds the skipped
-    weights, sum_{k >= L} w_k, from above (0 at the full length).
+    first term skipped at ``lengths[j]`` and ``suffix[..., j]`` bounds the
+    skipped weights, sum_{k >= L} w_k, from above (0 at the full length).
+    For a stack, ``weights`` and ``suffix`` have one row per member; the
+    exponents, lengths and heads depend on the order alone.
     """
 
     weights: np.ndarray
@@ -99,7 +135,7 @@ class _Terms:
 
 
 def _terms(p: PowerSeries, kind: str) -> _Terms:
-    """The terms of one of the three sums over p's coefficients, built once per series."""
+    """The terms of one of the three sums over p's coefficients, built once per series or stack."""
     memo = p._memo
     if kind not in memo:
         n = np.arange(p.order + 1, dtype=float)
@@ -107,27 +143,28 @@ def _terms(p: PowerSeries, kind: str) -> _Terms:
             weights = np.abs(p.coeffs)
         else:  # "norm" and "area" run from n = 1
             n = n[1:]
-            weights = np.abs(p.coeffs[1:]) ** 2
+            weights = np.abs(p.coeffs[..., 1:]) ** 2
             if kind == "area":
                 weights = n * weights
-        size = weights.size
+        size = weights.shape[-1]
         lengths = [_FIRST_LENGTH << j for j in range(size.bit_length()) if _FIRST_LENGTH << j < size]
         # suffix sums of nonnegative terms err by less than size * 2^-53
         # relative; the factor covers that and the rounding of x^n_L * S_L
-        tails = np.cumsum(weights[::-1])[::-1][lengths] * (1.0 + size * 2.0**-52)
-        memo[kind] = _Terms(
-            weights, n, np.array(lengths + [size]), np.append(n[lengths], 0.0), np.append(tails, 0.0)
-        )
+        tails = np.cumsum(weights[..., ::-1], axis=-1)[..., ::-1]
+        suffix = np.zeros(weights.shape[:-1] + (len(lengths) + 1,))  # 0 at the full length
+        suffix[..., :-1] = tails[..., lengths] * (1.0 + size * 2.0**-52)
+        memo[kind] = _Terms(weights, n, np.array(lengths + [size]), np.append(n[lengths], 0.0), suffix)
     return memo[kind]
 
 
 def _power_sum(terms: _Terms, x: float | np.ndarray):
     """(sum_k w_k x^n_k, bound on the stored terms it skipped) for each x.
 
-    Each x sums its first L terms, L the shortest length with x^n_L S_L <=
-    _CUT: every skipped term is at most x^n_L times its weight, as x < 1 and
-    the exponents increase.  L depends on x alone and each sum is one dot
-    product, so every x rounds exactly as the scalar call does.
+    The weights are one row per x, or one vector shared by every x.  Each x
+    sums its first L terms, L the shortest length with x^n_L S_L <= _CUT:
+    every skipped term is at most x^n_L times its weight, as x < 1 and the
+    exponents increase.  L depends on x and its row alone and each sum is one
+    dot product, so every x rounds exactly as the scalar call does.
     """
     xs = np.atleast_1d(x)
     bounds = np.power.outer(xs, terms.heads) * terms.suffix
@@ -139,7 +176,8 @@ def _power_sum(terms: _Terms, x: float | np.ndarray):
     for length in sorted(set(lengths.tolist())):
         rows = lengths == length
         powers = np.power.outer(xs[rows], terms.exponents[:length])
-        value[rows] = np.vecdot(powers, terms.weights[:length])
+        weights = terms.weights[..., :length]
+        value[rows] = np.vecdot(powers, weights if weights.ndim == 1 else weights[rows])
     if isinstance(x, np.ndarray):
         return value, skipped
     return float(value[0]), float(skipped[0])
@@ -158,7 +196,7 @@ def _rounded_up(tail, p: PowerSeries, x, r):
 def _majorant(p: PowerSeries, r):
     """(sum of |a_n| r^n over the terms summed, bound on the rest of the series)."""
     value, skipped = _power_sum(_terms(p, "majorant"), r)
-    if p.tail is None or p.tail.C == 0.0:
+    if p.tail is None:  # a certificate with C = 0 (a stack row without one) adds exactly 0
         return value, skipped
     x = p.tail.q * r  # below one: q < 1 and r < 1
     return value, _rounded_up(p.tail.C * np.power(x, p.order + 1) / (1.0 - x), p, x, r) + skipped
@@ -167,44 +205,45 @@ def _majorant(p: PowerSeries, r):
 def _norm_f0(p: PowerSeries, r):
     # squares are products: Python's float ** 2 and numpy's can round apart
     value, skipped = _power_sum(_terms(p, "norm"), r * r)
-    if p.tail is None or p.tail.C == 0.0:
+    if p.tail is None:
         return value, skipped
     x = (p.tail.q * r) * (p.tail.q * r)
-    return value, _rounded_up(p.tail.C**2 * np.power(x, p.order + 1) / (1.0 - x), p, x, r) + skipped
+    tail = p.tail.C * p.tail.C * np.power(x, p.order + 1) / (1.0 - x)
+    return value, _rounded_up(tail, p, x, r) + skipped
 
 
 def _dirichlet_area(p: PowerSeries, r):
     value, skipped = _power_sum(_terms(p, "area"), r * r)
-    if p.tail is None or p.tail.C == 0.0:
+    if p.tail is None:
         return value, skipped
     x = (p.tail.q * r) * (p.tail.q * r)
     n1 = p.order + 1
     # sum_{n>N} n x^n = x^{N+1} ((N+1) - N x) / (1-x)^2
-    tail = p.tail.C**2 * np.power(x, n1) * (n1 - p.order * x) / ((1.0 - x) * (1.0 - x))
+    tail = p.tail.C * p.tail.C * np.power(x, n1) * (n1 - p.order * x) / ((1.0 - x) * (1.0 - x))
     return value, _rounded_up(tail, p, x, r) + skipped
 
 
 def majorant(p: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:
     """Sum of |a_n| r^n over the stored coefficients, up to the cut."""
-    _check_radius(r)
+    _check_radius(r, p)
     return _majorant(p, r)[0]
 
 
 def majorant_tail_bound(p: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:
     """Upper bound on the rest of sum |a_n| r^n: the stored terms past the cut,
     plus sum_{n>N} from the tail certificate (nothing if absent)."""
-    _check_radius(r)
+    _check_radius(r, p)
     return _majorant(p, r)[1]
 
 
 def norm_f0(p: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:
     """Squared-coefficient norm of the constant-free part: sum_{n>=1} |a_n|^2 r^{2n}."""
-    _check_radius(r)
+    _check_radius(r, p)
     return _norm_f0(p, r)[0]
 
 
 def norm_f0_tail_bound(p: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:
-    _check_radius(r)
+    _check_radius(r, p)
     return _norm_f0(p, r)[1]
 
 
@@ -214,19 +253,19 @@ def dirichlet_area(p: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:
     By Parseval this equals (1/pi) * integral of |f'|^2 over the disk of
     radius r; for univalent f it is exactly the image area over pi.
     """
-    _check_radius(r)
+    _check_radius(r, p)
     return _dirichlet_area(p, r)[0]
 
 
 def dirichlet_area_tail_bound(p: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:
     """Upper bound on the rest of sum n |a_n|^2 r^{2n}, as for the majorant."""
-    _check_radius(r)
+    _check_radius(r, p)
     return _dirichlet_area(p, r)[1]
 
 
 def bohr_total(p: PowerSeries, r: float | np.ndarray) -> FunctionalValue:
     """Plain majorant with no correction term."""
-    _check_radius(r)
+    _check_radius(r, p)
     m, tail = _majorant(p, r)
     return FunctionalValue(m, m, 0.0 * r, r, tail)
 
@@ -243,7 +282,7 @@ def area_refined_total(
     readings of the correction term agree.
     """
     _check_gamma(gamma)
-    _check_radius(r)
+    _check_radius(r, p)
     m, m_tail = _majorant(p, r)
     area, area_tail = _dirichlet_area(p, r * (1.0 - gamma))
     return FunctionalValue(m + weight * area, m, weight * area, r, m_tail + weight * area_tail)
@@ -252,8 +291,8 @@ def area_refined_total(
 def norm_refined_total(p: PowerSeries, r: float | np.ndarray) -> FunctionalValue:
     """Majorant plus the squared-coefficient norm correction
     (1/(1+|a_0|) + r/(1-r)) * sum_{n>=1} |a_n|^2 r^{2n}."""
-    _check_radius(r)
-    a0 = float(abs(p.coeffs[0]))
+    _check_radius(r, p)
+    a0 = _constant_modulus(p, r)
     factor = 1.0 / (1.0 + a0) + r / (1.0 - r)
     m, m_tail = _majorant(p, r)
     norm, norm_tail = _norm_f0(p, r)
@@ -267,7 +306,7 @@ def domain_ratio_area_total(p: PowerSeries, r: float | np.ndarray, ratio_sup: fl
     if not ratio_sup > 0.0:
         raise ValueError(f"coefficient-ratio supremum must be positive, got {ratio_sup}")
     weight = 2.0 * ((1.0 + ratio_sup) / (1.0 + 2.0 * ratio_sup)) ** 2
-    _check_radius(r)
+    _check_radius(r, p)
     m, m_tail = _majorant(p, r)
     area, area_tail = _dirichlet_area(p, r)
     corr = weight * area
@@ -277,10 +316,10 @@ def domain_ratio_area_total(p: PowerSeries, r: float | np.ndarray, ratio_sup: fl
 def harmonic_total(h: PowerSeries, g: PowerSeries, r: float | np.ndarray) -> FunctionalValue:
     """Joint majorant of a harmonic mapping h + conj(g): the analytic majorant
     plus the co-analytic majorant without its constant term."""
-    _check_radius(r)
+    _check_radius(r, h, g)
     m_h, h_tail = _majorant(h, r)
     m_g, g_tail = _majorant(g, r)
-    total = m_h + (m_g - float(abs(g.coeffs[0])))
+    total = m_h + (m_g - _constant_modulus(g, r))
     return FunctionalValue(total, total, 0.0 * r, r, h_tail + g_tail)
 
 

@@ -5,6 +5,11 @@ stays at or below one.  All bounds handled here are nondecreasing in r, so
 ITP bracketing on a fixed bracket is both robust and cheap (at most one
 step more than bisection's worst case); a family's radius is the minimum
 over the members it is given.
+
+The ITP loop is a generator that yields probe points and is sent the padded
+bound there.  A family solve steps one per member in lockstep: each round is
+one call of the family's bound, and each member takes the steps it would
+take alone.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ import math
 from dataclasses import dataclass
 from itertools import pairwise
 from typing import Any, Callable, Iterable
+
+import numpy as np
 
 from .functionals import FunctionalValue
 
@@ -53,30 +60,14 @@ class RadiusResult:
         return self.status == "constrained"
 
 
-def _padded(value) -> float:
-    if isinstance(value, FunctionalValue):
-        return value.padded()
-    return float(value)
-
-
-def bohr_radius_of_function(
-    bound: Callable[[float], FunctionalValue | float],
-    tol: float = 1e-10,
-    upper: float = UPPER_LIMIT,
-) -> RadiusResult:
-    """Largest r in [0, upper] with bound(r) <= 1, found by ITP bracketing
-    in at most ceil(log2(upper/tol)) + 1 steps.
-
-    The predicate "bound <= 1" is monotone and decides which end moves, so on
-    a plateau where the bound sits exactly at one the search converges to the
-    plateau's upper end, matching the supremum semantics of the radius
-    definition.
-    """
+def _itp(tol: float, upper: float):
+    """One ITP solve as a generator: it yields each probe point, is sent the
+    padded bound there, and returns the :class:`RadiusResult`."""
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
-    if (f_lo := _padded(bound(0.0)) - 1.0) > 0.0:
+    if (f_lo := (yield 0.0) - 1.0) > 0.0:
         return RadiusResult(math.nan, (0.0, 0.0), tol, 0, None, "no_radius")
-    if (f_hi := _padded(bound(upper)) - 1.0) <= 0.0:
+    if (f_hi := (yield upper) - 1.0) <= 0.0:
         return RadiusResult(upper, (upper, 1.0), 1.0 - upper, 1, None, "unconstrained")
     lo, hi = 0.0, upper
     # after step j the bracket is at most target * 2^(steps - j - 1) wide;
@@ -95,7 +86,7 @@ def bohr_radius_of_function(
         band = max(math.ldexp(target, steps - iterations - 1) - 0.5 * (hi - lo), 0.0)
         point = min(max(point, mid - band), mid + band)
         point = point if lo < point < hi else mid  # NaN included
-        value = _padded(bound(point))
+        value = yield point
         if value <= 1.0:
             lo, f_lo = point, value - 1.0
         else:
@@ -104,23 +95,67 @@ def bohr_radius_of_function(
     return RadiusResult(lo, (lo, hi), hi - lo, iterations, None, "constrained")
 
 
+def _solve_together(bound, count: int, tol: float, upper: float = UPPER_LIMIT) -> list[RadiusResult]:
+    """``count`` ITP solves stepped together: each round calls ``bound`` once on
+    their probe points and sends each solve its padded value.  A finished solve
+    is fed its final ``lo``, and the value that comes back is dropped."""
+    solves = [_itp(tol, upper) for _ in range(count)]
+    points = [next(solve) for solve in solves]
+    results: list[RadiusResult | None] = [None] * count
+    while any(res is None for res in results):
+        value = bound(np.array(points))
+        value = value.padded() if isinstance(value, FunctionalValue) else value
+        for i, padded in enumerate(np.atleast_1d(value).tolist()):
+            if results[i] is None:
+                try:
+                    points[i] = solves[i].send(padded)
+                except StopIteration as stop:
+                    results[i] = stop.value
+                    points[i] = stop.value.bracket[0]
+    return results
+
+
+def bohr_radius_of_function(
+    bound: Callable[[float], FunctionalValue | float],
+    tol: float = 1e-10,
+    upper: float = UPPER_LIMIT,
+) -> RadiusResult:
+    """Largest r in [0, upper] with bound(r) <= 1, found by ITP bracketing
+    in at most ceil(log2(upper/tol)) + 1 steps; ``bound`` is called with one
+    float radius at a time.
+
+    The predicate "bound <= 1" is monotone and decides which end moves, so on
+    a plateau where the bound sits exactly at one the search converges to the
+    plateau's upper end, matching the supremum semantics of the radius
+    definition.
+    """
+    return _solve_together(lambda r: bound(float(r[0])), 1, tol, upper)[0]
+
+
 def family_infimum_radius(
-    bound_for: Callable[[Any], Callable[[float], FunctionalValue | float]],
+    bound: Callable[[np.ndarray], FunctionalValue | np.ndarray],
     family: Iterable[Any],
     tol: float = 1e-10,
 ) -> RadiusResult:
     """Minimum per-function radius over a parameter family.
 
-    ``bound_for(params)`` must return the radius-indexed bound of one family
-    member, whose params carry ``a`` and ``gamma``.  The witness is the
-    argmin's parameters.  Among the sharpness witnesses (a > gamma) the
-    radius should not rise with a; a rise is reported in ``diagnostics``.
+    ``bound(r)`` takes a 1-D array of one radius per member, in the order
+    given, and returns their values (a :class:`FunctionalValue` of arrays or
+    the padded values), as an evaluator on a ``functionals.SeriesStack``
+    does.  The members' ITP solves step together, one call of ``bound`` per
+    round; a lone member is the single solve of :func:`bohr_radius_of_function`.
+    Members carry ``a`` and ``gamma``; the witness is the argmin's parameters.
+    Among the sharpness witnesses (a > gamma) the radius should not rise with
+    a; a rise is reported in ``diagnostics``.
     """
     members = list(family)
     if not members:
         raise ValueError("family must be nonempty")
 
-    results = [bohr_radius_of_function(bound_for(p), tol) for p in members]
+    if len(members) == 1:  # nothing to step together: a single solve, traced as one
+        results = [bohr_radius_of_function(lambda r: bound(np.array([r])), tol)]
+    else:
+        results = _solve_together(bound, len(members), tol)
     for params, res in zip(members, results):
         if res.status == "no_radius":
             return dataclasses.replace(res, witness=params)

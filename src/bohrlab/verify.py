@@ -28,8 +28,7 @@ from .extremals import (
     mobius_family_coeffs,
 )
 from .functionals import DEFAULT_AREA_WEIGHT, FunctionalValue, sharp_majorant_radius
-from .series import (DiskDomain, PowerSeries, _circle, differentiate, mul, numeric_taylor, recenter_affine,
-                     taylor_coefficients)
+from .series import DiskDomain, PowerSeries, _circle, numeric_taylor, recenter_affine, taylor_coefficients
 
 __all__ = [
     "CheckReport",
@@ -291,14 +290,16 @@ def check_dilatation_coefficients(
             witness = dict(payload, r=float(r_grid[j]))
 
     powers = r_grid[None, :] ** np.arange(order + 1, dtype=float)[:, None]
+    z = _circle(8 * order, rho)
+    n = np.arange(1, order + 1)
     for i in range(n_samples):
-        h = numeric_taylor(random_blaschke(rng), order, rho=rho)
-        omega = numeric_taylor(random_blaschke(rng), order, rho=rho)
-        prod = mul(omega, differentiate(h))
+        # h, then omega, as drawn; both expanded by one FFT
+        h, omega = taylor_coefficients(np.stack([random_blaschke(rng)(z), random_blaschke(rng)(z)]), order, rho)
         b = np.zeros(order + 1, dtype=np.complex128)
-        b[1:] = k * prod.coeffs / np.arange(1, order + 1)
+        # the first `order` terms of omega h', from the terms of omega that reach them
+        b[1:] = k * np.convolve(omega[:order], h[1:] * n)[:order] / n
         lhs = np.abs(b) ** 2 @ powers
-        rhs = k**2 * (np.abs(h.coeffs) ** 2 @ powers)
+        rhs = k**2 * (np.abs(h) ** 2 @ powers)
         fold(rhs - lhs, {"sample": i, "kind": "integrated-dilatation", "k": k})
 
     combos = [

@@ -6,13 +6,16 @@ and never calls the evaluators under test, so agreement is meaningful.
 
 The reference section keeps the plain per-sample versions of code that the
 package now runs batched: the uncached ``numeric_taylor``, the O(n^2)
-Blaschke derivative, the full family power vector and four sampled checks.
-Tests assert that the batched code equals them bit for bit.
+Blaschke derivative, the full family power vector, five sampled checks and
+the family solve that ran one member after another.  Tests assert that the
+batched code equals them bit for bit.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Callable
 
 import numpy as np
@@ -232,6 +235,45 @@ def ruscheweyh_reference(
     return verify.CheckReport.from_slack("ruscheweyh-derivatives", n_samples * len(alphas), worst, witness, tol)
 
 
+def dilatation_coefficients_reference(
+    n_samples: int = 100, k: float = 0.5, order: int = 128, seed: int = 42, tol: float = 1e-8, rho: float = 0.92
+):
+    """``check_dilatation_coefficients`` with one ``numeric_taylor`` call each for
+    h and omega and the full product ``mul(omega, differentiate(h))`` per sample."""
+    from bohrlab import verify
+    from bohrlab.extremals import HarmonicExtremalParams, harmonic_extremal
+    from bohrlab.series import differentiate, mul, numeric_taylor
+
+    rng = np.random.default_rng(seed)
+    r_grid = np.linspace(0.05, 0.9, 18)
+    worst, witness = np.inf, {}
+
+    def fold(slacks, payload):
+        nonlocal worst, witness
+        j = int(np.argmin(slacks))
+        if slacks[j] < worst:
+            worst = float(slacks[j])
+            witness = dict(payload, r=float(r_grid[j]))
+
+    powers = r_grid[None, :] ** np.arange(order + 1, dtype=float)[:, None]
+    for i in range(n_samples):
+        h = numeric_taylor(verify.random_blaschke(rng), order, rho=rho)
+        omega = numeric_taylor(verify.random_blaschke(rng), order, rho=rho)
+        prod = mul(omega, differentiate(h))
+        b = np.zeros(order + 1, dtype=np.complex128)
+        b[1:] = k * prod.coeffs / np.arange(1, order + 1)
+        fold(k**2 * (np.abs(h.coeffs) ** 2 @ powers) - np.abs(b) ** 2 @ powers,
+             {"sample": i, "kind": "integrated-dilatation", "k": k})
+    combos = [HarmonicExtremalParams(a, gamma, kk, lam) for a in (0.3, 0.7, 1.0 - 2.0**-12)
+              for gamma in (0.0, 0.5, 0.9) for kk in (0.0, 0.5, 1.0) for lam in (0.4, 1.0)]
+    fam_powers = r_grid[None, :] ** np.arange(513, dtype=float)[:, None]
+    for params in combos:
+        h, g = harmonic_extremal(params, 512)
+        fold(params.k**2 * (np.abs(h.coeffs) ** 2 @ fam_powers) - np.abs(g.coeffs) ** 2 @ fam_powers,
+             {"kind": "harmonic-extremal", "a": params.a, "gamma": params.gamma, "k": params.k})
+    return verify.CheckReport.from_slack("dilatation-coefficients", n_samples + len(combos), worst, witness, tol)
+
+
 def family_deficit_identity_reference(n_samples: int = 100, seed: int = 42, order: int = 2048, tol: float = 1e-10):
     """``check_family_deficit_identity`` building the family member twice per
     sample: once alone for the area and norm identities, once inside the
@@ -289,3 +331,41 @@ def recentred_slack_certificate_reference(
                 worst = cap - total
                 witness = {"sample": i, "gamma": gamma, "r": float(r), "a0_abs": float(a0)}
     return verify.CheckReport.from_slack("recentred-slack-certificate", n_samples, worst, witness, tol)
+
+
+def _padded(value) -> float:
+    return value.padded() if hasattr(value, "padded") else float(value)
+
+
+def stacked_bound(bound_for: Callable, family) -> Callable:
+    """The family bound ``family_infimum_radius`` takes, from per-member bounds:
+    row i of its value is ``bound_for(family[i])`` padded at r[i]."""
+    bounds = [bound_for(params) for params in family]
+    return lambda r: np.array([_padded(bound(float(x))) for bound, x in zip(bounds, r)])
+
+
+def family_infimum_reference(bound_for: Callable, family, tol: float = 1e-10):
+    """``solver.family_infimum_radius`` solving one member after another, each
+    with ``bohr_radius_of_function`` on its own per-member bound."""
+    from bohrlab.solver import RadiusResult, bohr_radius_of_function
+
+    members = list(family)
+    results = [bohr_radius_of_function(bound_for(p), tol) for p in members]
+    for params, res in zip(members, results):
+        if res.status == "no_radius":
+            return dataclasses.replace(res, witness=params)
+    witnesses = sorted((p.a, res.radius) for p, res in zip(members, results) if p.a > p.gamma)
+    rises = any(left < right - tol for (_, left), (_, right) in pairwise(witnesses))
+    best = min(range(len(members)), key=lambda i: results[i].radius)
+    base = results[best]
+    return RadiusResult(
+        radius=base.radius,
+        bracket=(base.radius, base.radius + base.tol),
+        tol=tol if base.constrained else base.tol,
+        iterations=sum(r.iterations for r in results),
+        witness=members[best],
+        status=base.status,
+        diagnostics=("per-function radius is not nonincreasing in a",) if rises else (),
+        members=tuple(dict(a=p.a, radius=r.radius, iterations=r.iterations)
+                      for p, r in zip(members, results)),
+    )

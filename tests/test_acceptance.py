@@ -31,7 +31,7 @@ from bohrlab.series import DiskDomain, PowerSeries, numeric_taylor
 from bohrlab.solver import family_infimum_radius
 from bohrlab.verify import random_blaschke
 
-from oracles import family_member, quadrature_mean_square_derivative, random_decaying_series
+from oracles import family_member, quadrature_mean_square_derivative, random_decaying_series, stacked_bound
 
 GAMMA_GRID = [round(0.1 * i, 10) for i in range(10)]
 A_GRID = [float(a) for a in sharpness_a_grid(14)]
@@ -56,7 +56,7 @@ def _majorant_bound(params):
 def test_criterion_01_classical_bohr_radius():
     t0 = time.perf_counter()
     family = [MobiusFamilyParams(a, 0.0) for a in A_GRID]
-    result = family_infimum_radius(_majorant_bound, family, tol=1e-10)
+    result = family_infimum_radius(stacked_bound(_majorant_bound, family), family, tol=1e-10)
     elapsed = time.perf_counter() - t0
     diff = abs(result.radius - 1.0 / 3.0)
     ok = diff < 1e-3 and elapsed < 5.0
@@ -69,7 +69,7 @@ def test_criterion_02_enlarged_disk_radii():
     worst = 0.0
     for gamma in GAMMA_GRID:
         family = [MobiusFamilyParams(a, gamma) for a in A_GRID]
-        result = family_infimum_radius(_majorant_bound, family, tol=1e-10)
+        result = family_infimum_radius(stacked_bound(_majorant_bound, family), family, tol=1e-10)
         worst = max(worst, abs(result.radius - sharp_majorant_radius(gamma)))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-3 and elapsed < 30.0
@@ -160,7 +160,7 @@ def test_criterion_07_harmonic_radii():
                 h, g = harmonic_extremal(params)
                 return lambda r: harmonic_total(h, g, r)
 
-            result = family_infimum_radius(bound_for, family, tol=1e-10)
+            result = family_infimum_radius(stacked_bound(bound_for, family), family, tol=1e-10)
             worst = max(worst, abs(result.radius - sharp_harmonic_radius(gamma, k)))
             if k == 1.0 and gamma == 0.0:
                 corollary_value = result.radius

@@ -172,6 +172,25 @@ def test_usage_error_exit_code():
         assert exc.value.code == 2, argv
 
 
+@pytest.mark.parametrize("value", ["100", "-5", "0.889"])
+def test_area_weight_past_the_admissible_range_is_a_usage_error(tmp_path, capsys, value):
+    # the closed form (1+gamma)/(3+gamma) holds only for weights in [0, 8/9]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"K": float(value)}))
+    for argv in (["radius", "--theorem", "1", "--gamma", "0.3", "--K", value],
+                 ["radius", "--theorem", "1", "--gamma", "0.3", "--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "--K: must lie in [0, 8/9]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "0.5", repr(8.0 / 9.0)])
+def test_area_weight_in_the_admissible_range_matches_the_closed_form(value):
+    code, text = run_cli("radius", "--theorem", "1", "--gamma", "0.3", "--K", value)
+    assert code == 0 and f"K={float(value):g}" in text
+
+
 def test_verify_fast_and_filter(tmp_path):
     out = tmp_path / "report.json"
     code, text = run_cli("verify", "--all", "--fast", "--seed", "42", "--out", str(out))
@@ -403,7 +422,7 @@ _OPTION_TEXT = {
     "a": (["0.3", "0.99", "1e-150"], ["1e-160", "5e-324", "0", "1.5"]),
     "k": (["0", "0.5", "1"], ["1.2"]),
     "lambda": (["0.5", "2"], ["0", "-1"]),
-    "K": (["0", "0.8", "100", "-5"], ["inf"]),
+    "K": (["0", "0.8", "0.8888888888888888"], ["100", "-5", "0.889", "inf"]),
     "tol": (["1e-10", "1e-3", "1e-20", "10"], ["0"]),
     "order": (["1", "16", "64"], ["0"]),
     "seed": (["0", "7"], ["-1"]),

@@ -14,6 +14,7 @@ from bohrlab import functionals
 from bohrlab.extremals import MobiusFamilyParams, harmonic_extremal, HarmonicExtremalParams, mobius_family_coeffs
 from bohrlab.functionals import (
     FunctionalValue,
+    SeriesStack,
     area_refined_total,
     bohr_total,
     dirichlet_area,
@@ -29,6 +30,7 @@ from bohrlab.functionals import (
     sharp_majorant_radius,
 )
 from bohrlab.series import DiskDomain, PowerSeries, numeric_taylor
+from bohrlab.solver import UPPER_LIMIT
 from bohrlab.verify import random_blaschke
 
 from oracles import (
@@ -122,6 +124,78 @@ def test_vector_radii_equal_scalar_calls_bit_for_bit(name):
         assert isinstance(column, np.ndarray) and column.shape == radii.shape
         assert all(type(row[i]) is float for row in scalar)
         assert np.array_equal(column, [row[i] for row in scalar])
+
+
+# Each evaluator on one member's series (a pair (h, g) for the harmonic one).
+_EVALUATORS = {
+    "bohr_total": lambda p, r, gamma: bohr_total(p, r),
+    "area_refined_total": lambda p, r, gamma: area_refined_total(p, r, gamma),
+    "norm_refined_total": lambda p, r, gamma: norm_refined_total(p, r),
+    "domain_ratio_area_total": lambda p, r, gamma: domain_ratio_area_total(p, r, 1.0 / (1.0 + gamma)),
+    "harmonic_total": lambda hg, r, gamma: harmonic_total(*hg, r),
+}
+_RADII = st.one_of(st.just(0.0), st.floats(0.0, UPPER_LIMIT), st.floats(UPPER_LIMIT - 1e-9, UPPER_LIMIT))
+
+
+def _member(name, a, gamma, k, order, certified, phase):
+    """A family member, its coefficients turned by e^{i phase} (complex, with the
+    same moduli), with or without its tail certificate."""
+    if name == "harmonic_total":
+        pair = harmonic_extremal(HarmonicExtremalParams(a, gamma, k, 1.0), order)
+    else:
+        pair = (mobius_family_coeffs(MobiusFamilyParams(a, gamma), order),)
+    turned = tuple(PowerSeries(s.coeffs * np.exp(1j * phase), s.tail if certified else None) for s in pair)
+    return turned if name == "harmonic_total" else turned[0]
+
+
+@settings(max_examples=80)
+@given(
+    name=st.sampled_from(sorted(_EVALUATORS)),
+    gamma=st.floats(0.0, 0.9),
+    k=st.floats(0.0, 1.0),
+    order=st.sampled_from([40, 2048]),
+    rows=st.lists(
+        st.tuples(st.floats(0.01, 1.0 - 2.0**-14), _RADII, st.booleans(), st.sampled_from([0.0, 0.7, 2.0])),
+        min_size=1, max_size=6,
+    ),
+    reverse=st.booleans(),
+)
+def test_stacked_rows_equal_single_series_calls_bit_for_bit(name, gamma, k, order, rows, reverse):
+    # rows: (a, radius, whether the member keeps its tail certificate, phase)
+    rows = rows[::-1] if reverse else rows
+    members = [_member(name, a, gamma, k, order, certified, phase) for a, _, certified, phase in rows]
+    stack = tuple(map(SeriesStack, zip(*members))) if name == "harmonic_total" else SeriesStack(members)
+    radii = np.array([row[1] for row in rows])
+    fields = ("total", "majorant", "correction", "r", "tail_error")
+    stacked = _EVALUATORS[name](stack, radii, gamma)
+    for i, member in enumerate(members):
+        single = _EVALUATORS[name](member, float(radii[i]), gamma)
+        for field in fields:
+            assert type(getattr(single, field)) is float
+            assert getattr(stacked, field)[i] == getattr(single, field), (field, i)
+
+
+def test_constant_term_modulus_rounds_as_the_scalar_abs():
+    # numpy's vectorised complex abs differs from abs() by an ulp on about a
+    # third of inputs; |a_0| keeps abs(), for a series and for each stack row
+    consts = np.random.default_rng(3).normal(size=(64, 2)) @ [1.0, 1j]
+    gs = [PowerSeries.polynomial([c]) for c in consts]
+    zero = PowerSeries.zero()
+    stacked = harmonic_total(SeriesStack([zero] * len(gs)), SeriesStack(gs), np.full(len(gs), 0.5))
+    for i, (c, g) in enumerate(zip(consts, gs)):
+        assert harmonic_total(zero, g, 0.5).total == majorant(g, 0.5) - abs(c) == stacked.total[i]
+
+
+def test_stack_takes_one_radius_per_member_of_one_order():
+    p, q = (mobius_family_coeffs(MobiusFamilyParams(a, 0.2), 64) for a in (0.5, 0.9))
+    stack = SeriesStack([p, q])
+    for r in (0.3, np.array([0.3]), np.array([0.1, 0.2, 0.3])):
+        with pytest.raises(ValueError, match="one radius per member"):
+            bohr_total(stack, r)
+    with pytest.raises(ValueError, match="one order"):
+        SeriesStack([p, mobius_family_coeffs(MobiusFamilyParams(0.5, 0.2), 65)])
+    with pytest.raises(ValueError, match="one order"):
+        SeriesStack([])
 
 
 def test_functional_value_serialization():

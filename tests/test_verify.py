@@ -41,6 +41,7 @@ from oracles import (
     AnalyticSample,
     automorphism_coeffs,
     blaschke_deriv_reference,
+    dilatation_coefficients_reference,
     family_deficit_identity_reference,
     random_decaying_series,
     recentred_slack_certificate_reference,
@@ -81,9 +82,25 @@ def test_value_and_deriv_equals_call_and_reference_derivative():
     (check_ruscheweyh, ruscheweyh_reference, {"n_samples": 100}),
     (check_family_deficit_identity, family_deficit_identity_reference, {"n_samples": 40}),
     (check_recentred_slack_certificate, recentred_slack_certificate_reference, {"n_samples": 30}),
-], ids=["schwarz-pick", "ruscheweyh", "family-deficit-identity", "recentred-slack-certificate"])
+    (check_dilatation_coefficients, dilatation_coefficients_reference, {"n_samples": 100}),
+    (check_dilatation_coefficients, dilatation_coefficients_reference, {"n_samples": 30, "k": 0.9, "order": 64}),
+], ids=["schwarz-pick", "ruscheweyh", "family-deficit-identity", "recentred-slack-certificate",
+        "dilatation-coefficients", "dilatation-coefficients-k0.9-order64"])
 def test_rewritten_checks_equal_their_per_sample_references(check, reference, kwargs, seed):
     assert check(seed=seed, **kwargs) == reference(seed=seed, **kwargs)
+
+
+def test_dilatation_samples_equal_the_per_sample_reference(monkeypatch):
+    # the k = 0 extremal combos pin the worst slack at exactly 0 unless a sample
+    # fails; products scaled by 10 (past the unit disk) make the samples fail, so each
+    # report carries its worst sample's slack to the last bit
+    blaschke = verify.random_blaschke
+    monkeypatch.setattr(verify, "random_blaschke", lambda rng: (lambda f: lambda z: 10.0 * f(z))(blaschke(rng)))
+    for seed in (42, 5):
+        for n in range(1, 9):
+            report = check_dilatation_coefficients(n_samples=n, seed=seed)
+            assert report.witness["kind"] == "integrated-dilatation"
+            assert report == dilatation_coefficients_reference(n_samples=n, seed=seed)
 
 
 def test_ruscheweyh_skips_and_counts_non_finite_rows(monkeypatch):
