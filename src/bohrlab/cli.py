@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -152,10 +153,10 @@ def _append_radius_csv(path: Path, row: dict) -> None:
     header = ["gamma", "k", "lambda", "functional_id", "radius", "tol"]
     new = not path.exists()
     with path.open("a", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh)  # writes a float by its repr
         if new:
             writer.writerow(header)
-        writer.writerow([repr(row[h]) if isinstance(row[h], float) else row[h] for h in header])
+        writer.writerow([row[h] for h in header])
 
 
 def cmd_radius(args) -> int:
@@ -243,27 +244,27 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     bound = BOUNDS[args.theorem]
     a_grid = sharpness_a_grid(14)
-    rows = []
-    violations = 0
+    lines = ["gamma,a,k,lambda,r,total,majorant,correction,tail_error"]
+    rows = violations = 0
     for gamma in args.gammas:
         values = _parameters(args, gamma)
         x = values.get(bound.param)
         # only the theorem's own parameter gets a nonzero column
-        columns = [x if bound.param == name else 0.0 for name in ("k", "lambda")]
+        k, lam = (x if bound.param == name else 0.0 for name in ("k", "lambda"))
         r_values = np.linspace(0.0, bound.radius(gamma, x), args.grid)
+        r_cells = [repr(r) for r in r_values.tolist()] if args.out else []
         for params in _family(bound, a_grid, gamma, values["k"]):
             fv = bound.total(_series(bound, params, args.order), r_values, gamma, x)
             violations += int(np.count_nonzero(fv.padded() > 1.0))
-            fields = (r_values, fv.total, fv.majorant, fv.correction, fv.tail_error)
-            for cells in zip(*(f.tolist() for f in fields)):
-                rows.append([gamma, params.a, *columns, *cells])
+            rows += len(r_values)
+            if args.out:  # every cell is a float: its repr needs no csv quoting
+                prefix = f"{gamma!r},{params.a!r},{k!r},{lam!r}"
+                fields = (fv.total, fv.majorant, fv.correction, fv.tail_error)
+                lines += [f"{prefix},{r},{t!r},{m!r},{c!r},{e!r}"
+                          for r, t, m, c, e in zip(r_cells, *(f.tolist() for f in fields))]
     if args.out:
-        with Path(args.out).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["gamma", "a", "k", "lambda", "r", "total", "majorant", "correction", "tail_error"])
-            for row in rows:
-                writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    print(f"sweep theorem {args.theorem}: {len(rows)} rows, {violations} admissibility violations")
+        Path(args.out).write_text("\r\n".join(lines) + "\r\n", newline="")
+    print(f"sweep theorem {args.theorem}: {rows} rows, {violations} admissibility violations")
     return 0 if violations == 0 else 1
 
 
@@ -316,8 +317,10 @@ def cmd_identity_check(args) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each subcommand's parser by name.
+    """The top-level parser and each subcommand's parser by name, built once:
+    parsing writes only to a fresh namespace, so no call leaks into the next.
 
     No parser accepts an abbreviated flag: ``--gam`` is a usage error, not
     ``--gamma``, so a flag counts as given exactly when its name appears.

@@ -78,11 +78,14 @@ def _itp(tol: float, upper: float):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # tol is below the float spacing at the crossing
             break
-        # interpolate (regula falsi), truncate toward mid by _KAPPA_1/upper *
-        # width^_KAPPA_2, project into the band that keeps the step budget
-        falsi = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        shift = _KAPPA_1 / upper * (hi - lo) ** _KAPPA_2
-        point = falsi + math.copysign(shift, mid - falsi) if shift <= abs(mid - falsi) else mid
+        if f_lo == 0.0:  # the crossing is within rounding of lo, where regula falsi
+            point = lo + target  # would stay, creeping a few ulps a step
+        else:
+            # interpolate (regula falsi), truncate toward mid by _KAPPA_1/upper * width^_KAPPA_2
+            falsi = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+            shift = _KAPPA_1 / upper * (hi - lo) ** _KAPPA_2
+            point = falsi + math.copysign(shift, mid - falsi) if shift <= abs(mid - falsi) else mid
+        # project into the band that keeps the step budget
         band = max(math.ldexp(target, steps - iterations - 1) - 0.5 * (hi - lo), 0.0)
         point = min(max(point, mid - band), mid + band)
         point = point if lo < point < hi else mid  # NaN included

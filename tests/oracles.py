@@ -369,3 +369,34 @@ def family_infimum_reference(bound_for: Callable, family, tol: float = 1e-10):
         members=tuple(dict(a=p.a, radius=r.radius, iterations=r.iterations)
                       for p, r in zip(members, results)),
     )
+
+
+def sweep_csv_reference(args) -> str:
+    """``cli.cmd_sweep`` as it wrote its CSV: every row a list of cells, each
+    float written by ``csv.writer`` as its repr.  Writes ``args.out`` and
+    returns the stdout line."""
+    import csv
+    from pathlib import Path
+
+    from bohrlab import cli
+    from bohrlab.extremals import sharpness_a_grid
+
+    bound = cli.BOUNDS[args.theorem]
+    rows, violations = [], 0
+    for gamma in args.gammas:
+        values = cli._parameters(args, gamma)
+        x = values.get(bound.param)
+        columns = [x if bound.param == name else 0.0 for name in ("k", "lambda")]
+        r_values = np.linspace(0.0, bound.radius(gamma, x), args.grid)
+        for params in cli._family(bound, sharpness_a_grid(14), gamma, values["k"]):
+            fv = bound.total(cli._series(bound, params, args.order), r_values, gamma, x)
+            violations += int(np.count_nonzero(fv.padded() > 1.0))
+            fields = (r_values, fv.total, fv.majorant, fv.correction, fv.tail_error)
+            for cells in zip(*(f.tolist() for f in fields)):
+                rows.append([gamma, params.a, *columns, *cells])
+    with Path(args.out).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["gamma", "a", "k", "lambda", "r", "total", "majorant", "correction", "tail_error"])
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    return f"sweep theorem {args.theorem}: {len(rows)} rows, {violations} admissibility violations\n"

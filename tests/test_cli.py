@@ -1,5 +1,6 @@
 """Command-line interface: output contracts, exit codes, determinism."""
 
+import argparse
 import csv
 import json
 import os
@@ -12,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bohrlab
-from bohrlab import verify
-from bohrlab.cli import THEOREMS, main
+from bohrlab import cli, verify
+from bohrlab.cli import SWEEP_THEOREMS, THEOREMS, main
 from bohrlab.extremals import MobiusFamilyParams, mobius_family_coeffs, sharpness_a_grid
 from bohrlab.functionals import bohr_total
 from bohrlab.solver import UPPER_LIMIT
 
-from oracles import bisection_radius
+from oracles import bisection_radius, sweep_csv_reference
 
 
 def run_cli(*argv):
@@ -270,6 +271,29 @@ def test_sweep_csv_columns(tmp_path, theorem):
         assert abs(total - (major + corr)) < 1e-15
 
 
+@st.composite
+def _sweep_argv(draw):
+    argv = ["sweep", "--theorem", draw(st.sampled_from(SWEEP_THEOREMS))]
+    gammas = draw(st.lists(st.floats(0.0, 0.95), min_size=1, max_size=3))
+    argv += ["--gammas", ",".join(map(repr, gammas)), "--grid", str(draw(st.integers(1, 64)))]
+    if draw(st.booleans()):
+        argv += ["--k", repr(draw(st.floats(0.0, 1.0)))]
+    if draw(st.booleans()):
+        argv += ["--lambda", repr(draw(st.floats(0.05, 4.0)))]
+    return argv + ["--order", draw(st.sampled_from(["16", "2048"]))]
+
+
+@settings(max_examples=40)
+@given(argv=_sweep_argv())
+def test_sweep_csv_bytes_equal_the_csv_writer_reference(property_dir, argv):
+    out, ref = property_dir / "sweep.csv", property_dir / "sweep-ref.csv"
+    code, line = run_cli(*argv, "--out", str(out))
+    assert run_cli(*argv) == (code, line)  # without --out: the same rows counted
+    args = cli.build_parser()[0].parse_args(argv + ["--out", str(ref)])
+    assert sweep_csv_reference(args) == line
+    assert out.read_bytes() == ref.read_bytes()
+
+
 def test_conjecture_command(tmp_path):
     out = tmp_path / "conj.csv"
     code, text = run_cli(
@@ -375,6 +399,47 @@ def test_config_switches_and_repeated_flags(tmp_path):
     code, text = run_cli("verify", "--config", str(cfg))
     assert code == 0
     assert [line.split()[1] for line in text.splitlines()] == ["schwarz-pick", "coefficient-bounds"]
+
+
+def test_cached_parser_carries_no_state_between_calls(tmp_path, monkeypatch):
+    code, text = run_cli("verify", "--check", "schwarz-pick", "--fast")
+    assert code == 0
+    code, text = run_cli("verify", "--check", "coefficient-bounds", "--fast")
+    assert (code, [line.split()[1] for line in text.splitlines()]) == (0, ["coefficient-bounds"])
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gamma": 0.5}))
+    assert "gamma=0.5" in run_cli("radius", "--theorem", "B", "--order", "64", "--config", str(cfg))[1]
+    code, text = run_cli("radius", "--theorem", "B", "--order", "64")
+    assert code == 0 and "theorem B: gamma=0\n" in text and "closed-form value = 0.333333333" in text
+
+    with pytest.raises(SystemExit) as exc:
+        main(["radius", "--theorem", "B", "--gamma", "1.5"])
+    assert exc.value.code == 2
+    assert run_cli("radius", "--theorem", "B", "--gamma", "0.5", "--order", "64")[0] == 0
+
+    # three calls build the argparse tree once: the top-level parser and one per subcommand
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+    cli.build_parser.cache_clear()
+    for _ in range(3):
+        assert run_cli("radius", "--theorem", "B", "--gamma", "0.5", "--order", "64")[0] == 0
+    assert len(built) == 1 + len(cli.build_parser()[1])
+
+
+def test_radius_csv_rows_keep_their_bytes(tmp_path):
+    # csv.writer writes each float cell by its repr
+    out = tmp_path / "radius.csv"
+    assert run_cli("radius", "--theorem", "B", "--gamma", "0.5", "--a", "0.9", "--out", str(out))[0] == 0
+    assert run_cli("radius", "--theorem", "4", "--gamma", "0.3", "--k", "0.35", "--a", "0.99",
+                   "--out", str(out))[0] == 0
+    assert out.read_bytes() == (
+        b"gamma,k,lambda,functional_id,radius,tol\r\n"
+        b"0.5,1.0,0.6666666666666666,theorem-B,0.5076923076922629,1e-10\r\n"
+        b"0.3,0.35,0.7692307692307692,theorem-4,0.32856963094788755,1e-10\r\n"
+    )
 
 
 def test_radius_tolerance_below_float_spacing_terminates():

@@ -252,6 +252,24 @@ def test_itp_worst_case_stays_within_one_step_of_bisection(c, tol):
         assert hi - lo <= tol and abs(lo - c) <= tol, name
 
 
+def test_itp_probes_a_target_past_an_exact_one():
+    # the first interior probe is the midpoint m, where the bound is exactly one
+    m, tol = 0.5 * UPPER_LIMIT, 1e-10
+    probes = []
+    res = bohr_radius_of_function(lambda r: probes.append(r) or (0.0 if r < m else 1.0 if r == m else 2.0), tol)
+    target = tol - 8.0 * math.ulp(UPPER_LIMIT)
+    assert probes == [0.0, UPPER_LIMIT, m, m + target]
+    assert res.bracket == (m, m + target) and res.iterations == 2
+
+
+def test_itp_members_do_not_creep_past_an_exact_one(tmp_path):
+    # members with a >= 1 - 2^-11 hit a padded bound of exactly one and took 31-34 steps
+    out = tmp_path / "r.json"
+    assert cli.main(["radius", "--theorem", "corollary", "--gamma", "0.453022", "--out", str(out)]) == 0
+    members = json.loads(out.read_text())["result"]["members"]
+    assert max(m["iterations"] for m in members) <= 13
+
+
 @dataclasses.dataclass(frozen=True)
 class _Constant:
     """A family member that is the constant c: no_radius when c > 1, else unconstrained."""
