@@ -450,6 +450,8 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, ValueError) as exc:
             parser.error(f"cannot read config file: {exc}")
         _apply_config(commands[args.command], args, config, argv)
+    if args.command == "verify" and args.all and args.checks:
+        commands["verify"].error("--all runs every check; it cannot be combined with --check")
 
     handlers = {
         "radius": cmd_radius,

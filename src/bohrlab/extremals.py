@@ -110,7 +110,7 @@ def harmonic_extremal(
     """
     h = mobius_family_coeffs(params.analytic, order)
     weight = params.k * params.lambda_mix
-    g_coeffs = weight * h.coeffs.copy()
+    g_coeffs = weight * h.coeffs
     g_coeffs[0] = 0.0
     g_tail = None if h.tail is None else TailBound(h.tail.q, weight * h.tail.C)
     return h, PowerSeries(g_coeffs, g_tail)

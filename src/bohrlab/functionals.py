@@ -271,7 +271,7 @@ def bohr_total(p: PowerSeries, r: float | np.ndarray) -> FunctionalValue:
 
 
 def area_refined_total(
-    p: PowerSeries, r: float | np.ndarray, gamma: float, weight: float = DEFAULT_AREA_WEIGHT
+    p: PowerSeries, r: float | np.ndarray, gamma: float | np.ndarray, weight: float = DEFAULT_AREA_WEIGHT
 ) -> FunctionalValue:
     """Majorant plus weighted image-area correction for functions bounded on
     the enlarged disk of parameter gamma.
@@ -280,8 +280,16 @@ def area_refined_total(
     subdisk of radius r*(1-gamma); this is identical to the area of the image
     of the matching off-center subdisk under the recentred function, so both
     readings of the correction term agree.
+
+    On a stack, ``gamma`` may also be one value per member, as ``r`` is.
     """
-    _check_gamma(gamma)
+    if isinstance(gamma, np.ndarray):
+        if not isinstance(p, SeriesStack) or gamma.shape != p.coeffs.shape[:1]:
+            raise ValueError(f"an array of gamma needs a stack and one gamma per member, got {gamma}")
+        if not np.all((0.0 <= gamma) & (gamma < 1.0)):
+            raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
+    else:
+        _check_gamma(gamma)
     _check_radius(r, p)
     m, m_tail = _majorant(p, r)
     area, area_tail = _dirichlet_area(p, r * (1.0 - gamma))

@@ -513,6 +513,12 @@ def check_recentred_slack_certificate(
     return CheckReport.from_slack("recentred-slack-certificate", n_samples, worst, witness, tol)
 
 
+# Samples per stacked evaluator call in check_family_deficit_identity.  Against
+# 10, stacks of 25 save about a tenth of the check's time for 5 MB more peak
+# memory at order 2048, and stacks of 100 save nothing for 17 MB more.
+_STACK = 10
+
+
 def check_family_deficit_identity(
     n_samples: int = 100, seed: int = 42, order: int = 2048, tol: float = 1e-10
 ) -> CheckReport:
@@ -522,38 +528,45 @@ def check_family_deficit_identity(
       area-refined total      = 1 - (1-a) * family_area_deficit(r)
       norm-refined total      = 1 - (1-a)/(1-a*gamma) * family_norm_deficit(r)
       harmonic joint majorant = 1 - (1-a)/(1-a*gamma) * family_harmonic_deficit(r)
+
+    The totals of _STACK samples at a time come from one call per evaluator
+    on their stacked series, each row equal bit for bit to the call on that
+    sample alone.
     """
     rng = np.random.default_rng(seed)
-    worst_resid = 0.0
-    witness: dict = {}
-    for i in range(n_samples):
+    samples = []
+    for _ in range(n_samples):
         gamma = float(rng.uniform(0.0, 0.9))
         a = float(rng.uniform(max(gamma + 0.02, 0.05), 0.995))
         r = float(rng.uniform(0.01, 0.9))
         k = float(rng.uniform(0.0, 1.0))
         lam = float(rng.uniform(0.0, 1.0))
-        pref = (1.0 - a) / (1.0 - a * gamma)
-
         MobiusFamilyParams(a, gamma, sharpness_witness=True)  # a > gamma; h is this member
-        h, g = harmonic_extremal(HarmonicExtremalParams(a, gamma, k, lam), order)
-        resids = {
-            "area": abs(
-                functionals.area_refined_total(h, r, gamma).total
-                - (1.0 - (1.0 - a) * family_area_deficit(r, a, gamma))
-            ),
-            "norm": abs(
-                functionals.norm_refined_total(h, r).total
-                - (1.0 - pref * family_norm_deficit(r, a, gamma))
-            ),
-            "harmonic": abs(
-                functionals.harmonic_total(h, g, r).total
-                - (1.0 - pref * family_harmonic_deficit(r, a, gamma, k, lam))
-            ),
-        }
-        for label, resid in resids.items():
-            if resid > worst_resid:
-                worst_resid = resid
-                witness = {"sample": i, "identity": label, "gamma": gamma, "a": a, "r": r}
+        samples.append((gamma, a, r, k, lam))
+    worst_resid = 0.0
+    witness: dict = {}
+    for start in range(0, n_samples, _STACK):
+        block = samples[start : start + _STACK]
+        pairs = [harmonic_extremal(HarmonicExtremalParams(a, gamma, k, lam), order)
+                 for gamma, a, _, k, lam in block]
+        h, g = map(functionals.SeriesStack, zip(*pairs))
+        gammas, _, radii, _, _ = map(np.array, zip(*block))
+        totals = zip(
+            functionals.area_refined_total(h, radii, gammas).total.tolist(),
+            functionals.norm_refined_total(h, radii).total.tolist(),
+            functionals.harmonic_total(h, g, radii).total.tolist(),
+        )
+        for i, ((gamma, a, r, k, lam), (area, norm, harmonic)) in enumerate(zip(block, totals), start):
+            pref = (1.0 - a) / (1.0 - a * gamma)
+            resids = {
+                "area": abs(area - (1.0 - (1.0 - a) * family_area_deficit(r, a, gamma))),
+                "norm": abs(norm - (1.0 - pref * family_norm_deficit(r, a, gamma))),
+                "harmonic": abs(harmonic - (1.0 - pref * family_harmonic_deficit(r, a, gamma, k, lam))),
+            }
+            for label, resid in resids.items():
+                if resid > worst_resid:
+                    worst_resid = resid
+                    witness = {"sample": i, "identity": label, "gamma": gamma, "a": a, "r": r}
     return CheckReport.from_slack("family-deficit-identity", n_samples, -worst_resid, witness, tol)
 
 

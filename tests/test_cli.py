@@ -235,6 +235,29 @@ def test_verify_check_runs_only_the_named_check(monkeypatch, name, runs):
     assert run_cli("verify", "--check", name, "--check", "nope")[0] == 2  # before any check runs
 
 
+@pytest.mark.parametrize(
+    "argv,config",
+    [
+        (["verify", "--all", "--check", "schwarz-pick"], None),
+        (["verify", "--check", "schwarz-pick", "--all"], None),
+        (["verify", "--check", "schwarz-pick"], {"all": True}),
+        (["verify", "--all"], {"check": ["schwarz-pick"]}),
+    ],
+    ids=["flags", "flags-reversed", "config-all", "config-check"],
+)
+def test_verify_all_with_check_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, config):
+    for fn in _CHECK_FUNCTIONS:
+        monkeypatch.setattr(verify, fn, lambda *args, **kwargs: pytest.fail("a check ran"))
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--fast"])
+    assert exc.value.code == 2
+    assert "cannot be combined with --check" in capsys.readouterr().err
+
+
 def test_verify_shape_checks_share_one_shape_reports_call(monkeypatch):
     calls = []
     shape_reports = verify.shape_reports

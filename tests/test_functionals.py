@@ -198,6 +198,43 @@ def test_stack_takes_one_radius_per_member_of_one_order():
         SeriesStack([])
 
 
+@settings(max_examples=60)
+@given(
+    order=st.sampled_from([40, 2048]),
+    rows=st.lists(
+        st.tuples(st.floats(0.01, 1.0 - 2.0**-14), st.floats(0.0, 0.9), _RADII, st.booleans()),
+        min_size=1, max_size=6,
+    ),
+)
+def test_area_refined_rows_take_one_gamma_per_member_bit_for_bit(order, rows):
+    # rows: (a, gamma, radius, whether the member keeps its tail certificate)
+    members = [_member("area_refined_total", a, gamma, 0.0, order, certified, 0.0) for a, gamma, _, certified in rows]
+    radii, gammas = np.array([row[2] for row in rows]), np.array([row[1] for row in rows])
+    stacked = area_refined_total(SeriesStack(members), radii, gammas)
+    for i, member in enumerate(members):
+        single = area_refined_total(member, float(radii[i]), float(gammas[i]))
+        for field in ("total", "majorant", "correction", "r", "tail_error"):
+            assert getattr(stacked, field)[i] == getattr(single, field), (field, i)
+
+
+def test_gamma_array_needs_a_stack_and_one_gamma_in_0_1_per_member():
+    p, q = (mobius_family_coeffs(MobiusFamilyParams(a, 0.2), 64) for a in (0.5, 0.9))
+    stack, radii = SeriesStack([p, q]), np.array([0.3, 0.4])
+    with pytest.raises(ValueError, match="one gamma per member"):
+        area_refined_total(p, 0.3, np.array([0.2]))
+    with pytest.raises(ValueError, match="one gamma per member"):
+        area_refined_total(p, radii, np.array([0.2, 0.2]))
+    with pytest.raises(ValueError, match="one gamma per member"):  # as many gammas as coefficients
+        area_refined_total(PowerSeries.polynomial([0.1, 0.2]), radii, np.array([0.2, 0.2]))
+    for gammas in (np.array([0.2]), np.array([0.2, 0.2, 0.2]), np.array([[0.2, 0.2]])):
+        with pytest.raises(ValueError, match="one gamma per member"):
+            area_refined_total(stack, radii, gammas)
+    for bad in (-1e-300, 1.0, 1.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"gamma must lie in \[0, 1\)"):
+            area_refined_total(stack, radii, np.array([0.2, bad]))
+    assert area_refined_total(stack, radii, np.array([0.0, 1.0 - 2.0**-53])).total.shape == (2,)
+
+
 def test_functional_value_serialization():
     p = mobius_family_coeffs(MobiusFamilyParams(0.6, 0.2))
     fv = area_refined_total(p, 0.4, 0.2)

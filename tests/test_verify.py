@@ -90,6 +90,14 @@ def test_rewritten_checks_equal_their_per_sample_references(check, reference, kw
     assert check(seed=seed, **kwargs) == reference(seed=seed, **kwargs)
 
 
+@pytest.mark.parametrize("seed", [42, 5, 7])
+@pytest.mark.parametrize("order", [64, 1024, 2048])
+@pytest.mark.parametrize("n_samples", [1, 9, 10, 11, 100])  # around and past one stack of 10
+def test_stacked_family_deficit_identity_equals_the_per_sample_reference(n_samples, order, seed):
+    kwargs = {"n_samples": n_samples, "seed": seed, "order": order}
+    assert check_family_deficit_identity(**kwargs) == family_deficit_identity_reference(**kwargs)
+
+
 def test_dilatation_samples_equal_the_per_sample_reference(monkeypatch):
     # the k = 0 extremal combos pin the worst slack at exactly 0 unless a sample
     # fails; products scaled by 10 (past the unit disk) make the samples fail, so each
