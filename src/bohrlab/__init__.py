@@ -35,8 +35,6 @@ from .series import (
     DiskDomain,
     PowerSeries,
     TailBound,
-    differentiate,
-    mul,
     numeric_taylor,
     recenter_affine,
 )

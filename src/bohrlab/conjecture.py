@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import functionals
-from .extremals import MobiusFamilyParams, mobius_family_coeffs
+from .extremals import MobiusFamilyParams, family_majorant_and_area, mobius_family_coeffs
 from .functionals import sharp_majorant_radius
 from .series import DEFAULT_ORDER, DiskDomain, _check_gamma, numeric_taylor
 from .verify import bounded_on_disk_domain, random_blaschke
@@ -65,19 +65,9 @@ def _ratio(majorants, areas):
 
 
 def _ratio_grid(gamma: float, a_values: np.ndarray, r_values: np.ndarray) -> np.ndarray:
-    """(1 - majorant) / area on the (a, r) grid of family members.
-
-    The family's sums are geometric: with x = q r and y = (x (1-gamma))^2 the
-    majorant is |A_0| + C x/(1-x) and the area at radius r(1-gamma) is
-    C^2 y/(1-y)^2.
-    """
-    params = [MobiusFamilyParams(float(a), gamma) for a in a_values]
-    a0 = np.array([[abs(p.constant_term)] for p in params])
-    q = np.array([[p.decay_ratio] for p in params])
-    scale = np.array([[p.coefficient_scale] for p in params])
-    x = q * r_values
-    y = (x * (1.0 - gamma)) ** 2
-    return _ratio(a0 + scale * x / (1.0 - x), scale**2 * y / (1.0 - y) ** 2)
+    """(1 - majorant) / area on the (a, r) grid of family members, from the
+    family's closed-form geometric sums."""
+    return _ratio(*family_majorant_and_area(a_values[:, None], gamma, r_values))
 
 
 def estimate_constant(

@@ -6,6 +6,9 @@ disk univalently onto the unit disk and its unit-disk restriction has
 coefficients with an explicit geometric decay.  The harmonic family pairs a
 member of the analytic family with a scaled copy of itself as co-analytic
 part, giving a constant dilatation modulus k * lambda.
+
+This is the one module that writes the family's closed forms: the constants
+(A_0, q, C), the geometric sums and the deficits of the bounds.
 """
 
 from __future__ import annotations
@@ -15,15 +18,69 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .functionals import DEFAULT_AREA_WEIGHT
 from .series import DEFAULT_ORDER, PowerSeries, TailBound, _check_gamma
 
 __all__ = [
     "MobiusFamilyParams",
     "HarmonicExtremalParams",
+    "family_constants",
+    "family_majorant_and_area",
+    "family_area_deficit",
+    "family_norm_deficit",
+    "family_harmonic_deficit",
     "mobius_family_coeffs",
     "harmonic_extremal",
     "sharpness_a_grid",
 ]
+
+
+def family_constants(a, gamma):
+    """(A_0, q, C) of the member(s) at a, a float or an array: the member is
+    A_0 - sum_{n>=1} C q^n z^n.  An array element gets its float's value bit
+    for bit: a^2 is ``float_power``, rounded as Python's float ``**`` rounds
+    it, where numpy's ``**`` squares and can round an ulp apart."""
+    den = 1.0 - a * gamma
+    return (a - gamma) / den, a * (1.0 - gamma) / den, (1.0 - np.float_power(a, 2)) / (a * den)
+
+
+def family_majorant_and_area(a, gamma, r):
+    """The majorant sum |A_0| + sum C q^n r^n of the member at a and its
+    Dirichlet area sum n C^2 q^2n rho^2n at rho = r(1-gamma), in closed form:
+    with x = q r and y = (x (1-gamma))^2 they are |A_0| + C x/(1-x) and
+    C^2 y/(1-y)^2.  ``a`` and ``r`` broadcast against each other."""
+    a0, q, scale = family_constants(a, gamma)
+    x = q * r
+    y = (x * (1.0 - gamma)) ** 2
+    return np.abs(a0) + scale * x / (1.0 - x), scale**2 * y / (1.0 - y) ** 2
+
+
+def family_area_deficit(r, a, gamma, weight=DEFAULT_AREA_WEIGHT):
+    """Deficit below one of the area-refined total on the extremal family,
+    scaled by (1-a): total = 1 - (1-a) * deficit."""
+    d = 1.0 - a * gamma - a * (1.0 - gamma) * r
+    lead = (1.0 + gamma) / (1.0 - a * gamma)
+    series_term = (1.0 + a) / (1.0 - a * gamma) * (r * (1.0 - gamma)) / d
+    denom = (1.0 - a * gamma) ** 2 - a**2 * r**2 * (1.0 - gamma) ** 4
+    area_term = weight * (1.0 - a) * (1.0 + a) ** 2 * (1.0 - gamma) ** 4 * r**2 / denom**2
+    return lead - series_term - area_term
+
+
+def family_norm_deficit(r, a, gamma):
+    """Deficit of the norm-refined total on the family, scaled by (1-a)/(1-a*gamma)."""
+    d = 1.0 - a * gamma - a * (1.0 - gamma) * r
+    t2 = (1.0 + a) * (1.0 - gamma) * r / d
+    pref = (1.0 - a * gamma) / ((1.0 + a) * (1.0 - gamma)) + r / (1.0 - r)
+    denom = (1.0 - a * gamma) ** 2 - a**2 * (1.0 - gamma) ** 2 * r**2
+    t3 = pref * (1.0 + a) * (1.0 - a**2) / (1.0 - a * gamma) * (1.0 - gamma) ** 2 * r**2 / denom
+    return (1.0 + gamma) - t2 - t3
+
+
+def family_harmonic_deficit(r, a, gamma, k, lam):
+    """Deficit of the harmonic joint majorant on the family, scaled by
+    (1-a)/(1-a*gamma); the tail sum carries the multiplier 1 + k*lambda."""
+    d = 1.0 - a * gamma - a * (1.0 - gamma) * r
+    return (1.0 + gamma) - (1.0 + k * lam) * (1.0 + a) * (1.0 - gamma) * r / d
 
 
 @dataclass(frozen=True)
@@ -49,32 +106,31 @@ class MobiusFamilyParams:
     @property
     def decay_ratio(self) -> float:
         """Geometric ratio q = a(1-gamma)/(1-a*gamma) of the coefficients; q in (0, 1)."""
-        return self.a * (1.0 - self.gamma) / (1.0 - self.a * self.gamma)
+        return family_constants(self.a, self.gamma)[1]
 
     @property
     def constant_term(self) -> float:
-        return (self.a - self.gamma) / (1.0 - self.a * self.gamma)
+        return family_constants(self.a, self.gamma)[0]
 
     @property
     def coefficient_scale(self) -> float:
         """C with |a_n| = C * q**n for n >= 1."""
-        return (1.0 - self.a**2) / (self.a * (1.0 - self.a * self.gamma))
+        return family_constants(self.a, self.gamma)[2]
 
 
 def mobius_family_coeffs(params: MobiusFamilyParams, order: int = DEFAULT_ORDER) -> PowerSeries:
     """Unit-disk Taylor coefficients of a family member.
 
-    The series is A_0 - sum_{n>=1} A_n z^n with A_0 = (a-gamma)/(1-a*gamma)
-    and A_n = C * q**n, and it carries the exact tail certificate (q, C).
+    The series is A_0 - sum_{n>=1} C q^n z^n with the constants of
+    :func:`family_constants`, and it carries the exact tail certificate (q, C).
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    q = params.decay_ratio
-    scale = params.coefficient_scale
+    a0, q, scale = family_constants(params.a, params.gamma)
     # q**n < 2^-1100 rounds to zero, which libm is slow to reach: store zeros
     kept = min(order, int(1100.0 / -math.log2(q))) if q > 0.0 else 0
     coeffs = np.zeros(order + 1, dtype=np.complex128)
-    coeffs[0] = params.constant_term
+    coeffs[0] = a0
     coeffs[1 : kept + 1] = -scale * q ** np.arange(1, kept + 1)
     return PowerSeries(coeffs, TailBound(q, scale))
 

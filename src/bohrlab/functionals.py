@@ -141,9 +141,9 @@ def _terms(p: PowerSeries, kind: str) -> _Terms:
         n = np.arange(p.order + 1, dtype=float)
         if kind == "majorant":
             weights = np.abs(p.coeffs)
-        else:  # "norm" and "area" run from n = 1
+        else:  # "norm" and "area" run from n = 1; the area weights are n times the norm weights
             n = n[1:]
-            weights = np.abs(p.coeffs[..., 1:]) ** 2
+            weights = memo["norm"].weights if "norm" in memo else np.abs(p.coeffs[..., 1:]) ** 2
             if kind == "area":
                 weights = n * weights
         size = weights.shape[-1]

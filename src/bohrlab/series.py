@@ -25,8 +25,6 @@ __all__ = [
     "TailBound",
     "PowerSeries",
     "DiskDomain",
-    "mul",
-    "differentiate",
     "numeric_taylor",
     "taylor_coefficients",
     "recenter_affine",
@@ -72,24 +70,6 @@ class PowerSeries:
         object.__setattr__(self, "coeffs", arr)
 
     # ------------------------------------------------------------------
-    # constructors
-
-    @classmethod
-    def polynomial(cls, coeffs) -> "PowerSeries":
-        """A series that is exactly the stored polynomial (provably zero tail)."""
-        return cls(np.asarray(coeffs, dtype=np.complex128), TailBound(0.0, 0.0))
-
-    @classmethod
-    def constant(cls, value: complex, order: int = 0) -> "PowerSeries":
-        c = np.zeros(order + 1, dtype=np.complex128)
-        c[0] = value
-        return cls(c, TailBound(0.0, 0.0))
-
-    @classmethod
-    def zero(cls, order: int = 0) -> "PowerSeries":
-        return cls.constant(0.0, order)
-
-    # ------------------------------------------------------------------
     # views
 
     @property
@@ -110,24 +90,6 @@ class PowerSeries:
 
     def __call__(self, z):
         return self.evaluate(z)
-
-
-def mul(p: PowerSeries, q: PowerSeries) -> PowerSeries:
-    """Cauchy product truncated at the smaller order.
-
-    The truncation drops cross terms, so no geometric tail certificate is
-    propagated.
-    """
-    n = min(p.order, q.order)
-    coeffs = np.convolve(p.coeffs, q.coeffs)[: n + 1]
-    return PowerSeries(coeffs)
-
-
-def differentiate(p: PowerSeries) -> PowerSeries:
-    """Termwise derivative; the result is one order shorter."""
-    if p.order == 0:
-        return PowerSeries.zero()
-    return PowerSeries(p.coeffs[1:] * np.arange(1, p.order + 1))
 
 
 @lru_cache(maxsize=64)

@@ -1,13 +1,17 @@
 """Independent oracles for the test suite.
 
 Everything above the reference section is deliberately written from first
-principles (direct summation of the defining formulas, pointwise quadrature)
-and never calls the evaluators under test, so agreement is meaningful.
+principles (direct summation of the defining formulas, pointwise quadrature,
+geometric sums in 30-digit arithmetic) and never calls the evaluators under
+test, so agreement is meaningful.  The series helpers that only tests need
+(exact polynomials and constants, the Cauchy product, the termwise
+derivative) live here too.
 
 The reference section keeps the plain per-sample versions of code that the
 package now runs batched: the uncached ``numeric_taylor``, the O(n^2)
-Blaschke derivative, the full family power vector, five sampled checks and
-the family solve that ran one member after another.  Tests assert that the
+Blaschke derivative, the full family power vector, the conjecture grid
+built one member at a time, five sampled checks and the family solve that
+ran one member after another.  Tests assert that the
 batched code equals them bit for bit.
 """
 
@@ -18,7 +22,43 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import Callable
 
+import mpmath
 import numpy as np
+
+from bohrlab.series import PowerSeries, TailBound
+
+
+def polynomial(coeffs) -> PowerSeries:
+    """A series that is exactly the stored polynomial (provably zero tail)."""
+    return PowerSeries(np.asarray(coeffs, dtype=np.complex128), TailBound(0.0, 0.0))
+
+
+def constant(value: complex, order: int = 0) -> PowerSeries:
+    c = np.zeros(order + 1, dtype=np.complex128)
+    c[0] = value
+    return PowerSeries(c, TailBound(0.0, 0.0))
+
+
+def zero(order: int = 0) -> PowerSeries:
+    return constant(0.0, order)
+
+
+def mul(p: PowerSeries, q: PowerSeries) -> PowerSeries:
+    """Cauchy product truncated at the smaller order.
+
+    The truncation drops cross terms, so no geometric tail certificate is
+    propagated.
+    """
+    n = min(p.order, q.order)
+    coeffs = np.convolve(p.coeffs, q.coeffs)[: n + 1]
+    return PowerSeries(coeffs)
+
+
+def differentiate(p: PowerSeries) -> PowerSeries:
+    """Termwise derivative; the result is one order shorter."""
+    if p.order == 0:
+        return zero()
+    return PowerSeries(p.coeffs[1:] * np.arange(1, p.order + 1))
 
 
 def family_constant_term(a: float, gamma: float) -> float:
@@ -53,6 +93,57 @@ def brute_force_norm(a: float, gamma: float, r: float, terms: int = 10**4) -> fl
 
 def brute_force_area(a: float, gamma: float, rho: float, terms: int = 10**4) -> float:
     return sum(n * family_coefficient(a, gamma, n) ** 2 * rho ** (2 * n) for n in range(1, terms + 1))
+
+
+def member_total(theorem: str, a, gamma, r, x=None):
+    """A family member's total for ``theorem`` at radius r, in mpmath.
+
+    The member at (a, gamma) is A_0 - sum_{n>=1} C q^n z^n, so every sum of
+    the bounds is geometric: with t = q r, the majorant is |A_0| + C t/(1-t),
+    sum_{n>=1} |A_n|^2 s^{2n} is C^2 y/(1-y) and the Dirichlet area
+    sum_{n>=1} n |A_n|^2 s^{2n} is C^2 y/(1-y)^2, y = (q s)^2.  ``x`` is the
+    theorem's extra parameter: K for 1, lambda for 3 and k for 4, whose
+    co-analytic part is k (h - h(0)).
+    """
+    a, gamma, r = mpmath.mpf(a), mpmath.mpf(gamma), mpmath.mpf(r)
+    a0 = (a - gamma) / (1 - a * gamma)
+    q = a * (1 - gamma) / (1 - a * gamma)
+    c = (1 - a**2) / (a * (1 - a * gamma))
+    tail = c * q * r / (1 - q * r)
+
+    def area(s):
+        y = (q * s) ** 2
+        return c**2 * y / (1 - y) ** 2
+
+    if theorem in ("A", "B"):
+        return abs(a0) + tail
+    if theorem == "1":
+        return abs(a0) + tail + mpmath.mpf(x) * area(r * (1 - gamma))
+    if theorem == "2":
+        y = (q * r) ** 2
+        return abs(a0) + tail + (1 / (1 + abs(a0)) + r / (1 - r)) * c**2 * y / (1 - y)
+    if theorem == "3":
+        lam = mpmath.mpf(x)
+        return abs(a0) + tail + 2 * ((1 + lam) / (1 + 2 * lam)) ** 2 * area(r)
+    if theorem in ("4", "corollary"):
+        return abs(a0) + (1 + mpmath.mpf(x)) * tail
+    raise ValueError(f"unknown theorem {theorem}")
+
+
+def member_radius_root(theorem: str, a, gamma, x=None, upper: float = 1.0 - 1e-6):
+    """(radius, slope): the largest r in [0, upper] with ``member_total`` at most
+    one, at 30 digits, and d total/dr there.
+
+    Every total rises in r, so below ``upper`` the radius is the root of
+    total = 1, found by Anderson-Bjorck bracketing on [0, upper]; it is
+    ``upper`` when the total stays below one there.
+    """
+    with mpmath.workdps(30):
+        total = lambda r: member_total(theorem, a, gamma, r, x)
+        root = mpmath.mpf(upper)
+        if total(root) > 1:
+            root = mpmath.findroot(lambda r: total(r) - 1, (mpmath.mpf(0), root), solver="anderson")
+        return float(root), float(mpmath.diff(total, root))
 
 
 def quadrature_mean_square_derivative(coeffs: np.ndarray, r: float) -> float:
@@ -162,6 +253,21 @@ def family_coeffs_reference(params, order: int) -> np.ndarray:
     return coeffs
 
 
+def ratio_grid_reference(gamma: float, a_values: np.ndarray, r_values: np.ndarray) -> np.ndarray:
+    """``conjecture._ratio_grid`` computing each member's (|A_0|, q, C) alone,
+    in Python floats, as the family's properties did."""
+    from bohrlab.conjecture import _ratio
+
+    rows = []
+    for a in map(float, a_values):
+        rows.append((abs((a - gamma) / (1.0 - a * gamma)), a * (1.0 - gamma) / (1.0 - a * gamma),
+                     (1.0 - a**2) / (a * (1.0 - a * gamma))))
+    a0, q, scale = (np.array(column)[:, None] for column in zip(*rows))
+    x = q * r_values
+    y = (x * (1.0 - gamma)) ** 2
+    return _ratio(a0 + scale * x / (1.0 - x), scale**2 * y / (1.0 - y) ** 2)
+
+
 def blaschke_deriv_reference(f, z):
     """Derivative of a ``BlaschkeProduct``, each factor's terms formed afresh per product."""
     z = np.asarray(z, dtype=np.complex128)
@@ -241,20 +347,11 @@ def dilatation_coefficients_reference(
     """``check_dilatation_coefficients`` with one ``numeric_taylor`` call each for
     h and omega and the full product ``mul(omega, differentiate(h))`` per sample."""
     from bohrlab import verify
-    from bohrlab.extremals import HarmonicExtremalParams, harmonic_extremal
-    from bohrlab.series import differentiate, mul, numeric_taylor
+    from bohrlab.series import numeric_taylor
 
     rng = np.random.default_rng(seed)
     r_grid = np.linspace(0.05, 0.9, 18)
     worst, witness = np.inf, {}
-
-    def fold(slacks, payload):
-        nonlocal worst, witness
-        j = int(np.argmin(slacks))
-        if slacks[j] < worst:
-            worst = float(slacks[j])
-            witness = dict(payload, r=float(r_grid[j]))
-
     powers = r_grid[None, :] ** np.arange(order + 1, dtype=float)[:, None]
     for i in range(n_samples):
         h = numeric_taylor(verify.random_blaschke(rng), order, rho=rho)
@@ -262,16 +359,12 @@ def dilatation_coefficients_reference(
         prod = mul(omega, differentiate(h))
         b = np.zeros(order + 1, dtype=np.complex128)
         b[1:] = k * prod.coeffs / np.arange(1, order + 1)
-        fold(k**2 * (np.abs(h.coeffs) ** 2 @ powers) - np.abs(b) ** 2 @ powers,
-             {"sample": i, "kind": "integrated-dilatation", "k": k})
-    combos = [HarmonicExtremalParams(a, gamma, kk, lam) for a in (0.3, 0.7, 1.0 - 2.0**-12)
-              for gamma in (0.0, 0.5, 0.9) for kk in (0.0, 0.5, 1.0) for lam in (0.4, 1.0)]
-    fam_powers = r_grid[None, :] ** np.arange(513, dtype=float)[:, None]
-    for params in combos:
-        h, g = harmonic_extremal(params, 512)
-        fold(params.k**2 * (np.abs(h.coeffs) ** 2 @ fam_powers) - np.abs(g.coeffs) ** 2 @ fam_powers,
-             {"kind": "harmonic-extremal", "a": params.a, "gamma": params.gamma, "k": params.k})
-    return verify.CheckReport.from_slack("dilatation-coefficients", n_samples + len(combos), worst, witness, tol)
+        slacks = k**2 * (np.abs(h.coeffs) ** 2 @ powers) - np.abs(b) ** 2 @ powers
+        j = int(np.argmin(slacks))
+        if slacks[j] < worst:
+            worst = float(slacks[j])
+            witness = {"sample": i, "kind": "integrated-dilatation", "k": k, "r": float(r_grid[j])}
+    return verify.CheckReport.from_slack("dilatation-coefficients", n_samples, worst, witness, tol)
 
 
 def family_deficit_identity_reference(n_samples: int = 100, seed: int = 42, order: int = 2048, tol: float = 1e-10):
@@ -279,7 +372,8 @@ def family_deficit_identity_reference(n_samples: int = 100, seed: int = 42, orde
     sample: once alone for the area and norm identities, once inside the
     harmonic pair."""
     from bohrlab import functionals, verify
-    from bohrlab.extremals import (HarmonicExtremalParams, MobiusFamilyParams, harmonic_extremal,
+    from bohrlab.extremals import (HarmonicExtremalParams, MobiusFamilyParams, family_area_deficit,
+                                   family_harmonic_deficit, family_norm_deficit, harmonic_extremal,
                                    mobius_family_coeffs)
 
     rng = np.random.default_rng(seed)
@@ -294,13 +388,13 @@ def family_deficit_identity_reference(n_samples: int = 100, seed: int = 42, orde
         p = mobius_family_coeffs(MobiusFamilyParams(a, gamma, sharpness_witness=True), order)
         resids = {
             "area": abs(functionals.area_refined_total(p, r, gamma).total
-                        - (1.0 - (1.0 - a) * verify.family_area_deficit(r, a, gamma))),
+                        - (1.0 - (1.0 - a) * family_area_deficit(r, a, gamma))),
             "norm": abs(functionals.norm_refined_total(p, r).total
-                        - (1.0 - pref * verify.family_norm_deficit(r, a, gamma))),
+                        - (1.0 - pref * family_norm_deficit(r, a, gamma))),
         }
         h, g = harmonic_extremal(HarmonicExtremalParams(a, gamma, k, lam), order)
         resids["harmonic"] = abs(functionals.harmonic_total(h, g, r).total
-                                 - (1.0 - pref * verify.family_harmonic_deficit(r, a, gamma, k, lam)))
+                                 - (1.0 - pref * family_harmonic_deficit(r, a, gamma, k, lam)))
         for label, resid in resids.items():
             if resid > worst_resid:
                 worst_resid = resid

@@ -27,11 +27,11 @@ from bohrlab.functionals import (
     sharp_harmonic_radius,
     sharp_majorant_radius,
 )
-from bohrlab.series import DiskDomain, PowerSeries, numeric_taylor
+from bohrlab.series import DiskDomain, numeric_taylor
 from bohrlab.solver import family_infimum_radius
 from bohrlab.verify import random_blaschke
 
-from oracles import family_member, quadrature_mean_square_derivative, random_decaying_series, stacked_bound
+from oracles import family_member, polynomial, quadrature_mean_square_derivative, random_decaying_series, stacked_bound
 
 GAMMA_GRID = [round(0.1 * i, 10) for i in range(10)]
 A_GRID = [float(a) for a in sharpness_a_grid(14)]
@@ -213,7 +213,7 @@ def test_criterion_11_oracle_equivalence():
     for _ in range(50):
         coeffs = random_decaying_series(rng, int(rng.integers(2, 12)))
         r = float(rng.uniform(0.1, 0.9))
-        p = PowerSeries.polynomial(coeffs)
+        p = polynomial(coeffs)
         worst_area = max(worst_area, abs(dirichlet_area(p, r) - quadrature_mean_square_derivative(coeffs, r)))
     params = MobiusFamilyParams(0.5, 0.25)
     numeric = numeric_taylor(lambda z: family_member(params, z), 32, rho=0.9)

@@ -3,6 +3,8 @@
 import dataclasses
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bohrlab import functionals
 from bohrlab.conjecture import (
@@ -15,6 +17,8 @@ from bohrlab.conjecture import (
     write_estimates_csv,
 )
 from bohrlab.extremals import MobiusFamilyParams, mobius_family_coeffs
+
+from oracles import ratio_grid_reference
 
 FLOOR = 8.0 / 9.0 - 1e-6
 
@@ -100,6 +104,20 @@ def test_ratio_grid_matches_the_series_evaluator():
             # eps / area of absolute rounding error into the series side
             slack = 1e-12 * series + 4.0 * np.finfo(float).eps / fv.correction
             assert np.all(np.abs(grid[i] - series) <= slack)
+
+
+@settings(max_examples=40)
+@given(
+    gamma=st.floats(0.0, 0.95),
+    a_window=st.tuples(st.floats(1e-3, 0.999), st.floats(1e-3, 0.999)),
+    grid=st.integers(2, 64),
+)
+# this a grid holds 0.2239869934967484, whose float ** 2 and array ** 2 round apart
+@example(gamma=0.3, a_window=(0.05, 0.99), grid=2000)
+def test_ratio_grid_equals_the_per_member_reference_bit_for_bit(gamma, a_window, grid):
+    a_values = np.linspace(*sorted(a_window), grid)
+    r_values = np.linspace(1e-3, functionals.sharp_majorant_radius(gamma), grid)
+    assert np.array_equal(_ratio_grid(gamma, a_values, r_values), ratio_grid_reference(gamma, a_values, r_values))
 
 
 def test_window_edges_names_only_edge_coordinates():

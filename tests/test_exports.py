@@ -1,4 +1,5 @@
-"""Every name a bohrlab module exports in ``__all__`` resolves.
+"""Every name a bohrlab module exports in ``__all__`` resolves, and the
+package exports nothing only tests need.
 
 Layer tracing wraps a module's functions by ``__all__`` and skips a name
 that does not resolve, so a stale entry would silently drop a function
@@ -6,12 +7,17 @@ from the trace.
 """
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import bohrlab
 
+SRC = Path(bohrlab.__file__).resolve().parent.parent
 MODULES = sorted(f"bohrlab.{m.name}" for m in pkgutil.iter_modules(bohrlab.__path__))
 
 
@@ -19,3 +25,16 @@ MODULES = sorted(f"bohrlab.{m.name}" for m in pkgutil.iter_modules(bohrlab.__pat
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_the_package_keeps_no_test_only_series_helpers():
+    # the Cauchy product and the termwise derivative live in tests/oracles.py
+    assert not any(hasattr(bohrlab, name) for name in ("mul", "differentiate"))
+
+
+def test_cli_import_loads_no_test_dependency():
+    # the oracles' arbitrary-precision and property-test libraries stay out of src/
+    code = "import sys, bohrlab.cli; print(sorted({'sympy', 'mpmath', 'hypothesis'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.stdout.strip() == "[]"

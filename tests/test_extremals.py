@@ -2,19 +2,24 @@
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bohrlab.extremals import (
     HarmonicExtremalParams,
     MobiusFamilyParams,
+    family_area_deficit,
+    family_constants,
+    family_harmonic_deficit,
+    family_norm_deficit,
     harmonic_extremal,
     mobius_family_coeffs,
     sharpness_a_grid,
 )
-from bohrlab.series import differentiate, numeric_taylor
+from bohrlab.series import numeric_taylor
 
-from oracles import automorphism_coeffs, family_coeffs_reference, family_coefficient, family_member
+from oracles import automorphism_coeffs, differentiate, family_coeffs_reference, family_coefficient, family_member
 
 
 def test_params_validation():
@@ -140,3 +145,44 @@ def test_harmonic_params_validation():
         HarmonicExtremalParams(0.5, 0.0, k=1.5)
     with pytest.raises(ValueError):
         HarmonicExtremalParams(0.5, 0.0, k=0.5, lambda_mix=-0.1)
+
+
+@settings(max_examples=40)
+@given(
+    a_values=st.lists(st.floats(1e-3, 1.0 - 2.0**-20), min_size=1, max_size=16),
+    gamma=st.floats(0.0, 0.95),
+)
+# for these a, Python's a ** 2 (libm pow) and numpy's array ** 2 (a square) round
+# an ulp apart, and 1 - a^2 keeps that ulp
+@example(a_values=[0.7454248080083349, 0.9594347173586794, 0.5], gamma=0.3)
+def test_family_constants_of_an_array_equal_its_floats_bit_for_bit(a_values, gamma):
+    columns = family_constants(np.array(a_values), gamma)
+    for i, a in enumerate(a_values):
+        params = MobiusFamilyParams(a, gamma)
+        alone = (params.constant_term, params.decay_ratio, params.coefficient_scale)
+        assert tuple(column[i] for column in columns) == alone
+        assert alone[2] == (1.0 - a**2) / (a * (1.0 - a * gamma))
+
+
+def test_family_deficits_are_their_scaled_geometric_totals():
+    # the identities of verify.check_family_deficit_identity, for a > gamma
+    # (so |A_0| = A_0), with the family's sums in closed form
+    a, gamma, r, k, lam, weight = sympy.symbols("a gamma r k lambda w", positive=True)
+    a0 = (a - gamma) / (1 - a * gamma)
+    q = a * (1 - gamma) / (1 - a * gamma)
+    c = (1 - a**2) / (a * (1 - a * gamma))
+    majorant = a0 + c * q * r / (1 - q * r)
+    norm = c**2 * (q * r) ** 2 / (1 - (q * r) ** 2)  # sum |A_n|^2 r^2n
+    y = (q * r * (1 - gamma)) ** 2
+    area = c**2 * y / (1 - y) ** 2  # sum n |A_n|^2 (r (1-gamma))^2n
+    pref = (1 - a) / (1 - a * gamma)
+    identities = [
+        (majorant + weight * area, (1 - a) * family_area_deficit(r, a, gamma, weight)),
+        (majorant + (1 / (1 + a0) + r / (1 - r)) * norm, pref * family_norm_deficit(r, a, gamma)),
+        (a0 + (1 + k * lam) * (majorant - a0), pref * family_harmonic_deficit(r, a, gamma, k, lam)),
+    ]
+    for total, scaled_deficit in identities:
+        # the deficits are written with float literals (1.0): read them as the rationals they are
+        exact = scaled_deficit.xreplace({f: sympy.Rational(f) for f in scaled_deficit.atoms(sympy.Float)})
+        # a rational function vanishes exactly when its numerator does
+        assert sympy.expand(sympy.numer(sympy.together(total - 1 + exact))) == 0

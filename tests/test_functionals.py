@@ -38,19 +38,22 @@ from oracles import (
     brute_force_area,
     brute_force_majorant,
     brute_force_norm,
+    constant,
+    polynomial,
     quadrature_mean_square_derivative,
     random_decaying_series,
+    zero,
 )
 
 
 def test_majorant_constant():
-    p = PowerSeries.constant(-0.4 + 0.3j)
+    p = constant(-0.4 + 0.3j)
     for r in (0.0, 0.3, 0.9):
         assert abs(majorant(p, r) - 0.5) < 1e-15
 
 
 def test_majorant_domain_error():
-    p = PowerSeries.constant(1.0)
+    p = constant(1.0)
     for r in (1.0, 1.5, -0.1, np.array([0.2, 1.0]), np.array([np.nan]), np.zeros((2, 2))):
         with pytest.raises(ValueError):
             majorant(p, r)
@@ -179,11 +182,11 @@ def test_constant_term_modulus_rounds_as_the_scalar_abs():
     # numpy's vectorised complex abs differs from abs() by an ulp on about a
     # third of inputs; |a_0| keeps abs(), for a series and for each stack row
     consts = np.random.default_rng(3).normal(size=(64, 2)) @ [1.0, 1j]
-    gs = [PowerSeries.polynomial([c]) for c in consts]
-    zero = PowerSeries.zero()
-    stacked = harmonic_total(SeriesStack([zero] * len(gs)), SeriesStack(gs), np.full(len(gs), 0.5))
+    gs = [polynomial([c]) for c in consts]
+    h = zero()
+    stacked = harmonic_total(SeriesStack([h] * len(gs)), SeriesStack(gs), np.full(len(gs), 0.5))
     for i, (c, g) in enumerate(zip(consts, gs)):
-        assert harmonic_total(zero, g, 0.5).total == majorant(g, 0.5) - abs(c) == stacked.total[i]
+        assert harmonic_total(h, g, 0.5).total == majorant(g, 0.5) - abs(c) == stacked.total[i]
 
 
 def test_stack_takes_one_radius_per_member_of_one_order():
@@ -225,7 +228,7 @@ def test_gamma_array_needs_a_stack_and_one_gamma_in_0_1_per_member():
     with pytest.raises(ValueError, match="one gamma per member"):
         area_refined_total(p, radii, np.array([0.2, 0.2]))
     with pytest.raises(ValueError, match="one gamma per member"):  # as many gammas as coefficients
-        area_refined_total(PowerSeries.polynomial([0.1, 0.2]), radii, np.array([0.2, 0.2]))
+        area_refined_total(polynomial([0.1, 0.2]), radii, np.array([0.2, 0.2]))
     for gammas in (np.array([0.2]), np.array([0.2, 0.2, 0.2]), np.array([[0.2, 0.2]])):
         with pytest.raises(ValueError, match="one gamma per member"):
             area_refined_total(stack, radii, gammas)
@@ -244,14 +247,14 @@ def test_functional_value_serialization():
 
 
 def test_norm_f0_values():
-    assert norm_f0(PowerSeries.constant(0.7), 0.5) == 0.0
-    assert abs(norm_f0(PowerSeries.polynomial([0.0, 1.0]), 0.5) - 0.25) < 1e-15
+    assert norm_f0(constant(0.7), 0.5) == 0.0
+    assert abs(norm_f0(polynomial([0.0, 1.0]), 0.5) - 0.25) < 1e-15
     p = mobius_family_coeffs(MobiusFamilyParams(0.5, 0.0))
     assert abs(norm_f0(p, 0.3) - brute_force_norm(0.5, 0.0, 0.3)) < 1e-12
 
 
 def test_dirichlet_area_identity_map():
-    assert abs(dirichlet_area(PowerSeries.polynomial([0.0, 1.0]), 0.5) - 0.25) < 1e-15
+    assert abs(dirichlet_area(polynomial([0.0, 1.0]), 0.5) - 0.25) < 1e-15
 
 
 def test_dirichlet_area_quadrature_oracle_random_polynomials():
@@ -259,7 +262,7 @@ def test_dirichlet_area_quadrature_oracle_random_polynomials():
     for _ in range(50):
         coeffs = random_decaying_series(rng, int(rng.integers(2, 12)))
         r = float(rng.uniform(0.1, 0.9))
-        p = PowerSeries.polynomial(coeffs)
+        p = polynomial(coeffs)
         assert abs(dirichlet_area(p, r) - quadrature_mean_square_derivative(coeffs, r)) < 1e-8
 
 
@@ -296,7 +299,7 @@ def test_total_equals_majorant_plus_correction():
 
 
 def test_unimodular_constant_saturates_every_bound():
-    c = PowerSeries.constant(np.exp(0.7j))
+    c = constant(np.exp(0.7j))
     for r in (0.1, 0.5, 0.9):
         assert abs(bohr_total(c, r).total - 1.0) < 1e-15
         assert abs(area_refined_total(c, r, 0.3).total - 1.0) < 1e-15

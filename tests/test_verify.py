@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from bohrlab import functionals
-from bohrlab.extremals import MobiusFamilyParams, mobius_family_coeffs
+from bohrlab.extremals import (
+    MobiusFamilyParams,
+    family_area_deficit,
+    family_harmonic_deficit,
+    family_norm_deficit,
+    mobius_family_coeffs,
+)
 from bohrlab.series import DiskDomain, PowerSeries, numeric_taylor
 from bohrlab.verify import (
     CheckReport,
@@ -19,9 +25,6 @@ from bohrlab.verify import (
     check_recentred_slack_certificate,
     check_ruscheweyh,
     check_schwarz_pick,
-    family_area_deficit,
-    family_harmonic_deficit,
-    family_norm_deficit,
     harmonic_radius_cap,
     norm_envelope,
     norm_envelope_coeffs,
@@ -43,6 +46,7 @@ from oracles import (
     blaschke_deriv_reference,
     dilatation_coefficients_reference,
     family_deficit_identity_reference,
+    polynomial,
     random_decaying_series,
     recentred_slack_certificate_reference,
     ruscheweyh_reference,
@@ -99,9 +103,8 @@ def test_stacked_family_deficit_identity_equals_the_per_sample_reference(n_sampl
 
 
 def test_dilatation_samples_equal_the_per_sample_reference(monkeypatch):
-    # the k = 0 extremal combos pin the worst slack at exactly 0 unless a sample
-    # fails; products scaled by 10 (past the unit disk) make the samples fail, so each
-    # report carries its worst sample's slack to the last bit
+    # products scaled by 10 (past the unit disk) make the samples fail, so each
+    # report carries a negative worst slack to the last bit
     blaschke = verify.random_blaschke
     monkeypatch.setattr(verify, "random_blaschke", lambda rng: (lambda f: lambda z: 10.0 * f(z))(blaschke(rng)))
     for seed in (42, 5):
@@ -109,6 +112,14 @@ def test_dilatation_samples_equal_the_per_sample_reference(monkeypatch):
             report = check_dilatation_coefficients(n_samples=n, seed=seed)
             assert report.witness["kind"] == "integrated-dilatation"
             assert report == dilatation_coefficients_reference(n_samples=n, seed=seed)
+
+
+def test_dilatation_report_reads_its_random_samples():
+    # no closed-form row (whose k = 0 cases had slack exactly 0) joins the fold
+    report = check_dilatation_coefficients(seed=42)
+    assert report.samples == 100 and report.passed
+    assert report.witness == {"sample": 45, "kind": "integrated-dilatation", "k": 0.5, "r": 0.05}
+    assert report.worst_slack == pytest.approx(3.1715e-4, rel=1e-4)
 
 
 def test_ruscheweyh_skips_and_counts_non_finite_rows(monkeypatch):
@@ -186,7 +197,7 @@ def test_dilatation_coefficients_suite_and_zero_case():
     report = check_dilatation_coefficients(n_samples=100, seed=42)
     assert report.passed and report.worst_slack >= -1e-8
     # g identically zero: slack equals the k^2-weighted analytic sum
-    h = PowerSeries.polynomial([0.5, 0.25])
+    h = polynomial([0.5, 0.25])
     lhs = 0.0
     rhs = 0.5**2 * (abs(h.coeffs[0]) ** 2 + abs(h.coeffs[1]) ** 2 * 0.5)
     assert rhs - lhs > 0.0
