@@ -30,6 +30,7 @@ from . import functionals, solver, verify
 from .extremals import (
     HarmonicExtremalParams,
     MobiusFamilyParams,
+    family_stack,
     harmonic_extremal,
     mobius_family_coeffs,
     sharpness_a_grid,
@@ -252,16 +253,17 @@ def cmd_sweep(args) -> int:
         # only the theorem's own parameter gets a nonzero column
         k, lam = (x if bound.param == name else 0.0 for name in ("k", "lambda"))
         r_values = np.linspace(0.0, bound.radius(gamma, x), args.grid)
-        r_cells = [repr(r) for r in r_values.tolist()] if args.out else []
-        for params in _family(bound, a_grid, gamma, values["k"]):
-            fv = bound.total(_series(bound, params, args.order), r_values, gamma, x)
-            violations += int(np.count_nonzero(fv.padded() > 1.0))
-            rows += len(r_values)
-            if args.out:  # every cell is a float: its repr needs no csv quoting
-                prefix = f"{gamma!r},{params.a!r},{k!r},{lam!r}"
-                fields = (fv.total, fv.majorant, fv.correction, fv.tail_error)
-                lines += [f"{prefix},{r},{t!r},{m!r},{c!r},{e!r}"
-                          for r, t, m, c, e in zip(r_cells, *(f.tolist() for f in fields))]
+        # the whole family in one stack, every member on the one radius row
+        family = family_stack(a_grid, gamma, args.order, values["k"] if bound.harmonic else None)
+        fv = bound.total(family, r_values[None, :], gamma, x)
+        violations += int(np.count_nonzero(fv.padded() > 1.0))
+        rows += fv.total.size
+        if args.out:  # every cell is a float: its repr needs no csv quoting
+            r_cells = [repr(r) for r in r_values.tolist()]
+            fields = (fv.total, fv.majorant, fv.correction, fv.tail_error)
+            for a, *member in zip(a_grid.tolist(), *(f.tolist() for f in fields)):
+                prefix = f"{gamma!r},{a!r},{k!r},{lam!r}"
+                lines += [f"{prefix},{r},{t!r},{m!r},{c!r},{e!r}" for r, t, m, c, e in zip(r_cells, *member)]
     if args.out:
         Path(args.out).write_text("\r\n".join(lines) + "\r\n", newline="")
     print(f"sweep theorem {args.theorem}: {rows} rows, {violations} admissibility violations")

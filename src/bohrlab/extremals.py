@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import DEFAULT_AREA_WEIGHT
+from .functionals import DEFAULT_AREA_WEIGHT, SeriesStack
 from .series import DEFAULT_ORDER, PowerSeries, TailBound, _check_gamma
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "family_harmonic_deficit",
     "mobius_family_coeffs",
     "harmonic_extremal",
+    "family_stack",
     "sharpness_a_grid",
 ]
 
@@ -127,12 +128,17 @@ def mobius_family_coeffs(params: MobiusFamilyParams, order: int = DEFAULT_ORDER)
     if order < 1:
         raise ValueError("order must be at least 1")
     a0, q, scale = family_constants(params.a, params.gamma)
-    # q**n < 2^-1100 rounds to zero, which libm is slow to reach: store zeros
-    kept = min(order, int(1100.0 / -math.log2(q))) if q > 0.0 else 0
     coeffs = np.zeros(order + 1, dtype=np.complex128)
-    coeffs[0] = a0
-    coeffs[1 : kept + 1] = -scale * q ** np.arange(1, kept + 1)
+    _write_member(coeffs, a0, q, scale)
     return PowerSeries(coeffs, TailBound(q, scale))
+
+
+def _write_member(row: np.ndarray, a0, q, scale) -> None:
+    """Write the member A_0 - sum_{n>=1} C q^n z^n into the zeroed ``row``."""
+    # q**n < 2^-1100 rounds to zero, which libm is slow to reach: store zeros
+    kept = min(row.size - 1, int(1100.0 / -math.log2(q))) if q > 0.0 else 0
+    row[0] = a0
+    row[1 : kept + 1] = -scale * q ** np.arange(1, kept + 1)
 
 
 @dataclass(frozen=True)
@@ -170,6 +176,36 @@ def harmonic_extremal(
     g_coeffs[0] = 0.0
     g_tail = None if h.tail is None else TailBound(h.tail.q, weight * h.tail.C)
     return h, PowerSeries(g_coeffs, g_tail)
+
+
+def family_stack(a, gamma, order: int = DEFAULT_ORDER, weight=None):
+    """The members at (a, gamma), one stack row each, written in place: each
+    row, q and C equal :func:`mobius_family_coeffs` on that member bit for bit.
+
+    ``a``, ``gamma`` and ``weight`` are floats or arrays, one entry per row.
+    With a ``weight`` (k * lambda, in [0, 1]) the result is the harmonic pair
+    of stacks (h, g) that :func:`harmonic_extremal` gives member by member.
+    """
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    a, gamma = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=float)), np.asarray(gamma, dtype=float))
+    if not (np.all((0.0 < a) & (a < 1.0)) and np.all((0.0 <= gamma) & (gamma < 1.0))):
+        raise ValueError(f"every a must lie in (0, 1) and every gamma in [0, 1), got a={a}, gamma={gamma}")
+    a0, q, scale = family_constants(a, gamma)
+    if not np.all(np.isfinite(scale)):  # a below about 1e-308
+        raise ValueError(f"the tail constant C = (1 - a^2) / (a (1 - a gamma)) overflows at a={a}")
+    coeffs = np.zeros((a.size, order + 1), dtype=np.complex128)
+    for member in zip(coeffs, a0, q, scale):
+        _write_member(*member)
+    h = SeriesStack.from_rows(coeffs, q, scale)
+    if weight is None:
+        return h
+    weight = np.broadcast_to(np.asarray(weight, dtype=float), a.shape)
+    if not np.all((0.0 <= weight) & (weight <= 1.0)):
+        raise ValueError(f"every weight must lie in [0, 1], got {weight}")
+    g = weight[:, None] * coeffs
+    g[:, 0] = 0.0
+    return h, SeriesStack.from_rows(g, q, weight * scale)
 
 
 def sharpness_a_grid(j_max: int = 14) -> np.ndarray:

@@ -14,7 +14,11 @@ Every sum, tail bound and evaluator takes the radius ``r`` as a float or a
 shaped like ``r``, each equal bit for bit to the scalar call at that radius.
 In place of a series, each also takes a :class:`SeriesStack` of same-order
 series with one radius per member: row i then equals, bit for bit, the call
-on member i alone at r[i], so a family is evaluated in one call.
+on member i alone at r[i], so a family is evaluated in one call.  A stack
+also takes one radius row of shape (1, R) that every member shares, and the
+results are (M, R) arrays (``r`` stays the row as given) whose row i equals,
+bit for bit, the call on member i alone at the 1-D radii r[0]; each power
+table x^n is then built once for the whole stack.
 """
 
 from __future__ import annotations
@@ -67,7 +71,8 @@ class FunctionalValue:
 
 
 class SeriesStack:
-    """Series of one order, evaluated together at one radius per member.
+    """Series of one order, evaluated together at one radius per member or on
+    one radius row that every member shares.
 
     ``coeffs`` and the evaluators' weight tables have one row per member;
     ``tail.q`` and ``tail.C`` are arrays, 0 where a member has no certificate.
@@ -77,23 +82,40 @@ class SeriesStack:
         members = tuple(members)
         if not members or len({m.order for m in members}) != 1:
             raise ValueError("a stack needs one or more series of one order")
-        self.coeffs = np.stack([m.coeffs for m in members])
-        self.order = members[0].order
         tails = [(m.tail.q, m.tail.C) if m.tail is not None else (0.0, 0.0) for m in members]
-        self.tail = SimpleNamespace(q=np.array([q for q, _ in tails]), C=np.array([c for _, c in tails]))
+        self._hold(np.stack([m.coeffs for m in members]), *map(np.array, zip(*tails)))
+
+    @classmethod
+    def from_rows(cls, coeffs: np.ndarray, q: np.ndarray, C: np.ndarray) -> "SeriesStack":
+        """A stack holding ``coeffs`` (complex, one member per row) and the
+        certificate arrays as they are, with no copy and no finiteness check."""
+        stack = cls.__new__(cls)
+        stack._hold(coeffs, q, C)
+        return stack
+
+    def _hold(self, coeffs: np.ndarray, q: np.ndarray, C: np.ndarray) -> None:
+        self.coeffs, self.order = coeffs, coeffs.shape[1] - 1
+        self.tail = SimpleNamespace(q=q, C=C)
         self._memo: dict = {}
 
 
 def _check_radius(r: float | np.ndarray, *series) -> None:
     if isinstance(r, np.ndarray):
-        ok = r.ndim == 1 and bool(np.all((0.0 <= r) & (r < 1.0)))
+        ok = bool(np.all((0.0 <= r) & (r < 1.0)))
     else:
         ok = 0.0 <= r < 1.0
     if not ok:
         raise ValueError(f"radius must lie in [0, 1), got {r}")
-    for p in series:
-        if isinstance(p, SeriesStack) and np.shape(r) != p.coeffs.shape[:1]:
-            raise ValueError(f"a stack of series takes one radius per member, got {r}")
+    shape = np.shape(r)
+    # the shape each series takes: any float or 1-D array, or M radii for a stack of M
+    takes = {(p.coeffs.shape[0],) if isinstance(p, SeriesStack) else None for p in series}
+    if len(shape) == 2:  # one row that every member shares: stacks only, all of one size
+        ok = shape[0] == 1 and len(takes) == 1 and None not in takes
+    else:
+        ok = takes <= {None, shape} and (len(shape) == 1 or not isinstance(r, np.ndarray))
+    if not ok:
+        raise ValueError("radius must be a float or a 1-D array; a stack of M series takes M radii, "
+                         f"one radius per member, or one (1, R) row that every member shares; got shape {shape}")
 
 
 def _like_radius(value, r):
@@ -101,11 +123,16 @@ def _like_radius(value, r):
     return value if isinstance(r, np.ndarray) else float(value)
 
 
+def _per_member(values, r):
+    """A stack's per-member ``values`` as a column when its members share one radius row."""
+    return values[:, None] if getattr(r, "ndim", 0) == 2 else values  # np.ndim costs more than the sum's tail
+
+
 def _constant_modulus(p, r):
     """|a_0|, one per row for a stack, each rounded as the scalar ``abs()`` rounds
     it: numpy's vectorised complex ``np.abs`` can differ by an ulp, ``np.hypot`` can not."""
     a0 = p.coeffs.T[0]
-    return _like_radius(np.hypot(a0.real, a0.imag) if a0.ndim else abs(a0), r)
+    return _per_member(np.hypot(a0.real, a0.imag), r) if a0.ndim else _like_radius(abs(a0), r)
 
 
 # A sum stops at the shortest length L on the ladder 32, 64, 128, ... whose
@@ -160,24 +187,34 @@ def _terms(p: PowerSeries, kind: str) -> _Terms:
 def _power_sum(terms: _Terms, x: float | np.ndarray):
     """(sum_k w_k x^n_k, bound on the stored terms it skipped) for each x.
 
-    The weights are one row per x, or one vector shared by every x.  Each x
-    sums its first L terms, L the shortest length with x^n_L S_L <= _CUT:
-    every skipped term is at most x^n_L times its weight, as x < 1 and the
-    exponents increase.  L depends on x and its row alone and each sum is one
-    dot product, so every x rounds exactly as the scalar call does.
+    The weights are one row per x, one vector shared by every x, or, for a
+    (1, R) row of x, one row per member of a stack, each against every x.
+    Each x sums its first L terms, L the shortest length with x^n_L S_L <=
+    _CUT: every skipped term is at most x^n_L times its weight, as x < 1 and
+    the exponents increase.  L depends on x and its row alone and each sum is
+    one dot product, so every x rounds exactly as the scalar call does.
     """
     xs = np.atleast_1d(x)
-    bounds = np.power.outer(xs, terms.heads) * terms.suffix
-    pick = np.argmax(bounds <= _CUT, axis=1)
-    skipped = bounds[np.arange(xs.size), pick]
+    shared = xs.ndim == 2  # one row of x for every member: an (M, R) result
+    bounds = np.power.outer(xs, terms.heads) * (terms.suffix[:, None] if shared else terms.suffix)
+    pick = np.argmax(bounds <= _CUT, axis=-1)
+    if shared:
+        skipped = np.take_along_axis(bounds, pick[..., None], axis=-1)[..., 0]
+    else:  # the same, at a third of the call overhead
+        skipped = bounds[np.arange(xs.size), pick]
     lengths = terms.lengths[pick]
-    value = np.empty(xs.shape)
+    value = np.empty(lengths.shape)
     # sorted(set()) rather than np.unique, which imports numpy.ma
-    for length in sorted(set(lengths.tolist())):
-        rows = lengths == length
-        powers = np.power.outer(xs[rows], terms.exponents[:length])
+    for length in sorted(set(lengths.ravel().tolist())):
+        cells = lengths == length
         weights = terms.weights[..., :length]
-        value[rows] = np.vecdot(powers, weights if weights.ndim == 1 else weights[rows])
+        if shared:  # the powers of each x that any member needs, once; every member dots them
+            cols = cells.any(axis=0)
+            sums = np.vecdot(np.power.outer(xs[0, cols], terms.exponents[:length]), weights[:, None])
+            value[:, cols] = np.where(cells[:, cols], sums, value[:, cols])
+        else:
+            powers = np.power.outer(xs[cells], terms.exponents[:length])
+            value[cells] = np.vecdot(powers, weights if weights.ndim == 1 else weights[cells])
     if isinstance(x, np.ndarray):
         return value, skipped
     return float(value[0]), float(skipped[0])
@@ -198,8 +235,9 @@ def _majorant(p: PowerSeries, r):
     value, skipped = _power_sum(_terms(p, "majorant"), r)
     if p.tail is None:  # a certificate with C = 0 (a stack row without one) adds exactly 0
         return value, skipped
-    x = p.tail.q * r  # below one: q < 1 and r < 1
-    return value, _rounded_up(p.tail.C * np.power(x, p.order + 1) / (1.0 - x), p, x, r) + skipped
+    q, c = _per_member(p.tail.q, r), _per_member(p.tail.C, r)
+    x = q * r  # below one: q < 1 and r < 1
+    return value, _rounded_up(c * np.power(x, p.order + 1) / (1.0 - x), p, x, r) + skipped
 
 
 def _norm_f0(p: PowerSeries, r):
@@ -207,8 +245,9 @@ def _norm_f0(p: PowerSeries, r):
     value, skipped = _power_sum(_terms(p, "norm"), r * r)
     if p.tail is None:
         return value, skipped
-    x = (p.tail.q * r) * (p.tail.q * r)
-    tail = p.tail.C * p.tail.C * np.power(x, p.order + 1) / (1.0 - x)
+    q, c = _per_member(p.tail.q, r), _per_member(p.tail.C, r)
+    x = (q * r) * (q * r)
+    tail = c * c * np.power(x, p.order + 1) / (1.0 - x)
     return value, _rounded_up(tail, p, x, r) + skipped
 
 
@@ -216,10 +255,11 @@ def _dirichlet_area(p: PowerSeries, r):
     value, skipped = _power_sum(_terms(p, "area"), r * r)
     if p.tail is None:
         return value, skipped
-    x = (p.tail.q * r) * (p.tail.q * r)
+    q, c = _per_member(p.tail.q, r), _per_member(p.tail.C, r)
+    x = (q * r) * (q * r)
     n1 = p.order + 1
     # sum_{n>N} n x^n = x^{N+1} ((N+1) - N x) / (1-x)^2
-    tail = p.tail.C * p.tail.C * np.power(x, n1) * (n1 - p.order * x) / ((1.0 - x) * (1.0 - x))
+    tail = c * c * np.power(x, n1) * (n1 - p.order * x) / ((1.0 - x) * (1.0 - x))
     return value, _rounded_up(tail, p, x, r) + skipped
 
 
@@ -267,7 +307,7 @@ def bohr_total(p: PowerSeries, r: float | np.ndarray) -> FunctionalValue:
     """Plain majorant with no correction term."""
     _check_radius(r, p)
     m, tail = _majorant(p, r)
-    return FunctionalValue(m, m, 0.0 * r, r, tail)
+    return FunctionalValue(m, m, 0.0 * m, r, tail)  # m >= 0: the correction is +0.0
 
 
 def area_refined_total(
@@ -281,11 +321,12 @@ def area_refined_total(
     of the matching off-center subdisk under the recentred function, so both
     readings of the correction term agree.
 
-    On a stack, ``gamma`` may also be one value per member, as ``r`` is.
+    On a stack with one radius per member, ``gamma`` may also be one value
+    per member, as ``r`` is.
     """
     if isinstance(gamma, np.ndarray):
-        if not isinstance(p, SeriesStack) or gamma.shape != p.coeffs.shape[:1]:
-            raise ValueError(f"an array of gamma needs a stack and one gamma per member, got {gamma}")
+        if not isinstance(p, SeriesStack) or gamma.shape != p.coeffs.shape[:1] or np.ndim(r) != 1:
+            raise ValueError(f"an array of gamma needs a stack, one radius and one gamma per member, got {gamma}")
         if not np.all((0.0 <= gamma) & (gamma < 1.0)):
             raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
     else:
@@ -328,7 +369,7 @@ def harmonic_total(h: PowerSeries, g: PowerSeries, r: float | np.ndarray) -> Fun
     m_h, h_tail = _majorant(h, r)
     m_g, g_tail = _majorant(g, r)
     total = m_h + (m_g - _constant_modulus(g, r))
-    return FunctionalValue(total, total, 0.0 * r, r, h_tail + g_tail)
+    return FunctionalValue(total, total, 0.0 * m_h, r, h_tail + g_tail)  # m_h >= 0: +0.0
 
 
 def sharp_majorant_radius(gamma: float) -> float:

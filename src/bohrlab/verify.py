@@ -23,12 +23,11 @@ import numpy as np
 
 from . import functionals
 from .extremals import (
-    HarmonicExtremalParams,
     MobiusFamilyParams,
     family_area_deficit,
     family_harmonic_deficit,
     family_norm_deficit,
-    harmonic_extremal,
+    family_stack,
     mobius_family_coeffs,
 )
 from .functionals import DEFAULT_AREA_WEIGHT, FunctionalValue, sharp_majorant_radius
@@ -481,7 +480,7 @@ def check_family_deficit_identity(
       harmonic joint majorant = 1 - (1-a)/(1-a*gamma) * family_harmonic_deficit(r)
 
     The totals of _STACK samples at a time come from one call per evaluator
-    on their stacked series, each row equal bit for bit to the call on that
+    on their family stacks, each row equal bit for bit to the call on that
     sample alone.
     """
     rng = np.random.default_rng(seed)
@@ -498,10 +497,8 @@ def check_family_deficit_identity(
     witness: dict = {}
     for start in range(0, n_samples, _STACK):
         block = samples[start : start + _STACK]
-        pairs = [harmonic_extremal(HarmonicExtremalParams(a, gamma, k, lam), order)
-                 for gamma, a, _, k, lam in block]
-        h, g = map(functionals.SeriesStack, zip(*pairs))
-        gammas, _, radii, _, _ = map(np.array, zip(*block))
+        gammas, a_values, radii, ks, lams = map(np.array, zip(*block))
+        h, g = family_stack(a_values, gammas, order, ks * lams)
         # the norm table first: the area table then reuses its weights
         norms = functionals.norm_refined_total(h, radii).total.tolist()
         totals = zip(

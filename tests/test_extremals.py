@@ -13,6 +13,7 @@ from bohrlab.extremals import (
     family_constants,
     family_harmonic_deficit,
     family_norm_deficit,
+    family_stack,
     harmonic_extremal,
     mobius_family_coeffs,
     sharpness_a_grid,
@@ -104,6 +105,52 @@ def test_extremal_limit_behavior():
 def test_family_coefficients_equal_the_full_power_vector(a, gamma, order):
     params = MobiusFamilyParams(a, gamma)
     assert np.array_equal(mobius_family_coeffs(params, order).coeffs, family_coeffs_reference(params, order))
+
+
+@settings(max_examples=60)
+@given(
+    order=st.sampled_from([1, 16, 2048]),
+    rows=st.lists(
+        st.tuples(
+            # a below 1e-3 keeps q tiny, so the 2^-1100 underflow cut stores zeros
+            st.one_of(st.floats(1e-150, 1e-3), st.floats(1e-3, 1.0 - 2.0**-14)),
+            st.floats(0.0, 0.99), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+        ),
+        min_size=1, max_size=6,
+    ),
+    harmonic=st.booleans(),
+)
+@example(order=2048, rows=[(1e-150, 0.0, 0.5, 0.5), (0.3, 0.5, 1.0, 1.0), (1.0 - 2.0**-14, 0.9, 0.0, 0.7)], harmonic=True)
+def test_family_stack_rows_equal_the_member_builders_bit_for_bit(order, rows, harmonic):
+    # rows: (a, gamma, k, lambda), a gamma and a weight k * lambda per row as
+    # the deficit identity check draws them
+    a, gamma, k, lam = map(np.array, zip(*rows))
+    stacks = family_stack(a, gamma, order, k * lam) if harmonic else (family_stack(a, gamma, order),)
+    for i, row in enumerate(rows):
+        params = HarmonicExtremalParams(*map(float, row))
+        members = harmonic_extremal(params, order) if harmonic else (mobius_family_coeffs(params.analytic, order),)
+        for stack, member in zip(stacks, members, strict=True):
+            assert stack.order == order and stack.coeffs.shape == (len(rows), order + 1)
+            assert stack.coeffs[i].tolist() == member.coeffs.tolist()
+            assert (stack.tail.q[i], stack.tail.C[i]) == (member.tail.q, member.tail.C)
+
+
+def test_family_stack_takes_floats_and_rejects_what_the_params_reject():
+    h = family_stack(0.5, 0.2, 16)
+    assert h.coeffs.tolist() == [mobius_family_coeffs(MobiusFamilyParams(0.5, 0.2), 16).coeffs.tolist()]
+    for a, gamma in ((0.0, 0.2), (1.0, 0.2), ([0.5, np.nan], 0.2), (0.5, 1.0), (0.5, [0.2, -0.1])):
+        with pytest.raises(ValueError, match="every a must lie in"):
+            family_stack(a, gamma, 16)
+    for weight in (-0.1, 1.5, np.nan):
+        with pytest.raises(ValueError, match="every weight must lie in"):
+            family_stack([0.5, 0.6], 0.2, 16, weight)
+    with pytest.raises(ValueError, match="order"):
+        family_stack(0.5, 0.2, 0)
+    with np.errstate(over="ignore"):  # C = inf, which mobius_family_coeffs rejects too
+        with pytest.raises(ValueError, match="overflows"):
+            family_stack([0.5, 1e-320], 0.2, 16)
+        with pytest.raises(ValueError):
+            mobius_family_coeffs(MobiusFamilyParams(1e-320, 0.2), 16)
 
 
 def test_sharpness_grid():

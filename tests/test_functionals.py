@@ -6,12 +6,18 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bohrlab import functionals
 
-from bohrlab.extremals import MobiusFamilyParams, harmonic_extremal, HarmonicExtremalParams, mobius_family_coeffs
+from bohrlab.extremals import (
+    HarmonicExtremalParams,
+    MobiusFamilyParams,
+    family_stack,
+    harmonic_extremal,
+    mobius_family_coeffs,
+)
 from bohrlab.functionals import (
     FunctionalValue,
     SeriesStack,
@@ -29,7 +35,7 @@ from bohrlab.functionals import (
     sharp_harmonic_radius,
     sharp_majorant_radius,
 )
-from bohrlab.series import DiskDomain, PowerSeries, numeric_taylor
+from bohrlab.series import DiskDomain, PowerSeries, TailBound, numeric_taylor
 from bohrlab.solver import UPPER_LIMIT
 from bohrlab.verify import random_blaschke
 
@@ -178,6 +184,55 @@ def test_stacked_rows_equal_single_series_calls_bit_for_bit(name, gamma, k, orde
             assert getattr(stacked, field)[i] == getattr(single, field), (field, i)
 
 
+def _scaled(member, scale):
+    """A member (or pair) times a power of two, with its certificate scaled to match."""
+    scaled = tuple(PowerSeries(s.coeffs * scale, None if s.tail is None else TailBound(s.tail.q, s.tail.C * scale))
+                   for s in (member if isinstance(member, tuple) else (member,)))
+    return scaled if isinstance(member, tuple) else scaled[0]
+
+
+@settings(max_examples=80)
+@given(
+    name=st.sampled_from(sorted(_EVALUATORS)),
+    gamma=st.floats(0.0, 0.9),
+    weight=st.floats(0.0, 1.0),
+    order=st.sampled_from([16, 2048]),
+    rows=st.lists(
+        st.tuples(st.floats(0.01, 1.0 - 2.0**-14), st.booleans(), st.sampled_from([0.0, 0.7, 2.0]),
+                  st.sampled_from([1.0, 2.0**-80])),
+        min_size=1, max_size=6,
+    ),
+    radii=st.lists(st.one_of(st.just(0.0), st.floats(0.0, UPPER_LIMIT), st.just(UPPER_LIMIT)), min_size=1, max_size=8),
+    built=st.sampled_from(["members", "family_stack"]),
+)
+@example(name="norm_refined_total", gamma=0.5, weight=1.0, order=2048,
+         rows=[(0.5, True, 0.0, 1.0), (1.0 - 2.0**-14, True, 0.0, 1.0)], radii=[0.0, 0.3, UPPER_LIMIT], built="family_stack")
+# the scaled member stops its sums before the other one does, at every radius
+@example(name="bohr_total", gamma=0.0, weight=0.0, order=2048,
+         rows=[(0.3, True, 0.0, 2.0**-80), (1.0 - 2.0**-14, True, 0.0, 1.0)], radii=[0.5, 0.9], built="members")
+def test_shared_radius_row_rows_equal_single_series_calls_bit_for_bit(name, gamma, weight, order, rows, radii, built):
+    # rows: (a, whether the member keeps its tail certificate, phase, scale);
+    # a scale of 2^-80 makes a member's sums tiny, so it stops them at shorter
+    # lengths than the other members at the same radius; the harmonic weight
+    # is k with lambda = 1
+    if built == "family_stack":  # the members as the sweep builds them
+        members = [_member(name, a, gamma, weight, order, True, 0.0) for a, *_ in rows]
+        stack = family_stack(np.array([a for a, *_ in rows]), gamma, order,
+                             weight if name == "harmonic_total" else None)
+    else:
+        members = [_scaled(_member(name, a, gamma, weight, order, certified, phase), scale)
+                   for a, certified, phase, scale in rows]
+        stack = tuple(map(SeriesStack, zip(*members))) if name == "harmonic_total" else SeriesStack(members)
+    r = np.array(radii)
+    stacked = _EVALUATORS[name](stack, r[None, :], gamma)
+    assert stacked.r.shape == (1, r.size) and np.array_equal(stacked.r[0], r)
+    for i, member in enumerate(members):
+        single = _EVALUATORS[name](member, r, gamma)
+        for field in ("total", "majorant", "correction", "tail_error"):
+            assert getattr(stacked, field).shape == (len(rows), r.size)
+            assert getattr(stacked, field)[i].tolist() == getattr(single, field).tolist(), (field, i)
+
+
 def test_constant_term_modulus_rounds_as_the_scalar_abs():
     # numpy's vectorised complex abs differs from abs() by an ulp on about a
     # third of inputs; |a_0| keeps abs(), for a series and for each stack row
@@ -192,9 +247,15 @@ def test_constant_term_modulus_rounds_as_the_scalar_abs():
 def test_stack_takes_one_radius_per_member_of_one_order():
     p, q = (mobius_family_coeffs(MobiusFamilyParams(a, 0.2), 64) for a in (0.5, 0.9))
     stack = SeriesStack([p, q])
-    for r in (0.3, np.array([0.3]), np.array([0.1, 0.2, 0.3])):
-        with pytest.raises(ValueError, match="one radius per member"):
+    row = np.full((1, 3), 0.3)
+    for r in (0.3, np.array([0.3]), np.array([0.1, 0.2, 0.3]), np.full((2, 3), 0.3), np.full((1, 3, 1), 0.3)):
+        with pytest.raises(ValueError, match=r"one radius per member, or one \(1, R\) row"):
             bohr_total(stack, r)
+    # a shared row needs stacks, all of one size
+    for args in ((p, row), (stack, p, row), (stack, SeriesStack([p]), row)):
+        with pytest.raises(ValueError, match=r"a float or a 1-D array.*\(1, R\) row"):
+            (bohr_total if len(args) == 2 else harmonic_total)(*args)
+    assert bohr_total(stack, row).total.shape == harmonic_total(stack, stack, row).total.shape == (2, 3)
     with pytest.raises(ValueError, match="one order"):
         SeriesStack([p, mobius_family_coeffs(MobiusFamilyParams(0.5, 0.2), 65)])
     with pytest.raises(ValueError, match="one order"):
@@ -232,6 +293,8 @@ def test_gamma_array_needs_a_stack_and_one_gamma_in_0_1_per_member():
     for gammas in (np.array([0.2]), np.array([0.2, 0.2, 0.2]), np.array([[0.2, 0.2]])):
         with pytest.raises(ValueError, match="one gamma per member"):
             area_refined_total(stack, radii, gammas)
+    with pytest.raises(ValueError, match="one gamma per member"):  # not on a shared radius row
+        area_refined_total(stack, radii[None, :], np.array([0.2, 0.2]))
     for bad in (-1e-300, 1.0, 1.5, np.nan, np.inf):
         with pytest.raises(ValueError, match=r"gamma must lie in \[0, 1\)"):
             area_refined_total(stack, radii, np.array([0.2, bad]))
