@@ -113,6 +113,9 @@ _UNIT = _Number(float, lambda value: 0.0 <= value <= 1.0, "lie in [0, 1]")
 _POSITIVE = _Number(float, lambda value: value > 0.0, "be positive")
 # the closed form (1+gamma)/(3+gamma) of theorem 1 is proven for these weights only
 _WEIGHT = _Number(float, lambda value: 0.0 <= value <= functionals.DEFAULT_AREA_WEIGHT, "lie in [0, 8/9]")
+# below about 5.6e-17 theorem 3's radius 1/(1 + 2 lambda) rounds to one, which no radius reaches
+_LAMBDA = _Number(float, lambda value: value > 0.0 and BOUNDS["3"].radius(0.0, value) < 1.0,
+                  "be positive, with 1/(1 + 2 lambda) < 1")
 
 
 def _parse_gammas(spec: str) -> list[float]:
@@ -150,14 +153,13 @@ def _series(bound: Bound, params, order: int):
     return mobius_family_coeffs(params, order)
 
 
-def _append_radius_csv(path: Path, row: dict) -> None:
-    header = ["gamma", "k", "lambda", "functional_id", "radius", "tol"]
+def _append_radius_csv(path: Path, row: list) -> None:
     new = not path.exists()
     with path.open("a", newline="") as fh:
         writer = csv.writer(fh)  # writes a float by its repr
         if new:
-            writer.writerow(header)
-        writer.writerow([row[h] for h in header])
+            writer.writerow(["gamma", "k", "lambda", "functional_id", "radius", "tol"])
+        writer.writerow(row)
 
 
 def cmd_radius(args) -> int:
@@ -206,17 +208,7 @@ def cmd_radius(args) -> int:
             "result": asdict(result),
         }
         if out.suffix == ".csv":
-            _append_radius_csv(
-                out,
-                {
-                    "gamma": gamma,
-                    "k": k,
-                    "lambda": lam,
-                    "functional_id": f"theorem-{theorem}",
-                    "radius": result.radius,
-                    "tol": result.tol,
-                },
-            )
+            _append_radius_csv(out, [gamma, k, lam, f"theorem-{theorem}", result.radius, result.tol])
         else:
             out.write_text(json.dumps(payload, indent=2, sort_keys=True))
     if args.a is not None:
@@ -350,7 +342,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--a", type=_Number(float, lambda value: 1e-150 <= value < 1.0, "lie in [1e-150, 1)"),
                    default=None, help="solve for one family member instead of sweeping the grid")
     p.add_argument("--k", type=_UNIT, default=None, help="dilatation bound for the harmonic case")
-    p.add_argument("--lambda", dest="lam", type=_POSITIVE, default=None,
+    p.add_argument("--lambda", dest="lam", type=_LAMBDA, default=None,
                    help="coefficient-ratio supremum (defaults to 1/(1+gamma))")
     p.add_argument("--K", dest="weight", type=_WEIGHT, default=None,
                    help="area-correction weight in [0, 8/9] (defaults to 8/9)")
@@ -370,7 +362,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--gammas", type=_parse_gammas, default="0:0.9:10")
     p.add_argument("--grid", type=_at_least(1), default=64, help="radii per (gamma, a) pair")
     p.add_argument("--k", type=_UNIT, default=None)
-    p.add_argument("--lambda", dest="lam", type=_POSITIVE, default=None)
+    p.add_argument("--lambda", dest="lam", type=_LAMBDA, default=None)
     p.add_argument("--order", type=_at_least(1), default=DEFAULT_ORDER)
     common(p)
 
@@ -462,7 +454,12 @@ def main(argv: list[str] | None = None) -> int:
         "conjecture": cmd_conjecture,
         "identity-check": cmd_identity_check,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except OSError as exc:  # an --out that cannot be written is a usage error, whichever command
+        if not (args.out and exc.filename and Path(exc.filename) == Path(args.out)):
+            raise
+        commands[args.command].error(f"cannot write --out {args.out}: {exc.strerror}")
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ from .extremals import (
     family_harmonic_deficit,
     family_norm_deficit,
     family_stack,
-    mobius_family_coeffs,
 )
 from .functionals import DEFAULT_AREA_WEIGHT, FunctionalValue, sharp_majorant_radius
 from .series import DiskDomain, PowerSeries, _circle, numeric_taylor, recenter_affine, taylor_coefficients
@@ -143,6 +142,29 @@ def random_blaschke(rng, max_factors: int = 4, zero_radius: float = 0.9, rotate:
     return BlaschkeProduct(zeros, rotation)
 
 
+def _blaschke_stream(seed: int) -> Callable[[int], list]:
+    """``first(n)``: the first n products of the seed's :func:`random_blaschke`
+    stream, each drawn once, and only as far as any call has asked."""
+
+    def products():
+        rng = np.random.default_rng(seed)  # numpy.random is imported on first use
+        while True:
+            yield random_blaschke(rng)
+
+    stream, drawn = products(), []
+
+    def first(n: int) -> list:
+        drawn.extend(next(stream) for _ in range(n - len(drawn)))
+        return drawn[:n]
+
+    return first
+
+
+def _uniform(u, low, high):
+    """``rng.uniform(low, high)`` bit for bit, from the double u in [0, 1) it draws."""
+    return low + (high - low) * u
+
+
 def bounded_on_disk_domain(sample: Callable, domain: DiskDomain) -> Callable:
     """Turn a unit-disk-bounded sample into one bounded on the enlarged domain
     by precomposing with the affine contraction onto the unit disk."""
@@ -167,10 +189,10 @@ def check_schwarz_pick(
     grid: np.ndarray | None = None,
 ) -> CheckReport:
     """Pointwise growth bound |f(z)| <= (r+|f(0)|)/(1+|f(0)|r) and derivative
-    bound |f'(z)| <= (1-|f(z)|^2)/(1-|z|^2) for bounded analytic samples."""
-    rng = np.random.default_rng(seed)
+    bound |f'(z)| <= (1-|f(z)|^2)/(1-|z|^2) for bounded analytic samples,
+    by default the first n_samples products of the seed's stream."""
     if samples is None:
-        samples = [random_blaschke(rng) for _ in range(n_samples)]
+        samples = _blaschke_stream(seed)(n_samples)
     z = _disk_grid() if grid is None else np.asarray(grid)
     r = np.abs(z)
     one_minus_r2 = 1.0 - r**2
@@ -197,24 +219,27 @@ def check_coefficient_bounds(
     seed: int = 42,
     tol: float = NUMERIC_TOL,
     rho: float = 0.5,
+    samples: Sequence | None = None,
 ) -> CheckReport:
     """|a_n| <= (1 - |a_0|^2)/(1 + gamma) for the unit-disk coefficients of
-    functions bounded on the enlarged disk (gamma = 0 is the classical bound)."""
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    witness: dict = {}
-    for i in range(n_samples):
-        gamma = float(gammas[i % len(gammas)])
-        f = bounded_on_disk_domain(random_blaschke(rng), DiskDomain(gamma))
-        p = numeric_taylor(f, n_max, rho=rho)
-        a0 = abs(p.coeffs[0])
-        bound = (1.0 - a0**2) / (1.0 + gamma)
-        slack = bound - np.abs(p.coeffs[1:])
-        j = int(np.argmin(slack))
-        if slack[j] < worst:
-            worst = float(slack[j])
-            witness = {"sample": i, "gamma": gamma, "n": j + 1, "a0_abs": float(a0)}
-    return CheckReport.from_slack("coefficient-bounds", n_samples, worst, witness, tol)
+    functions bounded on the enlarged disk (gamma = 0 is the classical bound);
+    sample i, by default product i of the seed's stream, is carried onto the
+    disk of gammas[i % len(gammas)], and one FFT call expands every sample."""
+    if samples is None:
+        samples = _blaschke_stream(seed)(n_samples)
+    gamma = np.array([float(gammas[i % len(gammas)]) for i in range(len(samples))])
+    z = _circle(8 * n_max, rho)
+    vals = np.array([bounded_on_disk_domain(f, DiskDomain(g))(z) for f, g in zip(samples, gamma.tolist())])
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("function produced non-finite samples on the circle")
+    coeffs = taylor_coefficients(vals, n_max, rho)
+    a0 = np.hypot(coeffs[:, 0].real, coeffs[:, 0].imag)  # as abs() rounds a scalar
+    # float_power squares as Python's float ** does
+    slack = ((1.0 - np.float_power(a0, 2)) / (1.0 + gamma))[:, None] - np.abs(coeffs[:, 1:])
+    # the first minimum in sample order, as a running strict minimum finds it
+    i, j = np.unravel_index(np.argmin(slack), slack.shape)
+    witness = {"sample": int(i), "gamma": float(gamma[i]), "n": int(j) + 1, "a0_abs": float(a0[i])}
+    return CheckReport.from_slack("coefficient-bounds", len(samples), slack[i, j], witness, tol)
 
 
 def check_ruscheweyh(
@@ -223,6 +248,7 @@ def check_ruscheweyh(
     n_max: int = 8,
     seed: int = 42,
     tol: float = NUMERIC_TOL,
+    samples: Sequence | None = None,
 ) -> CheckReport:
     """Off-center derivative bound
     |f^(n)(alpha)| / n! <= (1 - |f(alpha)|^2) / ((1-|alpha|)^(n-1) (1-|alpha|^2)).
@@ -230,8 +256,10 @@ def check_ruscheweyh(
     Derivatives are Taylor coefficients of f(alpha + s u), which keeps them
     well conditioned; each sample is evaluated on every centre's circle at
     once, and a centre whose samples are not finite is skipped and counted.
+    The samples default to the first n_samples products of the seed's stream.
     """
-    rng = np.random.default_rng(seed)
+    if samples is None:
+        samples = _blaschke_stream(seed)(n_samples)
     worst = np.inf
     witness: dict = {}
     skipped = 0
@@ -241,8 +269,8 @@ def check_ruscheweyh(
     points = np.array([alpha + s * _circle(8 * n_max, 0.5) for alpha, s in zip(centres, scales)])
     scale_powers = np.array([s**powers for s in scales])
     denoms = np.array([(1.0 - abs(alpha)) ** (powers - 1.0) * (1.0 - abs(alpha) ** 2) for alpha in centres])
-    for i in range(n_samples):
-        vals = random_blaschke(rng)(points)
+    for i, f in enumerate(samples):
+        vals = f(points)
         rows = np.flatnonzero(np.isfinite(vals).all(axis=1))
         skipped += len(centres) - rows.size
         if rows.size == 0:
@@ -256,7 +284,7 @@ def check_ruscheweyh(
             alpha = centres[rows[row]]
             witness = {"sample": i, "alpha": [alpha.real, alpha.imag], "n": int(j) + 1}
     witness["skipped"] = skipped
-    return CheckReport.from_slack("ruscheweyh-derivatives", n_samples * len(alphas), worst, witness, tol)
+    return CheckReport.from_slack("ruscheweyh-derivatives", len(samples) * len(alphas), worst, witness, tol)
 
 
 def check_dilatation_coefficients(
@@ -267,6 +295,7 @@ def check_dilatation_coefficients(
     tol: float = NUMERIC_TOL,
     r_grid: np.ndarray | None = None,
     rho: float = 0.92,
+    samples: Sequence | None = None,
 ) -> CheckReport:
     """Coefficient inequality sum |b_n|^2 r^n <= k^2 sum |a_n|^2 r^n for
     co-analytic parts g with |g'| <= k |h'|.
@@ -274,9 +303,11 @@ def check_dilatation_coefficients(
     Random samples integrate g' = k * omega * h' for a random inner function
     omega.  The closed-form harmonic family is left out: its g = k*lambda*(h -
     h(0)) has the slack k^2 |a_0|^2 + k^2 (1 - lambda^2) sum_{n>=1} |a_n|^2 r^n
-    >= 0 by construction.
+    >= 0 by construction.  Sample i takes its h and omega from products 2i
+    and 2i+1 of ``samples``, by default the seed's stream.
     """
-    rng = np.random.default_rng(seed)
+    if samples is None:
+        samples = _blaschke_stream(seed)(2 * n_samples)
     if r_grid is None:
         r_grid = np.linspace(0.05, 0.9, 18)
     r_grid = np.asarray(r_grid, dtype=float)
@@ -285,9 +316,9 @@ def check_dilatation_coefficients(
     powers = r_grid[None, :] ** np.arange(order + 1, dtype=float)[:, None]
     z = _circle(8 * order, rho)
     n = np.arange(1, order + 1)
-    for i in range(n_samples):
-        # h, then omega, as drawn; both expanded by one FFT
-        h, omega = taylor_coefficients(np.stack([random_blaschke(rng)(z), random_blaschke(rng)(z)]), order, rho)
+    for i, (h_sample, omega_sample) in enumerate(zip(samples[::2], samples[1::2])):
+        # h and omega expanded by one FFT
+        h, omega = taylor_coefficients(np.stack([h_sample(z), omega_sample(z)]), order, rho)
         b = np.zeros(order + 1, dtype=np.complex128)
         # the first `order` terms of omega h', from the terms of omega that reach them
         b[1:] = k * np.convolve(omega[:order], h[1:] * n)[:order] / n
@@ -296,7 +327,7 @@ def check_dilatation_coefficients(
         if slacks[j] < worst:
             worst = float(slacks[j])
             witness = {"sample": i, "kind": "integrated-dilatation", "k": k, "r": float(r_grid[j])}
-    return CheckReport.from_slack("dilatation-coefficients", n_samples, worst, witness, tol)
+    return CheckReport.from_slack("dilatation-coefficients", len(samples) // 2, worst, witness, tol)
 
 
 # ----------------------------------------------------------------------
@@ -413,22 +444,21 @@ def check_recentred_consistency(
     n_samples: int = 25, seed: int = 42, order: int = 128, tol: float = 1e-12
 ) -> CheckReport:
     """The centered and recentred evaluations of the area-refined total must
-    agree on the extremal family."""
-    rng = np.random.default_rng(seed)
+    agree on the extremal family.  The centered totals of all samples come
+    from one call on their family stack."""
+    u = np.random.default_rng(seed).random((n_samples, 3))
+    gammas, a_values, radii = _uniform(u, np.array([0.0, 0.05, 0.05]), np.array([0.9, 0.95, 0.9])).T
+    stack = family_stack(a_values, gammas, order)
+    direct = functionals.area_refined_total(stack, radii, gammas).total.tolist()
     worst_resid = 0.0
     witness: dict = {}
-    for i in range(n_samples):
-        gamma = float(rng.uniform(0.0, 0.9))
-        a = float(rng.uniform(0.05, 0.95))
-        r = float(rng.uniform(0.05, 0.9))
-        p = mobius_family_coeffs(MobiusFamilyParams(a, gamma), order)
-        direct = functionals.area_refined_total(p, r, gamma).total
+    for i, (gamma, a, r) in enumerate(zip(gammas.tolist(), a_values.tolist(), radii.tolist())):
         recentred = recentred_area_total(
-            PowerSeries(p.coeffs / (1.0 - gamma) ** np.arange(order + 1)),
+            PowerSeries(stack.coeffs[i] / (1.0 - gamma) ** np.arange(order + 1)),
             r * (1.0 - gamma),
             gamma,
         ).total
-        resid = abs(direct - recentred)
+        resid = abs(direct[i] - recentred)
         if resid > worst_resid:
             worst_resid = resid
             witness = {"sample": i, "gamma": gamma, "a": a, "r": r}
@@ -441,15 +471,17 @@ def check_recentred_slack_certificate(
     order: int = 96,
     seed: int = 42,
     tol: float = NUMERIC_TOL,
+    samples: Sequence | None = None,
 ) -> CheckReport:
     """recentred_area_total <= 1 + recentred_slack(r, |alpha_0|) for bounded
-    samples expanded about gamma; ties the slack certificate to its meaning."""
-    rng = np.random.default_rng(seed)
+    samples expanded about gamma, by default the first n_samples products of
+    the seed's stream; ties the slack certificate to its meaning."""
+    if samples is None:
+        samples = _blaschke_stream(seed)(n_samples)
     worst = np.inf
     witness: dict = {}
-    for i in range(n_samples):
+    for i, f in enumerate(samples):
         gamma = float(gammas[i % len(gammas)])
-        f = random_blaschke(rng)
         s = 0.9 * (1.0 - gamma)
         c = numeric_taylor(lambda u: f(gamma + s * u), order, rho=0.9)
         alpha = PowerSeries(c.coeffs / s ** np.arange(order + 1))
@@ -460,7 +492,7 @@ def check_recentred_slack_certificate(
         if slack[j] < worst:
             worst = slack[j]
             witness = {"sample": i, "gamma": gamma, "r": float(r[j]), "a0_abs": float(a0)}
-    return CheckReport.from_slack("recentred-slack-certificate", n_samples, worst, witness, tol)
+    return CheckReport.from_slack("recentred-slack-certificate", len(samples), worst, witness, tol)
 
 
 # Samples per stacked evaluator call in check_family_deficit_identity.  Against
@@ -481,23 +513,16 @@ def check_family_deficit_identity(
 
     The totals of _STACK samples at a time come from one call per evaluator
     on their family stacks, each row equal bit for bit to the call on that
-    sample alone.
+    sample alone, and their parameters one block of draws.
     """
     rng = np.random.default_rng(seed)
-    samples = []
-    for _ in range(n_samples):
-        gamma = float(rng.uniform(0.0, 0.9))
-        a = float(rng.uniform(max(gamma + 0.02, 0.05), 0.995))
-        r = float(rng.uniform(0.01, 0.9))
-        k = float(rng.uniform(0.0, 1.0))
-        lam = float(rng.uniform(0.0, 1.0))
-        MobiusFamilyParams(a, gamma, sharpness_witness=True)  # a > gamma; h is this member
-        samples.append((gamma, a, r, k, lam))
     worst_resid = 0.0
     witness: dict = {}
     for start in range(0, n_samples, _STACK):
-        block = samples[start : start + _STACK]
-        gammas, a_values, radii, ks, lams = map(np.array, zip(*block))
+        u = rng.random((min(_STACK, n_samples - start), 5))
+        gammas = _uniform(u[:, 0], 0.0, 0.9)
+        a_values = _uniform(u[:, 1], np.maximum(gammas + 0.02, 0.05), 0.995)
+        radii, ks, lams = _uniform(u[:, 2:], np.array([0.01, 0.0, 0.0]), np.array([0.9, 1.0, 1.0])).T
         h, g = family_stack(a_values, gammas, order, ks * lams)
         # the norm table first: the area table then reuses its weights
         norms = functionals.norm_refined_total(h, radii).total.tolist()
@@ -506,7 +531,9 @@ def check_family_deficit_identity(
             norms,
             functionals.harmonic_total(h, g, radii).total.tolist(),
         )
+        block = zip(*(v.tolist() for v in (gammas, a_values, radii, ks, lams)))
         for i, ((gamma, a, r, k, lam), (area, norm, harmonic)) in enumerate(zip(block, totals), start):
+            MobiusFamilyParams(a, gamma, sharpness_witness=True)  # a > gamma; h is this member
             pref = (1.0 - a) / (1.0 - a * gamma)
             resids = {
                 "area": abs(area - (1.0 - (1.0 - a) * family_area_deficit(r, a, gamma))),
@@ -527,39 +554,27 @@ def check_family_deficit_identity(
 def shape_reports(grid: int = 400) -> list[CheckReport]:
     """Sign and monotonicity checks of the scalar closed forms on dense grids."""
     reports: list[CheckReport] = []
-    tol = 1e-12
+
+    def add(name, samples, worst, witness=None, tol=1e-12):
+        reports.append(CheckReport.from_slack("shape:" + name, samples, worst, witness or {}, tol))
 
     rs = {}
     for gamma in (0.0, 0.3, 0.6, 0.9):
         for x in (0.0, 0.5, 0.9):
             r = np.linspace(1e-4, (1.0 - gamma) * 0.999, grid)
             rs[(gamma, x)] = recentred_slack(r, x, gamma)
-    worst = min(float(np.min(np.diff(v))) for v in rs.values())
-    reports.append(
-        CheckReport.from_slack(
-            "shape:recentred-slack-increasing", len(rs) * grid, worst, {}, tol
-        )
-    )
+    add("recentred-slack-increasing", len(rs) * grid, min(float(np.min(np.diff(v))) for v in rs.values()))
 
     x = np.linspace(0.0, 1.0, grid)
     g = np.linspace(0.0, 1.0, grid, endpoint=False)
     env = recentred_slack_envelope(x[:, None], g[None, :])
-    worst = float(-np.max(env))
-    reports.append(
-        CheckReport.from_slack("shape:slack-envelope-nonpositive", env.size, worst, {}, tol)
-    )
-    worst = float(np.min(np.diff(env, axis=0)))
-    reports.append(
-        CheckReport.from_slack("shape:slack-envelope-increasing", env.size, worst, {}, tol)
-    )
+    add("slack-envelope-nonpositive", env.size, float(-np.max(env)))
+    add("slack-envelope-increasing", env.size, float(np.min(np.diff(env, axis=0))))
 
     g = np.linspace(0.0, 1.0 - 1e-9, 1000)
     coupling = area_coupling(g)
-    worst = min(float(np.min(-np.diff(coupling))), float(coupling[-1]))
     witness = {"at_zero": float(area_coupling(0.0)), "near_one": float(coupling[-1])}
-    reports.append(
-        CheckReport.from_slack("shape:area-coupling-decreasing", g.size, worst, witness, tol)
-    )
+    add("area-coupling-decreasing", g.size, min(float(np.min(-np.diff(coupling))), float(coupling[-1])), witness)
 
     worst = np.inf
     count = 0
@@ -568,45 +583,32 @@ def shape_reports(grid: int = 400) -> list[CheckReport]:
             if a <= gamma:
                 continue
             r = np.linspace(1e-3, 0.95, grid)
-            for fn in (
-                lambda r: family_area_deficit(r, a, gamma),
-                lambda r: family_norm_deficit(r, a, gamma),
-                lambda r: family_harmonic_deficit(r, a, gamma, 0.5, 1.0),
-            ):
-                worst = min(worst, float(np.min(-np.diff(fn(r)))))
+            for deficits in (family_area_deficit(r, a, gamma), family_norm_deficit(r, a, gamma),
+                             family_harmonic_deficit(r, a, gamma, 0.5, 1.0)):
+                worst = min(worst, float(np.min(-np.diff(deficits))))
                 count += grid
-    reports.append(
-        CheckReport.from_slack("shape:family-deficit-decreasing", count, worst, {}, tol)
-    )
+    add("family-deficit-decreasing", count, worst)
 
     worst = np.inf
     a = np.linspace(0.0, 1.0, 1000)
     count = 0
     for gamma in np.linspace(0.0, 0.9, 10):
-        for r in np.linspace(0.01, sharp_majorant_radius(gamma), 12):
-            A, B, C = norm_envelope_coeffs(float(r), float(gamma))
-            worst = min(worst, float(np.min(-norm_envelope_curvature(a, A, B, C))))
-            worst = min(worst, float(np.min(norm_envelope_slope(a, A, B, C))))
-            worst = min(worst, float(np.min(1.0 - norm_envelope(a, A, B, C))))
-            count += 3 * a.size
-    reports.append(
-        CheckReport.from_slack("shape:norm-envelope-concave-increasing", count, worst, {}, tol)
-    )
+        radii = np.linspace(0.01, sharp_majorant_radius(gamma), 12)
+        # one row per radius, its (A, B, C) as the scalar call rounds them
+        A, B, C = np.array([norm_envelope_coeffs(r, float(gamma)) for r in radii.tolist()]).T[:, :, None]
+        worst = min(worst, float(np.min(-norm_envelope_curvature(a, A, B, C))))
+        worst = min(worst, float(np.min(norm_envelope_slope(a, A, B, C))))
+        worst = min(worst, float(np.min(1.0 - norm_envelope(a, A, B, C))))
+        count += 3 * a.size * radii.size
+    add("norm-envelope-concave-increasing", count, worst)
 
     x = np.linspace(0.0, 1.0, 1000)
     ws = weighted_area_slack(x)
-    worst = min(float(np.min(-np.diff(ws))), float(np.min(ws)))
     witness = {"at_zero": float(weighted_area_slack(0.0)), "at_one": float(weighted_area_slack(1.0))}
-    reports.append(
-        CheckReport.from_slack("shape:weighted-area-slack", x.size, worst, witness, tol)
-    )
+    add("weighted-area-slack", x.size, min(float(np.min(-np.diff(ws))), float(np.min(ws))), witness)
 
     g = np.linspace(0.0, 0.99, 1000)
-    root_resid = np.abs(norm_radius_criterion((1.0 + g) / (3.0 + g), g))
-    worst = float(-np.max(root_resid))
-    reports.append(
-        CheckReport.from_slack("shape:norm-radius-root", g.size, worst, {}, 1e-14)
-    )
+    add("norm-radius-root", g.size, float(-np.max(np.abs(norm_radius_criterion((1.0 + g) / (3.0 + g), g)))), tol=1e-14)
 
     a = np.linspace(0.0, 1.0, 500)
     worst = np.inf
@@ -618,9 +620,7 @@ def shape_reports(grid: int = 400) -> list[CheckReport]:
             worst = min(worst, float(np.min(-np.diff(caps))))
             worst = min(worst, -abs(float(caps[-1]) - (1.0 + gamma) / (3.0 + 2.0 * k + gamma)))
             count += a.size
-    reports.append(
-        CheckReport.from_slack("shape:harmonic-radius-cap", count, worst, {}, tol)
-    )
+    add("harmonic-radius-cap", count, worst)
 
     # Near the extremal limit the deficits at the sharp radius collapse like
     # (1-a) * ((1+gamma)/(1-gamma))^2, so the raw smallness claim only holds
@@ -633,19 +633,15 @@ def shape_reports(grid: int = 400) -> list[CheckReport]:
         values = [
             family_area_deficit(r0, a_lim, float(gamma)),
             family_norm_deficit(r0, a_lim, float(gamma)),
-            family_harmonic_deficit(
-                (1.0 + gamma) / (4.0 + gamma), a_lim, float(gamma), 0.5, 1.0
-            ),
+            family_harmonic_deficit((1.0 + gamma) / (4.0 + gamma), a_lim, float(gamma), 0.5, 1.0),
         ]
         scale = ((1.0 - gamma) / (1.0 + gamma)) ** 2
         for v in values:
             if gamma <= 0.6:
                 worst = min(worst, 1e-3 - abs(v))
             worst_scaled = min(worst_scaled, 1e-3 - abs(v) * scale)
-    reports.append(CheckReport.from_slack("shape:family-deficit-limit", 30, worst, {}, 0.0))
-    reports.append(
-        CheckReport.from_slack("shape:family-deficit-limit-scaled", 30, worst_scaled, {}, 0.0)
-    )
+    add("family-deficit-limit", 30, worst, tol=0.0)
+    add("family-deficit-limit-scaled", 30, worst_scaled, tol=0.0)
     return reports
 
 
@@ -663,21 +659,24 @@ SHAPE_CHECKS = tuple("shape:" + name for name in """
 
 def default_checks(seed: int = 42, fast: bool = False) -> dict[str, Callable[[], CheckReport]]:
     """Every check by report name, in a fixed order, each a thunk with its
-    default sample size; the shape checks share one shape_reports() call."""
+    default sample size; the shape checks share one shape_reports() call, and
+    the sampled checks the seed's one stream of products: each gets the first
+    n (dilatation the first 2n), just what it draws alone."""
     scale = 0.4 if fast else 1.0
 
     def n(base: int) -> int:
         return max(10, int(base * scale))
 
+    first = _blaschke_stream(seed)
     checks = {
-        "schwarz-pick": lambda: check_schwarz_pick(n_samples=n(200), seed=seed),
-        "coefficient-bounds": lambda: check_coefficient_bounds(n_samples=n(120), seed=seed),
-        "ruscheweyh-derivatives": lambda: check_ruscheweyh(n_samples=n(100), seed=seed),
-        "dilatation-coefficients": lambda: check_dilatation_coefficients(n_samples=n(100), seed=seed),
+        "schwarz-pick": lambda: check_schwarz_pick(samples=first(n(200))),
+        "coefficient-bounds": lambda: check_coefficient_bounds(samples=first(n(120))),
+        "ruscheweyh-derivatives": lambda: check_ruscheweyh(samples=first(n(100))),
+        "dilatation-coefficients": lambda: check_dilatation_coefficients(samples=first(2 * n(100))),
         "family-deficit-identity":
             lambda: check_family_deficit_identity(n(100), seed, 1024 if fast else 2048),
         "recentred-consistency": lambda: check_recentred_consistency(seed=seed),
-        "recentred-slack-certificate": lambda: check_recentred_slack_certificate(n(30), seed=seed),
+        "recentred-slack-certificate": lambda: check_recentred_slack_certificate(samples=first(n(30))),
     }
     shapes = functools.cache(lambda: {report.name: report for report in shape_reports()})
     checks.update({name: lambda name=name: shapes()[name] for name in SHAPE_CHECKS})

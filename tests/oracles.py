@@ -10,7 +10,7 @@ derivative) live here too.
 The reference section keeps the plain per-sample versions of code that the
 package now runs batched: the uncached ``numeric_taylor``, the O(n^2)
 Blaschke derivative, the full family power vector, the conjecture grid
-built one member at a time, five sampled checks and the family solve that
+built one member at a time, seven sampled checks and the family solve that
 ran one member after another.  Tests assert that the
 batched code equals them bit for bit.
 """
@@ -305,6 +305,30 @@ def schwarz_pick_reference(n_samples: int = 200, seed: int = 42, tol: float = 1e
     return verify.CheckReport.from_slack("schwarz-pick", len(samples), worst, witness, tol)
 
 
+def coefficient_bounds_reference(
+    n_samples: int = 120, gammas=(0.0, 0.25, 0.5, 0.75, 0.9), n_max: int = 16, seed: int = 42,
+    tol: float = 1e-8, rho: float = 0.5,
+):
+    """``check_coefficient_bounds`` with one ``numeric_taylor`` call per sample."""
+    from bohrlab import verify
+    from bohrlab.series import DiskDomain, numeric_taylor
+
+    rng = np.random.default_rng(seed)
+    worst, witness = np.inf, {}
+    for i in range(n_samples):
+        gamma = float(gammas[i % len(gammas)])
+        f = verify.bounded_on_disk_domain(verify.random_blaschke(rng), DiskDomain(gamma))
+        p = numeric_taylor(f, n_max, rho=rho)
+        a0 = abs(p.coeffs[0])
+        bound = (1.0 - a0**2) / (1.0 + gamma)
+        slack = bound - np.abs(p.coeffs[1:])
+        j = int(np.argmin(slack))
+        if slack[j] < worst:
+            worst = float(slack[j])
+            witness = {"sample": i, "gamma": gamma, "n": j + 1, "a0_abs": float(a0)}
+    return verify.CheckReport.from_slack("coefficient-bounds", n_samples, worst, witness, tol)
+
+
 def ruscheweyh_reference(
     n_samples: int = 100,
     alphas=(0.0, 0.3, -0.45, 0.25j, -0.2 - 0.35j),
@@ -400,6 +424,32 @@ def family_deficit_identity_reference(n_samples: int = 100, seed: int = 42, orde
                 worst_resid = resid
                 witness = {"sample": i, "identity": label, "gamma": gamma, "a": a, "r": r}
     return verify.CheckReport.from_slack("family-deficit-identity", n_samples, -worst_resid, witness, tol)
+
+
+def recentred_consistency_reference(n_samples: int = 25, seed: int = 42, order: int = 128, tol: float = 1e-12):
+    """``check_recentred_consistency`` drawing each sample's parameters with
+    ``rng.uniform`` and building and evaluating one member at a time."""
+    from bohrlab import functionals, verify
+    from bohrlab.extremals import MobiusFamilyParams, mobius_family_coeffs
+
+    rng = np.random.default_rng(seed)
+    worst_resid, witness = 0.0, {}
+    for i in range(n_samples):
+        gamma = float(rng.uniform(0.0, 0.9))
+        a = float(rng.uniform(0.05, 0.95))
+        r = float(rng.uniform(0.05, 0.9))
+        p = mobius_family_coeffs(MobiusFamilyParams(a, gamma), order)
+        direct = functionals.area_refined_total(p, r, gamma).total
+        recentred = verify.recentred_area_total(
+            PowerSeries(p.coeffs / (1.0 - gamma) ** np.arange(order + 1)),
+            r * (1.0 - gamma),
+            gamma,
+        ).total
+        resid = abs(direct - recentred)
+        if resid > worst_resid:
+            worst_resid = resid
+            witness = {"sample": i, "gamma": gamma, "a": a, "r": r}
+    return verify.CheckReport.from_slack("recentred-consistency", n_samples, -worst_resid, witness, tol)
 
 
 def recentred_slack_certificate_reference(

@@ -600,3 +600,80 @@ def test_tiny_family_parameter_is_a_usage_error_without_traceback():
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "--a" in proc.stderr
+
+
+_SAMPLED_CHECKS = (
+    "schwarz-pick", "coefficient-bounds", "ruscheweyh-derivatives", "dilatation-coefficients",
+    "recentred-slack-certificate",
+)
+
+
+@pytest.mark.parametrize("fast", [[], ["--fast"]], ids=["full", "fast"])
+def test_verify_check_alone_writes_the_entry_of_verify_all(tmp_path, fast):
+    # each sampled check's samples are a prefix of the seed's one stream, so
+    # running it alone reproduces its report in the full run byte for byte
+    everything = tmp_path / "all.json"
+    run_cli("verify", "--all", "--seed", "5", "--out", str(everything), *fast)
+    entries = {entry["name"]: entry for entry in json.loads(everything.read_text())}
+    for name in _SAMPLED_CHECKS:
+        alone = tmp_path / f"{name}.json"
+        run_cli("verify", "--check", name, "--seed", "5", "--out", str(alone), *fast)
+        assert json.loads(alone.read_text()) == [entries[name]], name
+        assert alone.read_text() == verify.reports_to_json([verify.CheckReport(**entries[name])])
+
+
+_SMALL_RUNS = {
+    "radius": ["radius", "--theorem", "B", "--gamma", "0.5", "--order", "64"],
+    "verify": ["verify", "--check", "schwarz-pick", "--fast"],
+    "sweep": ["sweep", "--theorem", "B", "--gammas", "0.5", "--grid", "2", "--order", "16"],
+    "conjecture": ["conjecture", "--gammas", "0.5", "--grid", "4", "--refinements", "0"],
+    "identity-check": ["identity-check", "--samples", "1"],
+}
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "a-dir", "missing-dir-csv"])
+@pytest.mark.parametrize("command", sorted(_SMALL_RUNS))
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, command, target):
+    out = {"missing-dir": tmp_path / "nowhere" / "x.json", "a-dir": tmp_path,
+           "missing-dir-csv": tmp_path / "nowhere" / "x.csv"}[target]
+    with pytest.raises(SystemExit) as exc:
+        main(_SMALL_RUNS[command] + ["--out", str(out)])
+    assert exc.value.code == 2
+    reason = "Is a directory" if target == "a-dir" else "No such file or directory"
+    assert f"cannot write --out {out}: {reason}" in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_2_without_traceback(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "bohrlab.cli", "identity-check", "--samples", "1", "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "cannot write --out" in proc.stderr
+
+
+def test_error_reading_other_files_is_not_an_out_error(tmp_path, monkeypatch):
+    def unreadable(*args):
+        raise FileNotFoundError(2, "No such file or directory", str(tmp_path / "table.bin"))
+
+    monkeypatch.setattr(cli, "cmd_identity_check", unreadable)
+    with pytest.raises(FileNotFoundError):
+        main(["identity-check", "--samples", "1", "--out", str(tmp_path / "x.json")])
+
+
+@pytest.mark.parametrize("command", [["radius", "--theorem", "3", "--order", "16"],
+                                     ["sweep", "--theorem", "3", "--gammas", "0.5", "--grid", "3", "--order", "16"]],
+                         ids=["radius", "sweep"])
+def test_lambda_whose_radius_rounds_to_one_is_a_usage_error(tmp_path, capsys, command):
+    # 1/(1 + 2 lambda) is below one from 5.6e-17 up; at 5.5e-17 it rounds to 1.0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambda": 1e-300}))
+    for argv in (command + ["--lambda", "5.5e-17"], command + ["--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "--lambda: must be positive, with 1/(1 + 2 lambda) < 1" in capsys.readouterr().err
+    code, _ = run_cli(*command, "--lambda", "5.6e-17")
+    assert code in (0, 1)

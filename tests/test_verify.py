@@ -44,9 +44,11 @@ from oracles import (
     AnalyticSample,
     automorphism_coeffs,
     blaschke_deriv_reference,
+    coefficient_bounds_reference,
     dilatation_coefficients_reference,
     family_deficit_identity_reference,
     random_decaying_series,
+    recentred_consistency_reference,
     recentred_slack_certificate_reference,
     ruscheweyh_reference,
     schwarz_pick_reference,
@@ -87,8 +89,13 @@ def test_value_and_deriv_equals_call_and_reference_derivative():
     (check_recentred_slack_certificate, recentred_slack_certificate_reference, {"n_samples": 30}),
     (check_dilatation_coefficients, dilatation_coefficients_reference, {"n_samples": 100}),
     (check_dilatation_coefficients, dilatation_coefficients_reference, {"n_samples": 30, "k": 0.9, "order": 64}),
+    (check_coefficient_bounds, coefficient_bounds_reference, {"n_samples": 120}),
+    (check_coefficient_bounds, coefficient_bounds_reference, {"n_samples": 7, "gammas": (0.6, 0.1), "n_max": 24}),
+    (check_recentred_consistency, recentred_consistency_reference, {"n_samples": 25}),
+    (check_recentred_consistency, recentred_consistency_reference, {"n_samples": 100, "order": 64}),
 ], ids=["schwarz-pick", "ruscheweyh", "family-deficit-identity", "recentred-slack-certificate",
-        "dilatation-coefficients", "dilatation-coefficients-k0.9-order64"])
+        "dilatation-coefficients", "dilatation-coefficients-k0.9-order64", "coefficient-bounds",
+        "coefficient-bounds-7-samples-n24", "recentred-consistency", "recentred-consistency-100-order64"])
 def test_rewritten_checks_equal_their_per_sample_references(check, reference, kwargs, seed):
     assert check(seed=seed, **kwargs) == reference(seed=seed, **kwargs)
 
@@ -99,6 +106,51 @@ def test_rewritten_checks_equal_their_per_sample_references(check, reference, kw
 def test_stacked_family_deficit_identity_equals_the_per_sample_reference(n_samples, order, seed):
     kwargs = {"n_samples": n_samples, "seed": seed, "order": order}
     assert check_family_deficit_identity(**kwargs) == family_deficit_identity_reference(**kwargs)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_uniform_rows_equal_the_per_sample_draws(seed):
+    # rng.uniform(low, high) is low + (high - low) * next_double, whatever the bounds
+    lows = np.array([0.0, 0.05, 0.01, 0.0, -3.5])
+    highs = np.array([0.9, 0.995, 0.9, 1.0, 1e-3])
+    rows = verify._uniform(np.random.default_rng(seed).random((50, lows.size)), lows, highs)
+    rng = np.random.default_rng(seed)
+    draws = [[rng.uniform(low, high) for low, high in zip(lows.tolist(), highs.tolist())] for _ in range(50)]
+    assert rows.tolist() == draws
+
+
+# (check, its sample count in default_checks(fast=False), in default_checks(fast=True))
+_SAMPLED = {
+    "schwarz-pick": (check_schwarz_pick, 200, 80),
+    "coefficient-bounds": (check_coefficient_bounds, 120, 48),
+    "ruscheweyh-derivatives": (check_ruscheweyh, 100, 40),
+    "dilatation-coefficients": (check_dilatation_coefficients, 100, 40),
+    "recentred-slack-certificate": (check_recentred_slack_certificate, 30, 12),
+}
+
+
+@pytest.mark.parametrize("fast", [False, True])
+@pytest.mark.parametrize("seed", [42, 5, 7])
+def test_shared_sample_stream_reports_equal_each_check_alone(seed, fast):
+    checks = verify.default_checks(seed, fast)
+    # in reverse, so the first check run draws the whole pool
+    for name, (check, n, n_fast) in reversed(_SAMPLED.items()):
+        assert checks[name]() == check(n_samples=n_fast if fast else n, seed=seed), name
+    assert checks["recentred-consistency"]() == check_recentred_consistency(seed=seed)
+
+
+def test_shared_sample_stream_draws_each_product_once_and_only_as_needed(monkeypatch):
+    drawn = []
+    blaschke = verify.random_blaschke
+    monkeypatch.setattr(verify, "random_blaschke", lambda rng: drawn.append(1) or blaschke(rng))
+    checks = verify.default_checks(42, fast=True)
+    checks["recentred-slack-certificate"]()
+    assert len(drawn) == 12
+    checks["coefficient-bounds"]()
+    assert len(drawn) == 48
+    for name in _SAMPLED:
+        checks[name]()
+    assert len(drawn) == 80  # the largest prefix: schwarz-pick's 80, dilatation's 40 pairs
 
 
 def test_dilatation_samples_equal_the_per_sample_reference(monkeypatch):
