@@ -50,7 +50,9 @@ class Bound:
     end of the sweep's radius grid.  ``x`` is the value of the one extra
     parameter the theorem reads and reports (``k``, ``lambda`` or ``K``), or
     None.  ``pinned`` fixes parameters that make the theorem a special case
-    of another one.
+    of another one.  ``extremal(gamma)``, when given, is the one value of
+    ``x`` at which the family is extremal; at any other value ``radius`` is
+    not the family's radius.
     """
 
     harmonic: bool
@@ -58,6 +60,7 @@ class Bound:
     radius: Callable[[float, float | None], float]
     param: str | None = None
     pinned: dict = field(default_factory=dict)
+    extremal: Callable[[float], float] | None = None
 
 
 def _majorant_radius(gamma, x):
@@ -76,7 +79,8 @@ BOUNDS = {
                _majorant_radius, "K"),
     "2": Bound(False, lambda p, r, gamma, x: functionals.norm_refined_total(p, r), _majorant_radius),
     "3": Bound(False, lambda p, r, gamma, x: functionals.domain_ratio_area_total(p, r, x),
-               lambda gamma, x: 1.0 / (1.0 + 2.0 * x), "lambda"),
+               lambda gamma, x: 1.0 / (1.0 + 2.0 * x), "lambda",
+               extremal=lambda gamma: DiskDomain(gamma).coefficient_ratio_sup),
     "4": _HARMONIC,
     "corollary": replace(_HARMONIC, pinned={"k": 1.0}),
 }
@@ -108,6 +112,8 @@ def _at_least(low: int) -> _Number:
     return _Number(int, lambda value: value >= low, f"be at least {low}")
 
 
+# each identity-check sample costs about 0.2 ms, so this cap bounds a run at about 20 s
+_MAX_IDENTITY_SAMPLES = 100_000
 _GAMMA = _Number(float, lambda value: 0.0 <= value < 1.0, "lie in [0, 1)")
 _UNIT = _Number(float, lambda value: 0.0 <= value <= 1.0, "lie in [0, 1]")
 _POSITIVE = _Number(float, lambda value: value > 0.0, "be positive")
@@ -173,14 +179,17 @@ def cmd_radius(args) -> int:
 
     a_grid = [args.a] if args.a is not None else sharpness_a_grid(14)
     family = _family(bound, a_grid, gamma, k)
-    # every member's series, stacked once: each solver round is one evaluator call
-    members = [_series(bound, params, args.order) for params in family]
-    stack = (tuple(map(functionals.SeriesStack, zip(*members))) if bound.harmonic
-             else functionals.SeriesStack(members))
-    del members  # the stack holds a copy: free the series before the solve
+    if args.a is None:  # the whole family in one stack: each solver round is one evaluator call
+        stack = family_stack(a_grid, gamma, args.order, k if bound.harmonic else None)
+    else:  # the one member's own series
+        member = _series(bound, family[0], args.order)
+        stack = (tuple(functionals.SeriesStack([s]) for s in member) if bound.harmonic
+                 else functionals.SeriesStack([member]))
     result = solver.family_infimum_radius(lambda r: bound.total(stack, r, gamma, x), family, tol=args.tol)
     closed = bound.radius(gamma, x)
     diff = abs(result.radius - closed)
+    # above the extremal value the family lies in the theorem's class, below it outside
+    side = 0.0 if bound.extremal is None else x - bound.extremal(gamma)
 
     shown = [f"gamma={gamma:g}"]
     if args.a is not None:
@@ -193,6 +202,10 @@ def cmd_radius(args) -> int:
     print(f"  abs difference    = {diff:.3e}")
     for note in result.diagnostics:
         print(f"  note: {note}")
+    if side and args.a is None:
+        claim = ("the family is in the theorem's class: asserting computed >= closed-form value" if side > 0
+                 else "the family is outside the theorem's class: the closed form is a reference, not asserted")
+        print(f"  note: {bound.param}={x!r} is not {bound.extremal(gamma)!r}, where the family is extremal; {claim}")
 
     if args.out:
         out = Path(args.out)
@@ -211,10 +224,13 @@ def cmd_radius(args) -> int:
             _append_radius_csv(out, [gamma, k, lam, f"theorem-{theorem}", result.radius, result.tol])
         else:
             out.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    if args.a is not None:
-        # a single family member only brackets the family radius from above;
-        # the closed form is printed as a reference, not asserted
+    if args.a is not None or side < 0:
+        # a single family member only brackets the family radius from above,
+        # and a family outside the class bounds nothing: the closed form is
+        # printed as a reference, not asserted
         return 0
+    if side > 0:  # a family in the class has at least the theorem's radius
+        return 0 if result.radius >= closed - RADIUS_MATCH_TOL else 1
     return 0 if diff < RADIUS_MATCH_TOL else 1
 
 
@@ -343,7 +359,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    default=None, help="solve for one family member instead of sweeping the grid")
     p.add_argument("--k", type=_UNIT, default=None, help="dilatation bound for the harmonic case")
     p.add_argument("--lambda", dest="lam", type=_LAMBDA, default=None,
-                   help="coefficient-ratio supremum (defaults to 1/(1+gamma))")
+                   help="coefficient-ratio supremum (defaults to 1/(1+gamma), where theorem 3's family is extremal)")
     p.add_argument("--K", dest="weight", type=_WEIGHT, default=None,
                    help="area-correction weight in [0, 8/9] (defaults to 8/9)")
     p.add_argument("--tol", type=_POSITIVE, default=1e-10)
@@ -377,7 +393,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("identity-check", help="closed-form deficit identities on random parameters",
                        allow_abbrev=False)
-    p.add_argument("--samples", type=_at_least(1), default=100)
+    p.add_argument("--samples", default=100, type=_Number(int, lambda value: 1 <= value <= _MAX_IDENTITY_SAMPLES,
+                                                          f"lie in [1, {_MAX_IDENTITY_SAMPLES}]"),
+                   help=f"random samples, at most {_MAX_IDENTITY_SAMPLES} (about 0.2 ms each: at most about 20 s)")
     p.add_argument("--tol", type=_POSITIVE, default=1e-10)
     common(p)
 

@@ -181,6 +181,9 @@ def harmonic_extremal(
 def family_stack(a, gamma, order: int = DEFAULT_ORDER, weight=None):
     """The members at (a, gamma), one stack row each, written in place: each
     row, q and C equal :func:`mobius_family_coeffs` on that member bit for bit.
+    The coefficients are real, so the rows are float64, half the bytes of the
+    complex rows, and every evaluator value is unchanged: ``abs`` of a real x
+    equals the complex ``hypot(x, 0)`` bit for bit.
 
     ``a``, ``gamma`` and ``weight`` are floats or arrays, one entry per row.
     With a ``weight`` (k * lambda, in [0, 1]) the result is the harmonic pair
@@ -194,7 +197,7 @@ def family_stack(a, gamma, order: int = DEFAULT_ORDER, weight=None):
     a0, q, scale = family_constants(a, gamma)
     if not np.all(np.isfinite(scale)):  # a below about 1e-308
         raise ValueError(f"the tail constant C = (1 - a^2) / (a (1 - a gamma)) overflows at a={a}")
-    coeffs = np.zeros((a.size, order + 1), dtype=np.complex128)
+    coeffs = np.zeros((a.size, order + 1))
     for member in zip(coeffs, a0, q, scale):
         _write_member(*member)
     h = SeriesStack.from_rows(coeffs, q, scale)

@@ -87,8 +87,9 @@ class SeriesStack:
 
     @classmethod
     def from_rows(cls, coeffs: np.ndarray, q: np.ndarray, C: np.ndarray) -> "SeriesStack":
-        """A stack holding ``coeffs`` (complex, one member per row) and the
-        certificate arrays as they are, with no copy and no finiteness check."""
+        """A stack holding ``coeffs`` (complex, or float64 for real series; one
+        member per row) and the certificate arrays as they are, with no copy
+        and no finiteness check."""
         stack = cls.__new__(cls)
         stack._hold(coeffs, q, C)
         return stack

@@ -453,8 +453,10 @@ def check_recentred_consistency(
     worst_resid = 0.0
     witness: dict = {}
     for i, (gamma, a, r) in enumerate(zip(gammas.tolist(), a_values.tolist(), radii.tolist())):
+        # the stack's rows are real: divide a complex copy, which rounds as the
+        # member's complex coefficients do (real division can round apart)
         recentred = recentred_area_total(
-            PowerSeries(stack.coeffs[i] / (1.0 - gamma) ** np.arange(order + 1)),
+            PowerSeries(stack.coeffs[i].astype(complex) / (1.0 - gamma) ** np.arange(order + 1)),
             r * (1.0 - gamma),
             gamma,
         ).total

@@ -10,9 +10,9 @@ derivative) live here too.
 The reference section keeps the plain per-sample versions of code that the
 package now runs batched: the uncached ``numeric_taylor``, the O(n^2)
 Blaschke derivative, the full family power vector, the conjecture grid
-built one member at a time, seven sampled checks and the family solve that
-ran one member after another.  Tests assert that the
-batched code equals them bit for bit.
+built one member at a time, seven sampled checks, the family solve that
+ran one member after another and the per-member stack it solved on.  Tests
+assert that the batched code equals them bit for bit.
 """
 
 from __future__ import annotations
@@ -486,6 +486,17 @@ def stacked_bound(bound_for: Callable, family) -> Callable:
     row i of its value is ``bound_for(family[i])`` padded at r[i]."""
     bounds = [bound_for(params) for params in family]
     return lambda r: np.array([_padded(bound(float(x))) for bound, x in zip(bounds, r)])
+
+
+def member_series_stack(bound, family, order: int):
+    """The stack ``cli.cmd_radius`` solved on before ``family_stack``: each
+    member's own series from ``cli._series``, copied into complex
+    ``SeriesStack`` rows (h and g apart for a harmonic bound)."""
+    from bohrlab import cli
+    from bohrlab.functionals import SeriesStack
+
+    members = [cli._series(bound, params, order) for params in family]
+    return tuple(map(SeriesStack, zip(*members))) if bound.harmonic else SeriesStack(members)
 
 
 def family_infimum_reference(bound_for: Callable, family, tol: float = 1e-10):

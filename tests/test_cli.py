@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -13,13 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bohrlab
-from bohrlab import cli, verify
+from bohrlab import cli, solver, verify
 from bohrlab.cli import SWEEP_THEOREMS, THEOREMS, main
 from bohrlab.extremals import MobiusFamilyParams, mobius_family_coeffs, sharpness_a_grid
 from bohrlab.functionals import bohr_total
 from bohrlab.solver import UPPER_LIMIT
 
-from oracles import bisection_radius, sweep_csv_reference
+from oracles import bisection_radius, member_series_stack, sweep_csv_reference
 
 
 def run_cli(*argv):
@@ -677,3 +678,65 @@ def test_lambda_whose_radius_rounds_to_one_is_a_usage_error(tmp_path, capsys, co
         assert "--lambda: must be positive, with 1/(1 + 2 lambda) < 1" in capsys.readouterr().err
     code, _ = run_cli(*command, "--lambda", "5.6e-17")
     assert code in (0, 1)
+
+
+_RADIUS_CASES = [("A", 0.0, None)] + [
+    (theorem, gamma, None) for theorem in ("B", "1", "2", "3", "corollary") for gamma in (0.0, 0.37, 0.85)
+] + [("4", gamma, k) for gamma in (0.0, 0.37, 0.85) for k in (0.35, 1.0)]
+
+
+@pytest.mark.parametrize("theorem,gamma,k", _RADIUS_CASES)
+def test_radius_result_equals_the_solve_on_per_member_series(tmp_path, theorem, gamma, k):
+    # the family's float64 family_stack rows solve exactly as its complex per-member series did
+    out = tmp_path / "radius.json"
+    argv = ["radius", "--theorem", theorem, "--out", str(out)]
+    argv += [] if theorem == "A" else ["--gamma", repr(gamma)]
+    argv += [] if k is None else ["--k", repr(k)]
+    code, _ = run_cli(*argv)
+    assert code == 0
+    args = cli.build_parser()[0].parse_args(argv)
+    bound = cli.BOUNDS[theorem]
+    values = {**cli._parameters(args, gamma), **bound.pinned}
+    x = values.get(bound.param)
+    family = cli._family(bound, sharpness_a_grid(14), gamma, values["k"])
+    stack = member_series_stack(bound, family, args.order)
+    ref = solver.family_infimum_radius(lambda r: bound.total(stack, r, gamma, x), family, tol=args.tol)
+    assert json.loads(out.read_text())["result"] == json.loads(json.dumps(asdict(ref)))
+
+
+@pytest.mark.parametrize(
+    "gamma,lam,asserted",
+    [("0", "0.7", False), ("0", "2", True), (repr(3.0 / 7.0), None, True)],
+    ids=["below", "above", "extremal"],
+)
+def test_theorem_3_asserts_its_closed_form_only_where_the_family_is_in_its_class(gamma, lam, asserted,
+                                                                                   monkeypatch):
+    # the family's coefficient ratio is 1/(1+gamma), the default lambda: it is
+    # extremal there, in the theorem's class above it and outside it below
+    argv = ["radius", "--theorem", "3", "--gamma", gamma] + ([] if lam is None else ["--lambda", lam])
+    code, text = run_cli(*argv)
+    notes = [line for line in text.splitlines() if "where the family is extremal" in line]
+    assert code == 0
+    if lam is None:
+        assert notes == [] and "lambda=0.7\n" in text  # 1/(1 + 3/7) is 0.7
+    elif asserted:
+        assert notes == ["  note: lambda=2.0 is not 1.0, where the family is extremal; the family is in the "
+                         "theorem's class: asserting computed >= closed-form value"]
+    else:
+        assert notes == ["  note: lambda=0.7 is not 1.0, where the family is extremal; the family is outside "
+                         "the theorem's class: the closed form is a reference, not asserted"]
+    # a closed form above the computed radius fails exactly where it is asserted
+    monkeypatch.setitem(cli.BOUNDS, "3", replace(cli.BOUNDS["3"], radius=lambda gamma, x: 0.9))
+    assert run_cli(*argv)[0] == (1 if asserted else 0)
+
+
+def test_identity_check_samples_past_the_cap_are_a_usage_error(tmp_path, capsys):
+    cap = cli._MAX_IDENTITY_SAMPLES
+    assert cli.build_parser()[0].parse_args(["identity-check", "--samples", str(cap)]).samples == cap
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": cap + 1}))
+    for argv in (["identity-check", "--samples", "100000000"], ["identity-check", "--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert f"--samples: must lie in [1, {cap}]" in capsys.readouterr().err

@@ -135,6 +135,19 @@ def test_family_stack_rows_equal_the_member_builders_bit_for_bit(order, rows, ha
             assert (stack.tail.q[i], stack.tail.C[i]) == (member.tail.q, member.tail.C)
 
 
+@pytest.mark.parametrize("weight", [None, 0.35, 1.0])
+def test_family_stack_rows_are_float64_and_equal_the_complex_member_rows(weight):
+    a, gamma, order = sharpness_a_grid(14), 0.37, 2048
+    stacks = (family_stack(a, gamma, order),) if weight is None else family_stack(a, gamma, order, weight)
+    params = [HarmonicExtremalParams(float(x), gamma, 1.0 if weight is None else weight) for x in a]
+    members = [(mobius_family_coeffs(p.analytic, order),) if weight is None else harmonic_extremal(p, order)
+               for p in params]
+    for stack, rows in zip(stacks, zip(*members), strict=True):
+        complex_rows = np.stack([row.coeffs for row in rows])
+        assert stack.coeffs.dtype == np.float64 and complex_rows.dtype == np.complex128
+        assert np.array_equal(stack.coeffs, complex_rows) and not np.any(complex_rows.imag)
+
+
 def test_family_stack_takes_floats_and_rejects_what_the_params_reject():
     h = family_stack(0.5, 0.2, 16)
     assert h.coeffs.tolist() == [mobius_family_coeffs(MobiusFamilyParams(0.5, 0.2), 16).coeffs.tolist()]
