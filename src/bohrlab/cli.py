@@ -112,11 +112,25 @@ def _at_least(low: int) -> _Number:
     return _Number(int, lambda value: value >= low, f"be at least {low}")
 
 
-# each identity-check sample costs about 0.2 ms, so this cap bounds a run at about 20 s
+def _between(low: int, high: int) -> _Number:
+    return _Number(int, lambda value: low <= value <= high, f"lie in [{low}, {high}]")
+
+
+# Size caps: each bounds one run's time and memory, as the flag's help states
+# (measured on a 2-vCPU box); past it the flag is a usage error.
 _MAX_IDENTITY_SAMPLES = 100_000
+_MAX_ORDER = 2**18
+_MAX_SWEEP_GRID = 4096
+_MAX_CONJECTURE_GRID = 2048
+_ORDER = _between(1, _MAX_ORDER)
+_ORDER_HELP = (f"series order, at most {_MAX_ORDER} (about 0.6 KB and 1 us per coefficient: "
+               "at most about 180 MB and 0.3 s)")
 _GAMMA = _Number(float, lambda value: 0.0 <= value < 1.0, "lie in [0, 1)")
 _UNIT = _Number(float, lambda value: 0.0 <= value <= 1.0, "lie in [0, 1]")
 _POSITIVE = _Number(float, lambda value: value > 0.0, "be positive")
+# a radius solved no closer than RADIUS_MATCH_TOL cannot pass the check against its closed form
+_RADIUS_TOL = _Number(float, lambda value: 0.0 < value < RADIUS_MATCH_TOL,
+                      f"lie in (0, {RADIUS_MATCH_TOL:g}), below the closed-form check's tolerance")
 # the closed form (1+gamma)/(3+gamma) of theorem 1 is proven for these weights only
 _WEIGHT = _Number(float, lambda value: 0.0 <= value <= functionals.DEFAULT_AREA_WEIGHT, "lie in [0, 8/9]")
 # below about 5.6e-17 theorem 3's radius 1/(1 + 2 lambda) rounds to one, which no radius reaches
@@ -362,8 +376,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="coefficient-ratio supremum (defaults to 1/(1+gamma), where theorem 3's family is extremal)")
     p.add_argument("--K", dest="weight", type=_WEIGHT, default=None,
                    help="area-correction weight in [0, 8/9] (defaults to 8/9)")
-    p.add_argument("--tol", type=_POSITIVE, default=1e-10)
-    p.add_argument("--order", type=_at_least(1), default=DEFAULT_ORDER)
+    p.add_argument("--tol", type=_RADIUS_TOL, default=1e-10,
+                   help=f"solver tolerance, below the closed-form check's {RADIUS_MATCH_TOL:g}")
+    p.add_argument("--order", type=_ORDER, default=DEFAULT_ORDER, help=_ORDER_HELP)
     common(p)
 
     p = sub.add_parser("verify", help="run the inequality check suite", allow_abbrev=False)
@@ -376,16 +391,20 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub.add_parser("sweep", help="tabulate one bound over the (gamma, a, r) grid", allow_abbrev=False)
     p.add_argument("--theorem", choices=SWEEP_THEOREMS, default="1")
     p.add_argument("--gammas", type=_parse_gammas, default="0:0.9:10")
-    p.add_argument("--grid", type=_at_least(1), default=64, help="radii per (gamma, a) pair")
+    p.add_argument("--grid", type=_between(1, _MAX_SWEEP_GRID), default=64,
+                   help=f"radii per (gamma, a) pair, at most {_MAX_SWEEP_GRID} (with --out about 8 KB "
+                   "and 0.1 ms per radius and gamma: at most about 35 MB and 0.4 s per gamma)")
     p.add_argument("--k", type=_UNIT, default=None)
     p.add_argument("--lambda", dest="lam", type=_LAMBDA, default=None)
-    p.add_argument("--order", type=_at_least(1), default=DEFAULT_ORDER)
+    p.add_argument("--order", type=_ORDER, default=DEFAULT_ORDER, help=_ORDER_HELP)
     common(p)
 
     p = sub.add_parser("conjecture", help="estimate the best admissible area weight per gamma",
                        allow_abbrev=False)
     p.add_argument("--gammas", type=_parse_gammas, default="0,0.25,0.5,0.75")
-    p.add_argument("--grid", type=_at_least(2), default=64)
+    p.add_argument("--grid", type=_between(2, _MAX_CONJECTURE_GRID), default=64,
+                   help=f"points per side of the (a, r) grid, at most {_MAX_CONJECTURE_GRID} (memory grows "
+                   "with its square, about 50 bytes per point: at most about 230 MB)")
     p.add_argument("--refinements", type=_at_least(0), default=3)
     p.add_argument("--augment-random-samples", type=_at_least(0), default=0,
                    help="also probe this many random bounded samples")
@@ -393,8 +412,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("identity-check", help="closed-form deficit identities on random parameters",
                        allow_abbrev=False)
-    p.add_argument("--samples", default=100, type=_Number(int, lambda value: 1 <= value <= _MAX_IDENTITY_SAMPLES,
-                                                          f"lie in [1, {_MAX_IDENTITY_SAMPLES}]"),
+    p.add_argument("--samples", default=100, type=_between(1, _MAX_IDENTITY_SAMPLES),
                    help=f"random samples, at most {_MAX_IDENTITY_SAMPLES} (about 0.2 ms each: at most about 20 s)")
     p.add_argument("--tol", type=_POSITIVE, default=1e-10)
     common(p)

@@ -2,9 +2,17 @@
 
 The per-function radius is the largest r at which the (tail-padded) bound
 stays at or below one.  All bounds handled here are nondecreasing in r, so
-ITP bracketing on a fixed bracket is both robust and cheap (at most one
-step more than bisection's worst case); a family's radius is the minimum
-over the members it is given.
+ITP bracketing on a fixed bracket is both robust and cheap: it never takes
+more than ceil(log2(upper/tol)) + 1 steps, one over bisection's worst case.
+A family's radius is the minimum over the members it is given.
+
+ITP's estimate is the zero of the Moebius function (a r + b)/(c r + d)
+through the two bracket ends and the end most recently replaced.  The bounds
+of theorems B, A and 4 and of the corollary have that form in r (|A0| +
+C q r/(1 - q r)), and those of theorems 1-3 nearly so at the crossing, while
+regula falsi barely moves on a bound that explodes as r -> 1, as theorem 2's
+does.  At tol = 1e-10 and gamma <= 0.9 each member of the extremal families
+closes in at most 9 steps, where bisection takes 34.
 
 The ITP loop is a generator that yields probe points and is sent the padded
 bound there.  A family solve steps one per member in lockstep: each round is
@@ -31,7 +39,7 @@ __all__ = ["UPPER_LIMIT", "RadiusResult", "bohr_radius_of_function", "family_inf
 UPPER_LIMIT = 1.0 - 1e-6
 
 # ITP constants (Oliveira and Takahashi, ACM TOMS 47(1), 2020)
-_KAPPA_1, _KAPPA_2, _N0 = 0.2, 2.0, 1
+_KAPPA_1, _KAPPA_2, _N0 = 0.02, 2.0, 1
 
 
 @dataclass(frozen=True)
@@ -60,6 +68,16 @@ class RadiusResult:
         return self.status == "constrained"
 
 
+def _mobius_zero(x0: float, f0: float, x1: float, f1: float, x2: float, f2: float) -> float:
+    """Zero of the Moebius function (a x + b)/(c x + d) through three points,
+    by the invariance of the cross-ratio; NaN when the points fix none."""
+    try:
+        m = f0 * (f1 - f2) * (x1 - x0) / (f2 * (f1 - f0) * (x1 - x2))
+        return (x0 - m * x2) / (1.0 - m)
+    except ZeroDivisionError:
+        return math.nan
+
+
 def _itp(tol: float, upper: float):
     """One ITP solve as a generator: it yields each probe point, is sent the
     padded bound there, and returns the :class:`RadiusResult`."""
@@ -73,27 +91,34 @@ def _itp(tol: float, upper: float):
     # after step j the bracket is at most target * 2^(steps - j - 1) wide;
     # target sits a few ulps under tol to absorb each step's rounding
     steps, target = math.ceil(math.log2(upper / tol)) + _N0, tol - 8.0 * math.ulp(upper)
+    replaced = None  # (x, f) of the bracket end the last step moved away from
     iterations = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # tol is below the float spacing at the crossing
             break
-        if f_lo == 0.0:  # the crossing is within rounding of lo, where regula falsi
+        if f_lo == 0.0:  # the crossing is within rounding of lo, where an interpolant
             point = lo + target  # would stay, creeping a few ulps a step
+        elif replaced is None:  # two points fix no Moebius function
+            point = mid
         else:
-            # interpolate (regula falsi), truncate toward mid by _KAPPA_1/upper * width^_KAPPA_2
-            falsi = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-            shift = _KAPPA_1 / upper * (hi - lo) ** _KAPPA_2
-            point = falsi + math.copysign(shift, mid - falsi) if shift <= abs(mid - falsi) else mid
+            estimate = _mobius_zero(lo, f_lo, hi, f_hi, *replaced)
+            if not lo < estimate < hi:  # NaN included
+                estimate = mid
+            # truncate toward mid by _KAPPA_1/upper * width^_KAPPA_2, but by at least a quarter of
+            # target (Brent's minimum step, 1973, ch. 4): an exact estimate then lands just past
+            # the root, and two of them close the bracket
+            shift = max(_KAPPA_1 / upper * (hi - lo) ** _KAPPA_2, 0.25 * target)
+            point = estimate + math.copysign(shift, mid - estimate) if shift <= abs(mid - estimate) else mid
         # project into the band that keeps the step budget
         band = max(math.ldexp(target, steps - iterations - 1) - 0.5 * (hi - lo), 0.0)
         point = min(max(point, mid - band), mid + band)
         point = point if lo < point < hi else mid  # NaN included
         value = yield point
         if value <= 1.0:
-            lo, f_lo = point, value - 1.0
+            replaced, lo, f_lo = (lo, f_lo), point, value - 1.0
         else:
-            hi, f_hi = point, value - 1.0
+            replaced, hi, f_hi = (hi, f_hi), point, value - 1.0
         iterations += 1
     return RadiusResult(lo, (lo, hi), hi - lo, iterations, None, "constrained")
 

@@ -20,7 +20,7 @@ from bohrlab.extremals import MobiusFamilyParams, mobius_family_coeffs, sharpnes
 from bohrlab.functionals import bohr_total
 from bohrlab.solver import UPPER_LIMIT
 
-from oracles import bisection_radius, member_series_stack, sweep_csv_reference
+from oracles import bisection_radius, member_radius_root, member_series_stack, sweep_csv_reference
 
 
 def run_cli(*argv):
@@ -123,7 +123,7 @@ def test_radius_json_lists_members_and_itp_saves_evaluator_calls(tmp_path):
     assert [m["a"] for m in members] == grid
     assert min(m["radius"] for m in members) == result["radius"]
     assert sum(m["iterations"] for m in members) == result["iterations"]
-    # plain bisection on the same 14 members takes 443 steps; ITP at most 45% of that
+    # plain bisection on the same 14 members takes 443 steps; ITP at most 25% of that
     bisection_steps = 0
     for a in grid:
         p = mobius_family_coeffs(MobiusFamilyParams(a, 0.5))
@@ -131,7 +131,7 @@ def test_radius_json_lists_members_and_itp_saves_evaluator_calls(tmp_path):
         # a = gamma = 0.5 never reaches one: both solvers count its one probe
         bisection_steps += bisection_radius(padded)[1] if padded(UPPER_LIMIT) > 1.0 else 1
     assert bisection_steps == 443
-    assert result["iterations"] <= 0.45 * bisection_steps
+    assert result["iterations"] <= 0.25 * bisection_steps
 
 
 def test_radius_unconstrained_member_reports_the_bracket_up_to_one(tmp_path):
@@ -461,9 +461,13 @@ def test_radius_csv_rows_keep_their_bytes(tmp_path):
                    "--out", str(out))[0] == 0
     assert out.read_bytes() == (
         b"gamma,k,lambda,functional_id,radius,tol\r\n"
-        b"0.5,1.0,0.6666666666666666,theorem-B,0.5076923076922629,1e-10\r\n"
-        b"0.3,0.35,0.7692307692307692,theorem-4,0.32856963094788755,1e-10\r\n"
+        b"0.5,1.0,0.6666666666666666,theorem-B,0.5076923076673081,1e-10\r\n"
+        b"0.3,0.35,0.7692307692307692,theorem-4,0.3285696309228869,1e-10\r\n"
     )
+    # each pinned radius is its member's 30-digit root, within tol
+    for theorem, a, gamma, x, radius in (("B", 0.9, 0.5, None, 0.5076923076673081),
+                                         ("4", 0.99, 0.3, 0.35, 0.3285696309228869)):
+        assert abs(radius - member_radius_root(theorem, a, gamma, x)[0]) <= 1e-10
 
 
 def test_radius_tolerance_below_float_spacing_terminates():
@@ -740,3 +744,38 @@ def test_identity_check_samples_past_the_cap_are_a_usage_error(tmp_path, capsys)
             main(argv)
         assert exc.value.code == 2, argv
         assert f"--samples: must lie in [1, {cap}]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["1e-3", "0.01", "2"])
+def test_radius_tolerance_at_or_past_the_closed_form_check_is_a_usage_error(tmp_path, capsys, tol):
+    # --tol 2 took no step and printed a radius of 0; no tolerance from 1e-3 up can pass the check
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": float(tol)}))
+    for argv in (["radius", "--theorem", "B", "--tol", tol], ["radius", "--theorem", "B", "--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "--tol: must lie in (0, 0.001), below the closed-form check's tolerance" in capsys.readouterr().err
+    assert cli.build_parser()[0].parse_args(["radius", "--theorem", "B", "--tol", "9e-4"]).tol == 9e-4
+
+
+@pytest.mark.parametrize(
+    "command,flag,cap",
+    [(["radius", "--theorem", "B"], "order", cli._MAX_ORDER),
+     (["sweep"], "order", cli._MAX_ORDER),
+     (["sweep"], "grid", cli._MAX_SWEEP_GRID),
+     (["conjecture"], "grid", cli._MAX_CONJECTURE_GRID)],
+    ids=["radius-order", "sweep-order", "sweep-grid", "conjecture-grid"],
+)
+def test_sizes_past_their_cap_are_a_usage_error(tmp_path, capsys, command, flag, cap):
+    # memory grows with --order and sweep's --grid, and with the square of conjecture's --grid:
+    # the values past the cap are only parsed, never run
+    assert getattr(cli.build_parser()[0].parse_args(command + [f"--{flag}", str(cap)]), flag) == cap
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag: cap + 1}))
+    for argv in (command + [f"--{flag}", str(10**8)], command + ["--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert f"--{flag}: must lie in [" in capsys.readouterr().err
+    assert f"at most {cap}" in " ".join(cli.build_parser()[1][command[0]].format_help().split())

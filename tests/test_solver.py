@@ -226,6 +226,9 @@ def _adversaries(c):
         "nan-past": lambda r: 0.9 * r / c if r <= c else math.nan,
         # interpolation hits the crossing, then keeps landing on the bracket end
         "linear": lambda r: r / c,
+        # explodes as r -> 1, as theorem 2's bound does through r/(1 - r)
+        "pole": lambda r: (r / c) * (1.0 - c) / (1.0 - r),
+        "norm-like": lambda r: 0.5 + 0.5 * (r / c) ** 2 * (1.0 - c) / (1.0 - r),
     }
 
 
@@ -264,6 +267,42 @@ def test_itp_probes_a_target_past_an_exact_one():
     target = tol - 8.0 * math.ulp(UPPER_LIMIT)
     assert probes == [0.0, UPPER_LIMIT, m, m + target]
     assert res.bracket == (m, m + target) and res.iterations == 2
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-13])
+@pytest.mark.parametrize("c", [0.05, 1.0 / 3.0, 0.5, 0.9, 0.99])
+def test_itp_closes_on_a_pole_and_a_moebius_bound_within_eight_steps(c, tol):
+    # regula falsi barely moved on the pole: at c = 0.9 it took 35 steps at tol 1e-10 and 45 at 1e-13
+    bounds = {
+        "pole": _adversaries(c)["pole"],
+        "moebius": lambda r: (0.3 + r) / (0.3 + c) * (1.0 - 0.5 * c) / (1.0 - 0.5 * r),
+    }
+    for name, bound in bounds.items():
+        res = _solve_probing_inside(bound, tol)
+        lo, hi = res.bracket
+        assert bound(lo) <= 1.0 < bound(hi) and hi - lo <= tol and abs(lo - c) <= tol, name
+        assert res.iterations <= 8, (name, res.iterations)
+
+
+_ROUND_CASES = [
+    (theorem, gamma, k)
+    for theorem, bound in BOUNDS.items()
+    for gamma in (0.0, 0.25, 0.42, 0.5, 0.85, 0.89, 0.9)
+    if gamma == 0.0 or "gamma" not in bound.pinned
+    for k in ((0.35, 1.0) if theorem == "4" else (None,))
+]
+
+
+@pytest.mark.parametrize("theorem,gamma,k", _ROUND_CASES)
+def test_every_family_solve_takes_at_most_twelve_rounds(tmp_path, theorem, gamma, k):
+    # a round is one evaluator call on the whole family: the two end probes and
+    # one per step of the slowest member; theorem 2 took 37 at gamma >= 0.42
+    out = tmp_path / "r.json"
+    argv = ["radius", "--theorem", theorem, "--gamma", repr(gamma), "--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv + ([] if k is None else ["--k", repr(k)])) == 0
+    members = json.loads(out.read_text())["result"]["members"]
+    assert max(m["iterations"] for m in members) + 2 <= 12
 
 
 def test_itp_members_do_not_creep_past_an_exact_one(tmp_path):
