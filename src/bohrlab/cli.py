@@ -14,6 +14,7 @@ values go through the same argparse types and choices as the flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -30,6 +31,7 @@ from . import functionals, solver, verify
 from .extremals import (
     HarmonicExtremalParams,
     MobiusFamilyParams,
+    family_limit_weight,
     family_stack,
     harmonic_extremal,
     mobius_family_coeffs,
@@ -122,6 +124,8 @@ _MAX_IDENTITY_SAMPLES = 100_000
 _MAX_ORDER = 2**18
 _MAX_SWEEP_GRID = 4096
 _MAX_CONJECTURE_GRID = 2048
+_MAX_AUGMENT_SAMPLES = 10_000
+_MAX_GAMMAS = 1000
 _ORDER = _between(1, _MAX_ORDER)
 _ORDER_HELP = (f"series order, at most {_MAX_ORDER} (about 0.6 KB and 1 us per coefficient: "
                "at most about 180 MB and 0.3 s)")
@@ -139,14 +143,15 @@ _LAMBDA = _Number(float, lambda value: value > 0.0 and BOUNDS["3"].radius(0.0, v
 
 
 def _parse_gammas(spec: str) -> list[float]:
-    """Either a comma list "0,0.25,0.5" or a linspace "start:stop:count"."""
+    """Either a comma list "0,0.25,0.5" or a linspace "start:stop:count", of
+    at most ``_MAX_GAMMAS`` values."""
     if ":" in spec:
         start, stop, count = spec.split(":")
-        gammas = [float(v) for v in np.linspace(_GAMMA(start), _GAMMA(stop), _at_least(1)(count))]
+        gammas = [float(v) for v in np.linspace(_GAMMA(start), _GAMMA(stop), _between(1, _MAX_GAMMAS)(count))]
     else:
         gammas = [_GAMMA(tok) for tok in spec.split(",") if tok.strip()]
-    if not gammas:
-        raise argparse.ArgumentTypeError(f"no gamma values in {spec!r}")
+    if not 1 <= len(gammas) <= _MAX_GAMMAS:
+        raise argparse.ArgumentTypeError(f"must hold 1 to {_MAX_GAMMAS} gamma values, got {len(gammas)}")
     return gammas
 
 
@@ -267,27 +272,29 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     bound = BOUNDS[args.theorem]
     a_grid = sharpness_a_grid(14)
-    lines = ["gamma,a,k,lambda,r,total,majorant,correction,tail_error"]
     rows = violations = 0
-    for gamma in args.gammas:
-        values = _parameters(args, gamma)
-        x = values.get(bound.param)
-        # only the theorem's own parameter gets a nonzero column
-        k, lam = (x if bound.param == name else 0.0 for name in ("k", "lambda"))
-        r_values = np.linspace(0.0, bound.radius(gamma, x), args.grid)
-        # the whole family in one stack, every member on the one radius row
-        family = family_stack(a_grid, gamma, args.order, values["k"] if bound.harmonic else None)
-        fv = bound.total(family, r_values[None, :], gamma, x)
-        violations += int(np.count_nonzero(fv.padded() > 1.0))
-        rows += fv.total.size
-        if args.out:  # every cell is a float: its repr needs no csv quoting
-            r_cells = [repr(r) for r in r_values.tolist()]
-            fields = (fv.total, fv.majorant, fv.correction, fv.tail_error)
-            for a, *member in zip(a_grid.tolist(), *(f.tolist() for f in fields)):
-                prefix = f"{gamma!r},{a!r},{k!r},{lam!r}"
-                lines += [f"{prefix},{r},{t!r},{m!r},{c!r},{e!r}" for r, t, m, c, e in zip(r_cells, *member)]
-    if args.out:
-        Path(args.out).write_text("\r\n".join(lines) + "\r\n", newline="")
+    # each gamma's lines go out as they are made, ending in "\r\n" as csv.writer ends them
+    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext() as out:
+        if out:
+            out.write("gamma,a,k,lambda,r,total,majorant,correction,tail_error\r\n")
+        for gamma in args.gammas:
+            values = _parameters(args, gamma)
+            x = values.get(bound.param)
+            # only the theorem's own parameter gets a nonzero column
+            k, lam = (x if bound.param == name else 0.0 for name in ("k", "lambda"))
+            r_values = np.linspace(0.0, bound.radius(gamma, x), args.grid)
+            # the whole family in one stack, every member on the one radius row
+            family = family_stack(a_grid, gamma, args.order, values["k"] if bound.harmonic else None)
+            fv = bound.total(family, r_values[None, :], gamma, x)
+            violations += int(np.count_nonzero(fv.padded() > 1.0))
+            rows += fv.total.size
+            if out:  # every cell is a float: its repr needs no csv quoting
+                r_cells = [repr(r) for r in r_values.tolist()]
+                fields = (fv.total, fv.majorant, fv.correction, fv.tail_error)
+                for a, *member in zip(a_grid.tolist(), *(f.tolist() for f in fields)):
+                    prefix = f"{gamma!r},{a!r},{k!r},{lam!r}"
+                    out.write("".join(f"{prefix},{r},{t!r},{m!r},{c!r},{e!r}\r\n"
+                                      for r, t, m, c, e in zip(r_cells, *member)))
     print(f"sweep theorem {args.theorem}: {rows} rows, {violations} admissibility violations")
     return 0 if violations == 0 else 1
 
@@ -296,32 +303,24 @@ def cmd_conjecture(args) -> int:
     estimates = conjecture_mod.sweep_conjecture(
         args.gammas,
         grid=args.grid,
-        refinements=args.refinements,
         augment_samples=args.augment_random_samples,
         seed=args.seed,
     )
     failures = 0
     floor = functionals.DEFAULT_AREA_WEIGHT - 1e-6
     for est in estimates:
-        ok_floor = est.k_hat >= floor
-        ok_witness = conjecture_mod.witness_violates(est) if np.isfinite(est.witness_a) else True
-        status = "ok" if (ok_floor and ok_witness) else "VIOLATION"
-        failures += 0 if (ok_floor and ok_witness) else 1
+        limit = family_limit_weight(est.gamma)
+        # a family witness must violate every weight above K_hat, and no member lies below K*
+        family_ok = conjecture_mod.witness_violates(est) and est.k_hat >= limit
+        ok = est.k_hat >= floor and (family_ok or not np.isfinite(est.witness_a))
+        failures += not ok
         print(
-            f"gamma={est.gamma:<6g} K_hat={est.k_hat:.6f} "
-            f"witness=(a={est.witness_a:.6g}, r={est.witness_r:.6g}) [{status}]"
+            f"gamma={est.gamma:<6g} K_hat={est.k_hat:.6f} K*={limit!r} "
+            f"K_cert={verify.certified_area_weight(est.gamma)!r} "
+            f"witness=(a={est.witness_a:.6g}, r={est.witness_r:.6g}) [{'ok' if ok else 'VIOLATION'}]"
         )
-        for edge in conjecture_mod.window_edges(est):
-            print(f"note: gamma={est.gamma:g} witness {edge}: K_hat is the window's minimum, "
-                  "not an interior optimum")
-    endpoint = next((e for e in estimates if e.gamma == 0.0), None)
-    if endpoint is not None:
-        ref = 16.0 / 9.0
-        print(f"gamma=0 endpoint estimate {endpoint.k_hat:.6f} (reference 16/9 = {ref:.6f}, "
-              f"deviation {abs(endpoint.k_hat - ref):.3e}; reported, not asserted)")
-    flags = conjecture_mod.non_monotonic_pairs(estimates)
-    for left, right in flags:
-        print(f"note: estimate increases from gamma={left:g} to gamma={right:g} (diagnostic only)")
+    for left, right in conjecture_mod.non_monotonic_pairs(estimates):
+        print(f"note: K_hat falls from gamma={left:g} to gamma={right:g} while K* rises (diagnostic only)")
     if args.out:
         conjecture_mod.write_estimates_csv(estimates, args.out)
     return 0 if failures == 0 else 1
@@ -390,7 +389,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("sweep", help="tabulate one bound over the (gamma, a, r) grid", allow_abbrev=False)
     p.add_argument("--theorem", choices=SWEEP_THEOREMS, default="1")
-    p.add_argument("--gammas", type=_parse_gammas, default="0:0.9:10")
+    p.add_argument("--gammas", type=_parse_gammas, default="0:0.9:10",
+                   help=f"a comma list or start:stop:count of at most {_MAX_GAMMAS} values (about 8 ms and "
+                   "125 KB of --out per gamma at the default --grid: at most about 8 s and 125 MB)")
     p.add_argument("--grid", type=_between(1, _MAX_SWEEP_GRID), default=64,
                    help=f"radii per (gamma, a) pair, at most {_MAX_SWEEP_GRID} (with --out about 8 KB "
                    "and 0.1 ms per radius and gamma: at most about 35 MB and 0.4 s per gamma)")
@@ -401,13 +402,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("conjecture", help="estimate the best admissible area weight per gamma",
                        allow_abbrev=False)
-    p.add_argument("--gammas", type=_parse_gammas, default="0,0.25,0.5,0.75")
+    p.add_argument("--gammas", type=_parse_gammas, default="0,0.25,0.5,0.75",
+                   help=f"a comma list or start:stop:count of at most {_MAX_GAMMAS} values (about 0.4 ms "
+                   "per gamma at the default --grid: at most about 0.4 s)")
     p.add_argument("--grid", type=_between(2, _MAX_CONJECTURE_GRID), default=64,
                    help=f"points per side of the (a, r) grid, at most {_MAX_CONJECTURE_GRID} (memory grows "
                    "with its square, about 50 bytes per point: at most about 230 MB)")
-    p.add_argument("--refinements", type=_at_least(0), default=3)
-    p.add_argument("--augment-random-samples", type=_at_least(0), default=0,
-                   help="also probe this many random bounded samples")
+    p.add_argument("--augment-random-samples", type=_between(0, _MAX_AUGMENT_SAMPLES), default=0,
+                   help=f"also probe this many random bounded samples per gamma, at most {_MAX_AUGMENT_SAMPLES} "
+                   "(about 0.45 ms each: at most about 5 s per gamma)")
     common(p)
 
     p = sub.add_parser("identity-check", help="closed-form deficit identities on random parameters",

@@ -8,7 +8,8 @@ member of the analytic family with a scaled copy of itself as co-analytic
 part, giving a constant dilatation modulus k * lambda.
 
 This is the one module that writes the family's closed forms: the constants
-(A_0, q, C), the geometric sums and the deficits of the bounds.
+(A_0, q, C), the geometric sums, the limit weight K* and the deficits of
+the bounds.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "HarmonicExtremalParams",
     "family_constants",
     "family_majorant_and_area",
+    "family_limit_weight",
     "family_area_deficit",
     "family_norm_deficit",
     "family_harmonic_deficit",
@@ -54,6 +56,17 @@ def family_majorant_and_area(a, gamma, r):
     x = q * r
     y = (x * (1.0 - gamma)) ** 2
     return np.abs(a0) + scale * x / (1.0 - x), scale**2 * y / (1.0 - y) ** 2
+
+
+def family_limit_weight(gamma: float) -> float:
+    """K*(gamma) = [(4 + g - g^2)(2 + g + g^2) / (2 (1-g)(3+g))]^2, the limit
+    a -> 1 of the family's (1 - majorant) / area at the sharp radius
+    (1+g)/(3+g) and its infimum over r up to that radius: no area weight above
+    K* keeps every member's area-refined total at most one.  Rising in gamma
+    from 16/9 at gamma = 0, the sharp weight on the unit disk (Kayumov and
+    Ponnusamy, C. R. Math. 356, 2018)."""
+    g = gamma
+    return ((4.0 + g - g * g) * (2.0 + g + g * g) / (2.0 * (1.0 - g) * (3.0 + g))) ** 2
 
 
 def family_area_deficit(r, a, gamma, weight=DEFAULT_AREA_WEIGHT):

@@ -9,7 +9,7 @@ neglected mass is the series past the stored order, bounded by the tail
 certificate, plus the stored terms past the cut: each sum stops where the
 stored terms it skips are certified to add at most 2^-60.
 
-Every sum, tail bound and evaluator takes the radius ``r`` as a float or a
+Every sum and evaluator takes the radius ``r`` as a float or a
 1-D array of radii.  A float gives plain floats; an array gives values
 shaped like ``r``, each equal bit for bit to the scalar call at that radius.
 In place of a series, each also takes a :class:`SeriesStack` of same-order
@@ -35,11 +35,8 @@ __all__ = [
     "FunctionalValue",
     "SeriesStack",
     "majorant",
-    "majorant_tail_bound",
     "norm_f0",
-    "norm_f0_tail_bound",
     "dirichlet_area",
-    "dirichlet_area_tail_bound",
     "bohr_total",
     "area_refined_total",
     "norm_refined_total",
@@ -232,7 +229,10 @@ def _rounded_up(tail, p: PowerSeries, x, r):
 
 
 def _majorant(p: PowerSeries, r):
-    """(sum of |a_n| r^n over the terms summed, bound on the rest of the series)."""
+    """(sum of |a_n| r^n over the terms summed, bound on the rest of the
+    series): the bound covers the stored terms past the cut plus sum_{n>N}
+    from the tail certificate (nothing if absent).  ``_norm_f0`` and
+    ``_dirichlet_area`` return their sums the same way."""
     value, skipped = _power_sum(_terms(p, "majorant"), r)
     if p.tail is None:  # a certificate with C = 0 (a stack row without one) adds exactly 0
         return value, skipped
@@ -270,22 +270,10 @@ def majorant(p: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:
     return _majorant(p, r)[0]
 
 
-def majorant_tail_bound(p: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:
-    """Upper bound on the rest of sum |a_n| r^n: the stored terms past the cut,
-    plus sum_{n>N} from the tail certificate (nothing if absent)."""
-    _check_radius(r, p)
-    return _majorant(p, r)[1]
-
-
 def norm_f0(p: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:
     """Squared-coefficient norm of the constant-free part: sum_{n>=1} |a_n|^2 r^{2n}."""
     _check_radius(r, p)
     return _norm_f0(p, r)[0]
-
-
-def norm_f0_tail_bound(p: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:
-    _check_radius(r, p)
-    return _norm_f0(p, r)[1]
 
 
 def dirichlet_area(p: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:
@@ -296,12 +284,6 @@ def dirichlet_area(p: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:
     """
     _check_radius(r, p)
     return _dirichlet_area(p, r)[0]
-
-
-def dirichlet_area_tail_bound(p: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:
-    """Upper bound on the rest of sum n |a_n|^2 r^{2n}, as for the majorant."""
-    _check_radius(r, p)
-    return _dirichlet_area(p, r)[1]
 
 
 def bohr_total(p: PowerSeries, r: float | np.ndarray) -> FunctionalValue:

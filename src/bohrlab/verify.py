@@ -48,6 +48,7 @@ __all__ = [
     "recentred_slack",
     "recentred_slack_envelope",
     "area_coupling",
+    "certified_area_weight",
     "norm_envelope",
     "norm_envelope_coeffs",
     "norm_envelope_slope",
@@ -366,6 +367,14 @@ def recentred_slack_envelope(x, gamma, weight=DEFAULT_AREA_WEIGHT):
     A = area_coupling(gamma)
     value = 1.0 + 2.0 * weight * A**2 * (1.0 - np.asarray(x, dtype=float) ** 2) - 2.0 / (1.0 + np.asarray(x, dtype=float))
     return value if value.ndim else float(value)
+
+
+def certified_area_weight(gamma):
+    """K_cert(gamma) = 1/(8 A(gamma)^2): :func:`recentred_slack_envelope`,
+    (1-x) (2 weight A^2 (1+x) - 1/(1+x)), is nonpositive on [0, 1] exactly
+    when the weight is at most K_cert, the lower end of the optimal weight.
+    8/9 at gamma = 0, rising in gamma."""
+    return 1.0 / (8.0 * area_coupling(gamma) ** 2)
 
 
 def norm_envelope_coeffs(r, gamma):

@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from bohrlab import conjecture, functionals, verify
+from bohrlab import conjecture, extremals, functionals, verify
 from bohrlab.extremals import (
     HarmonicExtremalParams,
     MobiusFamilyParams,
@@ -230,9 +230,9 @@ def test_criterion_12_constant_explorer():
     estimates = conjecture.sweep_conjecture([0.0, 0.25, 0.5, 0.75, 0.9])
     floor_ok = all(e.k_hat >= floor for e in estimates)
     witness_ok = all(conjecture.witness_violates(e, bump=1e-6) for e in estimates)
+    limit_ok = all(e.k_hat >= extremals.family_limit_weight(e.gamma) for e in estimates)
     endpoint = estimates[0].k_hat
-    ok = floor_ok and witness_ok
+    ok = floor_ok and witness_ok and limit_ok
     _report(12, "constant-explorer", ok,
-            f"floor 8/9-1e-6 holds={floor_ok}, witness validity={witness_ok}; "
-            f"gamma=0 endpoint estimate {endpoint:.6f} vs 16/9={16/9:.6f} "
-            f"(deviation {abs(endpoint - 16/9):.2e}, reported not asserted)")
+            f"floor 8/9-1e-6 holds={floor_ok}, witness validity={witness_ok}, K_hat >= K* holds={limit_ok}; "
+            f"gamma=0 estimate {endpoint:.6f} vs K*(0) = 16/9 = {16/9:.6f}")

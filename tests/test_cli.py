@@ -165,7 +165,7 @@ def test_usage_error_exit_code():
         ["conjecture", "--gammas", "1.5"],
         ["conjecture", "--gammas", ","],
         ["conjecture", "--grid", "1"],
-        ["conjecture", "--refinements", "-1"],
+        ["conjecture", "--refinements", "1"],
         ["identity-check", "--samples", "0"],
         ["verify", "--seed", "-1"],
     ):
@@ -320,28 +320,45 @@ def test_sweep_csv_bytes_equal_the_csv_writer_reference(property_dir, argv):
 
 def test_conjecture_command(tmp_path):
     out = tmp_path / "conj.csv"
-    code, text = run_cli(
-        "conjecture", "--gammas", "0,0.5", "--grid", "32", "--refinements", "1", "--out", str(out)
-    )
+    code, text = run_cli("conjecture", "--gammas", "0,0.5", "--grid", "32", "--out", str(out))
     assert code == 0
-    assert "endpoint estimate" in text
+    lines = text.splitlines()
+    assert len(lines) == 2 and all(" K*=" in line and " K_cert=" in line for line in lines)
     rows = out.read_text().splitlines()
     assert rows[0] == "gamma,K_hat,a_witness,r_witness,refinements"
     assert len(rows) == 3
 
 
-def test_conjecture_notes_a_witness_on_the_window_edge():
-    # the family ratio keeps falling toward a = 1 and r = r0, so the default
-    # window's corner holds the witness
-    code, text = run_cli("conjecture", "--gammas", "0.5", "--grid", "16", "--refinements", "1")
+def test_conjecture_default_csv_cells(tmp_path):
+    # one coarse grid: its witness is the corner (a = 0.99, r = r0); the
+    # refinements column is kept and always 0
+    out = tmp_path / "c.csv"
+    code, text = run_cli("conjecture", "--gammas", "0,0.25,0.5,0.75", "--out", str(out))
     assert code == 0
-    notes = [line for line in text.splitlines() if "edge" in line]
-    assert notes == [
-        "note: gamma=0.5 witness a=0.99 on the upper edge of [0.05, 0.99]: "
-        "K_hat is the window's minimum, not an interior optimum",
-        "note: gamma=0.5 witness r=0.428571 on the upper edge of [0.001, 0.428571]: "
-        "K_hat is the window's minimum, not an interior optimum",
-    ]
+    rows = list(csv.reader(out.read_text().splitlines()))[1:]
+    assert [row[1] for row in rows] == ["1.7956561702986769", "3.998111297555683", "11.364201107211564",
+                                        "56.83909304661004"]
+    assert [row[2] for row in rows] == ["0.99"] * 4
+    assert [float(row[3]) for row in rows] == [(1.0 + g) / (3.0 + g) for g in (0.0, 0.25, 0.5, 0.75)]
+    assert [row[4] for row in rows] == ["0"] * 4
+    first = text.splitlines()[0]
+    assert " K*=1.7777777777777777 K_cert=0.8888888888888888 " in first and first.endswith("[ok]")
+
+
+def test_family_witness_below_the_limit_weight_is_a_violation(monkeypatch):
+    monkeypatch.setattr(cli, "family_limit_weight", lambda gamma: 2.0)
+    code, text = run_cli("conjecture", "--gammas", "0", "--grid", "8")
+    assert code == 1 and text.splitlines()[0].endswith("[VIOLATION]")
+
+
+def test_removed_refinements_option_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"refinements": 1}))
+    for argv in (["conjecture", "--refinements", "1"], ["conjecture", "--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "refinements" in capsys.readouterr().err
 
 
 def test_identity_check_command():
@@ -519,10 +536,9 @@ _OPTION_TEXT = {
     "tol": (["1e-10", "1e-3", "1e-20", "10"], ["0"]),
     "order": (["1", "16", "64"], ["0"]),
     "seed": (["0", "7"], ["-1"]),
-    "gammas": (["0.3", "0,0.5", "0:0.9:3"], ["0:2:3", "", "x"]),
+    "gammas": (["0.3", "0,0.5", "0:0.9:3"], ["0:2:3", "", "x", "0:0.9:1001"]),
     "grid": (["1", "2", "8"], ["0"]),
-    "refinements": (["0", "1"], ["-1"]),
-    "augment-random-samples": (["0", "2"], ["-1"]),
+    "augment-random-samples": (["0", "2"], ["-1", "10001"]),
     "samples": (["1", "5"], ["0"]),
     "check": (["schwarz-pick", "shape:norm-radius-root", "recentred-consistency"], ["nope"]),
     "unknown": ([], ["1"]),
@@ -541,7 +557,7 @@ _COMMAND_OPTIONS = {
     "radius": (("theorem", "order"), ("gamma", "a", "k", "lambda", "K", "tol", "seed")),
     "verify": (("fast",), ("check", "seed")),
     "sweep": (("order",), ("theorem", "gammas", "grid", "k", "lambda", "seed")),
-    "conjecture": ((), ("gammas", "grid", "refinements", "augment-random-samples", "seed")),
+    "conjecture": ((), ("gammas", "grid", "augment-random-samples", "seed")),
     "identity-check": (("samples",), ("tol", "seed")),
 }
 
@@ -631,7 +647,7 @@ _SMALL_RUNS = {
     "radius": ["radius", "--theorem", "B", "--gamma", "0.5", "--order", "64"],
     "verify": ["verify", "--check", "schwarz-pick", "--fast"],
     "sweep": ["sweep", "--theorem", "B", "--gammas", "0.5", "--grid", "2", "--order", "16"],
-    "conjecture": ["conjecture", "--gammas", "0.5", "--grid", "4", "--refinements", "0"],
+    "conjecture": ["conjecture", "--gammas", "0.5", "--grid", "4"],
     "identity-check": ["identity-check", "--samples", "1"],
 }
 
@@ -764,13 +780,15 @@ def test_radius_tolerance_at_or_past_the_closed_form_check_is_a_usage_error(tmp_
     [(["radius", "--theorem", "B"], "order", cli._MAX_ORDER),
      (["sweep"], "order", cli._MAX_ORDER),
      (["sweep"], "grid", cli._MAX_SWEEP_GRID),
-     (["conjecture"], "grid", cli._MAX_CONJECTURE_GRID)],
-    ids=["radius-order", "sweep-order", "sweep-grid", "conjecture-grid"],
+     (["conjecture"], "grid", cli._MAX_CONJECTURE_GRID),
+     (["conjecture"], "augment-random-samples", cli._MAX_AUGMENT_SAMPLES)],
+    ids=["radius-order", "sweep-order", "sweep-grid", "conjecture-grid", "conjecture-augment"],
 )
 def test_sizes_past_their_cap_are_a_usage_error(tmp_path, capsys, command, flag, cap):
-    # memory grows with --order and sweep's --grid, and with the square of conjecture's --grid:
-    # the values past the cap are only parsed, never run
-    assert getattr(cli.build_parser()[0].parse_args(command + [f"--{flag}", str(cap)]), flag) == cap
+    # memory grows with --order and sweep's --grid, and with the square of conjecture's --grid;
+    # time grows with the augmented samples: the values past the cap are only parsed, never run
+    parsed = cli.build_parser()[0].parse_args(command + [f"--{flag}", str(cap)])
+    assert getattr(parsed, flag.replace("-", "_")) == cap
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({flag: cap + 1}))
     for argv in (command + [f"--{flag}", str(10**8)], command + ["--config", str(cfg)]):
@@ -779,3 +797,36 @@ def test_sizes_past_their_cap_are_a_usage_error(tmp_path, capsys, command, flag,
         assert exc.value.code == 2, argv
         assert f"--{flag}: must lie in [" in capsys.readouterr().err
     assert f"at most {cap}" in " ".join(cli.build_parser()[1][command[0]].format_help().split())
+
+
+@pytest.mark.parametrize("command", ["sweep", "conjecture"])
+def test_gamma_count_past_its_cap_is_a_usage_error(tmp_path, capsys, command):
+    # only parsed, never run: a linspace count or a comma list past the cap
+    cap = cli._MAX_GAMMAS
+    assert len(cli.build_parser()[0].parse_args([command, "--gammas", f"0:0.9:{cap}"]).gammas) == cap
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gammas": f"0:0.9:{cap + 1}"}))
+    for argv, message in (([command, "--gammas", "0:0.9:100000000"], f"must lie in [1, {cap}]"),
+                          ([command, "--config", str(cfg)], f"must lie in [1, {cap}]"),
+                          ([command, "--gammas", ",".join(["0.5"] * (cap + 1))],
+                           f"must hold 1 to {cap} gamma values, got {cap + 1}")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"--gammas: {message}" in capsys.readouterr().err
+    assert f"at most {cap}" in " ".join(cli.build_parser()[1][command].format_help().split())
+
+
+def _readme_command_lines():
+    """The ``bohrlab ...`` lines of README's usage block, comments dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [line.split("#", 1)[0].split()[1:] for line in block.splitlines() if line.startswith("bohrlab ")]
+
+
+def test_readme_usage_lines_parse():
+    # parsed, never run: a flag removed from the CLI cannot survive in the docs
+    lines = _readme_command_lines()
+    assert len(lines) >= 8
+    for argv in lines:
+        cli.build_parser()[0].parse_args(argv)

@@ -1,8 +1,11 @@
-"""Constant explorer: admissibility floor, witness validity, determinism."""
+"""Constant explorer: admissibility floor, witness validity, determinism,
+and the closed-form bracket K_cert <= K_opt <= K* of the optimal weight."""
 
 import dataclasses
 
+import mpmath
 import numpy as np
+import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,11 +15,11 @@ from bohrlab.conjecture import (
     estimate_constant,
     non_monotonic_pairs,
     sweep_conjecture,
-    window_edges,
     witness_violates,
     write_estimates_csv,
 )
-from bohrlab.extremals import MobiusFamilyParams, mobius_family_coeffs
+from bohrlab.extremals import MobiusFamilyParams, family_limit_weight, mobius_family_coeffs
+from bohrlab.verify import area_coupling, certified_area_weight, recentred_slack_envelope
 
 from oracles import ratio_grid_reference
 
@@ -29,15 +32,17 @@ def test_single_gamma_estimate():
     assert est.k_hat >= FLOOR
     assert 0.0 < est.witness_a < 1.0
     assert 0.0 < est.witness_r <= functionals.sharp_majorant_radius(0.0)
-    assert len(est.grid_stats["levels"]) == est.refinements + 1
+    assert len(est.grid_stats["levels"]) == 1
 
 
-def test_endpoint_estimate_is_reported_near_sixteen_ninths():
-    # exploratory: the gamma = 0 corner of the family sits near 16/9; we
-    # report the deviation but only assert the proven floor
+def test_gamma_zero_bracket_runs_from_eight_ninths_to_sixteen_ninths():
+    # K_cert(0) is the paper's weight and K*(0) the sharp unit-disk weight
+    # of Kayumov and Ponnusamy; the grid's corner lies just above K*
+    ulp = np.spacing(1.0)
+    assert abs(family_limit_weight(0.0) - 16.0 / 9.0) <= 2 * ulp
+    assert abs(certified_area_weight(0.0) - 8.0 / 9.0) <= ulp
     est = estimate_constant(0.0)
-    print(f"gamma=0 estimate {est.k_hat:.6f}, 16/9 = {16/9:.6f}, deviation {abs(est.k_hat - 16/9):.3e}")
-    assert est.k_hat >= FLOOR
+    assert 16.0 / 9.0 < est.k_hat < 1.02 * 16.0 / 9.0
 
 
 def test_sweep_floor_and_witness_validity():
@@ -49,43 +54,40 @@ def test_sweep_floor_and_witness_validity():
 
 
 def test_high_gamma_probe():
-    est = estimate_constant(0.99, grid=32, refinements=2)
-    assert est.k_hat >= FLOOR
-
-
-def test_refinement_never_raises_the_minimum():
-    est = estimate_constant(0.3)
-    mins = [level["min"] for level in est.grid_stats["levels"]]
-    assert est.k_hat <= min(mins) + 1e-15
+    est = estimate_constant(0.99, grid=32)
+    assert est.k_hat >= family_limit_weight(0.99)
 
 
 def test_determinism_bit_identical_csv(tmp_path):
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_estimates_csv(sweep_conjecture([0.0, 0.5], grid=32, refinements=1), f1)
-    write_estimates_csv(sweep_conjecture([0.0, 0.5], grid=32, refinements=1), f2)
+    write_estimates_csv(sweep_conjecture([0.0, 0.5], grid=32), f1)
+    write_estimates_csv(sweep_conjecture([0.0, 0.5], grid=32), f2)
     assert f1.read_bytes() == f2.read_bytes()
     header = f1.read_text().splitlines()[0]
     assert header == "gamma,K_hat,a_witness,r_witness,refinements"
 
 
 def test_augmentation_only_lowers_the_estimate():
-    base = estimate_constant(0.25, grid=32, refinements=1)
-    aug = estimate_constant(0.25, grid=32, refinements=1, augment_samples=8, seed=42)
+    base = estimate_constant(0.25, grid=32)
+    aug = estimate_constant(0.25, grid=32, augment_samples=8, seed=42)
     assert aug.k_hat <= base.k_hat + 1e-15
     assert aug.k_hat >= FLOOR
     assert aug.grid_stats["augment"]["count"] == 8
 
 
 def test_non_monotonic_pairs_are_diagnostics():
-    estimates = sweep_conjecture([0.0, 0.5], grid=32, refinements=1)
+    estimates = sweep_conjecture([0.0, 0.5], grid=32)
     pairs = non_monotonic_pairs(estimates)
     assert isinstance(pairs, list)
-    # the family bound grows with gamma, so the flag fires here
-    assert pairs == [(0.0, 0.5)]
+    # K_hat rises with K*, so nothing is flagged; a K_hat that falls while K* rises is
+    assert pairs == []
+    assert non_monotonic_pairs([estimates[0], dataclasses.replace(estimates[1], k_hat=1.0)]) == [(0.0, 0.5)]
+    # from 0.5 down to 0 both fall: no flag
+    assert non_monotonic_pairs(estimates[::-1]) == []
 
 
 def test_degenerate_single_point_sweep():
-    estimates = sweep_conjecture([0.0], grid=32, refinements=1)
+    estimates = sweep_conjecture([0.0], grid=32)
     assert len(estimates) == 1
 
 
@@ -120,11 +122,87 @@ def test_ratio_grid_equals_the_per_member_reference_bit_for_bit(gamma, a_window,
     assert np.array_equal(_ratio_grid(gamma, a_values, r_values), ratio_grid_reference(gamma, a_values, r_values))
 
 
-def test_window_edges_names_only_edge_coordinates():
-    est = estimate_constant(0.0, grid=16, refinements=1)
-    assert [edge.split(" on ")[0] for edge in window_edges(est)] == ["a=0.99", "r=0.333333"]
-    inside = dataclasses.replace(est, witness_a=0.5, witness_r=0.2)
-    assert window_edges(inside) == []
-    # a random sample's witness has no a; its r is still checked
-    sample = dataclasses.replace(est, witness_a=float("nan"), witness_r=1e-3)
-    assert window_edges(sample) == ["r=0.001 on the lower edge of [0.001, 0.333333]"]
+_G = sp.Symbol("gamma", nonnegative=True)
+
+
+def _family_limit_weight_sympy(g=_G):
+    return ((4 + g - g**2) * (2 + g + g**2) / (2 * (1 - g) * (3 + g))) ** 2
+
+
+def _family_ratio(a, g, r):
+    """(1 - majorant) / area of the member at (a, g) for a > g, from its
+    constants (A_0, q, C); sympy or mpmath arithmetic, as the arguments are."""
+    den = 1 - a * g
+    a0, q, scale = (a - g) / den, a * (1 - g) / den, (1 - a**2) / (a * den)
+    x = q * r
+    y = (x * (1 - g)) ** 2
+    return (1 - a0 - scale * x / (1 - x)) / (scale**2 * y / (1 - y) ** 2)
+
+
+def test_limit_weight_is_the_family_ratio_at_the_corner_and_rises_in_gamma():
+    u = sp.Symbol("u", positive=True)
+    ratio = sp.cancel(sp.together(_family_ratio(1 - u, _G, (1 + _G) / (3 + _G))))
+    assert sp.simplify(ratio.subs(u, 0) - _family_limit_weight_sympy()) == 0
+    # K* is the square of a positive root whose derivative is P / (2 (1-g)^2 (3+g)^2),
+    # with P positive at 0 and no root in [0, 1]
+    root = (4 + _G - _G**2) * (2 + _G + _G**2) / (2 * (1 - _G) * (3 + _G))
+    num, den = sp.fraction(sp.together(sp.diff(root, _G)))
+    assert sp.expand(den - 2 * ((1 - _G) * (3 + _G)) ** 2) == 0
+    poly = sp.Poly(sp.expand(num), _G)
+    assert poly.eval(0) > 0 and poly.count_roots(0, 1) == 0
+    assert root.subs(_G, 0) > 0
+    # the float function against the exact value at its float argument
+    for g in (0.25, 0.5, 0.75, 0.99):
+        exact = _family_limit_weight_sympy(sp.Rational(g))
+        assert abs(family_limit_weight(g) - exact) <= 8 * np.spacing(float(exact)), g
+
+
+def test_slack_envelope_is_nonpositive_exactly_up_to_the_certified_weight():
+    x, w, coupling = sp.symbols("x w A", positive=True)
+    envelope = 1 + 2 * w * coupling**2 * (1 - x**2) - 2 / (1 + x)
+    k_cert = 1 / (8 * coupling**2)
+    # at K_cert the envelope is -(1-x)^2 (3+x) / (4 (1+x)) <= 0, and it rises
+    # with the weight at rate 2 A^2 (1 - x^2) >= 0: nonpositive for w <= K_cert
+    assert sp.simplify(envelope.subs(w, k_cert) + (1 - x) ** 2 * (3 + x) / (4 * (1 + x))) == 0
+    assert sp.simplify(sp.diff(envelope, w) - 2 * coupling**2 * (1 - x**2)) == 0
+    # it vanishes at x = 1 with slope 1/2 - 4 w A^2, negative past K_cert: positive just below 1
+    assert envelope.subs(x, 1) == 0
+    assert sp.simplify(sp.diff(envelope, x).subs(x, 1) - (sp.Rational(1, 2) - 4 * w * coupling**2)) == 0
+    # the float functions follow: 8/9 at gamma = 0, and the envelope's sign flips at K_cert
+    g = sp.Rational(0)
+    a_exact = (3 + g) * (1 - g**2) / ((3 + g) ** 2 - (1 - g**2) ** 2)
+    assert 1 / (8 * a_exact**2) == sp.Rational(8, 9)
+    xs = np.linspace(0.0, 1.0, 2001)
+    for gamma in (0.0, 0.3, 0.75, 0.95):
+        weight = certified_area_weight(gamma)
+        assert weight == 1.0 / (8.0 * area_coupling(gamma) ** 2)
+        assert np.max(recentred_slack_envelope(xs, gamma, weight)) <= 1e-15
+        assert np.max(recentred_slack_envelope(xs, gamma, weight * (1.0 + 1e-3))) > 0.0
+
+
+def test_limit_weight_against_the_family_ratio_at_fifty_digits():
+    # the ratio converges to K* linearly in 1 - a; 1 - majorant is O((1-a)^2),
+    # so at 1 - a = 1e-20 about ten of the fifty digits survive its cancellation
+    with mpmath.workdps(50):
+        for g in ("0", "0.25", "0.5", "0.75", "0.9", "0.99"):
+            gm = mpmath.mpf(g)
+            ratio = _family_ratio(1 - mpmath.mpf("1e-20"), gm, (1 + gm) / (3 + gm))
+            assert abs(ratio / _family_limit_weight_sympy(gm) - 1) < 1e-8, g
+            # the float function against the exact value at its float argument
+            exact = _family_limit_weight_sympy(mpmath.mpf(float(g)))
+            assert abs(family_limit_weight(float(g)) / exact - 1) < 8 * np.finfo(float).eps, g
+
+
+@settings(max_examples=60)
+@given(gamma=st.floats(0.0, 0.99), grid=st.integers(2, 64))
+def test_family_grid_stays_above_the_limit_weight(gamma, grid):
+    est = estimate_constant(gamma, grid=grid)
+    assert est.k_hat >= family_limit_weight(gamma)
+    assert certified_area_weight(gamma) <= family_limit_weight(gamma)
+
+
+def test_family_grid_clears_the_limit_weight_by_one_percent():
+    # the margin is smallest at gamma = 0 (1.006%), where the grid's corner a = 0.99 is nearest K*
+    gammas = np.linspace(0.0, 0.999, 500)
+    margins = [estimate_constant(float(g)).k_hat / family_limit_weight(float(g)) - 1.0 for g in gammas]
+    assert min(margins) >= 0.01

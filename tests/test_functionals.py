@@ -24,13 +24,10 @@ from bohrlab.functionals import (
     area_refined_total,
     bohr_total,
     dirichlet_area,
-    dirichlet_area_tail_bound,
     domain_ratio_area_total,
     harmonic_total,
     majorant,
-    majorant_tail_bound,
     norm_f0,
-    norm_f0_tail_bound,
     norm_refined_total,
     sharp_harmonic_radius,
     sharp_majorant_radius,
@@ -77,6 +74,19 @@ def test_majorant_near_extremal_limit():
 def test_majorant_brute_force_oracle():
     p = mobius_family_coeffs(MobiusFamilyParams(0.5, 0.0))
     assert abs(majorant(p, 0.25) - brute_force_majorant(0.5, 0.0, 0.25)) < 1e-12
+
+
+# Each sum's tail bound: the second value of its kernel, (sum, bound on the rest).
+def majorant_tail_bound(p, r):
+    return functionals._majorant(p, r)[1]
+
+
+def norm_f0_tail_bound(p, r):
+    return functionals._norm_f0(p, r)[1]
+
+
+def dirichlet_area_tail_bound(p, r):
+    return functionals._dirichlet_area(p, r)[1]
 
 
 def test_majorant_tail_bound_is_sound():
