@@ -196,7 +196,8 @@ def cmd_radius(args) -> int:
         print(f"theorem {theorem} is the unit-disk case; use --theorem B for gamma > 0", file=sys.stderr)
         return 2
 
-    a_grid = [args.a] if args.a is not None else sharpness_a_grid(14)
+    # the family radius is sharp only as a -> 1: solve the members nearest it for their limit
+    a_grid = [args.a] if args.a is not None else sharpness_a_grid(14)[-solver.LIMIT_MEMBERS:]
     family = _family(bound, a_grid, gamma, k)
     if args.a is None:  # the whole family in one stack: each solver round is one evaluator call
         stack = family_stack(a_grid, gamma, args.order, k if bound.harmonic else None)
@@ -205,8 +206,9 @@ def cmd_radius(args) -> int:
         stack = (tuple(functionals.SeriesStack([s]) for s in member) if bound.harmonic
                  else functionals.SeriesStack([member]))
     result = solver.family_infimum_radius(lambda r: bound.total(stack, r, gamma, x), family, tol=args.tol)
+    limit = solver.a_to_one_limit(result, gamma) if args.a is None else solver.Limit(result.radius, None)
     closed = bound.radius(gamma, x)
-    diff = abs(result.radius - closed)
+    diff = abs(limit.value - closed)
     # above the extremal value the family lies in the theorem's class, below it outside
     side = 0.0 if bound.extremal is None else x - bound.extremal(gamma)
 
@@ -216,10 +218,13 @@ def cmd_radius(args) -> int:
     if bound.param is not None:
         shown.append(f"{bound.param}={x:g}")
     print(f"theorem {theorem}: " + " ".join(shown))
-    print(f"  computed radius   = {result.radius:.9f}")
+    print(f"  computed radius   = {limit.value:.9f}")
     print(f"  closed-form value = {closed:.9f}")
     print(f"  abs difference    = {diff:.3e}")
-    for note in result.diagnostics:
+    if args.a is None:
+        print("  limit error       = " + ("none" if limit.error is None else f"{limit.error:.3e}"))
+        print(f"  grid radius       = {result.radius:.9f} (minimum over a = 1 - 2^-j, j = 11..14)")
+    for note in result.diagnostics + limit.notes:
         print(f"  note: {note}")
     if side and args.a is None:
         claim = ("the family is in the theorem's class: asserting computed >= closed-form value" if side > 0
@@ -234,13 +239,16 @@ def cmd_radius(args) -> int:
             "gamma": gamma,
             "k": k,
             "lambda": lam,
-            "computed_radius": result.radius,
+            "computed_radius": limit.value,
             "closed_form": closed,
             "abs_diff": diff,
             "result": asdict(result),
         }
-        if out.suffix == ".csv":
-            _append_radius_csv(out, [gamma, k, lam, f"theorem-{theorem}", result.radius, result.tol])
+        if args.a is None:
+            payload.update(grid_radius=result.radius, limit_error=limit.error)
+        if out.suffix == ".csv":  # a family's tol cell is its limit error, empty when it has none
+            tol = result.tol if args.a is not None else limit.error
+            _append_radius_csv(out, [gamma, k, lam, f"theorem-{theorem}", limit.value, tol])
         else:
             out.write_text(json.dumps(payload, indent=2, sort_keys=True))
     if args.a is not None or side < 0:
@@ -249,7 +257,7 @@ def cmd_radius(args) -> int:
         # printed as a reference, not asserted
         return 0
     if side > 0:  # a family in the class has at least the theorem's radius
-        return 0 if result.radius >= closed - RADIUS_MATCH_TOL else 1
+        return 0 if limit.value >= closed - RADIUS_MATCH_TOL else 1
     return 0 if diff < RADIUS_MATCH_TOL else 1
 
 

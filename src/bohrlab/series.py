@@ -18,7 +18,6 @@ from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import polynomial as _npoly
 
 __all__ = [
     "DEFAULT_ORDER",
@@ -85,8 +84,16 @@ class PowerSeries:
         return {}
 
     def evaluate(self, z):
-        """Evaluate at z (scalar or array).  For a series about c pass z - c."""
-        return _npoly.polyval(z, self.coeffs)
+        """Evaluate at z (scalar or array).  For a series about c pass z - c.
+
+        Horner's rule as ``numpy.polynomial.polynomial.polyval`` runs it, so
+        the value equals polyval's bit for bit."""
+        c = self.coeffs
+        z = np.asarray(z) if isinstance(z, (list, tuple)) else z
+        value = c[-1] + z * 0
+        for i in range(2, c.size + 1):
+            value = c[-i] + value * z
+        return value
 
     def __call__(self, z):
         return self.evaluate(z)

@@ -11,13 +11,18 @@ through the two bracket ends and the end most recently replaced.  The bounds
 of theorems B, A and 4 and of the corollary have that form in r (|A0| +
 C q r/(1 - q r)), and those of theorems 1-3 nearly so at the crossing, while
 regula falsi barely moves on a bound that explodes as r -> 1, as theorem 2's
-does.  At tol = 1e-10 and gamma <= 0.9 each member of the extremal families
-closes in at most 9 steps, where bisection takes 34.
+does.  At tol = 1e-10 and gamma <= 0.99 each of the members a = 1 - 2^-j,
+j = 11..14, of the extremal families closes in at most 7 steps, where
+bisection takes 34.
 
 The ITP loop is a generator that yields probe points and is sent the padded
 bound there.  A family solve steps one per member in lockstep: each round is
 one call of the family's bound, and each member takes the steps it would
 take alone.
+
+The family radii are sharp only in the limit a -> 1, which
+:func:`a_to_one_limit` reaches by Richardson extrapolation on the members
+nearest it (A. Sidi, Practical Extrapolation Methods, CUP 2003).
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ import numpy as np
 
 from .functionals import FunctionalValue
 
-__all__ = ["UPPER_LIMIT", "RadiusResult", "bohr_radius_of_function", "family_infimum_radius"]
+__all__ = ["UPPER_LIMIT", "LIMIT_MEMBERS", "RadiusResult", "Limit", "bohr_radius_of_function",
+           "family_infimum_radius", "a_to_one_limit"]
 
 # Fixed search bracket; the bounds lose smoothness as r -> 1, so the
 # search never probes past this point.
@@ -40,6 +46,11 @@ UPPER_LIMIT = 1.0 - 1e-6
 
 # ITP constants (Oliveira and Takahashi, ACM TOMS 47(1), 2020)
 _KAPPA_1, _KAPPA_2, _N0 = 0.02, 2.0, 1
+
+# Sharpness witnesses the a -> 1 limit reads, and the rounding of one member's
+# radius near a = 1 - 2^-14: a total's few-ulp error over its O(1 - a) slope in r
+LIMIT_MEMBERS = 4
+_MEMBER_ROUNDING = 1e-12
 
 
 @dataclass(frozen=True)
@@ -206,3 +217,50 @@ def family_infimum_radius(
         members=tuple(dict(a=p.a, radius=r.radius, iterations=r.iterations)
                       for p, r in zip(members, results)),
     )
+
+
+@dataclass(frozen=True)
+class Limit:
+    """A family's a -> 1 limit radius: ``value``, with ``error`` bounding
+    |value - limit|, or None when ``value`` is the grid minimum, which has no
+    error estimate; ``notes`` are diagnostics."""
+
+    value: float
+    error: float | None
+    notes: tuple[str, ...] = ()
+
+
+def a_to_one_limit(result: RadiusResult, gamma: float) -> Limit:
+    """The a -> 1 limit of the family radius in ``result``, from its last
+    ``LIMIT_MEMBERS`` constrained sharpness witnesses (a > gamma), along which
+    u = 1 - a must halve from one member to the next.
+
+    With r(u) = r* + c1 u + c2 u^2 + O(u^3), the one-step value
+    E(u) = 2 r(u/2) - r(u) cancels c1, and T(u) = (4 E(u/2) - E(u))/3 =
+    (8 r(u/4) - 6 r(u/2) + r(u))/3 cancels c2.  ``value`` is the last T, and
+    ``error`` = |T - previous T| + 5 max(tol, 1e-12): the gap estimates the
+    O(u^3) remainder, and each member lies up to tol below its root, plus its
+    rounding near a = 1, which the weights (8/3, -2, 1/3) pass on with their
+    absolute sum 5.  In the asymptotic regime the gaps between successive E
+    shrink about fourfold; a ratio outside [2, 8] is noted.  With fewer
+    witnesses ``value`` is the grid minimum ``result.radius``.
+    """
+    witnesses = sorted((m["a"], m["radius"]) for m in result.members
+                       if m["a"] > gamma and m["radius"] < UPPER_LIMIT)[-LIMIT_MEMBERS:]
+    if len(witnesses) < LIMIT_MEMBERS:
+        return Limit(result.radius, None, (
+            f"fewer than {LIMIT_MEMBERS} members are constrained sharpness witnesses (a > gamma): "
+            "the radius is the grid minimum, with no limit error",))
+    u = [1.0 - a for a, _ in witnesses]
+    if any(left != 2.0 * right for left, right in pairwise(u)):
+        raise ValueError(f"1 - a must halve from one witness to the next, got {u}")
+    r = [radius for _, radius in witnesses]
+    one_step = [2.0 * right - left for left, right in pairwise(r)]
+    two_step = [(8.0 * r[j] - 6.0 * r[j - 1] + r[j - 2]) / 3.0 for j in (2, 3)]
+    error = abs(two_step[1] - two_step[0]) + 5.0 * max(result.tol, _MEMBER_ROUNDING)
+    gaps = [right - left for left, right in pairwise(one_step)]
+    ratio = gaps[0] / gaps[1] if gaps[1] else math.inf
+    notes = () if 2.0 <= ratio <= 8.0 else (
+        f"the one-step gaps shrink {ratio:.3g}-fold, not about 4-fold: the grid is not in the "
+        "asymptotic regime, so limit_error may understate the error",)
+    return Limit(two_step[1], error, notes)

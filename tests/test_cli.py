@@ -118,19 +118,19 @@ def test_radius_json_lists_members_and_itp_saves_evaluator_calls(tmp_path):
     out = tmp_path / "radius.json"
     assert run_cli("radius", "--theorem", "B", "--gamma", "0.5", "--out", str(out))[0] == 0
     result = json.loads(out.read_text())["result"]
-    grid = [float(a) for a in sharpness_a_grid(14)]
+    grid = [float(a) for a in sharpness_a_grid(14)[-4:]]
     members = result["members"]
     assert [m["a"] for m in members] == grid
     assert min(m["radius"] for m in members) == result["radius"]
     assert sum(m["iterations"] for m in members) == result["iterations"]
-    # plain bisection on the same 14 members takes 443 steps; ITP at most 25% of that
+    # plain bisection on the same 4 members takes 136 steps; ITP at most 25% of that
     bisection_steps = 0
     for a in grid:
         p = mobius_family_coeffs(MobiusFamilyParams(a, 0.5))
         padded = lambda r: bohr_total(p, r).padded()
-        # a = gamma = 0.5 never reaches one: both solvers count its one probe
-        bisection_steps += bisection_radius(padded)[1] if padded(UPPER_LIMIT) > 1.0 else 1
-    assert bisection_steps == 443
+        assert padded(UPPER_LIMIT) > 1.0
+        bisection_steps += bisection_radius(padded)[1]
+    assert bisection_steps == 136
     assert result["iterations"] <= 0.25 * bisection_steps
 
 
@@ -718,7 +718,7 @@ def test_radius_result_equals_the_solve_on_per_member_series(tmp_path, theorem, 
     bound = cli.BOUNDS[theorem]
     values = {**cli._parameters(args, gamma), **bound.pinned}
     x = values.get(bound.param)
-    family = cli._family(bound, sharpness_a_grid(14), gamma, values["k"])
+    family = cli._family(bound, sharpness_a_grid(14)[-4:], gamma, values["k"])
     stack = member_series_stack(bound, family, args.order)
     ref = solver.family_infimum_radius(lambda r: bound.total(stack, r, gamma, x), family, tol=args.tol)
     assert json.loads(out.read_text())["result"] == json.loads(json.dumps(asdict(ref)))
@@ -830,3 +830,61 @@ def test_readme_usage_lines_parse():
     assert len(lines) >= 8
     for argv in lines:
         cli.build_parser()[0].parse_args(argv)
+
+
+@pytest.mark.parametrize("theorem,gamma", [("B", "0.99"), ("1", "0.97")])
+def test_radius_near_gamma_one_matches_its_closed_form(theorem, gamma):
+    # the grid minimum at a = 1 - 2^-14 sat 3.0e-3 and 1.0e-3 off the closed form here, and exited 1
+    code, out = run_cli("radius", "--theorem", theorem, "--gamma", gamma)
+    assert code == 0
+    assert float(out.splitlines()[3].split("=")[1]) < 1e-9  # abs difference
+
+
+def test_radius_family_reports_its_limit_and_grid_radius(tmp_path):
+    out = tmp_path / "radius.json"
+    assert run_cli("radius", "--theorem", "2", "--gamma", "0.5", "--out", str(out))[0] == 0
+    payload = json.loads(out.read_text())
+    result = payload["result"]
+    # the two-step Richardson values on a_12..a_14 and a_11..a_13, and their gap plus 5 tol
+    r = [m["radius"] for m in result["members"]]
+    two_step = [(8 * r[2] - 6 * r[1] + r[0]) / 3, (8 * r[3] - 6 * r[2] + r[1]) / 3]
+    assert payload["computed_radius"] == two_step[1]
+    assert payload["limit_error"] == abs(two_step[1] - two_step[0]) + 5 * 1e-10
+    assert payload["grid_radius"] == result["radius"] == min(m["radius"] for m in result["members"])
+    assert payload["abs_diff"] == abs(payload["computed_radius"] - payload["closed_form"]) < 1e-10
+    # a family row's tol cell is the limit error
+    out_csv = tmp_path / "radius.csv"
+    assert run_cli("radius", "--theorem", "2", "--gamma", "0.5", "--out", str(out_csv))[0] == 0
+    row = list(csv.reader(out_csv.open()))[1]
+    assert row[4:] == [repr(payload["computed_radius"]), repr(payload["limit_error"])]
+    # one member reports no limit
+    assert run_cli("radius", "--theorem", "2", "--gamma", "0.5", "--a", "0.9", "--out", str(out))[0] == 0
+    assert not {"grid_radius", "limit_error"} & set(json.loads(out.read_text()))
+
+
+def test_radius_without_four_witnesses_reports_the_grid_minimum(tmp_path):
+    # at gamma = 0.9998 only a = 1 - 2^-13 and 1 - 2^-14 lie above gamma
+    out = tmp_path / "radius.json"
+    code, text = run_cli("radius", "--theorem", "B", "--gamma", "0.9998", "--out", str(out))
+    assert "note: fewer than 4 members are constrained sharpness witnesses" in text
+    payload = json.loads(out.read_text())
+    assert payload["limit_error"] is None
+    assert payload["computed_radius"] == payload["grid_radius"] == payload["result"]["radius"]
+    assert code == 1  # the grid minimum is far from the closed form
+    out_csv = tmp_path / "radius.csv"
+    run_cli("radius", "--theorem", "B", "--gamma", "0.9998", "--out", str(out_csv))
+    assert list(csv.reader(out_csv.open()))[1][5] == ""
+
+
+@pytest.mark.parametrize("theorem,gamma", [(theorem, gamma) for theorem in THEOREMS for gamma in (0.0, 0.5, 0.9, 0.99)
+                                           if theorem != "A" or gamma == 0.0])
+def test_radius_takes_at_most_nine_evaluator_calls_on_four_rows(monkeypatch, theorem, gamma):
+    rows = []
+    solve = solver.family_infimum_radius
+    monkeypatch.setattr(solver, "family_infimum_radius",
+                        lambda bound, family, tol: solve(lambda r: rows.append(r.shape) or bound(r), family, tol))
+    argv = ["radius", "--theorem", theorem] + ([] if theorem == "A" else ["--gamma", repr(gamma)])
+    assert run_cli(*argv)[0] == 0
+    # two end probes and at most seven ITP steps, each one call on the four members
+    assert len(rows) <= 9
+    assert set(rows) == {(4,)}

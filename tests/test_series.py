@@ -232,3 +232,17 @@ def test_disk_domain_geometry():
     assert np.all(np.abs(from_unit_disk(dom, z) - dom.center) < dom.radius)
     with pytest.raises(ValueError):
         DiskDomain(1.0)
+
+
+@pytest.mark.parametrize("z", [0.3, 0.2 - 0.7j, np.float64(0.45), np.array(0.6 + 0.1j),
+                               np.linspace(-0.9, 0.9, 7), np.full((2, 3), 0.5j), [0.1, -0.2]],
+                         ids=["float", "complex", "np-scalar", "0-d", "1-d", "2-d", "list"])
+def test_evaluate_equals_numpy_polyval_bit_for_bit(z):
+    from numpy.polynomial.polynomial import polyval
+
+    rng = np.random.default_rng(3)
+    p = PowerSeries(rng.normal(size=40) + 1j * rng.normal(size=40))
+    got, want = p.evaluate(z), polyval(z, p.coeffs)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)

@@ -8,7 +8,9 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +19,7 @@ from bohrlab.cli import BOUNDS
 from bohrlab.extremals import HarmonicExtremalParams, MobiusFamilyParams, harmonic_extremal, mobius_family_coeffs, sharpness_a_grid
 from bohrlab.functionals import DEFAULT_AREA_WEIGHT, SeriesStack, bohr_total, harmonic_total, sharp_harmonic_radius
 from bohrlab.series import DiskDomain
-from bohrlab.solver import UPPER_LIMIT, bohr_radius_of_function, family_infimum_radius
+from bohrlab.solver import UPPER_LIMIT, RadiusResult, a_to_one_limit, bohr_radius_of_function, family_infimum_radius
 
 from oracles import bisection_radius, constant, family_infimum_reference, member_radius_root, stacked_bound, zero
 
@@ -409,8 +411,132 @@ def test_every_member_radius_is_the_root_of_its_members_total(theorem, gamma, k,
         argv = ["radius", "--theorem", theorem, "--gamma", repr(gamma), "--tol", repr(tol), "--out", str(out)]
         cli.main(argv + ([flag, repr(x)] if flag else []))
         members = json.loads(out.read_text())["result"]["members"]
-    assert len(members) == 14
+    assert len(members) == 4
     for m in members:
         root, slope = member_radius_root(theorem, m["a"], gamma, x)
         allowance = _ROUNDING_UNITS * 2.0**-53 / slope
         assert root - tol - allowance <= m["radius"] <= root + allowance, (m, root)
+
+
+def test_every_member_closes_in_at_most_seven_steps_above_gamma_nine_tenths(tmp_path):
+    # theorem 2's a = 0.5 member fell back to bisection here (37 rounds); the four members
+    # nearest a = 1 take 6-7 steps on every theorem
+    out = tmp_path / "r.json"
+    for theorem, extra in (("B", []), ("1", []), ("2", []), ("3", []), ("4", ["--k", "0.35"]), ("corollary", [])):
+        for gamma in np.linspace(0.9, 0.99, 91).tolist():
+            argv = ["radius", "--theorem", theorem, "--gamma", repr(gamma), "--out", str(out), *extra]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+            members = json.loads(out.read_text())["result"]["members"]
+            assert max(m["iterations"] for m in members) <= 7, (theorem, gamma)
+
+
+def _grid_result(radii, tol=1e-10, a_values=None):
+    """A family result whose members are the last len(radii) grid members with these radii."""
+    a_values = sharpness_a_grid(14)[-len(radii):].tolist() if a_values is None else a_values
+    members = tuple(dict(a=a, radius=r, iterations=0) for a, r in zip(a_values, radii))
+    best = min(radii)
+    return RadiusResult(best, (best, best + tol), tol, 0, members=members)
+
+
+def _smooth_radii(limit=0.4, c1=0.3, c2=-2.0, c3=5.0):
+    return [limit + c1 * u + c2 * u**2 + c3 * u**3 for u in (1.0 - sharpness_a_grid(14)[-4:]).tolist()]
+
+
+def test_limit_cancels_the_first_two_orders_and_bounds_its_error():
+    radii = _smooth_radii()
+    res = a_to_one_limit(_grid_result(radii), 0.0)
+    assert res.notes == ()
+    r = radii
+    two_step = [(8 * r[2] - 6 * r[1] + r[0]) / 3, (8 * r[3] - 6 * r[2] + r[1]) / 3]
+    assert res.value == two_step[1]
+    assert res.error == abs(two_step[1] - two_step[0]) + 5e-10
+    # the O(u^3) remainder at u = 2^-14 is far inside the error
+    assert abs(res.value - 0.4) < 1e-11 < res.error
+    # the floor covers the members' own rounding at tolerances below it
+    assert a_to_one_limit(_grid_result(radii, tol=1e-14), 0.0).error == abs(two_step[1] - two_step[0]) + 5e-12
+
+
+def test_limit_notes_a_grid_outside_the_asymptotic_regime():
+    # one-step gaps of a smooth r(u) shrink fourfold; noise of 1e-6 on one member breaks that
+    radii = _smooth_radii()
+    radii[1] += 1e-6
+    res = a_to_one_limit(_grid_result(radii), 0.0)
+    assert len(res.notes) == 1 and "not in the asymptotic regime" in res.notes[0]
+    assert res.error is not None
+    # equal radii leave no gap to take the ratio of
+    assert a_to_one_limit(_grid_result([0.4] * 4), 0.0).notes == (
+        "the one-step gaps shrink inf-fold, not about 4-fold: the grid is not in the asymptotic regime, "
+        "so limit_error may understate the error",)
+
+
+@pytest.mark.parametrize("case", ["a-at-most-gamma", "unconstrained", "three-members"])
+def test_limit_needs_four_constrained_sharpness_witnesses(case):
+    radii, gamma = _smooth_radii(), 0.0
+    if case == "a-at-most-gamma":
+        gamma = float(sharpness_a_grid(14)[-3])  # a_12 = gamma is no witness
+    elif case == "unconstrained":
+        radii[0] = UPPER_LIMIT
+    else:
+        radii = radii[1:]
+    result = _grid_result(radii)
+    res = a_to_one_limit(result, gamma)
+    assert (res.value, res.error) == (result.radius, None)
+    assert res.notes == ("fewer than 4 members are constrained sharpness witnesses (a > gamma): "
+                         "the radius is the grid minimum, with no limit error",)
+
+
+def test_limit_rejects_witnesses_whose_distance_to_one_does_not_halve():
+    with pytest.raises(ValueError, match="must halve"):
+        a_to_one_limit(_grid_result(_smooth_radii(), a_values=[0.9, 0.95, 0.975, 0.99]), 0.0)
+
+
+def test_member_root_expansion_in_u_and_its_two_step_cancellation():
+    # the closed-form roots of theorem B's member and of the harmonic member with
+    # dilatation k: |A0| + (1 + k) C x/(1 - x) = 1 at x = q r, for a > gamma
+    u, g, k = sp.symbols("u gamma k", positive=True)
+    a = 1 - u
+    root_of = lambda kk: (1 + g) * (1 - a * g) / ((1 - g) * ((1 + kk) * (1 + a) + a * (1 + g)))
+    taylor = lambda expr, n: sp.cancel(sp.diff(expr, u, n).subs(u, 0))
+    for kk, limit in ((0, (1 + g) / (3 + g)), (k, (1 + g) / (3 + 2 * k + g))):
+        r = root_of(kk)
+        assert taylor(r - limit, 0) == 0
+        if kk == 0:
+            assert taylor(r, 1) == sp.cancel(2 * (1 + g) ** 2 / ((1 - g) * (3 + g) ** 2))
+        two_step = (8 * r.subs(u, u / 4) - 6 * r.subs(u, u / 2) + r) / 3
+        # no u^0, u^1 or u^2 term, and the remainder is O(u^3), no better
+        assert [taylor(two_step - limit, n) for n in range(3)] == [0, 0, 0]
+        assert taylor(two_step, 3) != 0
+    # the closed forms are the members' roots
+    for theorem, kk in (("B", 0.0), ("4", 0.35)):
+        a_num, g_num = 1.0 - 2.0**-12, 0.3
+        exact = float(root_of(kk).subs({u: 1 - sp.Rational(a_num), g: sp.Rational(g_num)}))
+        assert abs(exact - member_radius_root(theorem, a_num, g_num, kk if theorem == "4" else None)[0]) < 1e-14
+
+
+def _family_limit(theorem, gamma, k):
+    """The a -> 1 limit of the family radius: the harmonic radius for theorem 4 and
+    the corollary (k = 1), (1 + gamma)/(3 + gamma) for every other theorem."""
+    k = {"4": k, "corollary": 1.0}.get(theorem, 0.0)
+    return (1.0 + gamma) / (3.0 + 2.0 * k + gamma)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    theorem=st.sampled_from(sorted(BOUNDS)),
+    gamma=st.floats(0.0, 0.99),
+    k=st.floats(0.0, 1.0),
+    weight=st.floats(0.0, DEFAULT_AREA_WEIGHT),
+    lam=st.floats(0.1, 2.0),
+    log_tol=st.floats(-14.0, -4.0),
+)
+def test_computed_radius_is_the_family_limit_within_its_error(theorem, gamma, k, weight, lam, log_tol):
+    gamma = 0.0 if theorem == "A" else gamma
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        out = Path(tmp) / "r.json"
+        argv = ["radius", "--theorem", theorem, "--tol", repr(10.0**log_tol), "--out", str(out),
+                "--k", repr(k), "--K", repr(weight), "--lambda", repr(lam)]
+        code = cli.main(argv + ([] if theorem == "A" else ["--gamma", repr(gamma)]))
+        payload = json.loads(out.read_text())
+    assert code == 0
+    assert abs(payload["computed_radius"] - _family_limit(theorem, gamma, k)) <= payload["limit_error"]
