@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import DEFAULT_AREA_WEIGHT, SeriesStack
+from .functionals import _CUT, _FIRST_LENGTH, DEFAULT_AREA_WEIGHT, SeriesStack
 from .series import DEFAULT_ORDER, PowerSeries, TailBound, _check_gamma
 
 __all__ = [
@@ -191,16 +191,29 @@ def harmonic_extremal(
     return h, PowerSeries(g_coeffs, g_tail)
 
 
-def family_stack(a, gamma, order: int = DEFAULT_ORDER, weight=None):
+def family_stack(a, gamma, order: int = DEFAULT_ORDER, weight=None, r_max=None):
     """The members at (a, gamma), one stack row each, written in place: each
     row, q and C equal :func:`mobius_family_coeffs` on that member bit for bit.
     The coefficients are real, so the rows are float64, half the bytes of the
     complex rows, and every evaluator value is unchanged: ``abs`` of a real x
     equals the complex ``hypot(x, 0)`` bit for bit.
 
-    ``a``, ``gamma`` and ``weight`` are floats or arrays, one entry per row.
-    With a ``weight`` (k * lambda, in [0, 1]) the result is the harmonic pair
-    of stacks (h, g) that :func:`harmonic_extremal` gives member by member.
+    ``a``, ``gamma``, ``weight`` and ``r_max`` are floats or arrays, one entry
+    per row.  With a ``weight`` (k * lambda, in [0, 1]) the result is the
+    harmonic pair of stacks (h, g) that :func:`harmonic_extremal` gives member
+    by member.
+
+    With ``r_max``, the largest radius in [0, 1) at which each row will be
+    read, the rows stop at the shortest order N in 32, 64, 128, ... (else
+    ``order``) with C x^(N+1) / (1 - x) <= 2^-60, x = q r_max, on every row,
+    and each is the first N + 1 terms of the full-order row.  This is sound:
+    the coefficients are exactly C q^n for n >= 1, so the certificate (q, C)
+    bounds everything past N, and the evaluators add that bound to
+    ``tail_error`` as they do past ``order``.  It is also nearly free: at r <=
+    r_max the dropped terms add at most 2^-60 to a majorant sum, and less to
+    the norm and area sums, which run in x^2 (their tails are below (N + 1)
+    times that bound squared).  A sum cut at 2^-60 on both stacks then moves
+    by at most 2^-59 plus the rounding of a sum of another length.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -210,6 +223,14 @@ def family_stack(a, gamma, order: int = DEFAULT_ORDER, weight=None):
     a0, q, scale = family_constants(a, gamma)
     if not np.all(np.isfinite(scale)):  # a below about 1e-308
         raise ValueError(f"the tail constant C = (1 - a^2) / (a (1 - a gamma)) overflows at a={a}")
+    if r_max is not None:
+        r_max = np.broadcast_to(np.asarray(r_max, dtype=float), a.shape)
+        if not np.all((0.0 <= r_max) & (r_max < 1.0)):
+            raise ValueError(f"every r_max must lie in [0, 1), got {r_max}")
+        x, length = q * r_max, _FIRST_LENGTH
+        while length < order and np.max(scale * np.power(x, length + 1) / (1.0 - x)) > _CUT:
+            length *= 2
+        order = min(length, order)
     coeffs = np.zeros((a.size, order + 1))
     for member in zip(coeffs, a0, q, scale):
         _write_member(*member)

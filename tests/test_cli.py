@@ -22,6 +22,9 @@ from bohrlab.solver import UPPER_LIMIT
 
 from oracles import bisection_radius, member_radius_root, member_series_stack, sweep_csv_reference
 
+# subprocesses of ``python -m bohrlab.cli`` import the package from this tree
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(bohrlab.__file__).resolve().parents[1])}
+
 
 def run_cli(*argv):
     """In-process invocation; returns (exit_code, captured stdout)."""
@@ -494,6 +497,7 @@ def test_radius_tolerance_below_float_spacing_terminates():
          "--tol", "1e-20", "--order", "256"],
         capture_output=True,
         text=True,
+        env=SRC_ENV,
         timeout=30,
     )
     assert proc.returncode == 0
@@ -505,9 +509,21 @@ def test_module_entry_point_subprocess():
         [sys.executable, "-m", "bohrlab.cli", "radius", "--theorem", "B", "--gamma", "0.5"],
         capture_output=True,
         text=True,
+        env=SRC_ENV,
     )
     assert proc.returncode == 0
     assert "0.428571429" in proc.stdout
+
+
+@pytest.mark.parametrize("extra,witness", [([], True), (["--a", "0.3"], False)], ids=["family", "a-below-gamma"])
+def test_radius_json_flags_a_sharpness_witness_exactly_when_a_exceeds_gamma(tmp_path, extra, witness):
+    # the family's argmin is a_14 > gamma; the --a member lies below gamma
+    out = tmp_path / "radius.json"
+    code, _ = run_cli("radius", "--theorem", "2", "--gamma", "0.5", *extra, "--out", str(out))
+    result = json.loads(out.read_text())["result"]
+    assert code == 0
+    assert result["witness"]["sharpness_witness"] is witness
+    assert (result["witness"]["a"] > 0.5) is witness
 
 
 def test_radius_and_sweep_do_not_import_numpy_ma():
@@ -519,8 +535,7 @@ def test_radius_and_sweep_do_not_import_numpy_ma():
         "main(['sweep', '--gammas', '0.5', '--grid', '8', '--order', '256'])\n"
         "print('numpy.ma' in sys.modules)\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(bohrlab.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=SRC_ENV, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
 
@@ -616,6 +631,7 @@ def test_tiny_family_parameter_is_a_usage_error_without_traceback():
          "--order", "64"],
         capture_output=True,
         text=True,
+        env=SRC_ENV,
         timeout=60,
     )
     assert proc.returncode == 2
@@ -669,6 +685,7 @@ def test_unwritable_out_exits_2_without_traceback(tmp_path):
         [sys.executable, "-m", "bohrlab.cli", "identity-check", "--samples", "1", "--out", str(tmp_path)],
         capture_output=True,
         text=True,
+        env=SRC_ENV,
         timeout=60,
     )
     assert proc.returncode == 2

@@ -6,7 +6,7 @@ import dataclasses
 import mpmath
 import numpy as np
 import sympy as sp
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bohrlab import functionals
@@ -18,7 +18,7 @@ from bohrlab.conjecture import (
     witness_violates,
     write_estimates_csv,
 )
-from bohrlab.extremals import MobiusFamilyParams, family_limit_weight, mobius_family_coeffs
+from bohrlab.extremals import MobiusFamilyParams, family_area_deficit, family_limit_weight, mobius_family_coeffs
 from bohrlab.verify import area_coupling, certified_area_weight, recentred_slack_envelope
 
 from oracles import ratio_grid_reference
@@ -199,6 +199,21 @@ def test_family_grid_stays_above_the_limit_weight(gamma, grid):
     est = estimate_constant(gamma, grid=grid)
     assert est.k_hat >= family_limit_weight(gamma)
     assert certified_area_weight(gamma) <= family_limit_weight(gamma)
+
+
+@settings(max_examples=200)
+@given(gamma=st.floats(0.0, 0.99, exclude_max=True), u=st.floats(0.0, 1.0, exclude_min=True),
+       t=st.floats(0.0, 1.0))
+@example(gamma=0.0, u=1.0, t=1.0)  # the corner a -> 1, r = r0, where the deficit tends to 0+
+@example(gamma=0.99 - 2.0**-40, u=1.0, t=1.0)
+def test_family_totals_at_the_certified_weight_stay_at_most_one_up_to_the_sharp_radius(gamma, u, t):
+    # the area-refined total at weight K_cert(gamma) is 1 - (1 - a) * deficit,
+    # so total <= 1 is deficit >= 0: written on the deficit, which does not
+    # cancel near a = 1, and asserted with no allowance
+    a = min(gamma + u * (1.0 - 2.0**-40 - gamma), 1.0 - 2.0**-40)
+    assume(a > gamma)
+    r = t * functionals.sharp_majorant_radius(gamma)
+    assert family_area_deficit(r, a, gamma, certified_area_weight(gamma)) >= 0.0
 
 
 def test_family_grid_clears_the_limit_weight_by_one_percent():

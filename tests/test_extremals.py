@@ -6,6 +6,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bohrlab import functionals
 from bohrlab.extremals import (
     HarmonicExtremalParams,
     MobiusFamilyParams,
@@ -164,6 +165,40 @@ def test_family_stack_takes_floats_and_rejects_what_the_params_reject():
             family_stack([0.5, 1e-320], 0.2, 16)
         with pytest.raises(ValueError):
             mobius_family_coeffs(MobiusFamilyParams(1e-320, 0.2), 16)
+
+
+def test_family_stack_without_a_largest_radius_writes_the_full_order():
+    a, gamma = sharpness_a_grid(14), 0.37
+    for order in (1, 31, 100, 2048):
+        for stack in (family_stack(a, gamma, order), *family_stack(a, gamma, order, 0.5)):
+            assert stack.order == order and stack.coeffs.shape == (a.size, order + 1)
+
+
+@settings(max_examples=60)
+@given(
+    order=st.sampled_from([1, 40, 2048]),
+    rows=st.lists(st.tuples(st.floats(1e-6, 1.0 - 2.0**-40), st.floats(0.0, 0.99), st.floats(0.0, 0.999)),
+                  min_size=1, max_size=6),
+)
+@example(order=2048, rows=[(0.5, 0.2, 0.0)])  # x = 0: the shortest order
+@example(order=2048, rows=[(1.0 - 2.0**-40, 0.0, 0.999)])  # nothing drops off: the full order
+def test_family_stack_up_to_a_largest_radius_stops_at_the_first_order_that_drops_below_the_cut(order, rows):
+    a, gamma, r_max = map(np.array, zip(*rows))
+    full = family_stack(a, gamma, order)
+    short = family_stack(a, gamma, order, r_max=r_max)
+    n, ladder = short.order, [32 << j for j in range(12)]
+    assert n == order or (n in ladder and n < order)
+    assert short.coeffs.tolist() == full.coeffs[:, : n + 1].tolist()
+    assert short.tail.q.tolist() == full.tail.q.tolist() and short.tail.C.tolist() == full.tail.C.tolist()
+    # the most any row's majorant sum at r <= r_max loses past order m
+    x = full.tail.q * r_max
+    dropped = lambda m: np.max(full.tail.C * x ** (m + 1) / (1.0 - x))
+    assert n == order or dropped(n) <= functionals._CUT
+    assert all(dropped(m) > functionals._CUT for m in ladder if m < n)
+    h, g = family_stack(a, gamma, order, 0.5, r_max=r_max)
+    assert h.order == g.order == n
+    with pytest.raises(ValueError, match="every r_max must lie in"):
+        family_stack(a, gamma, order, r_max=1.0)
 
 
 def test_sharpness_grid():

@@ -615,3 +615,45 @@ def test_certificate_tail_covers_the_series_for_q_r_near_one(a, gamma, order, qr
     assume(r < 1.0)
     p = mobius_family_coeffs(params, order)
     _assert_value_plus_tail_covers(p, r, _family_sums_50_digits(params, r))
+
+
+@settings(max_examples=60)
+@given(
+    order=st.sampled_from([40, 2048]),
+    rows=st.lists(
+        st.tuples(st.floats(1e-6, 1.0 - 2.0**-40), st.floats(0.0, 0.99), st.floats(0.0, 1.0),
+                  st.floats(0.0, 0.999), st.floats(0.0, 1.0)),
+        min_size=1, max_size=10,
+    ),
+)
+# the deficit identity check's corner: gamma, a and r at the top of its draws
+@example(order=2048, rows=[(0.995, 0.9, 1.0, 0.9, 1.0), (0.05, 0.0, 0.0, 0.01, 1.0)])
+def test_totals_on_rows_cut_at_their_largest_radius_equal_the_full_order_totals(order, rows):
+    # rows: (a, gamma, weight k * lambda, largest radius r_max, r / r_max).
+    # The terms past the shorter rows add at most 2^-60 to each sum the
+    # shorter and the longer stack cut, so a total moves by at most 2^-59 and
+    # the rounding of a sum of another length: asserted to within one ulp
+    # (every example run here was equal bit for bit)
+    a, gamma, weight, r_max, t = map(np.array, zip(*rows))
+    r = t * r_max
+
+    def totals(h, g):
+        return (bohr_total(h, r), area_refined_total(h, r, gamma), norm_refined_total(h, r),
+                domain_ratio_area_total(h, r, 0.7), harmonic_total(h, g, r))
+
+    for short, full in zip(totals(*family_stack(a, gamma, order, weight, r_max=r_max)),
+                           totals(*family_stack(a, gamma, order, weight)), strict=True):
+        assert np.all(np.abs(short.total - full.total) <= 2.0 * functionals._CUT + np.spacing(full.total))
+
+
+@pytest.mark.parametrize("a,gamma,r", [(0.3, 0.5, 0.8), (0.99, 0.2, 0.7), (0.995, 0.9, 0.9),
+                                       (1.0 - 2.0**-14, 0.5, 0.5)])
+def test_padded_totals_on_rows_cut_at_their_largest_radius_cover_the_whole_series(a, gamma, r):
+    # the certificate covers every term past the shorter row; the allowance
+    # is _ROUNDING, for the roundoff of the summed terms, as above
+    stack = family_stack(a, gamma, 2048, r_max=r)
+    assert stack.order < 2048
+    radius = np.array([r])  # a stack takes one radius per member
+    exact = _family_sums_50_digits(MobiusFamilyParams(a, gamma), r)
+    assert float(bohr_total(stack, radius).padded()[0]) >= exact[0] - _ROUNDING * exact[0]
+    _assert_value_plus_tail_covers(stack, radius, exact)

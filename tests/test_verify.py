@@ -102,7 +102,7 @@ def test_rewritten_checks_equal_their_per_sample_references(check, reference, kw
 
 @pytest.mark.parametrize("seed", [42, 5, 7])
 @pytest.mark.parametrize("order", [64, 1024, 2048])
-@pytest.mark.parametrize("n_samples", [1, 9, 10, 11, 100])  # around and past one stack of 10
+@pytest.mark.parametrize("n_samples", [1, 9, 10, 11, 49, 50, 51, 100])  # around and past one stack of 50
 def test_stacked_family_deficit_identity_equals_the_per_sample_reference(n_samples, order, seed):
     kwargs = {"n_samples": n_samples, "seed": seed, "order": order}
     assert check_family_deficit_identity(**kwargs) == family_deficit_identity_reference(**kwargs)
