@@ -9,13 +9,7 @@ the best admissible area-correction weight.
 """
 
 from .conjecture import ConstantEstimate, estimate_constant, sweep_conjecture
-from .extremals import (
-    HarmonicExtremalParams,
-    MobiusFamilyParams,
-    harmonic_extremal,
-    mobius_family_coeffs,
-    sharpness_a_grid,
-)
+from .extremals import harmonic_extremal, mobius_family_coeffs, sharpness_a_grid
 from .functionals import (
     FunctionalValue,
     SeriesStack,

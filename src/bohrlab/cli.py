@@ -29,8 +29,6 @@ import numpy as np
 from . import conjecture as conjecture_mod
 from . import functionals, solver, verify
 from .extremals import (
-    HarmonicExtremalParams,
-    MobiusFamilyParams,
     family_limit_weight,
     family_stack,
     harmonic_extremal,
@@ -132,9 +130,10 @@ _ORDER_HELP = (f"series order, at most {_MAX_ORDER} (about 0.6 KB and 1 us per c
 _GAMMA = _Number(float, lambda value: 0.0 <= value < 1.0, "lie in [0, 1)")
 _UNIT = _Number(float, lambda value: 0.0 <= value <= 1.0, "lie in [0, 1]")
 _POSITIVE = _Number(float, lambda value: value > 0.0, "be positive")
-# a radius solved no closer than RADIUS_MATCH_TOL cannot pass the check against its closed form
-_RADIUS_TOL = _Number(float, lambda value: 0.0 < value < RADIUS_MATCH_TOL,
-                      f"lie in (0, {RADIUS_MATCH_TOL:g}), below the closed-form check's tolerance")
+# a radius solved no closer than RADIUS_MATCH_TOL cannot pass the check against its closed form,
+# and below solver.SMALLEST_TOL the solver's step budget overflows
+_RADIUS_TOL = _Number(float, lambda value: solver.SMALLEST_TOL <= value < RADIUS_MATCH_TOL,
+                      f"lie in [2^-1024, {RADIUS_MATCH_TOL:g}), below the closed-form check's tolerance")
 # the closed form (1+gamma)/(3+gamma) of theorem 1 is proven for these weights only
 _WEIGHT = _Number(float, lambda value: 0.0 <= value <= functionals.DEFAULT_AREA_WEIGHT, "lie in [0, 8/9]")
 # below about 5.6e-17 theorem 3's radius 1/(1 + 2 lambda) rounds to one, which no radius reaches
@@ -155,6 +154,22 @@ def _parse_gammas(spec: str) -> list[float]:
     return gammas
 
 
+# Above it a family witness's K_hat nears 1e8 (1.4e7 at 0.999, 1.8e8 at 0.9996)
+# and the 1e-6 weight bump times its area falls below one ulp of its total, so
+# the bump cannot show: gamma = 0.9996 read as a VIOLATION with K_hat above K*
+_MAX_CONJECTURE_GAMMA = 0.999
+
+
+def _conjecture_gammas(spec: str) -> list[float]:
+    """:func:`_parse_gammas`, each at most ``_MAX_CONJECTURE_GAMMA``."""
+    gammas = _parse_gammas(spec)
+    if max(gammas) > _MAX_CONJECTURE_GAMMA:
+        raise argparse.ArgumentTypeError(
+            f"every gamma must be at most {_MAX_CONJECTURE_GAMMA:g}, got {max(gammas)!r}: past it the witness "
+            "check's weight bump of 1e-6 falls below the rounding of the witness's total")
+    return gammas
+
+
 def _parameters(args, gamma: float) -> dict:
     """gamma and every extra parameter: the flag's value, else its default at gamma."""
     weight = getattr(args, "weight", None)  # sweep has no --K
@@ -166,17 +181,11 @@ def _parameters(args, gamma: float) -> dict:
     }
 
 
-def _family(bound: Bound, a_grid, gamma: float, k: float) -> list:
+def _series(bound: Bound, a: float, gamma: float, k: float, order: int):
+    """The member at (a, gamma): its series, or its pair (h, g) for a harmonic bound."""
     if bound.harmonic:
-        return [HarmonicExtremalParams(float(a), gamma, k, 1.0) for a in a_grid]
-    # the radius JSON writes each member's flag with its witness: it states whether a > gamma
-    return [MobiusFamilyParams(float(a), gamma, sharpness_witness=float(a) > gamma) for a in a_grid]
-
-
-def _series(bound: Bound, params, order: int):
-    if bound.harmonic:
-        return harmonic_extremal(params, order)
-    return mobius_family_coeffs(params, order)
+        return harmonic_extremal(a, gamma, k, order)
+    return mobius_family_coeffs(a, gamma, order)
 
 
 def _append_radius_csv(path: Path, row: list) -> None:
@@ -199,14 +208,11 @@ def cmd_radius(args) -> int:
 
     # the family radius is sharp only as a -> 1: solve the members nearest it for their limit
     a_grid = [args.a] if args.a is not None else sharpness_a_grid(14)[-solver.LIMIT_MEMBERS:]
-    family = _family(bound, a_grid, gamma, k)
     if args.a is None:  # the whole family in one stack: each solver round is one evaluator call
-        stack = family_stack(a_grid, gamma, args.order, k if bound.harmonic else None)
+        series = family_stack(a_grid, gamma, args.order, k if bound.harmonic else None)
     else:  # the one member's own series
-        member = _series(bound, family[0], args.order)
-        stack = (tuple(functionals.SeriesStack([s]) for s in member) if bound.harmonic
-                 else functionals.SeriesStack([member]))
-    result = solver.family_infimum_radius(lambda r: bound.total(stack, r, gamma, x), family, tol=args.tol)
+        series = _series(bound, args.a, gamma, k, args.order)
+    result = solver.family_infimum_radius(lambda r: bound.total(series, r, gamma, x), a_grid, gamma, tol=args.tol)
     limit = solver.a_to_one_limit(result, gamma) if args.a is None else solver.Limit(result.radius, None)
     closed = bound.radius(gamma, x)
     diff = abs(limit.value - closed)
@@ -411,9 +417,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("conjecture", help="estimate the best admissible area weight per gamma",
                        allow_abbrev=False)
-    p.add_argument("--gammas", type=_parse_gammas, default="0,0.25,0.5,0.75",
-                   help=f"a comma list or start:stop:count of at most {_MAX_GAMMAS} values (about 0.4 ms "
-                   "per gamma at the default --grid: at most about 0.4 s)")
+    p.add_argument("--gammas", type=_conjecture_gammas, default="0,0.25,0.5,0.75",
+                   help=f"a comma list or start:stop:count of at most {_MAX_GAMMAS} values in "
+                   f"[0, {_MAX_CONJECTURE_GAMMA:g}] (about 0.4 ms per gamma at the default --grid: at most "
+                   "about 0.4 s)")
     p.add_argument("--grid", type=_between(2, _MAX_CONJECTURE_GRID), default=64,
                    help=f"points per side of the (a, r) grid, at most {_MAX_CONJECTURE_GRID} (memory grows "
                    "with its square, about 50 bytes per point: at most about 230 MB)")

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import functionals
-from .extremals import MobiusFamilyParams, family_limit_weight, family_majorant_and_area, mobius_family_coeffs
+from .extremals import family_limit_weight, family_majorant_and_area, mobius_family_coeffs
 from .functionals import sharp_majorant_radius
 from .series import DEFAULT_ORDER, DiskDomain, _check_gamma, numeric_taylor
 from .verify import bounded_on_disk_domain, random_blaschke
@@ -123,7 +123,7 @@ def witness_violates(estimate: ConstantEstimate, bump: float = 1e-6, order: int 
     witness exceed one; only meaningful for family witnesses (finite a)."""
     if not np.isfinite(estimate.witness_a):
         return False
-    p = mobius_family_coeffs(MobiusFamilyParams(estimate.witness_a, estimate.gamma), order)
+    p = mobius_family_coeffs(estimate.witness_a, estimate.gamma, order)
     value = functionals.area_refined_total(
         p, estimate.witness_r, estimate.gamma, weight=estimate.k_hat + bump
     )

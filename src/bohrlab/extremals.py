@@ -15,7 +15,6 @@ the bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,8 +22,6 @@ from .functionals import _CUT, _FIRST_LENGTH, DEFAULT_AREA_WEIGHT, SeriesStack
 from .series import DEFAULT_ORDER, PowerSeries, TailBound, _check_gamma
 
 __all__ = [
-    "MobiusFamilyParams",
-    "HarmonicExtremalParams",
     "family_constants",
     "family_majorant_and_area",
     "family_limit_weight",
@@ -97,50 +94,19 @@ def family_harmonic_deficit(r, a, gamma, k, lam):
     return (1.0 + gamma) - (1.0 + k * lam) * (1.0 + a) * (1.0 - gamma) * r / d
 
 
-@dataclass(frozen=True)
-class MobiusFamilyParams:
-    """Parameters (a, gamma) of the analytic extremal family.
-
-    a = 0 degenerates (the coefficient formula divides by a) and is rejected.
-    ``sharpness_witness`` additionally enforces a > gamma, which the
-    near-extremal arguments need so the constant term stays nonnegative.
-    """
-
-    a: float
-    gamma: float = 0.0
-    sharpness_witness: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.a < 1.0:
-            raise ValueError(f"a must lie in (0, 1), got {self.a}")
-        _check_gamma(self.gamma)
-        if self.sharpness_witness and not self.a > self.gamma:
-            raise ValueError("sharpness witnesses require a > gamma")
-
-    @property
-    def decay_ratio(self) -> float:
-        """Geometric ratio q = a(1-gamma)/(1-a*gamma) of the coefficients; q in (0, 1)."""
-        return family_constants(self.a, self.gamma)[1]
-
-    @property
-    def constant_term(self) -> float:
-        return family_constants(self.a, self.gamma)[0]
-
-    @property
-    def coefficient_scale(self) -> float:
-        """C with |a_n| = C * q**n for n >= 1."""
-        return family_constants(self.a, self.gamma)[2]
-
-
-def mobius_family_coeffs(params: MobiusFamilyParams, order: int = DEFAULT_ORDER) -> PowerSeries:
-    """Unit-disk Taylor coefficients of a family member.
+def mobius_family_coeffs(a: float, gamma: float = 0.0, order: int = DEFAULT_ORDER) -> PowerSeries:
+    """Unit-disk Taylor coefficients of the family member at (a, gamma).
 
     The series is A_0 - sum_{n>=1} C q^n z^n with the constants of
     :func:`family_constants`, and it carries the exact tail certificate (q, C).
+    a = 0 degenerates (C divides by a), so a must lie in (0, 1).
     """
+    if not 0.0 < a < 1.0:
+        raise ValueError(f"a must lie in (0, 1), got {a}")
+    _check_gamma(gamma)
     if order < 1:
         raise ValueError("order must be at least 1")
-    a0, q, scale = family_constants(params.a, params.gamma)
+    a0, q, scale = family_constants(a, gamma)
     coeffs = np.zeros(order + 1, dtype=np.complex128)
     _write_member(coeffs, a0, q, scale)
     return PowerSeries(coeffs, TailBound(q, scale))
@@ -154,41 +120,20 @@ def _write_member(row: np.ndarray, a0, q, scale) -> None:
     row[1 : kept + 1] = -scale * q ** np.arange(1, kept + 1)
 
 
-@dataclass(frozen=True)
-class HarmonicExtremalParams:
-    """Analytic family member plus co-analytic part k * lambda * (h - h(0))."""
-
-    a: float
-    gamma: float = 0.0
-    k: float = 1.0
-    lambda_mix: float = 1.0
-
-    def __post_init__(self) -> None:
-        MobiusFamilyParams(self.a, self.gamma)
-        if not 0.0 <= self.k <= 1.0:
-            raise ValueError(f"k must lie in [0, 1], got {self.k}")
-        if not 0.0 <= self.lambda_mix <= 1.0:
-            raise ValueError(f"lambda_mix must lie in [0, 1], got {self.lambda_mix}")
-
-    @property
-    def analytic(self) -> MobiusFamilyParams:
-        return MobiusFamilyParams(self.a, self.gamma)
-
-
 def harmonic_extremal(
-    params: HarmonicExtremalParams, order: int = DEFAULT_ORDER
+    a: float, gamma: float = 0.0, weight: float = 1.0, order: int = DEFAULT_ORDER
 ) -> tuple[PowerSeries, PowerSeries]:
-    """Return (h, g) with h the analytic family member and g = k*lambda*(h - h(0)).
+    """Return (h, g) with h the family member at (a, gamma) and g = weight * (h - h(0)).
 
-    The dilatation g'/h' is the constant k*lambda, so |g'| <= k |h'| holds
-    pointwise for any lambda in [0, 1].
+    The dilatation g'/h' is the constant ``weight`` = k * lambda in [0, 1], so
+    |g'| <= k |h'| holds pointwise for any lambda in [0, 1].
     """
-    h = mobius_family_coeffs(params.analytic, order)
-    weight = params.k * params.lambda_mix
+    if not 0.0 <= weight <= 1.0:
+        raise ValueError(f"weight must lie in [0, 1], got {weight}")
+    h = mobius_family_coeffs(a, gamma, order)
     g_coeffs = weight * h.coeffs
     g_coeffs[0] = 0.0
-    g_tail = None if h.tail is None else TailBound(h.tail.q, weight * h.tail.C)
-    return h, PowerSeries(g_coeffs, g_tail)
+    return h, PowerSeries(g_coeffs, TailBound(h.tail.q, weight * h.tail.C))
 
 
 def family_stack(a, gamma, order: int = DEFAULT_ORDER, weight=None, r_max=None):
@@ -234,7 +179,7 @@ def family_stack(a, gamma, order: int = DEFAULT_ORDER, weight=None, r_max=None):
     coeffs = np.zeros((a.size, order + 1))
     for member in zip(coeffs, a0, q, scale):
         _write_member(*member)
-    h = SeriesStack.from_rows(coeffs, q, scale)
+    h = SeriesStack(coeffs, q, scale)
     if weight is None:
         return h
     weight = np.broadcast_to(np.asarray(weight, dtype=float), a.shape)
@@ -242,7 +187,7 @@ def family_stack(a, gamma, order: int = DEFAULT_ORDER, weight=None, r_max=None):
         raise ValueError(f"every weight must lie in [0, 1], got {weight}")
     g = weight[:, None] * coeffs
     g[:, 0] = 0.0
-    return h, SeriesStack.from_rows(g, q, weight * scale)
+    return h, SeriesStack(g, q, weight * scale)
 
 
 def sharpness_a_grid(j_max: int = 14) -> np.ndarray:

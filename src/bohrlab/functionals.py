@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Iterable
 
 import numpy as np
 
@@ -71,27 +70,13 @@ class SeriesStack:
     """Series of one order, evaluated together at one radius per member or on
     one radius row that every member shares.
 
-    ``coeffs`` and the evaluators' weight tables have one row per member;
-    ``tail.q`` and ``tail.C`` are arrays, 0 where a member has no certificate.
+    ``coeffs`` (complex, or float64 for real series) has one member per row,
+    as do the evaluators' weight tables; ``q`` and ``C`` are the members'
+    certificate arrays, 0 where a member has none.  All three are held as
+    given, with no copy and no finiteness check.
     """
 
-    def __init__(self, members: Iterable[PowerSeries]) -> None:
-        members = tuple(members)
-        if not members or len({m.order for m in members}) != 1:
-            raise ValueError("a stack needs one or more series of one order")
-        tails = [(m.tail.q, m.tail.C) if m.tail is not None else (0.0, 0.0) for m in members]
-        self._hold(np.stack([m.coeffs for m in members]), *map(np.array, zip(*tails)))
-
-    @classmethod
-    def from_rows(cls, coeffs: np.ndarray, q: np.ndarray, C: np.ndarray) -> "SeriesStack":
-        """A stack holding ``coeffs`` (complex, or float64 for real series; one
-        member per row) and the certificate arrays as they are, with no copy
-        and no finiteness check."""
-        stack = cls.__new__(cls)
-        stack._hold(coeffs, q, C)
-        return stack
-
-    def _hold(self, coeffs: np.ndarray, q: np.ndarray, C: np.ndarray) -> None:
+    def __init__(self, coeffs: np.ndarray, q: np.ndarray, C: np.ndarray) -> None:
         self.coeffs, self.order = coeffs, coeffs.shape[1] - 1
         self.tail = SimpleNamespace(q=q, C=C)
         self._memo: dict = {}

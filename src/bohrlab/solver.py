@@ -31,18 +31,22 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import Any, Callable, Iterable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .functionals import FunctionalValue
 
-__all__ = ["UPPER_LIMIT", "LIMIT_MEMBERS", "RadiusResult", "Limit", "bohr_radius_of_function",
+__all__ = ["UPPER_LIMIT", "SMALLEST_TOL", "LIMIT_MEMBERS", "RadiusResult", "Limit", "bohr_radius_of_function",
            "family_infimum_radius", "a_to_one_limit"]
 
 # Fixed search bracket; the bounds lose smoothness as r -> 1, so the
 # search never probes past this point.
 UPPER_LIMIT = 1.0 - 1e-6
+
+# Smallest tolerance: the step budget log2(upper / tol) stays finite down to
+# 2^-1024 (about 5.6e-309) for every upper < 1, and overflows below it
+SMALLEST_TOL = 2.0**-1024
 
 # ITP constants (Oliveira and Takahashi, ACM TOMS 47(1), 2020)
 _KAPPA_1, _KAPPA_2, _N0 = 0.02, 2.0, 1
@@ -69,7 +73,7 @@ class RadiusResult:
     bracket: tuple[float, float]
     tol: float
     iterations: int
-    witness: Any = None
+    witness: dict | None = None
     status: str = "constrained"
     diagnostics: tuple[str, ...] = ()
     members: tuple[dict, ...] = ()
@@ -92,8 +96,8 @@ def _mobius_zero(x0: float, f0: float, x1: float, f1: float, x2: float, f2: floa
 def _itp(tol: float, upper: float):
     """One ITP solve as a generator: it yields each probe point, is sent the
     padded bound there, and returns the :class:`RadiusResult`."""
-    if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
+    if not tol >= SMALLEST_TOL:
+        raise ValueError(f"tolerance must be at least 2^-1024 (below it the step budget overflows), got {tol}")
     if (f_lo := (yield 0.0) - 1.0) > 0.0:
         return RadiusResult(math.nan, (0.0, 0.0), tol, 0, None, "no_radius")
     if (f_hi := (yield upper) - 1.0) <= 0.0:
@@ -160,8 +164,8 @@ def bohr_radius_of_function(
     upper: float = UPPER_LIMIT,
 ) -> RadiusResult:
     """Largest r in [0, upper] with bound(r) <= 1, found by ITP bracketing
-    in at most ceil(log2(upper/tol)) + 1 steps; ``bound`` is called with one
-    float radius at a time.
+    in at most ceil(log2(upper/tol)) + 1 steps, for tol >= ``SMALLEST_TOL``;
+    ``bound`` is called with one float radius at a time.
 
     The predicate "bound <= 1" is monotone and decides which end moves, so on
     a plateau where the bound sits exactly at one the search converges to the
@@ -173,49 +177,49 @@ def bohr_radius_of_function(
 
 def family_infimum_radius(
     bound: Callable[[np.ndarray], FunctionalValue | np.ndarray],
-    family: Iterable[Any],
+    a: Sequence[float],
+    gamma: float,
     tol: float = 1e-10,
 ) -> RadiusResult:
-    """Minimum per-function radius over a parameter family.
+    """Minimum per-function radius over the family members at ``a`` and ``gamma``.
 
-    ``bound(r)`` takes a 1-D array of one radius per member, in the order
-    given, and returns their values (a :class:`FunctionalValue` of arrays or
+    ``bound(r)`` takes a 1-D array of one radius per member, in the order of
+    ``a``, and returns their values (a :class:`FunctionalValue` of arrays or
     the padded values), as an evaluator on a ``functionals.SeriesStack``
     does.  The members' ITP solves step together, one call of ``bound`` per
     round; a lone member is the single solve of :func:`bohr_radius_of_function`.
-    Members carry ``a`` and ``gamma``; the witness is the argmin's parameters.
-    Among the sharpness witnesses (a > gamma) the radius should not rise with
-    a; a rise is reported in ``diagnostics``.
+    The witness is the argmin's {"a", "gamma"}.  Among the sharpness witnesses
+    (a > gamma) the radius should not rise with a; a rise is reported in
+    ``diagnostics``.
     """
-    members = list(family)
-    if not members:
+    a = [float(x) for x in a]
+    if not a:
         raise ValueError("family must be nonempty")
 
-    if len(members) == 1:  # nothing to step together: a single solve, traced as one
+    if len(a) == 1:  # nothing to step together: a single solve, traced as one
         results = [bohr_radius_of_function(lambda r: bound(np.array([r])), tol)]
     else:
-        results = _solve_together(bound, len(members), tol)
-    for params, res in zip(members, results):
+        results = _solve_together(bound, len(a), tol)
+    for x, res in zip(a, results):
         if res.status == "no_radius":
-            return dataclasses.replace(res, witness=params)
+            return dataclasses.replace(res, witness={"a": x, "gamma": gamma})
 
-    witnesses = sorted((p.a, res.radius) for p, res in zip(members, results) if p.a > p.gamma)
+    witnesses = sorted((x, res.radius) for x, res in zip(a, results) if x > gamma)
     rises = any(left < right - tol for (_, left), (_, right) in pairwise(witnesses))
     diagnostics = ("per-function radius is not nonincreasing in a",) if rises else ()
 
-    best = min(range(len(members)), key=lambda i: results[i].radius)
+    best = min(range(len(a)), key=lambda i: results[i].radius)
     base = results[best]
     return RadiusResult(
         radius=base.radius,
         bracket=(base.radius, base.radius + base.tol),
         tol=tol if base.constrained else base.tol,
         iterations=sum(r.iterations for r in results),
-        witness=members[best],
+        witness={"a": a[best], "gamma": gamma},
         # a constrained member's radius lies below every unconstrained one's
         status=base.status,
         diagnostics=diagnostics,
-        members=tuple(dict(a=p.a, radius=r.radius, iterations=r.iterations)
-                      for p, r in zip(members, results)),
+        members=tuple(dict(a=x, radius=r.radius, iterations=r.iterations) for x, r in zip(a, results)),
     )
 
 

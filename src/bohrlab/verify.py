@@ -22,13 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import functionals
-from .extremals import (
-    MobiusFamilyParams,
-    family_area_deficit,
-    family_harmonic_deficit,
-    family_norm_deficit,
-    family_stack,
-)
+from .extremals import family_area_deficit, family_harmonic_deficit, family_norm_deficit, family_stack
 from .functionals import DEFAULT_AREA_WEIGHT, FunctionalValue, sharp_majorant_radius
 from .series import DiskDomain, PowerSeries, _circle, numeric_taylor, recenter_affine, taylor_coefficients
 
@@ -536,6 +530,8 @@ def check_family_deficit_identity(
         gammas = _uniform(u[:, 0], 0.0, 0.9)
         a_values = _uniform(u[:, 1], np.maximum(gammas + 0.02, 0.05), 0.995)
         radii, ks, lams = _uniform(u[:, 2:], np.array([0.01, 0.0, 0.0]), np.array([0.9, 1.0, 1.0])).T
+        if not np.all(a_values > gammas):  # the sharpness witnesses, whose A_0 = |A_0| the identities read
+            raise ValueError("the deficit identities need a > gamma")
         h, g = family_stack(a_values, gammas, order, ks * lams, r_max=radii)  # rows as long as the sums read
         # the norm table first: the area table then reuses its weights
         norms = functionals.norm_refined_total(h, radii).total.tolist()
@@ -546,7 +542,6 @@ def check_family_deficit_identity(
         )
         block = zip(*(v.tolist() for v in (gammas, a_values, radii, ks, lams)))
         for i, ((gamma, a, r, k, lam), (area, norm, harmonic)) in enumerate(zip(block, totals), start):
-            MobiusFamilyParams(a, gamma, sharpness_witness=True)  # a > gamma; h is this member
             pref = (1.0 - a) / (1.0 - a * gamma)
             resids = {
                 "area": abs(area - (1.0 - (1.0 - a) * family_area_deficit(r, a, gamma))),

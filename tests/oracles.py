@@ -207,13 +207,11 @@ def from_unit_disk(domain, z):
     return (np.asarray(z) - domain.gamma) / (1.0 - domain.gamma)
 
 
-def family_member(params, z):
+def family_member(a: float, gamma: float, z):
     """The family member (a - gamma - (1-gamma) z) / (1 - a*gamma - a (1-gamma) z)
-    of ``params`` (a ``MobiusFamilyParams``), evaluated in closed form."""
+    at (a, gamma), evaluated in closed form."""
     z = np.asarray(z)
-    num = params.a - params.gamma - (1.0 - params.gamma) * z
-    den = 1.0 - params.a * params.gamma - params.a * (1.0 - params.gamma) * z
-    return num / den
+    return (a - gamma - (1.0 - gamma) * z) / (1.0 - a * gamma - a * (1.0 - gamma) * z)
 
 
 @dataclass(frozen=True)
@@ -245,11 +243,14 @@ def numeric_taylor_reference(f: Callable, order: int, rho: float = 0.5) -> np.nd
     return coeffs / rho ** np.arange(order + 1)
 
 
-def family_coeffs_reference(params, order: int) -> np.ndarray:
+def family_coeffs_reference(a: float, gamma: float, order: int) -> np.ndarray:
     """Family coefficients with every power q**n computed, underflowed ones included."""
+    from bohrlab.extremals import family_constants
+
+    a0, q, scale = family_constants(a, gamma)
     coeffs = np.empty(order + 1, dtype=np.complex128)
-    coeffs[0] = params.constant_term
-    coeffs[1:] = -params.coefficient_scale * params.decay_ratio ** np.arange(1, order + 1)
+    coeffs[0] = a0
+    coeffs[1:] = -scale * q ** np.arange(1, order + 1)
     return coeffs
 
 
@@ -396,9 +397,8 @@ def family_deficit_identity_reference(n_samples: int = 100, seed: int = 42, orde
     sample: once alone for the area and norm identities, once inside the
     harmonic pair."""
     from bohrlab import functionals, verify
-    from bohrlab.extremals import (HarmonicExtremalParams, MobiusFamilyParams, family_area_deficit,
-                                   family_harmonic_deficit, family_norm_deficit, harmonic_extremal,
-                                   mobius_family_coeffs)
+    from bohrlab.extremals import (family_area_deficit, family_harmonic_deficit, family_norm_deficit,
+                                   harmonic_extremal, mobius_family_coeffs)
 
     rng = np.random.default_rng(seed)
     worst_resid, witness = 0.0, {}
@@ -409,14 +409,16 @@ def family_deficit_identity_reference(n_samples: int = 100, seed: int = 42, orde
         k = float(rng.uniform(0.0, 1.0))
         lam = float(rng.uniform(0.0, 1.0))
         pref = (1.0 - a) / (1.0 - a * gamma)
-        p = mobius_family_coeffs(MobiusFamilyParams(a, gamma, sharpness_witness=True), order)
+        if not a > gamma:
+            raise ValueError("the deficit identities need a > gamma")
+        p = mobius_family_coeffs(a, gamma, order)
         resids = {
             "area": abs(functionals.area_refined_total(p, r, gamma).total
                         - (1.0 - (1.0 - a) * family_area_deficit(r, a, gamma))),
             "norm": abs(functionals.norm_refined_total(p, r).total
                         - (1.0 - pref * family_norm_deficit(r, a, gamma))),
         }
-        h, g = harmonic_extremal(HarmonicExtremalParams(a, gamma, k, lam), order)
+        h, g = harmonic_extremal(a, gamma, k * lam, order)
         resids["harmonic"] = abs(functionals.harmonic_total(h, g, r).total
                                  - (1.0 - pref * family_harmonic_deficit(r, a, gamma, k, lam)))
         for label, resid in resids.items():
@@ -430,7 +432,7 @@ def recentred_consistency_reference(n_samples: int = 25, seed: int = 42, order: 
     """``check_recentred_consistency`` drawing each sample's parameters with
     ``rng.uniform`` and building and evaluating one member at a time."""
     from bohrlab import functionals, verify
-    from bohrlab.extremals import MobiusFamilyParams, mobius_family_coeffs
+    from bohrlab.extremals import mobius_family_coeffs
 
     rng = np.random.default_rng(seed)
     worst_resid, witness = 0.0, {}
@@ -438,7 +440,7 @@ def recentred_consistency_reference(n_samples: int = 25, seed: int = 42, order: 
         gamma = float(rng.uniform(0.0, 0.9))
         a = float(rng.uniform(0.05, 0.95))
         r = float(rng.uniform(0.05, 0.9))
-        p = mobius_family_coeffs(MobiusFamilyParams(a, gamma), order)
+        p = mobius_family_coeffs(a, gamma, order)
         direct = functionals.area_refined_total(p, r, gamma).total
         recentred = verify.recentred_area_total(
             PowerSeries(p.coeffs / (1.0 - gamma) ** np.arange(order + 1)),
@@ -481,48 +483,57 @@ def _padded(value) -> float:
     return value.padded() if hasattr(value, "padded") else float(value)
 
 
-def stacked_bound(bound_for: Callable, family) -> Callable:
+def stacked_bound(bound_for: Callable, a) -> Callable:
     """The family bound ``family_infimum_radius`` takes, from per-member bounds:
-    row i of its value is ``bound_for(family[i])`` padded at r[i]."""
-    bounds = [bound_for(params) for params in family]
+    row i of its value is ``bound_for(a[i])`` padded at r[i]."""
+    bounds = [bound_for(x) for x in a]
     return lambda r: np.array([_padded(bound(float(x))) for bound, x in zip(bounds, r)])
 
 
-def member_series_stack(bound, family, order: int):
+def stack_of(members):
+    """A ``SeriesStack`` of same-order series, copied into rows; a member with
+    no tail certificate gets q = C = 0."""
+    from bohrlab.functionals import SeriesStack
+
+    members = list(members)
+    tails = [(m.tail.q, m.tail.C) if m.tail is not None else (0.0, 0.0) for m in members]
+    q, c = (np.array(column) for column in zip(*tails))
+    return SeriesStack(np.stack([m.coeffs for m in members]), q, c)
+
+
+def member_series_stack(bound, a, gamma: float, k: float, order: int):
     """The stack ``cli.cmd_radius`` solved on before ``family_stack``: each
     member's own series from ``cli._series``, copied into complex
     ``SeriesStack`` rows (h and g apart for a harmonic bound)."""
     from bohrlab import cli
-    from bohrlab.functionals import SeriesStack
 
-    members = [cli._series(bound, params, order) for params in family]
-    return tuple(map(SeriesStack, zip(*members))) if bound.harmonic else SeriesStack(members)
+    members = [cli._series(bound, float(x), gamma, k, order) for x in a]
+    return tuple(map(stack_of, zip(*members))) if bound.harmonic else stack_of(members)
 
 
-def family_infimum_reference(bound_for: Callable, family, tol: float = 1e-10):
+def family_infimum_reference(bound_for: Callable, a, gamma: float, tol: float = 1e-10):
     """``solver.family_infimum_radius`` solving one member after another, each
     with ``bohr_radius_of_function`` on its own per-member bound."""
     from bohrlab.solver import RadiusResult, bohr_radius_of_function
 
-    members = list(family)
-    results = [bohr_radius_of_function(bound_for(p), tol) for p in members]
-    for params, res in zip(members, results):
+    a = [float(x) for x in a]
+    results = [bohr_radius_of_function(bound_for(x), tol) for x in a]
+    for x, res in zip(a, results):
         if res.status == "no_radius":
-            return dataclasses.replace(res, witness=params)
-    witnesses = sorted((p.a, res.radius) for p, res in zip(members, results) if p.a > p.gamma)
+            return dataclasses.replace(res, witness={"a": x, "gamma": gamma})
+    witnesses = sorted((x, res.radius) for x, res in zip(a, results) if x > gamma)
     rises = any(left < right - tol for (_, left), (_, right) in pairwise(witnesses))
-    best = min(range(len(members)), key=lambda i: results[i].radius)
+    best = min(range(len(a)), key=lambda i: results[i].radius)
     base = results[best]
     return RadiusResult(
         radius=base.radius,
         bracket=(base.radius, base.radius + base.tol),
         tol=tol if base.constrained else base.tol,
         iterations=sum(r.iterations for r in results),
-        witness=members[best],
+        witness={"a": a[best], "gamma": gamma},
         status=base.status,
         diagnostics=("per-function radius is not nonincreasing in a",) if rises else (),
-        members=tuple(dict(a=p.a, radius=r.radius, iterations=r.iterations)
-                      for p, r in zip(members, results)),
+        members=tuple(dict(a=x, radius=r.radius, iterations=r.iterations) for x, r in zip(a, results)),
     )
 
 
@@ -543,12 +554,12 @@ def sweep_csv_reference(args) -> str:
         x = values.get(bound.param)
         columns = [x if bound.param == name else 0.0 for name in ("k", "lambda")]
         r_values = np.linspace(0.0, bound.radius(gamma, x), args.grid)
-        for params in cli._family(bound, sharpness_a_grid(14), gamma, values["k"]):
-            fv = bound.total(cli._series(bound, params, args.order), r_values, gamma, x)
+        for a in sharpness_a_grid(14).tolist():
+            fv = bound.total(cli._series(bound, a, gamma, values["k"], args.order), r_values, gamma, x)
             violations += int(np.count_nonzero(fv.padded() > 1.0))
             fields = (r_values, fv.total, fv.majorant, fv.correction, fv.tail_error)
             for cells in zip(*(f.tolist() for f in fields)):
-                rows.append([gamma, params.a, *columns, *cells])
+                rows.append([gamma, a, *columns, *cells])
     with Path(args.out).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["gamma", "a", "k", "lambda", "r", "total", "majorant", "correction", "tail_error"])

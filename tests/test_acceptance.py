@@ -11,8 +11,6 @@ import numpy as np
 
 from bohrlab import conjecture, extremals, functionals, verify
 from bohrlab.extremals import (
-    HarmonicExtremalParams,
-    MobiusFamilyParams,
     harmonic_extremal,
     mobius_family_coeffs,
     sharpness_a_grid,
@@ -45,18 +43,22 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
 
 @lru_cache(maxsize=None)
 def _family_series(a: float, gamma: float):
-    return mobius_family_coeffs(MobiusFamilyParams(a, gamma))
+    return mobius_family_coeffs(a, gamma)
 
 
-def _majorant_bound(params):
-    p = _family_series(params.a, params.gamma)
-    return lambda r: bohr_total(p, r)
+def _majorant_bound(gamma: float):
+    """The per-member bound of the family at gamma, as a function of a."""
+
+    def bound_for(a):
+        p = _family_series(a, gamma)
+        return lambda r: bohr_total(p, r)
+
+    return bound_for
 
 
 def test_criterion_01_classical_bohr_radius():
     t0 = time.perf_counter()
-    family = [MobiusFamilyParams(a, 0.0) for a in A_GRID]
-    result = family_infimum_radius(stacked_bound(_majorant_bound, family), family, tol=1e-10)
+    result = family_infimum_radius(stacked_bound(_majorant_bound(0.0), A_GRID), A_GRID, 0.0, tol=1e-10)
     elapsed = time.perf_counter() - t0
     diff = abs(result.radius - 1.0 / 3.0)
     ok = diff < 1e-3 and elapsed < 5.0
@@ -68,8 +70,7 @@ def test_criterion_02_enlarged_disk_radii():
     t0 = time.perf_counter()
     worst = 0.0
     for gamma in GAMMA_GRID:
-        family = [MobiusFamilyParams(a, gamma) for a in A_GRID]
-        result = family_infimum_radius(stacked_bound(_majorant_bound, family), family, tol=1e-10)
+        result = family_infimum_radius(stacked_bound(_majorant_bound(gamma), A_GRID), A_GRID, gamma, tol=1e-10)
         worst = max(worst, abs(result.radius - sharp_majorant_radius(gamma)))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-3 and elapsed < 30.0
@@ -154,13 +155,11 @@ def test_criterion_07_harmonic_radii():
     corollary_value = None
     for k in (0.0, 0.25, 0.5, 1.0):
         for gamma in GAMMA_GRID:
-            family = [HarmonicExtremalParams(a, gamma, k, 1.0) for a in A_GRID]
-
-            def bound_for(params):
-                h, g = harmonic_extremal(params)
+            def bound_for(a):
+                h, g = harmonic_extremal(a, gamma, k)
                 return lambda r: harmonic_total(h, g, r)
 
-            result = family_infimum_radius(stacked_bound(bound_for, family), family, tol=1e-10)
+            result = family_infimum_radius(stacked_bound(bound_for, A_GRID), A_GRID, gamma, tol=1e-10)
             worst = max(worst, abs(result.radius - sharp_harmonic_radius(gamma, k)))
             if k == 1.0 and gamma == 0.0:
                 corollary_value = result.radius
@@ -215,9 +214,8 @@ def test_criterion_11_oracle_equivalence():
         r = float(rng.uniform(0.1, 0.9))
         p = polynomial(coeffs)
         worst_area = max(worst_area, abs(dirichlet_area(p, r) - quadrature_mean_square_derivative(coeffs, r)))
-    params = MobiusFamilyParams(0.5, 0.25)
-    numeric = numeric_taylor(lambda z: family_member(params, z), 32, rho=0.9)
-    closed = mobius_family_coeffs(params, 32)
+    numeric = numeric_taylor(lambda z: family_member(0.5, 0.25, z), 32, rho=0.9)
+    closed = mobius_family_coeffs(0.5, 0.25, 32)
     worst_coeff = float(np.max(np.abs(numeric.coeffs - closed.coeffs)))
     ok = worst_area < 1e-8 and worst_coeff < 1e-10
     _report(11, "oracle-equivalence", ok,

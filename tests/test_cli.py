@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import bohrlab
 from bohrlab import cli, solver, verify
 from bohrlab.cli import SWEEP_THEOREMS, THEOREMS, main
-from bohrlab.extremals import MobiusFamilyParams, mobius_family_coeffs, sharpness_a_grid
+from bohrlab.extremals import family_stack, mobius_family_coeffs, sharpness_a_grid
 from bohrlab.functionals import bohr_total
 from bohrlab.solver import UPPER_LIMIT
 
@@ -129,7 +129,7 @@ def test_radius_json_lists_members_and_itp_saves_evaluator_calls(tmp_path):
     # plain bisection on the same 4 members takes 136 steps; ITP at most 25% of that
     bisection_steps = 0
     for a in grid:
-        p = mobius_family_coeffs(MobiusFamilyParams(a, 0.5))
+        p = mobius_family_coeffs(a, 0.5)
         padded = lambda r: bohr_total(p, r).padded()
         assert padded(UPPER_LIMIT) > 1.0
         bisection_steps += bisection_radius(padded)[1]
@@ -354,6 +354,27 @@ def test_family_witness_below_the_limit_weight_is_a_violation(monkeypatch):
     assert code == 1 and text.splitlines()[0].endswith("[VIOLATION]")
 
 
+@pytest.mark.parametrize("gammas", ["0.9996", "0.5,0.9991", "0.99:0.9999:3"])
+def test_conjecture_gamma_past_its_cap_is_a_usage_error(tmp_path, capsys, gammas):
+    # at gamma = 0.9996 the 1e-6 weight bump fell below the rounding of the witness's
+    # total, and a K_hat above K* was reported as a VIOLATION
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gammas": gammas}))
+    for argv in (["conjecture", "--gammas", gammas], ["conjecture", "--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "--gammas: every gamma must be at most 0.999" in err and "weight bump" in err
+    assert "[0, 0.999]" in " ".join(cli.build_parser()[1]["conjecture"].format_help().split())
+
+
+def test_conjecture_runs_up_to_its_gamma_cap_and_sweep_past_it():
+    code, text = run_cli("conjecture", "--gammas", "0.99,0.999", "--grid", "8")
+    assert code == 0 and text.count("[ok]") == 2
+    assert cli.build_parser()[0].parse_args(["sweep", "--gammas", "0.9997"]).gammas == [0.9997]
+
+
 def test_removed_refinements_option_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"refinements": 1}))
@@ -515,15 +536,14 @@ def test_module_entry_point_subprocess():
     assert "0.428571429" in proc.stdout
 
 
-@pytest.mark.parametrize("extra,witness", [([], True), (["--a", "0.3"], False)], ids=["family", "a-below-gamma"])
-def test_radius_json_flags_a_sharpness_witness_exactly_when_a_exceeds_gamma(tmp_path, extra, witness):
-    # the family's argmin is a_14 > gamma; the --a member lies below gamma
+@pytest.mark.parametrize("theorem", ["2", "4"])
+@pytest.mark.parametrize("extra,a", [([], 1.0 - 2.0**-14), (["--a", "0.3"], 0.3)], ids=["family", "a-below-gamma"])
+def test_radius_json_witness_is_the_argmin_member_a_and_gamma(tmp_path, theorem, extra, a):
+    # the family's argmin is a_14 > gamma, a sharpness witness; the --a member lies below gamma
     out = tmp_path / "radius.json"
-    code, _ = run_cli("radius", "--theorem", "2", "--gamma", "0.5", *extra, "--out", str(out))
-    result = json.loads(out.read_text())["result"]
+    code, _ = run_cli("radius", "--theorem", theorem, "--gamma", "0.5", *extra, "--out", str(out))
     assert code == 0
-    assert result["witness"]["sharpness_witness"] is witness
-    assert (result["witness"]["a"] > 0.5) is witness
+    assert json.loads(out.read_text())["result"]["witness"] == {"a": a, "gamma": 0.5}
 
 
 def test_radius_and_sweep_do_not_import_numpy_ma():
@@ -735,9 +755,27 @@ def test_radius_result_equals_the_solve_on_per_member_series(tmp_path, theorem, 
     bound = cli.BOUNDS[theorem]
     values = {**cli._parameters(args, gamma), **bound.pinned}
     x = values.get(bound.param)
-    family = cli._family(bound, sharpness_a_grid(14)[-4:], gamma, values["k"])
-    stack = member_series_stack(bound, family, args.order)
-    ref = solver.family_infimum_radius(lambda r: bound.total(stack, r, gamma, x), family, tol=args.tol)
+    family = sharpness_a_grid(14)[-4:]
+    stack = member_series_stack(bound, family, gamma, values["k"], args.order)
+    ref = solver.family_infimum_radius(lambda r: bound.total(stack, r, gamma, x), family, gamma, tol=args.tol)
+    assert json.loads(out.read_text())["result"] == json.loads(json.dumps(asdict(ref)))
+
+
+@pytest.mark.parametrize("a", [0.2, 0.9, 1.0 - 2.0**-14])
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_radius_a_equals_the_one_row_family_stack_solve(tmp_path, theorem, a):
+    # --a solves on the member's own series, the family on family_stack rows: one member
+    # gives the same result either way, bit for bit
+    out = tmp_path / "radius.json"
+    argv = ["radius", "--theorem", theorem, "--a", repr(a), "--out", str(out)]
+    argv += [] if theorem == "A" else ["--gamma", "0.37", "--k", "0.35"]
+    assert run_cli(*argv)[0] == 0
+    args = cli.build_parser()[0].parse_args(argv)
+    bound = cli.BOUNDS[theorem]
+    values = {**cli._parameters(args, args.gamma or 0.0), **bound.pinned}
+    gamma, x = values["gamma"], values.get(bound.param)
+    row = family_stack([a], gamma, args.order, values["k"] if bound.harmonic else None)
+    ref = solver.family_infimum_radius(lambda r: bound.total(row, r, gamma, x), [a], gamma, tol=args.tol)
     assert json.loads(out.read_text())["result"] == json.loads(json.dumps(asdict(ref)))
 
 
@@ -788,8 +826,27 @@ def test_radius_tolerance_at_or_past_the_closed_form_check_is_a_usage_error(tmp_
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
-        assert "--tol: must lie in (0, 0.001), below the closed-form check's tolerance" in capsys.readouterr().err
+        assert "--tol: must lie in [2^-1024, 0.001), below the closed-form check's tolerance" in capsys.readouterr().err
     assert cli.build_parser()[0].parse_args(["radius", "--theorem", "B", "--tol", "9e-4"]).tol == 9e-4
+
+
+@pytest.mark.parametrize("tol", ["1e-320", "5e-324", "0"])
+def test_radius_tolerance_below_the_solvers_smallest_is_a_usage_error(tmp_path, capsys, tol):
+    # --tol 1e-320 ended in an OverflowError traceback from the solver's step budget
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": float(tol)}))
+    for argv in (["radius", "--theorem", "B", "--gamma", "0.5", "--tol", tol],
+                 ["radius", "--theorem", "B", "--gamma", "0.5", "--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "--tol: must lie in [2^-1024, 0.001)" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", [2.0**-1024, 1e-308, 2.0**-1022])
+def test_radius_runs_down_to_the_solvers_smallest_tolerance(tol):
+    assert run_cli("radius", "--theorem", "B", "--gamma", "0.5", "--tol", repr(tol))[0] == 0
 
 
 @pytest.mark.parametrize(
@@ -899,7 +956,7 @@ def test_radius_takes_at_most_nine_evaluator_calls_on_four_rows(monkeypatch, the
     rows = []
     solve = solver.family_infimum_radius
     monkeypatch.setattr(solver, "family_infimum_radius",
-                        lambda bound, family, tol: solve(lambda r: rows.append(r.shape) or bound(r), family, tol))
+                        lambda bound, a, gamma, tol: solve(lambda r: rows.append(r.shape) or bound(r), a, gamma, tol))
     argv = ["radius", "--theorem", theorem] + ([] if theorem == "A" else ["--gamma", repr(gamma)])
     assert run_cli(*argv)[0] == 0
     # two end probes and at most seven ITP steps, each one call on the four members

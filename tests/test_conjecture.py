@@ -18,7 +18,7 @@ from bohrlab.conjecture import (
     witness_violates,
     write_estimates_csv,
 )
-from bohrlab.extremals import MobiusFamilyParams, family_area_deficit, family_limit_weight, mobius_family_coeffs
+from bohrlab.extremals import family_area_deficit, family_limit_weight, mobius_family_coeffs
 from bohrlab.verify import area_coupling, certified_area_weight, recentred_slack_envelope
 
 from oracles import ratio_grid_reference
@@ -99,7 +99,7 @@ def test_ratio_grid_matches_the_series_evaluator():
         r_values = np.linspace(1e-3, functionals.sharp_majorant_radius(gamma), 16)
         grid = _ratio_grid(gamma, a_values, r_values)
         for i, a in enumerate(a_values):
-            p = mobius_family_coeffs(MobiusFamilyParams(float(a), gamma))
+            p = mobius_family_coeffs(float(a), gamma)
             fv = functionals.area_refined_total(p, r_values, gamma, weight=1.0)
             series = (1.0 - fv.majorant) / fv.correction
             # 1 - majorant cancels near the sharp radius, which puts about

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from bohrlab import functionals
 from bohrlab.extremals import (
-    HarmonicExtremalParams,
-    MobiusFamilyParams,
     family_area_deficit,
     family_constants,
     family_harmonic_deficit,
@@ -24,59 +22,52 @@ from bohrlab.series import numeric_taylor
 from oracles import automorphism_coeffs, differentiate, family_coeffs_reference, family_coefficient, family_member
 
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        MobiusFamilyParams(0.0, 0.0)
-    with pytest.raises(ValueError):
-        MobiusFamilyParams(1.0, 0.0)
-    with pytest.raises(ValueError):
-        MobiusFamilyParams(0.5, 1.0)
-    with pytest.raises(ValueError):
-        MobiusFamilyParams(0.3, 0.5, sharpness_witness=True)
-    MobiusFamilyParams(0.7, 0.5, sharpness_witness=True)
+def test_member_validation():
+    for a, gamma in ((0.0, 0.0), (1.0, 0.0), (np.nan, 0.0), (0.5, 1.0), (0.5, -0.1)):
+        with pytest.raises(ValueError):
+            mobius_family_coeffs(a, gamma, 16)
+        with pytest.raises(ValueError):
+            harmonic_extremal(a, gamma, 0.5, 16)
     for a in (0.1, 0.5, 0.99):
         for gamma in (0.0, 0.5, 0.9):
-            assert 0.0 < MobiusFamilyParams(a, gamma).decay_ratio < 1.0
+            assert 0.0 < family_constants(a, gamma)[1] < 1.0
 
 
 def test_known_coefficients_gamma_zero():
-    p = mobius_family_coeffs(MobiusFamilyParams(0.5, 0.0), 16)
+    p = mobius_family_coeffs(0.5, 0.0, 16)
     assert abs(p.coeffs[0] - 0.5) < 1e-15
     for n in range(1, 17):
         assert abs(-p.coeffs[n].real - 1.5 * 0.5**n) < 1e-15
 
 
 def test_matches_numeric_taylor():
-    params = MobiusFamilyParams(0.5, 0.25)
-    p = mobius_family_coeffs(params, 32)
-    q = numeric_taylor(lambda z: family_member(params, z), 32, rho=0.9)
+    p = mobius_family_coeffs(0.5, 0.25, 32)
+    q = numeric_taylor(lambda z: family_member(0.5, 0.25, z), 32, rho=0.9)
     assert np.max(np.abs(p.coeffs - q.coeffs)) < 1e-10
 
 
 def test_reduces_to_automorphism_at_gamma_zero():
     for a in (0.2, 0.5, 0.8):
-        p = mobius_family_coeffs(MobiusFamilyParams(a, 0.0), 24)
+        p = mobius_family_coeffs(a, 0.0, 24)
         assert np.max(np.abs(p.coeffs - automorphism_coeffs(a, 24))) < 1e-13
 
 
 def test_bounded_on_unit_circle_samples():
-    params = MobiusFamilyParams(0.9, 0.9)
     z = 0.99 * np.exp(2j * np.pi * np.arange(64) / 64)
-    assert np.all(np.abs(family_member(params, z)) <= 1.0 + 1e-12)
+    assert np.all(np.abs(family_member(0.9, 0.9, z)) <= 1.0 + 1e-12)
 
 
 def test_coefficient_decay_ratio_exact():
-    params = MobiusFamilyParams(0.8, 0.3)
-    p = mobius_family_coeffs(params, 64)
+    p = mobius_family_coeffs(0.8, 0.3, 64)
+    q = 0.8 * (1.0 - 0.3) / (1.0 - 0.8 * 0.3)
     mags = np.abs(p.coeffs[1:])
     ratios = mags[1:] / mags[:-1]
-    assert np.max(np.abs(ratios - params.decay_ratio)) < 1e-12
-    assert p.tail is not None and abs(p.tail.q - params.decay_ratio) < 1e-15
+    assert np.max(np.abs(ratios - q)) < 1e-12
+    assert p.tail is not None and abs(p.tail.q - q) < 1e-15
 
 
 def test_tail_certificate_covers_stored_coefficients():
-    params = MobiusFamilyParams(0.95, 0.2)
-    p = mobius_family_coeffs(params, 64)
+    p = mobius_family_coeffs(0.95, 0.2, 64)
     n = np.arange(33, 65)
     bound = p.tail.C * p.tail.q ** n
     assert np.all(np.abs(p.coeffs[33:]) <= bound * (1 + 1e-12))
@@ -87,7 +78,7 @@ def test_extremal_limit_behavior():
     gamma, r = 0.25, 0.3
     prev_tail = np.inf
     for a in (0.9, 0.99, 0.999, 0.9999):
-        p = mobius_family_coeffs(MobiusFamilyParams(a, gamma), 256)
+        p = mobius_family_coeffs(a, gamma, 256)
         tail_sum = float(np.abs(p.coeffs[1:]) @ r ** np.arange(1, 257))
         assert tail_sum < prev_tail
         prev_tail = tail_sum
@@ -104,8 +95,7 @@ def test_extremal_limit_behavior():
 @example(a=0.3, gamma=0.0, order=2048)  # q = 0.3: q^n underflows past n = 618
 @example(a=1e-3, gamma=0.2, order=256)  # q^n underflows past n = 104
 def test_family_coefficients_equal_the_full_power_vector(a, gamma, order):
-    params = MobiusFamilyParams(a, gamma)
-    assert np.array_equal(mobius_family_coeffs(params, order).coeffs, family_coeffs_reference(params, order))
+    assert np.array_equal(mobius_family_coeffs(a, gamma, order).coeffs, family_coeffs_reference(a, gamma, order))
 
 
 @settings(max_examples=60)
@@ -127,9 +117,9 @@ def test_family_stack_rows_equal_the_member_builders_bit_for_bit(order, rows, ha
     # the deficit identity check draws them
     a, gamma, k, lam = map(np.array, zip(*rows))
     stacks = family_stack(a, gamma, order, k * lam) if harmonic else (family_stack(a, gamma, order),)
-    for i, row in enumerate(rows):
-        params = HarmonicExtremalParams(*map(float, row))
-        members = harmonic_extremal(params, order) if harmonic else (mobius_family_coeffs(params.analytic, order),)
+    for i, (a_i, gamma_i, k_i, lam_i) in enumerate(rows):
+        members = (harmonic_extremal(a_i, gamma_i, k_i * lam_i, order) if harmonic
+                   else (mobius_family_coeffs(a_i, gamma_i, order),))
         for stack, member in zip(stacks, members, strict=True):
             assert stack.order == order and stack.coeffs.shape == (len(rows), order + 1)
             assert stack.coeffs[i].tolist() == member.coeffs.tolist()
@@ -140,18 +130,17 @@ def test_family_stack_rows_equal_the_member_builders_bit_for_bit(order, rows, ha
 def test_family_stack_rows_are_float64_and_equal_the_complex_member_rows(weight):
     a, gamma, order = sharpness_a_grid(14), 0.37, 2048
     stacks = (family_stack(a, gamma, order),) if weight is None else family_stack(a, gamma, order, weight)
-    params = [HarmonicExtremalParams(float(x), gamma, 1.0 if weight is None else weight) for x in a]
-    members = [(mobius_family_coeffs(p.analytic, order),) if weight is None else harmonic_extremal(p, order)
-               for p in params]
+    members = [(mobius_family_coeffs(x, gamma, order),) if weight is None
+               else harmonic_extremal(x, gamma, weight, order) for x in a.tolist()]
     for stack, rows in zip(stacks, zip(*members), strict=True):
         complex_rows = np.stack([row.coeffs for row in rows])
         assert stack.coeffs.dtype == np.float64 and complex_rows.dtype == np.complex128
         assert np.array_equal(stack.coeffs, complex_rows) and not np.any(complex_rows.imag)
 
 
-def test_family_stack_takes_floats_and_rejects_what_the_params_reject():
+def test_family_stack_takes_floats_and_rejects_what_the_member_builders_reject():
     h = family_stack(0.5, 0.2, 16)
-    assert h.coeffs.tolist() == [mobius_family_coeffs(MobiusFamilyParams(0.5, 0.2), 16).coeffs.tolist()]
+    assert h.coeffs.tolist() == [mobius_family_coeffs(0.5, 0.2, 16).coeffs.tolist()]
     for a, gamma in ((0.0, 0.2), (1.0, 0.2), ([0.5, np.nan], 0.2), (0.5, 1.0), (0.5, [0.2, -0.1])):
         with pytest.raises(ValueError, match="every a must lie in"):
             family_stack(a, gamma, 16)
@@ -164,7 +153,7 @@ def test_family_stack_takes_floats_and_rejects_what_the_params_reject():
         with pytest.raises(ValueError, match="overflows"):
             family_stack([0.5, 1e-320], 0.2, 16)
         with pytest.raises(ValueError):
-            mobius_family_coeffs(MobiusFamilyParams(1e-320, 0.2), 16)
+            mobius_family_coeffs(1e-320, 0.2, 16)
 
 
 def test_family_stack_without_a_largest_radius_writes_the_full_order():
@@ -211,12 +200,12 @@ def test_sharpness_grid():
 
 
 def test_harmonic_zero_dilatation():
-    h, g = harmonic_extremal(HarmonicExtremalParams(0.5, 0.0, k=0.0, lambda_mix=1.0), 16)
+    h, g = harmonic_extremal(0.5, 0.0, 0.0, 16)
     assert np.all(g.coeffs == 0.0)
 
 
 def test_harmonic_coefficients_closed_form():
-    h, g = harmonic_extremal(HarmonicExtremalParams(0.5, 0.0, k=1.0, lambda_mix=1.0), 16)
+    h, g = harmonic_extremal(0.5, 0.0, 1.0, 16)
     assert g.coeffs[0] == 0.0
     for n in range(1, 17):
         assert abs(g.coeffs[n].real + 1.5 * 0.5**n) < 1e-14
@@ -226,20 +215,19 @@ def test_harmonic_coefficients_closed_form():
 
 
 def test_harmonic_dilatation_pointwise():
-    params = HarmonicExtremalParams(0.6, 0.3, k=0.7, lambda_mix=0.8)
-    h, g = harmonic_extremal(params, 256)
+    k, lam = 0.7, 0.8
+    h, g = harmonic_extremal(0.6, 0.3, k * lam, 256)
     dh, dg = differentiate(h), differentiate(g)
     z = 0.7 * np.exp(2j * np.pi * np.arange(32) / 32)
     ratio = np.abs(dg.evaluate(z)) / np.abs(dh.evaluate(z))
-    assert np.max(np.abs(ratio - params.k * params.lambda_mix)) < 1e-10
-    assert np.all(np.abs(dg.evaluate(z)) <= params.k * np.abs(dh.evaluate(z)) + 1e-12)
+    assert np.max(np.abs(ratio - k * lam)) < 1e-10
+    assert np.all(np.abs(dg.evaluate(z)) <= k * np.abs(dh.evaluate(z)) + 1e-12)
 
 
-def test_harmonic_params_validation():
-    with pytest.raises(ValueError):
-        HarmonicExtremalParams(0.5, 0.0, k=1.5)
-    with pytest.raises(ValueError):
-        HarmonicExtremalParams(0.5, 0.0, k=0.5, lambda_mix=-0.1)
+def test_harmonic_weight_validation():
+    for weight in (1.5, -0.1, np.nan):
+        with pytest.raises(ValueError, match="weight must lie in"):
+            harmonic_extremal(0.5, 0.0, weight, 16)
 
 
 @settings(max_examples=40)
@@ -253,8 +241,7 @@ def test_harmonic_params_validation():
 def test_family_constants_of_an_array_equal_its_floats_bit_for_bit(a_values, gamma):
     columns = family_constants(np.array(a_values), gamma)
     for i, a in enumerate(a_values):
-        params = MobiusFamilyParams(a, gamma)
-        alone = (params.constant_term, params.decay_ratio, params.coefficient_scale)
+        alone = family_constants(a, gamma)
         assert tuple(column[i] for column in columns) == alone
         assert alone[2] == (1.0 - a**2) / (a * (1.0 - a * gamma))
 

@@ -12,15 +12,13 @@ from hypothesis import strategies as st
 from bohrlab import functionals
 
 from bohrlab.extremals import (
-    HarmonicExtremalParams,
-    MobiusFamilyParams,
+    family_constants,
     family_stack,
     harmonic_extremal,
     mobius_family_coeffs,
 )
 from bohrlab.functionals import (
     FunctionalValue,
-    SeriesStack,
     area_refined_total,
     bohr_total,
     dirichlet_area,
@@ -45,6 +43,7 @@ from oracles import (
     polynomial,
     quadrature_mean_square_derivative,
     random_decaying_series,
+    stack_of,
     zero,
 )
 
@@ -65,14 +64,14 @@ def test_majorant_domain_error():
 def test_majorant_near_extremal_limit():
     # automorphism family at the classical radius: approaches one from below
     a = 1.0 - 2.0**-10
-    p = mobius_family_coeffs(MobiusFamilyParams(a, 0.0))
+    p = mobius_family_coeffs(a, 0.0)
     total = majorant(p, 1.0 / 3.0)
     assert total < 1.0
     assert 1.0 - total < 1e-2
 
 
 def test_majorant_brute_force_oracle():
-    p = mobius_family_coeffs(MobiusFamilyParams(0.5, 0.0))
+    p = mobius_family_coeffs(0.5, 0.0)
     assert abs(majorant(p, 0.25) - brute_force_majorant(0.5, 0.0, 0.25)) < 1e-12
 
 
@@ -92,16 +91,16 @@ def dirichlet_area_tail_bound(p, r):
 def test_majorant_tail_bound_is_sound():
     # truncate a family series early: stored sum + tail bound must cover the
     # full sum computed at high order
-    full = mobius_family_coeffs(MobiusFamilyParams(0.9, 0.1), 4096)
-    short = mobius_family_coeffs(MobiusFamilyParams(0.9, 0.1), 24)
+    full = mobius_family_coeffs(0.9, 0.1, 4096)
+    short = mobius_family_coeffs(0.9, 0.1, 24)
     r = 0.6
     assert majorant(full, r) <= majorant(short, r) + majorant_tail_bound(short, r) + 1e-12
     assert majorant_tail_bound(short, r) > 0.0
 
 
 def test_norm_and_area_tail_bounds_are_sound():
-    full = mobius_family_coeffs(MobiusFamilyParams(0.9, 0.1), 4096)
-    short = mobius_family_coeffs(MobiusFamilyParams(0.9, 0.1), 24)
+    full = mobius_family_coeffs(0.9, 0.1, 4096)
+    short = mobius_family_coeffs(0.9, 0.1, 24)
     r = 0.6
     assert norm_f0(full, r) <= norm_f0(short, r) + norm_f0_tail_bound(short, r) + 1e-14
     assert dirichlet_area(full, r) <= dirichlet_area(short, r) + dirichlet_area_tail_bound(short, r) + 1e-14
@@ -110,8 +109,8 @@ def test_norm_and_area_tail_bounds_are_sound():
 
 
 # A short series keeps every tail bound nonzero; the last case has no tail certificate.
-_SHORT = mobius_family_coeffs(MobiusFamilyParams(0.9, 0.3), 24)
-_H, _G = harmonic_extremal(HarmonicExtremalParams(0.9, 0.3, k=0.7, lambda_mix=0.5), 24)
+_SHORT = mobius_family_coeffs(0.9, 0.3, 24)
+_H, _G = harmonic_extremal(0.9, 0.3, 0.7 * 0.5, 24)
 _UNCERTIFIED = PowerSeries(_SHORT.coeffs)
 _BY_RADIUS = {
     "majorant": lambda r: majorant(_SHORT, r),
@@ -160,9 +159,9 @@ def _member(name, a, gamma, k, order, certified, phase):
     """A family member, its coefficients turned by e^{i phase} (complex, with the
     same moduli), with or without its tail certificate."""
     if name == "harmonic_total":
-        pair = harmonic_extremal(HarmonicExtremalParams(a, gamma, k, 1.0), order)
+        pair = harmonic_extremal(a, gamma, k, order)
     else:
-        pair = (mobius_family_coeffs(MobiusFamilyParams(a, gamma), order),)
+        pair = (mobius_family_coeffs(a, gamma, order),)
     turned = tuple(PowerSeries(s.coeffs * np.exp(1j * phase), s.tail if certified else None) for s in pair)
     return turned if name == "harmonic_total" else turned[0]
 
@@ -183,7 +182,7 @@ def test_stacked_rows_equal_single_series_calls_bit_for_bit(name, gamma, k, orde
     # rows: (a, radius, whether the member keeps its tail certificate, phase)
     rows = rows[::-1] if reverse else rows
     members = [_member(name, a, gamma, k, order, certified, phase) for a, _, certified, phase in rows]
-    stack = tuple(map(SeriesStack, zip(*members))) if name == "harmonic_total" else SeriesStack(members)
+    stack = tuple(map(stack_of, zip(*members))) if name == "harmonic_total" else stack_of(members)
     radii = np.array([row[1] for row in rows])
     fields = ("total", "majorant", "correction", "r", "tail_error")
     stacked = _EVALUATORS[name](stack, radii, gamma)
@@ -232,7 +231,7 @@ def test_shared_radius_row_rows_equal_single_series_calls_bit_for_bit(name, gamm
     else:
         members = [_scaled(_member(name, a, gamma, weight, order, certified, phase), scale)
                    for a, certified, phase, scale in rows]
-        stack = tuple(map(SeriesStack, zip(*members))) if name == "harmonic_total" else SeriesStack(members)
+        stack = tuple(map(stack_of, zip(*members))) if name == "harmonic_total" else stack_of(members)
     r = np.array(radii)
     stacked = _EVALUATORS[name](stack, r[None, :], gamma)
     assert stacked.r.shape == (1, r.size) and np.array_equal(stacked.r[0], r)
@@ -249,27 +248,23 @@ def test_constant_term_modulus_rounds_as_the_scalar_abs():
     consts = np.random.default_rng(3).normal(size=(64, 2)) @ [1.0, 1j]
     gs = [polynomial([c]) for c in consts]
     h = zero()
-    stacked = harmonic_total(SeriesStack([h] * len(gs)), SeriesStack(gs), np.full(len(gs), 0.5))
+    stacked = harmonic_total(stack_of([h] * len(gs)), stack_of(gs), np.full(len(gs), 0.5))
     for i, (c, g) in enumerate(zip(consts, gs)):
         assert harmonic_total(h, g, 0.5).total == majorant(g, 0.5) - abs(c) == stacked.total[i]
 
 
-def test_stack_takes_one_radius_per_member_of_one_order():
-    p, q = (mobius_family_coeffs(MobiusFamilyParams(a, 0.2), 64) for a in (0.5, 0.9))
-    stack = SeriesStack([p, q])
+def test_stack_takes_one_radius_per_member():
+    p, q = (mobius_family_coeffs(a, 0.2, 64) for a in (0.5, 0.9))
+    stack = stack_of([p, q])
     row = np.full((1, 3), 0.3)
     for r in (0.3, np.array([0.3]), np.array([0.1, 0.2, 0.3]), np.full((2, 3), 0.3), np.full((1, 3, 1), 0.3)):
         with pytest.raises(ValueError, match=r"one radius per member, or one \(1, R\) row"):
             bohr_total(stack, r)
     # a shared row needs stacks, all of one size
-    for args in ((p, row), (stack, p, row), (stack, SeriesStack([p]), row)):
+    for args in ((p, row), (stack, p, row), (stack, stack_of([p]), row)):
         with pytest.raises(ValueError, match=r"a float or a 1-D array.*\(1, R\) row"):
             (bohr_total if len(args) == 2 else harmonic_total)(*args)
     assert bohr_total(stack, row).total.shape == harmonic_total(stack, stack, row).total.shape == (2, 3)
-    with pytest.raises(ValueError, match="one order"):
-        SeriesStack([p, mobius_family_coeffs(MobiusFamilyParams(0.5, 0.2), 65)])
-    with pytest.raises(ValueError, match="one order"):
-        SeriesStack([])
 
 
 @settings(max_examples=60)
@@ -284,7 +279,7 @@ def test_area_refined_rows_take_one_gamma_per_member_bit_for_bit(order, rows):
     # rows: (a, gamma, radius, whether the member keeps its tail certificate)
     members = [_member("area_refined_total", a, gamma, 0.0, order, certified, 0.0) for a, gamma, _, certified in rows]
     radii, gammas = np.array([row[2] for row in rows]), np.array([row[1] for row in rows])
-    stacked = area_refined_total(SeriesStack(members), radii, gammas)
+    stacked = area_refined_total(stack_of(members), radii, gammas)
     for i, member in enumerate(members):
         single = area_refined_total(member, float(radii[i]), float(gammas[i]))
         for field in ("total", "majorant", "correction", "r", "tail_error"):
@@ -292,8 +287,8 @@ def test_area_refined_rows_take_one_gamma_per_member_bit_for_bit(order, rows):
 
 
 def test_gamma_array_needs_a_stack_and_one_gamma_in_0_1_per_member():
-    p, q = (mobius_family_coeffs(MobiusFamilyParams(a, 0.2), 64) for a in (0.5, 0.9))
-    stack, radii = SeriesStack([p, q]), np.array([0.3, 0.4])
+    p, q = (mobius_family_coeffs(a, 0.2, 64) for a in (0.5, 0.9))
+    stack, radii = stack_of([p, q]), np.array([0.3, 0.4])
     with pytest.raises(ValueError, match="one gamma per member"):
         area_refined_total(p, 0.3, np.array([0.2]))
     with pytest.raises(ValueError, match="one gamma per member"):
@@ -312,7 +307,7 @@ def test_gamma_array_needs_a_stack_and_one_gamma_in_0_1_per_member():
 
 
 def test_functional_value_serialization():
-    p = mobius_family_coeffs(MobiusFamilyParams(0.6, 0.2))
+    p = mobius_family_coeffs(0.6, 0.2)
     fv = area_refined_total(p, 0.4, 0.2)
     data = dataclasses.asdict(fv)
     assert set(data) == {"total", "majorant", "correction", "r", "tail_error"}
@@ -322,7 +317,7 @@ def test_functional_value_serialization():
 def test_norm_f0_values():
     assert norm_f0(constant(0.7), 0.5) == 0.0
     assert abs(norm_f0(polynomial([0.0, 1.0]), 0.5) - 0.25) < 1e-15
-    p = mobius_family_coeffs(MobiusFamilyParams(0.5, 0.0))
+    p = mobius_family_coeffs(0.5, 0.0)
     assert abs(norm_f0(p, 0.3) - brute_force_norm(0.5, 0.0, 0.3)) < 1e-12
 
 
@@ -340,7 +335,7 @@ def test_dirichlet_area_quadrature_oracle_random_polynomials():
 
 
 def test_dirichlet_area_univalent_family_vs_quadrature():
-    p = mobius_family_coeffs(MobiusFamilyParams(0.5, 0.0), 256)
+    p = mobius_family_coeffs(0.5, 0.0, 256)
     r = 0.3
     assert abs(dirichlet_area(p, r) - quadrature_mean_square_derivative(p.coeffs, r)) < 1e-8
     assert abs(dirichlet_area(p, r) - brute_force_area(0.5, 0.0, r)) < 1e-12
@@ -360,7 +355,7 @@ def test_area_upper_bound_values_and_property():
 
 
 def test_total_equals_majorant_plus_correction():
-    p = mobius_family_coeffs(MobiusFamilyParams(0.6, 0.2))
+    p = mobius_family_coeffs(0.6, 0.2)
     for fv in (
         bohr_total(p, 0.4),
         area_refined_total(p, 0.4, 0.2),
@@ -400,11 +395,11 @@ def test_functionals_monotone_in_radius():
 
 def test_area_refined_admissible_and_sharp_points():
     gamma = 0.5
-    p = mobius_family_coeffs(MobiusFamilyParams(0.9, gamma))
+    p = mobius_family_coeffs(0.9, gamma)
     fv = area_refined_total(p, 1.5 / 3.5, gamma)
     assert fv.padded() <= 1.0
     # just past the sharp radius a near-extremal member violates the bound
-    p = mobius_family_coeffs(MobiusFamilyParams(1.0 - 2.0**-10, 0.0))
+    p = mobius_family_coeffs(1.0 - 2.0**-10, 0.0)
     fv = area_refined_total(p, 1.0 / 3.0 + 0.01, 0.0)
     assert fv.total > 1.0
 
@@ -419,7 +414,7 @@ def test_norm_refined_over_random_bounded_samples():
 
 def test_norm_refined_sharpness():
     gamma = 0.25
-    p = mobius_family_coeffs(MobiusFamilyParams(1.0 - 2.0**-12, gamma))
+    p = mobius_family_coeffs(1.0 - 2.0**-12, gamma)
     r = sharp_majorant_radius(gamma) + 0.01
     assert norm_refined_total(p, r).total > 1.0
 
@@ -454,15 +449,14 @@ def test_domain_ratio_agrees_with_area_refined_when_recentering_is_trivial():
 
 
 def test_harmonic_total_cases():
-    params = HarmonicExtremalParams(0.9, 0.5, k=0.5, lambda_mix=1.0)
-    h, g = harmonic_extremal(params)
+    h, g = harmonic_extremal(0.9, 0.5, 0.5)
     r0 = sharp_harmonic_radius(0.5, 0.5)
     assert harmonic_total(h, g, r0).padded() <= 1.0
     # k = 0 reduces to the plain majorant
-    h, g = harmonic_extremal(HarmonicExtremalParams(0.7, 0.2, k=0.0))
+    h, g = harmonic_extremal(0.7, 0.2, 0.0)
     assert abs(harmonic_total(h, g, 0.4).total - bohr_total(h, 0.4).total) < 1e-15
     # sharpness just past the harmonic radius
-    h, g = harmonic_extremal(HarmonicExtremalParams(1.0 - 2.0**-12, 0.0, k=1.0, lambda_mix=1.0))
+    h, g = harmonic_extremal(1.0 - 2.0**-12, 0.0, 1.0)
     assert harmonic_total(h, g, 0.2 + 0.01).total > 1.0
 
 
@@ -513,18 +507,7 @@ def _assert_cut_is_sound(p, r, exact):
     r=st.floats(0.0, 0.999),
 )
 def test_cut_sums_are_sound_on_the_family(a, gamma, order, r):
-    params = MobiusFamilyParams(a, gamma)
-    p = mobius_family_coeffs(params, order)
-    with mpmath.workdps(50):
-        q, scale = mpmath.mpf(params.decay_ratio), mpmath.mpf(params.coefficient_scale)
-        # the squared sums run over the float r * r the evaluators use
-        x, y = q * r, q * q * mpmath.mpf(r * r)
-        exact = (
-            abs(mpmath.mpf(params.constant_term)) + scale * x / (1 - x),
-            scale**2 * y / (1 - y),
-            scale**2 * y / (1 - y) ** 2,
-        )
-    _assert_cut_is_sound(p, r, exact)
+    _assert_cut_is_sound(mobius_family_coeffs(a, gamma, order), r, _family_sums_50_digits(a, gamma, r))
 
 
 def _spike(n):
@@ -559,14 +542,14 @@ def test_cut_sums_are_sound_without_a_certificate(name, r):
 
 def test_cut_lengths_per_radius_keep_vector_calls_bit_for_bit():
     # radii up to 0.999 stop at every length from 32 to the full 2049
-    p = mobius_family_coeffs(MobiusFamilyParams(0.99, 0.2))
+    p = mobius_family_coeffs(0.99, 0.2)
     radii = np.linspace(0.0, 0.999, 101)
     for fn in (fn for pair in _SUMS for fn in pair):
         assert np.array_equal(fn(p, radii), [fn(p, float(r)) for r in radii])
 
 
 def test_integer_radius_sums_in_floating_point():
-    p = mobius_family_coeffs(MobiusFamilyParams(0.9, 0.5))
+    p = mobius_family_coeffs(0.9, 0.5)
     assert majorant(p, 0) == majorant(p, 0.0) == abs(p.coeffs[0])
 
 
@@ -578,14 +561,16 @@ def test_spike_past_the_cut_lands_in_the_tail_bound():
     assert majorant_tail_bound(p, 0.27) >= 0.27**32
 
 
-def _family_sums_50_digits(params, r):
-    """50-digit majorant, norm and area of the whole family member at r; the
-    squared sums run over the float r * r the evaluators use."""
+def _family_sums_50_digits(a, gamma, r):
+    """50-digit majorant, norm and area of the whole member at (a, gamma) at
+    radius r, from its float constants; the squared sums run over the float
+    r * r the evaluators use."""
+    a0, q, scale = map(float, family_constants(a, gamma))
     with mpmath.workdps(50):
-        q, scale = mpmath.mpf(params.decay_ratio), mpmath.mpf(params.coefficient_scale)
+        q, scale = mpmath.mpf(q), mpmath.mpf(scale)
         x, y = q * r, q * q * mpmath.mpf(r * r)
         return (
-            abs(mpmath.mpf(params.constant_term)) + scale * x / (1 - x),
+            abs(mpmath.mpf(a0)) + scale * x / (1 - x),
             scale**2 * y / (1 - y),
             scale**2 * y / (1 - y) ** 2,
         )
@@ -598,8 +583,8 @@ def _assert_value_plus_tail_covers(p, r, exact):
 
 def test_certificate_tail_is_rounded_up_at_q_r_near_one():
     # unrounded, area + tail fell 764 eps short here and norm + tail 382 eps
-    params = MobiusFamilyParams(0.9999, 0.0)
-    _assert_value_plus_tail_covers(mobius_family_coeffs(params, 24), 0.999, _family_sums_50_digits(params, 0.999))
+    exact = _family_sums_50_digits(0.9999, 0.0, 0.999)
+    _assert_value_plus_tail_covers(mobius_family_coeffs(0.9999, 0.0, 24), 0.999, exact)
 
 
 @settings(max_examples=60)
@@ -610,11 +595,9 @@ def test_certificate_tail_is_rounded_up_at_q_r_near_one():
     qr=st.floats(0.99, 0.999),
 )
 def test_certificate_tail_covers_the_series_for_q_r_near_one(a, gamma, order, qr):
-    params = MobiusFamilyParams(a, gamma)
-    r = qr / params.decay_ratio
+    r = qr / family_constants(a, gamma)[1]
     assume(r < 1.0)
-    p = mobius_family_coeffs(params, order)
-    _assert_value_plus_tail_covers(p, r, _family_sums_50_digits(params, r))
+    _assert_value_plus_tail_covers(mobius_family_coeffs(a, gamma, order), r, _family_sums_50_digits(a, gamma, r))
 
 
 @settings(max_examples=60)
@@ -654,6 +637,6 @@ def test_padded_totals_on_rows_cut_at_their_largest_radius_cover_the_whole_serie
     stack = family_stack(a, gamma, 2048, r_max=r)
     assert stack.order < 2048
     radius = np.array([r])  # a stack takes one radius per member
-    exact = _family_sums_50_digits(MobiusFamilyParams(a, gamma), r)
+    exact = _family_sums_50_digits(a, gamma, r)
     assert float(bohr_total(stack, radius).padded()[0]) >= exact[0] - _ROUNDING * exact[0]
     _assert_value_plus_tail_covers(stack, radius, exact)

@@ -16,16 +16,18 @@ from hypothesis import strategies as st
 
 from bohrlab import cli
 from bohrlab.cli import BOUNDS
-from bohrlab.extremals import HarmonicExtremalParams, MobiusFamilyParams, harmonic_extremal, mobius_family_coeffs, sharpness_a_grid
-from bohrlab.functionals import DEFAULT_AREA_WEIGHT, SeriesStack, bohr_total, harmonic_total, sharp_harmonic_radius
+from bohrlab.extremals import harmonic_extremal, mobius_family_coeffs, sharpness_a_grid
+from bohrlab.functionals import DEFAULT_AREA_WEIGHT, bohr_total, harmonic_total, sharp_harmonic_radius
 from bohrlab.series import DiskDomain
-from bohrlab.solver import UPPER_LIMIT, RadiusResult, a_to_one_limit, bohr_radius_of_function, family_infimum_radius
+from bohrlab.solver import (SMALLEST_TOL, UPPER_LIMIT, RadiusResult, a_to_one_limit, bohr_radius_of_function,
+                            family_infimum_radius)
 
-from oracles import bisection_radius, constant, family_infimum_reference, member_radius_root, stacked_bound, zero
+from oracles import (bisection_radius, constant, family_infimum_reference, member_radius_root, stack_of, stacked_bound,
+                     zero)
 
 
-def majorant_bound(params, order=2048):
-    p = mobius_family_coeffs(params, order)
+def majorant_bound(a, gamma=0.0, order=2048):
+    p = mobius_family_coeffs(a, gamma, order)
     return lambda r: bohr_total(p, r)
 
 
@@ -42,16 +44,16 @@ def test_unconstrained_result_brackets_the_rest_of_the_disk():
     res = bohr_radius_of_function(lambda r: bohr_total(p, r))
     assert res.bracket == (UPPER_LIMIT, 1.0)
     assert res.tol == 1.0 - UPPER_LIMIT
-    family = [MobiusFamilyParams(0.3, 0.5), MobiusFamilyParams(0.4, 0.5)]
-    res = family_infimum_radius(stacked_bound(majorant_bound, family), family)
+    bound_for = lambda a: majorant_bound(a, 0.5)
+    family = [0.3, 0.4]
+    res = family_infimum_radius(stacked_bound(bound_for, family), family, 0.5)
     assert res.status == "unconstrained" and res.radius == UPPER_LIMIT
     assert res.bracket == (UPPER_LIMIT, 1.0)
     assert res.tol == 1.0 - UPPER_LIMIT
     # one constrained member makes the family constrained, with the bracket of its solve
-    witness = MobiusFamilyParams(0.9, 0.5)
-    family = family + [witness]
-    res = family_infimum_radius(stacked_bound(majorant_bound, family), family, tol=1e-10)
-    alone = bohr_radius_of_function(majorant_bound(witness), tol=1e-10)
+    family = family + [0.9]
+    res = family_infimum_radius(stacked_bound(bound_for, family), family, 0.5, tol=1e-10)
+    alone = bohr_radius_of_function(bound_for(0.9), tol=1e-10)
     assert res.status == "constrained" and res.tol == 1e-10
     assert res.bracket == (alone.radius, alone.radius + alone.tol)
 
@@ -76,17 +78,17 @@ def test_plateau_tie_break_returns_supremum_end():
 
 
 def test_near_extremal_member_radius():
-    res = bohr_radius_of_function(majorant_bound(MobiusFamilyParams(1.0 - 2.0**-10, 0.0)))
+    res = bohr_radius_of_function(majorant_bound(1.0 - 2.0**-10))
     assert res.status == "constrained"
     assert abs(res.radius - 1.0 / 3.0) < 1e-2
 
-    res = bohr_radius_of_function(majorant_bound(MobiusFamilyParams(1.0 - 2.0**-10, 0.5)))
+    res = bohr_radius_of_function(majorant_bound(1.0 - 2.0**-10, 0.5))
     assert abs(res.radius - 3.0 / 7.0) < 1e-2
 
 
 def test_bisection_postconditions_and_iteration_bound():
     tol = 1e-10
-    bound_fn = majorant_bound(MobiusFamilyParams(0.9, 0.0))
+    bound_fn = majorant_bound(0.9)
     res = bohr_radius_of_function(bound_fn, tol=tol)
     lo, hi = res.bracket
     assert lo <= res.radius <= hi
@@ -101,87 +103,101 @@ def test_solver_requires_positive_tolerance():
         bohr_radius_of_function(lambda r: r, tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [1e-320, 5e-324, 0.5 * SMALLEST_TOL, math.nan])
+def test_solver_rejects_a_tolerance_below_the_smallest(tol):
+    # these overflowed the step budget: OverflowError at 1e-320
+    p = mobius_family_coeffs(0.9, 0.5)
+    with pytest.raises(ValueError, match=r"at least 2\^-1024"):
+        bohr_radius_of_function(lambda r: bohr_total(p, r), tol=tol)
+
+
+@pytest.mark.parametrize("tol", [SMALLEST_TOL, 1e-308, 2.0**-1022])
+def test_solver_terminates_down_to_the_smallest_tolerance(tol):
+    assert SMALLEST_TOL == 2.0**-1024
+    padded = majorant_bound(0.9, 0.5)
+    res = bohr_radius_of_function(padded, tol=tol)
+    lo, hi = res.bracket
+    assert res.status == "constrained" and padded(lo).padded() <= 1.0 < padded(hi).padded()
+    assert res.iterations <= math.ceil(math.log2(UPPER_LIMIT / tol)) + 1
+
+
 def test_family_classical_radius():
-    family = [MobiusFamilyParams(float(a), 0.0) for a in sharpness_a_grid(14)]
-    res = family_infimum_radius(stacked_bound(majorant_bound, family), family, tol=1e-10)
+    family = sharpness_a_grid(14)
+    res = family_infimum_radius(stacked_bound(majorant_bound, family), family, 0.0, tol=1e-10)
     assert abs(res.radius - 1.0 / 3.0) < 1e-3
-    assert res.witness.a >= 1.0 - 2.0**-13
+    assert res.witness["a"] >= 1.0 - 2.0**-13
     assert res.diagnostics == ()
 
 
 def test_family_witness_violates_just_past_radius():
-    family = [MobiusFamilyParams(float(a), 0.25) for a in sharpness_a_grid(12)]
-    res = family_infimum_radius(stacked_bound(majorant_bound, family), family, tol=1e-10)
-    bound_fn = majorant_bound(res.witness)
+    family = sharpness_a_grid(12)
+    res = family_infimum_radius(stacked_bound(lambda a: majorant_bound(a, 0.25), family), family, 0.25, tol=1e-10)
+    bound_fn = majorant_bound(**res.witness)
     assert bound_fn(res.radius + 2.0 * res.tol).padded() > 1.0
 
 
 def test_family_harmonic_corollary_case():
-    family = [HarmonicExtremalParams(float(a), 0.25, k=1.0, lambda_mix=1.0) for a in sharpness_a_grid(14)]
+    family = sharpness_a_grid(14)
 
-    def bound_for(params):
-        h, g = harmonic_extremal(params)
+    def bound_for(a):
+        h, g = harmonic_extremal(a, 0.25, 1.0)
         return lambda r: harmonic_total(h, g, r)
 
-    res = family_infimum_radius(stacked_bound(bound_for, family), family, tol=1e-10)
+    res = family_infimum_radius(stacked_bound(bound_for, family), family, 0.25, tol=1e-10)
     assert abs(res.radius - 1.25 / 5.25) < 1e-3
     assert abs(res.radius - sharp_harmonic_radius(0.25, 1.0)) < 1e-3
 
 
 def test_single_element_family_degenerates():
-    params = MobiusFamilyParams(0.9, 0.0)
-    single = family_infimum_radius(stacked_bound(majorant_bound, [params]), [params], tol=1e-10)
-    alone = bohr_radius_of_function(majorant_bound(params), tol=1e-10)
+    single = family_infimum_radius(stacked_bound(majorant_bound, [0.9]), [0.9], 0.0, tol=1e-10)
+    alone = bohr_radius_of_function(majorant_bound(0.9), tol=1e-10)
     assert abs(single.radius - alone.radius) < 1e-12
-    assert single.witness == params
+    assert single.witness == {"a": 0.9, "gamma": 0.0}
 
 
 def test_family_propagates_no_radius():
-    class Big:
-        a = 0.5
-
-    def bound_for(params):
+    def bound_for(a):
         return lambda r: 2.0  # always violated
 
-    family = [Big()]
-    res = family_infimum_radius(stacked_bound(bound_for, family), family, tol=1e-6)
+    res = family_infimum_radius(stacked_bound(bound_for, [0.5]), [0.5], 0.2, tol=1e-6)
     assert res.status == "no_radius"
+    assert res.witness == {"a": 0.5, "gamma": 0.2}
 
 
 def test_family_monotonicity_diagnostic():
     # artificial bound whose radius grows with a: flagged, not fatal
-    def bound_for(params):
-        return lambda r: r / params.a
+    def bound_for(a):
+        return lambda r: r / a
 
-    family = [MobiusFamilyParams(0.3, 0.0), MobiusFamilyParams(0.6, 0.0)]
-    res = family_infimum_radius(stacked_bound(bound_for, family), family, tol=1e-8)
+    family = [0.3, 0.6]
+    res = family_infimum_radius(stacked_bound(bound_for, family), family, 0.0, tol=1e-8)
     assert any("nonincreasing" in d for d in res.diagnostics)
     assert abs(res.radius - 0.3) < 1e-6
 
 
 def test_family_empty_rejected():
     with pytest.raises(ValueError):
-        family_infimum_radius(stacked_bound(majorant_bound, []), [])
+        family_infimum_radius(stacked_bound(majorant_bound, []), [], 0.0)
 
 
 def test_result_serialization():
-    family = [MobiusFamilyParams(0.9, 0.0)]
-    res = family_infimum_radius(stacked_bound(majorant_bound, family), family)
+    res = family_infimum_radius(stacked_bound(majorant_bound, [0.9]), [0.9], 0.0)
     data = json.loads(json.dumps(dataclasses.asdict(res)))
     assert set(data) == {"radius", "bracket", "tol", "iterations", "witness", "status", "diagnostics", "members"}
-    assert data["witness"] == {"a": 0.9, "gamma": 0.0, "sharpness_witness": False}
+    assert data["witness"] == {"a": 0.9, "gamma": 0.0}
     assert data["bracket"] == list(res.bracket) and data["radius"] == res.radius
 
 
 def test_family_result_keeps_every_member():
-    family = [MobiusFamilyParams(float(a), 0.25) for a in sharpness_a_grid(10)]
-    res = family_infimum_radius(stacked_bound(majorant_bound, family), family, tol=1e-10)
+    family = sharpness_a_grid(10).tolist()
+    bound_for = lambda a: majorant_bound(a, 0.25)
+    res = family_infimum_radius(stacked_bound(bound_for, family), family, 0.25, tol=1e-10)
     members = dataclasses.asdict(res)["members"]
-    assert [m["a"] for m in members] == [p.a for p in family]
+    assert [m["a"] for m in members] == family
     assert min(m["radius"] for m in members) == res.radius
     assert sum(m["iterations"] for m in members) == res.iterations
-    for m, params in zip(members, family):
-        assert m["radius"] == bohr_radius_of_function(majorant_bound(params)).radius
+    for m, a in zip(members, family):
+        assert m["radius"] == bohr_radius_of_function(bound_for(a)).radius
 
 
 def _theorem_bound(theorem, gamma, k, a):
@@ -191,9 +207,9 @@ def _theorem_bound(theorem, gamma, k, a):
     values.update(bound.pinned)
     gamma, x = values["gamma"], values.get(bound.param)
     if bound.harmonic:
-        series = harmonic_extremal(HarmonicExtremalParams(a, gamma, values["k"], 1.0))
+        series = harmonic_extremal(a, gamma, values["k"])
     else:
-        series = mobius_family_coeffs(MobiusFamilyParams(a, gamma))
+        series = mobius_family_coeffs(a, gamma)
     return lambda r: bound.total(series, r, gamma, x).padded()
 
 
@@ -317,33 +333,32 @@ def test_itp_members_do_not_creep_past_an_exact_one(tmp_path):
 
 @dataclasses.dataclass(frozen=True)
 class _Constant:
-    """A family member that is the constant c: no_radius when c > 1, else unconstrained."""
+    """A family member at ``a`` that is the constant c: no_radius when c > 1, else unconstrained."""
 
     a: float
-    gamma: float
     c: float
 
 
 def _theorem_family(theorem, gamma, k, members, order=2048):
-    """(family, stacked bound, per-member bound_for) as ``radius`` builds them; each
-    member is an ``a`` of the theorem's extremal family or a ``_Constant``."""
+    """(a values, gamma, stacked bound, per-member bound_for) as ``radius`` builds
+    them; each member is an ``a`` of the theorem's extremal family or a ``_Constant``."""
     bound = BOUNDS[theorem]
     values = {"gamma": gamma, "k": k, "lambda": DiskDomain(gamma).coefficient_ratio_sup, "K": DEFAULT_AREA_WEIGHT}
     values.update(bound.pinned)
     gamma, x = values["gamma"], values.get(bound.param)
-    family, series = [], []
+    a_values, series = [], []
     for member in members:
         if isinstance(member, _Constant):
             h = constant(member.c, order)
-            family.append(member)
+            a_values.append(member.a)
             series.append((h, zero(order)) if bound.harmonic else h)
         else:
-            family += cli._family(bound, [member], gamma, values["k"])
-            series.append(cli._series(bound, family[-1], order))
-    stack = tuple(map(SeriesStack, zip(*series))) if bound.harmonic else SeriesStack(series)
-    by_member = dict(zip(map(id, family), series))
-    return (family, lambda r: bound.total(stack, r, gamma, x),
-            lambda params: (lambda r: bound.total(by_member[id(params)], r, gamma, x)))
+            a_values.append(member)
+            series.append(cli._series(bound, member, gamma, values["k"], order))
+    stack = tuple(map(stack_of, zip(*series))) if bound.harmonic else stack_of(series)
+    by_a = dict(zip(a_values, series))  # members at one a have one series
+    return (a_values, gamma, lambda r: bound.total(stack, r, gamma, x),
+            lambda a: (lambda r: bound.total(by_a[a], r, gamma, x)))
 
 
 @settings(max_examples=40)
@@ -355,32 +370,32 @@ def _theorem_family(theorem, gamma, k, members, order=2048):
     tol=st.sampled_from([1e-6, 1e-10, 1e-20]),
 )
 def test_lockstep_family_equals_the_sequential_reference(theorem, gamma, k, a_values, tol):
-    family, bound, bound_for = _theorem_family(theorem, gamma, k, a_values)
-    assert family_infimum_radius(bound, family, tol) == family_infimum_reference(bound_for, family, tol)
+    family, gamma, bound, bound_for = _theorem_family(theorem, gamma, k, a_values)
+    assert family_infimum_radius(bound, family, gamma, tol) == family_infimum_reference(bound_for, family, gamma, tol)
 
 
 _KINDS = {
     "constrained": [float(a) for a in sharpness_a_grid(14)],
-    "unconstrained": [_Constant(0.2, 0.0, 0.5), _Constant(0.4, 0.0, 1.0)],
-    "no_radius": [_Constant(0.2, 0.0, 1.2), _Constant(0.4, 0.0, 1.5)],
-    "mixed": [0.3, _Constant(0.35, 0.0, 0.5), 0.9, 0.99, _Constant(0.5, 0.0, 1.0)],
-    "mixed-no-radius": [0.9, _Constant(0.5, 0.0, 0.5), _Constant(0.7, 0.0, 1.2), 0.99],
+    "unconstrained": [_Constant(0.2, 0.5), _Constant(0.4, 1.0)],
+    "no_radius": [_Constant(0.2, 1.2), _Constant(0.4, 1.5)],
+    "mixed": [0.3, _Constant(0.35, 0.5), 0.9, 0.99, _Constant(0.5, 1.0)],
+    "mixed-no-radius": [0.9, _Constant(0.5, 0.5), _Constant(0.7, 1.2), 0.99],
 }
 
 
 @pytest.mark.parametrize("kind", sorted(_KINDS))
 @pytest.mark.parametrize("theorem", sorted(BOUNDS))
 def test_lockstep_family_equals_the_sequential_reference_on_every_status(theorem, kind):
-    family, bound, bound_for = _theorem_family(theorem, 0.3, 0.6, _KINDS[kind])
-    res = family_infimum_radius(bound, family, 1e-10)
-    assert res == family_infimum_reference(bound_for, family, 1e-10)
+    family, gamma, bound, bound_for = _theorem_family(theorem, 0.3, 0.6, _KINDS[kind])
+    res = family_infimum_radius(bound, family, gamma, 1e-10)
+    assert res == family_infimum_reference(bound_for, family, gamma, 1e-10)
     assert res.status == {"mixed": "constrained", "mixed-no-radius": "no_radius"}.get(kind, kind)
 
 
 def test_lockstep_calls_the_bound_once_per_round():
-    family, bound, _ = _theorem_family("B", 0.5, 1.0, _KINDS["constrained"])
+    family, gamma, bound, _ = _theorem_family("B", 0.5, 1.0, _KINDS["constrained"])
     calls = []
-    res = family_infimum_radius(lambda r: calls.append(r.copy()) or bound(r), family, 1e-10)
+    res = family_infimum_radius(lambda r: calls.append(r.copy()) or bound(r), family, gamma, 1e-10)
     assert len(calls) == 2 + max(m["iterations"] for m in res.members)
     assert all(r.shape == (len(family),) for r in calls)
     # once a member has finished, it is fed its final lo

@@ -7,7 +7,6 @@ import pytest
 
 from bohrlab import functionals
 from bohrlab.extremals import (
-    MobiusFamilyParams,
     family_area_deficit,
     family_harmonic_deficit,
     family_norm_deficit,
@@ -221,7 +220,7 @@ def test_coefficient_bound_near_extremality():
     # the first family coefficient meets the bound exactly, for every a
     for a in (0.5, 1.0 - 2.0**-12):
         for gamma in (0.0, 0.25, 0.7):
-            p = mobius_family_coeffs(MobiusFamilyParams(a, gamma), 8)
+            p = mobius_family_coeffs(a, gamma, 8)
             a0 = abs(p.coeffs[0])
             bound = (1.0 - a0**2) / (1.0 + gamma)
             slack = bound - abs(p.coeffs[1])
@@ -254,7 +253,7 @@ def test_dilatation_coefficients_suite_and_zero_case():
 
 def test_deficit_identity_frozen_point():
     # evaluated totals vs closed-form deficits at one hand-computed point
-    p = mobius_family_coeffs(MobiusFamilyParams(0.5, 0.0))
+    p = mobius_family_coeffs(0.5, 0.0)
     total = functionals.area_refined_total(p, 1.0 / 3.0, 0.0).total
     assert abs(total - (1.0 - 0.5 * family_area_deficit(1.0 / 3.0, 0.5, 0.0))) < 1e-12
     total2 = functionals.norm_refined_total(p, 0.25).total
@@ -293,7 +292,7 @@ def test_recentred_consistency_check():
 
 def test_recentred_functional_matches_centered_route():
     gamma = 0.4
-    p = mobius_family_coeffs(MobiusFamilyParams(0.7, gamma), 128)
+    p = mobius_family_coeffs(0.7, gamma, 128)
     alpha = PowerSeries(p.coeffs / (1.0 - gamma) ** np.arange(129))
     r = 0.37
     direct = functionals.area_refined_total(p, r, gamma).total
