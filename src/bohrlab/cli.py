@@ -154,19 +154,13 @@ def _parse_gammas(spec: str) -> list[float]:
     return gammas
 
 
-# Above it a family witness's K_hat nears 1e8 (1.4e7 at 0.999, 1.8e8 at 0.9996)
-# and the 1e-6 weight bump times its area falls below one ulp of its total, so
-# the bump cannot show: gamma = 0.9996 read as a VIOLATION with K_hat above K*
-_MAX_CONJECTURE_GAMMA = 0.999
-
-
 def _conjecture_gammas(spec: str) -> list[float]:
-    """:func:`_parse_gammas`, each at most ``_MAX_CONJECTURE_GAMMA``."""
+    """:func:`_parse_gammas`, each at most ``conjecture.MAX_GAMMA``."""
     gammas = _parse_gammas(spec)
-    if max(gammas) > _MAX_CONJECTURE_GAMMA:
-        raise argparse.ArgumentTypeError(
-            f"every gamma must be at most {_MAX_CONJECTURE_GAMMA:g}, got {max(gammas)!r}: past it the witness "
-            "check's weight bump of 1e-6 falls below the rounding of the witness's total")
+    try:
+        conjecture_mod.check_gammas(gammas)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return gammas
 
 
@@ -334,6 +328,10 @@ def cmd_conjecture(args) -> int:
             f"K_cert={verify.certified_area_weight(est.gamma)!r} "
             f"witness=(a={est.witness_a:.6g}, r={est.witness_r:.6g}) [{'ok' if ok else 'VIOLATION'}]"
         )
+    corners = [f"{est.gamma:g}" for est in estimates if conjecture_mod.at_window_corner(est)]
+    if corners:
+        print(f"note: the witness sits on the window corner (a={conjecture_mod.A_BOUNDS[1]:g}, r=r0) at "
+              f"gamma={', '.join(corners)}: the minimum is on the window's edge, where K_hat tends to K* as a -> 1")
     for left, right in conjecture_mod.non_monotonic_pairs(estimates):
         print(f"note: K_hat falls from gamma={left:g} to gamma={right:g} while K* rises (diagnostic only)")
     if args.out:
@@ -419,7 +417,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                        allow_abbrev=False)
     p.add_argument("--gammas", type=_conjecture_gammas, default="0,0.25,0.5,0.75",
                    help=f"a comma list or start:stop:count of at most {_MAX_GAMMAS} values in "
-                   f"[0, {_MAX_CONJECTURE_GAMMA:g}] (about 0.4 ms per gamma at the default --grid: at most "
+                   f"[0, {conjecture_mod.MAX_GAMMA:g}] (about 0.4 ms per gamma at the default --grid: at most "
                    "about 0.4 s)")
     p.add_argument("--grid", type=_between(2, _MAX_CONJECTURE_GRID), default=64,
                    help=f"points per side of the (a, r) grid, at most {_MAX_CONJECTURE_GRID} (memory grows "

@@ -37,6 +37,9 @@ __all__ = [
     "non_monotonic_pairs",
     "write_estimates_csv",
     "witness_violates",
+    "at_window_corner",
+    "check_gammas",
+    "MAX_GAMMA",
 ]
 
 CSV_HEADER = ["gamma", "K_hat", "a_witness", "r_witness", "refinements"]
@@ -46,6 +49,8 @@ CSV_HEADER = ["gamma", "K_hat", "a_witness", "r_witness", "refinements"]
 # k_hat + 1e-6 clear of roundoff.
 A_BOUNDS = (0.05, 0.99)
 R_MIN = 1e-3
+# The largest gamma estimate_constant takes (see check_gammas)
+MAX_GAMMA = 0.999
 
 
 @dataclass(frozen=True)
@@ -87,8 +92,10 @@ def estimate_constant(
     augment_order: int = 192,
 ) -> ConstantEstimate:
     """The family ratio's minimum on a grid x grid lattice of the window
-    a in ``A_BOUNDS``, r in [``R_MIN``, r0], lowered by any augmented sample's."""
+    a in ``A_BOUNDS``, r in [``R_MIN``, r0], lowered by any augmented sample's;
+    gamma is at most ``MAX_GAMMA``."""
     _check_gamma(gamma)
+    check_gammas([gamma])
     r_max = sharp_majorant_radius(gamma)
     a_vals = np.linspace(*A_BOUNDS, grid)
     r_vals = np.linspace(R_MIN, r_max, grid)
@@ -116,6 +123,26 @@ def estimate_constant(
             best, best_a, best_r = aug_min, float("nan"), aug_r
             stats["augment"]["winner"] = aug_idx
     return ConstantEstimate(gamma, best, best_a, best_r, stats)
+
+
+def check_gammas(gammas: Sequence[float]) -> None:
+    """Raise ``ValueError`` when a gamma exceeds ``MAX_GAMMA``.
+
+    Above it a family witness's K_hat nears 1e8 (1.4e7 at 0.999, 1.8e8 at
+    0.9996) and the 1e-6 weight bump of :func:`witness_violates` times its
+    area falls below one ulp of its total, so the bump cannot show: at
+    gamma = 0.9996 a K_hat above K* read as a violation.
+    """
+    if max(gammas) > MAX_GAMMA:
+        raise ValueError(f"every gamma must be at most {MAX_GAMMA:g}, got {max(gammas)!r}: past it the witness "
+                         "check's weight bump of 1e-6 falls below the rounding of the witness's total")
+
+
+def at_window_corner(estimate: ConstantEstimate) -> bool:
+    """True when the witness is the window's corner (a = ``A_BOUNDS[1]``, r = r0),
+    where K_hat tends to K* as the window's a reaches 1: the minimum then lies
+    on the window's edge, not inside it."""
+    return (estimate.witness_a, estimate.witness_r) == (A_BOUNDS[1], sharp_majorant_radius(estimate.gamma))
 
 
 def witness_violates(estimate: ConstantEstimate, bump: float = 1e-6, order: int = DEFAULT_ORDER) -> bool:

@@ -107,17 +107,23 @@ def mobius_family_coeffs(a: float, gamma: float = 0.0, order: int = DEFAULT_ORDE
     if order < 1:
         raise ValueError("order must be at least 1")
     a0, q, scale = family_constants(a, gamma)
-    coeffs = np.zeros(order + 1, dtype=np.complex128)
-    _write_member(coeffs, a0, q, scale)
-    return PowerSeries(coeffs, TailBound(q, scale))
+    coeffs = np.zeros((1, order + 1))
+    _write_rows(coeffs, a0, np.array([q]), np.array([scale]))
+    return PowerSeries(coeffs[0], TailBound(q, scale))
 
 
-def _write_member(row: np.ndarray, a0, q, scale) -> None:
-    """Write the member A_0 - sum_{n>=1} C q^n z^n into the zeroed ``row``."""
-    # q**n < 2^-1100 rounds to zero, which libm is slow to reach: store zeros
-    kept = min(row.size - 1, int(1100.0 / -math.log2(q))) if q > 0.0 else 0
-    row[0] = a0
-    row[1 : kept + 1] = -scale * q ** np.arange(1, kept + 1)
+def _write_rows(coeffs: np.ndarray, a0, q, scale) -> None:
+    """Write member i, A_0 - sum_{n>=1} C q^n z^n, into the zeroed float64 row
+    i of ``coeffs``, every row by one broadcast power."""
+    # q**n < 2^-1100 rounds to zero, which libm is slow to reach: each row
+    # stops at its own cut and stays zero past it
+    kept = [min(coeffs.shape[1] - 1, int(1100.0 / -math.log2(x))) if x > 0.0 else 0 for x in q.tolist()]
+    n = np.arange(1, max(kept, default=0) + 1)
+    terms = coeffs[:, 1 : n.size + 1]
+    written = n <= np.array(kept)[:, None]
+    np.power(q[:, None], n, out=terms, where=written)
+    np.multiply(-scale[:, None], terms, out=terms, where=written)
+    coeffs[:, 0] = a0
 
 
 def harmonic_extremal(
@@ -177,8 +183,7 @@ def family_stack(a, gamma, order: int = DEFAULT_ORDER, weight=None, r_max=None):
             length *= 2
         order = min(length, order)
     coeffs = np.zeros((a.size, order + 1))
-    for member in zip(coeffs, a0, q, scale):
-        _write_member(*member)
+    _write_rows(coeffs, a0, q, scale)
     h = SeriesStack(coeffs, q, scale)
     if weight is None:
         return h

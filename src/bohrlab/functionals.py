@@ -24,11 +24,10 @@ table x^n is then built once for the whole stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
-from .series import PowerSeries, _check_gamma
+from .series import PowerSeries, SeriesStack, _check_gamma
 
 __all__ = [
     "FunctionalValue",
@@ -66,22 +65,6 @@ class FunctionalValue:
         return self.total + self.tail_error
 
 
-class SeriesStack:
-    """Series of one order, evaluated together at one radius per member or on
-    one radius row that every member shares.
-
-    ``coeffs`` (complex, or float64 for real series) has one member per row,
-    as do the evaluators' weight tables; ``q`` and ``C`` are the members'
-    certificate arrays, 0 where a member has none.  All three are held as
-    given, with no copy and no finiteness check.
-    """
-
-    def __init__(self, coeffs: np.ndarray, q: np.ndarray, C: np.ndarray) -> None:
-        self.coeffs, self.order = coeffs, coeffs.shape[1] - 1
-        self.tail = SimpleNamespace(q=q, C=C)
-        self._memo: dict = {}
-
-
 def _check_radius(r: float | np.ndarray, *series) -> None:
     if isinstance(r, np.ndarray):
         ok = bool(np.all((0.0 <= r) & (r < 1.0)))
@@ -99,6 +82,19 @@ def _check_radius(r: float | np.ndarray, *series) -> None:
     if not ok:
         raise ValueError("radius must be a float or a 1-D array; a stack of M series takes M radii, "
                          f"one radius per member, or one (1, R) row that every member shares; got shape {shape}")
+
+
+def _check_radius_and_gamma(r, gamma: float | np.ndarray, p) -> None:
+    """:func:`_check_radius`, and gamma in [0, 1): a float, or for a stack
+    with one radius per member, one gamma per member."""
+    if isinstance(gamma, np.ndarray):
+        if not isinstance(p, SeriesStack) or gamma.shape != p.coeffs.shape[:1] or np.ndim(r) != 1:
+            raise ValueError(f"an array of gamma needs a stack, one radius and one gamma per member, got {gamma}")
+        if not np.all((0.0 <= gamma) & (gamma < 1.0)):
+            raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
+    else:
+        _check_gamma(gamma)
+    _check_radius(r, p)
 
 
 def _like_radius(value, r):
@@ -292,14 +288,7 @@ def area_refined_total(
     On a stack with one radius per member, ``gamma`` may also be one value
     per member, as ``r`` is.
     """
-    if isinstance(gamma, np.ndarray):
-        if not isinstance(p, SeriesStack) or gamma.shape != p.coeffs.shape[:1] or np.ndim(r) != 1:
-            raise ValueError(f"an array of gamma needs a stack, one radius and one gamma per member, got {gamma}")
-        if not np.all((0.0 <= gamma) & (gamma < 1.0)):
-            raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    else:
-        _check_gamma(gamma)
-    _check_radius(r, p)
+    _check_radius_and_gamma(r, gamma, p)
     m, m_tail = _majorant(p, r)
     area, area_tail = _dirichlet_area(p, r * (1.0 - gamma))
     return FunctionalValue(m + weight * area, m, weight * area, r, m_tail + weight * area_tail)

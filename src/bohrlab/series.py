@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "DEFAULT_ORDER",
     "TailBound",
     "PowerSeries",
+    "SeriesStack",
     "DiskDomain",
     "numeric_taylor",
     "taylor_coefficients",
@@ -99,6 +101,25 @@ class PowerSeries:
         return self.evaluate(z)
 
 
+class SeriesStack:
+    """Series of one order, evaluated together at one radius per member or on
+    one radius row that every member shares.
+
+    ``coeffs`` (complex, or float64 for real series) has one member per row,
+    as do the evaluators' weight tables; ``q`` and ``C`` are the members'
+    certificate arrays, 0 where a member has none, and all 0 when they are
+    left out.  All three are held as given, with no copy and no finiteness
+    check.
+    """
+
+    def __init__(self, coeffs: np.ndarray, q: np.ndarray | None = None, C: np.ndarray | None = None) -> None:
+        self.coeffs, self.order = coeffs, coeffs.shape[1] - 1
+        if q is None:
+            q = C = np.zeros(len(coeffs))
+        self.tail = SimpleNamespace(q=q, C=C)
+        self._memo: dict = {}
+
+
 @lru_cache(maxsize=64)
 def _circle(m: int, rho: float) -> np.ndarray:
     """The m sample points rho e^{2 pi i j/m}, read-only, shared by every caller."""
@@ -113,7 +134,7 @@ def taylor_coefficients(vals: np.ndarray, order: int, rho: float) -> np.ndarray:
     return coeffs / rho ** np.arange(order + 1)
 
 
-def numeric_taylor(f: Callable, order: int, rho: float = 0.5, samples: int | None = None) -> PowerSeries:
+def numeric_taylor(f: Callable, order: int, rho: float = 0.5, samples: int | None = None) -> PowerSeries | SeriesStack:
     """Taylor coefficients about 0 of a black-box analytic function.
 
     Computes a_n = (2*pi)^-1 * integral of f(rho e^{i t}) e^{-i n t} dt / rho**n
@@ -122,6 +143,9 @@ def numeric_taylor(f: Callable, order: int, rho: float = 0.5, samples: int | Non
     order, which keeps the aliasing error geometrically small; roundoff grows
     like eps / rho**n, so callers extracting high orders should raise ``rho``.
     ``f`` is called once, on the cached, read-only array of all sample points.
+    An ``f`` that returns one row of values per function, shape (M, samples),
+    gives the :class:`SeriesStack` of the M expansions, with no certificates;
+    row i equals, bit for bit, the expansion of row i alone.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -132,11 +156,13 @@ def numeric_taylor(f: Callable, order: int, rho: float = 0.5, samples: int | Non
         raise ValueError("need at least 8 samples per coefficient order")
     z = _circle(m, rho)
     vals = np.asarray(f(z), dtype=np.complex128)
-    if vals.shape != z.shape:
-        raise ValueError(f"function must return one value per sample point, got shape {vals.shape} for {m}")
+    if vals.shape[-1:] != z.shape or vals.ndim > 2:
+        raise ValueError(f"function must return one value per sample point, or one row of them per function, "
+                         f"got shape {vals.shape} for {m}")
     if not np.all(np.isfinite(vals)):
         raise ValueError("function produced non-finite samples on the circle")
-    return PowerSeries(taylor_coefficients(vals, order, rho))
+    coeffs = taylor_coefficients(vals, order, rho)
+    return SeriesStack(coeffs) if vals.ndim == 2 else PowerSeries(coeffs)
 
 
 def _check_gamma(gamma: float) -> None:
@@ -144,12 +170,19 @@ def _check_gamma(gamma: float) -> None:
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
 
 
-def recenter_affine(p: PowerSeries, gamma: float) -> PowerSeries:
+def recenter_affine(p: PowerSeries | SeriesStack, gamma: float | np.ndarray) -> PowerSeries | SeriesStack:
     """Rescale a series about gamma into its unit-disk counterpart.
 
     Given g(z) = sum alpha_n (z - gamma)^n, returns G with b_n =
-    alpha_n * (1-gamma)^n, so that g = G((z - gamma)/(1 - gamma)).
+    alpha_n * (1-gamma)^n, so that g = G((z - gamma)/(1 - gamma)).  A
+    :class:`SeriesStack` is rescaled row by row, about one gamma or one gamma
+    per member; row i equals, bit for bit, the call on member i alone.
     """
+    if isinstance(p, SeriesStack):
+        if not np.all((0.0 <= gamma) & (gamma < 1.0)) or np.shape(gamma) not in {(), p.coeffs.shape[:1]}:
+            raise ValueError(f"gamma must lie in [0, 1), one value or one per member, got {gamma}")
+        scale = 1.0 - gamma
+        return SeriesStack(p.coeffs * np.power.outer(scale, np.arange(p.order + 1)), p.tail.q * scale, p.tail.C)
     _check_gamma(gamma)
     scale = (1.0 - gamma) ** np.arange(p.order + 1)
     tail = None

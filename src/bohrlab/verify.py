@@ -24,7 +24,7 @@ import numpy as np
 from . import functionals
 from .extremals import family_area_deficit, family_harmonic_deficit, family_norm_deficit, family_stack
 from .functionals import DEFAULT_AREA_WEIGHT, FunctionalValue, sharp_majorant_radius
-from .series import DiskDomain, PowerSeries, _circle, numeric_taylor, recenter_affine, taylor_coefficients
+from .series import DiskDomain, PowerSeries, SeriesStack, _circle, numeric_taylor, recenter_affine, taylor_coefficients
 
 __all__ = [
     "CheckReport",
@@ -219,15 +219,14 @@ def check_coefficient_bounds(
     """|a_n| <= (1 - |a_0|^2)/(1 + gamma) for the unit-disk coefficients of
     functions bounded on the enlarged disk (gamma = 0 is the classical bound);
     sample i, by default product i of the seed's stream, is carried onto the
-    disk of gammas[i % len(gammas)], and one FFT call expands every sample."""
+    disk of gammas[i % len(gammas)], and one ``numeric_taylor`` call expands
+    every sample."""
     if samples is None:
         samples = _blaschke_stream(seed)(n_samples)
     gamma = np.array([float(gammas[i % len(gammas)]) for i in range(len(samples))])
-    z = _circle(8 * n_max, rho)
-    vals = np.array([bounded_on_disk_domain(f, DiskDomain(g))(z) for f, g in zip(samples, gamma.tolist())])
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("function produced non-finite samples on the circle")
-    coeffs = taylor_coefficients(vals, n_max, rho)
+    domains = [DiskDomain(g) for g in gamma.tolist()]
+    coeffs = numeric_taylor(lambda z: [bounded_on_disk_domain(f, d)(z) for f, d in zip(samples, domains)],
+                            n_max, rho).coeffs
     a0 = np.hypot(coeffs[:, 0].real, coeffs[:, 0].imag)  # as abs() rounds a scalar
     # float_power squares as Python's float ** does
     slack = ((1.0 - np.float_power(a0, 2)) / (1.0 + gamma))[:, None] - np.abs(coeffs[:, 1:])
@@ -250,35 +249,33 @@ def check_ruscheweyh(
 
     Derivatives are Taylor coefficients of f(alpha + s u), which keeps them
     well conditioned; each sample is evaluated on every centre's circle at
-    once, and a centre whose samples are not finite is skipped and counted.
-    The samples default to the first n_samples products of the seed's stream.
+    once, and one FFT call expands every finite (sample, centre) row.  A row
+    with a non-finite value is skipped and counted.  The samples default to
+    the first n_samples products of the seed's stream.
     """
     if samples is None:
         samples = _blaschke_stream(seed)(n_samples)
-    worst = np.inf
-    witness: dict = {}
-    skipped = 0
     powers = np.arange(1, n_max + 1, dtype=float)
     centres = [complex(alpha) for alpha in alphas]
     scales = [0.45 * (1.0 - abs(alpha)) for alpha in centres]
     points = np.array([alpha + s * _circle(8 * n_max, 0.5) for alpha, s in zip(centres, scales)])
     scale_powers = np.array([s**powers for s in scales])
     denoms = np.array([(1.0 - abs(alpha)) ** (powers - 1.0) * (1.0 - abs(alpha) ** 2) for alpha in centres])
-    for i, f in enumerate(samples):
-        vals = f(points)
-        rows = np.flatnonzero(np.isfinite(vals).all(axis=1))
-        skipped += len(centres) - rows.size
-        if rows.size == 0:
-            continue
-        coeffs = taylor_coefficients(vals[rows], n_max, 0.5)
+    vals = np.array([f(points) for f in samples]).reshape((-1,) + points.shape)
+    finite = np.isfinite(vals).all(axis=2)
+    worst = np.inf
+    witness: dict = {}
+    if finite.any():
+        coeffs = taylor_coefficients(vals[finite], n_max, 0.5)
         fa = np.hypot(coeffs[:, :1].real, coeffs[:, :1].imag)  # as abs() rounds a scalar
-        slack = (1.0 - fa**2) / denoms[rows] - np.abs(coeffs[:, 1:]) / scale_powers[rows]
-        row, j = np.unravel_index(np.argmin(slack), slack.shape)
-        if slack[row, j] < worst:
-            worst = float(slack[row, j])
-            alpha = centres[rows[row]]
-            witness = {"sample": i, "alpha": [alpha.real, alpha.imag], "n": int(j) + 1}
-    witness["skipped"] = skipped
+        rows = np.nonzero(finite)[1]
+        slack = np.full(finite.shape + (n_max,), np.inf)  # a skipped row never holds the minimum
+        slack[finite] = (1.0 - fa**2) / denoms[rows] - np.abs(coeffs[:, 1:]) / scale_powers[rows]
+        # the first minimum in (sample, centre, n) order, as a running strict minimum finds it
+        i, row, j = np.unravel_index(np.argmin(slack), slack.shape)
+        worst, alpha = float(slack[i, row, j]), centres[row]
+        witness = {"sample": int(i), "alpha": [alpha.real, alpha.imag], "n": int(j) + 1}
+    witness["skipped"] = int(finite.size - np.count_nonzero(finite))
     return CheckReport.from_slack("ruscheweyh-derivatives", len(samples) * len(alphas), worst, witness, tol)
 
 
@@ -428,7 +425,7 @@ def harmonic_radius_cap(a, gamma, k):
 
 
 def recentred_area_total(
-    p: PowerSeries, r: float | np.ndarray, gamma: float, weight: float = DEFAULT_AREA_WEIGHT
+    p: PowerSeries | SeriesStack, r: float | np.ndarray, gamma: float | np.ndarray, weight: float = DEFAULT_AREA_WEIGHT
 ) -> FunctionalValue:
     """Majorant of a series expanded about gamma plus the weighted Dirichlet
     area of its unit-disk rescaling at the same radius (or radii, as in
@@ -436,8 +433,11 @@ def recentred_area_total(
 
     Feeding it the recentred coefficients of a function on the enlarged disk
     at radius r*(1-gamma) reproduces :func:`functionals.area_refined_total`.
+    A :class:`SeriesStack` takes its radii and gamma as
+    :func:`functionals.area_refined_total` does; row i then equals, bit for
+    bit, the call on member i alone.
     """
-    functionals._check_radius(r)
+    functionals._check_radius_and_gamma(r, gamma, p)
     m, m_tail = functionals._majorant(p, r)
     area, area_tail = functionals._dirichlet_area(recenter_affine(p, gamma), r)
     return FunctionalValue(m + weight * area, m, weight * area, r, m_tail + weight * area_tail)
@@ -447,26 +447,22 @@ def check_recentred_consistency(
     n_samples: int = 25, seed: int = 42, order: int = 128, tol: float = 1e-12
 ) -> CheckReport:
     """The centered and recentred evaluations of the area-refined total must
-    agree on the extremal family.  The centered totals of all samples come
-    from one call on their family stack."""
+    agree on the extremal family.  Each route evaluates all samples in one
+    call on their family stack, one radius and gamma per member."""
     u = np.random.default_rng(seed).random((n_samples, 3))
     gammas, a_values, radii = _uniform(u, np.array([0.0, 0.05, 0.05]), np.array([0.9, 0.95, 0.9])).T
     stack = family_stack(a_values, gammas, order)
-    direct = functionals.area_refined_total(stack, radii, gammas).total.tolist()
-    worst_resid = 0.0
+    direct = functionals.area_refined_total(stack, radii, gammas).total
+    # the stack's rows are real: divide a complex copy, which rounds as the
+    # member's complex coefficients do (real division can round apart)
+    about_gamma = stack.coeffs.astype(complex) / np.power.outer(1.0 - gammas, np.arange(order + 1))
+    recentred = recentred_area_total(SeriesStack(about_gamma), radii * (1.0 - gammas), gammas).total
+    resids = np.abs(direct - recentred).tolist()
+    worst_resid = max(resids, default=0.0)
     witness: dict = {}
-    for i, (gamma, a, r) in enumerate(zip(gammas.tolist(), a_values.tolist(), radii.tolist())):
-        # the stack's rows are real: divide a complex copy, which rounds as the
-        # member's complex coefficients do (real division can round apart)
-        recentred = recentred_area_total(
-            PowerSeries(stack.coeffs[i].astype(complex) / (1.0 - gamma) ** np.arange(order + 1)),
-            r * (1.0 - gamma),
-            gamma,
-        ).total
-        resid = abs(direct[i] - recentred)
-        if resid > worst_resid:
-            worst_resid = resid
-            witness = {"sample": i, "gamma": gamma, "a": a, "r": r}
+    if worst_resid > 0.0:
+        i = resids.index(worst_resid)  # the first maximum, as a running strict maximum finds it
+        witness = {"sample": i, "gamma": float(gammas[i]), "a": float(a_values[i]), "r": float(radii[i])}
     return CheckReport.from_slack("recentred-consistency", n_samples, -worst_resid, witness, tol)
 
 
@@ -480,23 +476,32 @@ def check_recentred_slack_certificate(
 ) -> CheckReport:
     """recentred_area_total <= 1 + recentred_slack(r, |alpha_0|) for bounded
     samples expanded about gamma, by default the first n_samples products of
-    the seed's stream; ties the slack certificate to its meaning."""
+    the seed's stream; ties the slack certificate to its meaning.  Sample i
+    is expanded about gammas[i % len(gammas)]: one ``numeric_taylor`` call
+    expands every sample, and one stacked call per gamma sums its samples on
+    that gamma's radius row."""
     if samples is None:
         samples = _blaschke_stream(seed)(n_samples)
-    worst = np.inf
-    witness: dict = {}
-    for i, f in enumerate(samples):
-        gamma = float(gammas[i % len(gammas)])
-        s = 0.9 * (1.0 - gamma)
-        c = numeric_taylor(lambda u: f(gamma + s * u), order, rho=0.9)
-        alpha = PowerSeries(c.coeffs / s ** np.arange(order + 1))
-        a0 = abs(alpha.coeffs[0])
-        r = np.linspace(0.05, 0.8 * (1.0 - gamma), 6)
-        slack = 1.0 + recentred_slack(r, a0, gamma) - recentred_area_total(alpha, r, gamma).total
-        j = int(np.argmin(slack))
-        if slack[j] < worst:
-            worst = slack[j]
-            witness = {"sample": i, "gamma": gamma, "r": float(r[j]), "a0_abs": float(a0)}
+    gamma = np.array([float(gammas[i % len(gammas)]) for i in range(len(samples))])
+    s = 0.9 * (1.0 - gamma)
+
+    def rows(u):  # sample i at gamma_i + s_i u, one row each
+        return np.reshape([f(g + t * u) for f, g, t in zip(samples, gamma.tolist(), s.tolist())], (-1, u.size))
+
+    alpha = numeric_taylor(rows, order, 0.9).coeffs / np.power.outer(s, np.arange(order + 1))
+    a0 = np.hypot(alpha[:, 0].real, alpha[:, 0].imag)  # as abs() rounds a scalar
+    step = len(gammas)
+    radii = [np.linspace(0.05, 0.8 * (1.0 - g), 6)[None, :] for g in gamma[:step].tolist()]  # one row per gamma
+    slack = np.empty((len(samples), 6))
+    for k, r in enumerate(radii):
+        totals = recentred_area_total(SeriesStack(alpha[k::step]), r, gamma[k]).total
+        slack[k::step] = 1.0 + recentred_slack(r, a0[k::step, None], gamma[k]) - totals
+    worst, witness = np.inf, {}
+    if slack.size:
+        # the first minimum in sample order, as a running strict minimum finds it
+        i, j = np.unravel_index(np.argmin(slack), slack.shape)
+        worst, r = slack[i, j], float(radii[i % step][0, j])
+        witness = {"sample": int(i), "gamma": float(gamma[i]), "r": r, "a0_abs": float(a0[i])}
     return CheckReport.from_slack("recentred-slack-certificate", len(samples), worst, witness, tol)
 
 

@@ -455,9 +455,11 @@ def recentred_consistency_reference(n_samples: int = 25, seed: int = 42, order: 
 
 
 def recentred_slack_certificate_reference(
-    n_samples: int = 30, gammas=(0.0, 0.3, 0.6), order: int = 96, seed: int = 42, tol: float = 1e-8
+    n_samples: int = 30, gammas=(0.0, 0.3, 0.6), order: int = 96, seed: int = 42, tol: float = 1e-8,
+    weight: float = 8.0 / 9.0,
 ):
-    """``check_recentred_slack_certificate`` with one scalar call per radius."""
+    """``check_recentred_slack_certificate`` with one ``numeric_taylor`` call per
+    sample and one scalar call per radius."""
     from bohrlab import verify
     from bohrlab.series import PowerSeries, numeric_taylor
 
@@ -471,8 +473,8 @@ def recentred_slack_certificate_reference(
         alpha = PowerSeries(c.coeffs / s ** np.arange(order + 1))
         a0 = abs(alpha.coeffs[0])
         for r in np.linspace(0.05, 0.8 * (1.0 - gamma), 6):
-            total = verify.recentred_area_total(alpha, float(r), gamma).total
-            cap = 1.0 + verify.recentred_slack(float(r), a0, gamma)
+            total = verify.recentred_area_total(alpha, float(r), gamma, weight).total
+            cap = 1.0 + verify.recentred_slack(float(r), a0, gamma, weight)
             if cap - total < worst:
                 worst = cap - total
                 witness = {"sample": i, "gamma": gamma, "r": float(r), "a0_abs": float(a0)}

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bohrlab
-from bohrlab import cli, solver, verify
+from bohrlab import cli, conjecture, solver, verify
 from bohrlab.cli import SWEEP_THEOREMS, THEOREMS, main
 from bohrlab.extremals import family_stack, mobius_family_coeffs, sharpness_a_grid
 from bohrlab.functionals import bohr_total
@@ -326,7 +326,8 @@ def test_conjecture_command(tmp_path):
     code, text = run_cli("conjecture", "--gammas", "0,0.5", "--grid", "32", "--out", str(out))
     assert code == 0
     lines = text.splitlines()
-    assert len(lines) == 2 and all(" K*=" in line and " K_cert=" in line for line in lines)
+    assert len(lines) == 3 and all(" K*=" in line and " K_cert=" in line for line in lines[:2])
+    assert lines[2].startswith("note: the witness sits on the window corner (a=0.99, r=r0) at gamma=0, 0.5:")
     rows = out.read_text().splitlines()
     assert rows[0] == "gamma,K_hat,a_witness,r_witness,refinements"
     assert len(rows) == 3
@@ -367,6 +368,32 @@ def test_conjecture_gamma_past_its_cap_is_a_usage_error(tmp_path, capsys, gammas
         err = capsys.readouterr().err
         assert "--gammas: every gamma must be at most 0.999" in err and "weight bump" in err
     assert "[0, 0.999]" in " ".join(cli.build_parser()[1]["conjecture"].format_help().split())
+
+
+def test_conjecture_notes_the_corner_witnesses_once_and_keeps_its_csv(tmp_path):
+    # gamma = 0.99's witness lies inside the window (a = 0.975...), the others on its corner
+    out = tmp_path / "c.csv"
+    code, text = run_cli("conjecture", "--gammas", "0,0.25,0.99,0.5,0.9", "--out", str(out))
+    assert code == 0
+    notes = [line for line in text.splitlines() if line.startswith("note:")]
+    assert notes == ["note: the witness sits on the window corner (a=0.99, r=r0) at gamma=0, 0.25, 0.5, 0.9: "
+                     "the minimum is on the window's edge, where K_hat tends to K* as a -> 1"]
+    estimates = conjecture.sweep_conjecture([0.0, 0.25, 0.99, 0.5, 0.9])
+    assert [conjecture.at_window_corner(e) for e in estimates] == [True, True, False, True, True]
+    # the CSV the command wrote before it printed the note, byte for byte
+    assert out.read_bytes() == (
+        b"gamma,K_hat,a_witness,r_witness,refinements\r\n"
+        b"0.0,1.7956561702986769,0.99,0.3333333333333333,0\r\n"
+        b"0.25,3.998111297555683,0.99,0.38461538461538464,0\r\n"
+        b"0.99,79642.10420979194,0.975079365079365,0.49874686716791977,0\r\n"
+        b"0.5,11.364201107211564,0.99,0.42857142857142855,0\r\n"
+        b"0.9,418.10167580541304,0.99,0.48717948717948717,0\r\n"
+    )
+
+
+def test_conjecture_prints_no_corner_note_when_no_witness_is_on_the_corner():
+    code, text = run_cli("conjecture", "--gammas", "0.99")
+    assert code == 0 and "note:" not in text
 
 
 def test_conjecture_runs_up_to_its_gamma_cap_and_sweep_past_it():

@@ -5,13 +5,16 @@ import dataclasses
 
 import mpmath
 import numpy as np
+import pytest
 import sympy as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bohrlab import functionals
 from bohrlab.conjecture import (
+    MAX_GAMMA,
     _ratio_grid,
+    check_gammas,
     estimate_constant,
     non_monotonic_pairs,
     sweep_conjecture,
@@ -33,6 +36,25 @@ def test_single_gamma_estimate():
     assert 0.0 < est.witness_a < 1.0
     assert 0.0 < est.witness_r <= functionals.sharp_majorant_radius(0.0)
     assert len(est.grid_stats["levels"]) == 1
+
+
+@pytest.mark.parametrize("gamma", [0.9996, 0.9999, np.nextafter(MAX_GAMMA, 1.0)])
+def test_estimate_past_the_gamma_cap_raises(gamma):
+    # past the cap the 1e-6 bump of witness_violates is lost in the rounding of
+    # the witness's total: at 0.9996 K_hat = 1.8e8 lies above K* = 2.5e7, yet
+    # the witness read as no violation
+    with pytest.raises(ValueError, match="at most 0.999"):
+        estimate_constant(gamma)
+    with pytest.raises(ValueError, match="at most 0.999"):
+        sweep_conjecture([0.5, gamma])
+    with pytest.raises(ValueError, match="at most 0.999"):
+        check_gammas([0.0, gamma, 0.5])
+    check_gammas([0.0, MAX_GAMMA])
+
+
+def test_estimate_at_the_gamma_cap_is_a_violating_family_witness():
+    est = estimate_constant(MAX_GAMMA)
+    assert witness_violates(est) and est.k_hat >= family_limit_weight(MAX_GAMMA)
 
 
 def test_gamma_zero_bracket_runs_from_eight_ninths_to_sixteen_ninths():

@@ -100,7 +100,7 @@ def test_family_coefficients_equal_the_full_power_vector(a, gamma, order):
 
 @settings(max_examples=60)
 @given(
-    order=st.sampled_from([1, 16, 2048]),
+    order=st.sampled_from([1, 16, 31, 2048]),
     rows=st.lists(
         st.tuples(
             # a below 1e-3 keeps q tiny, so the 2^-1100 underflow cut stores zeros
@@ -110,20 +110,37 @@ def test_family_coefficients_equal_the_full_power_vector(a, gamma, order):
         min_size=1, max_size=6,
     ),
     harmonic=st.booleans(),
+    r_max=st.one_of(st.none(), st.floats(0.0, 0.999)),
 )
-@example(order=2048, rows=[(1e-150, 0.0, 0.5, 0.5), (0.3, 0.5, 1.0, 1.0), (1.0 - 2.0**-14, 0.9, 0.0, 0.7)], harmonic=True)
-def test_family_stack_rows_equal_the_member_builders_bit_for_bit(order, rows, harmonic):
+@example(order=2048, rows=[(1e-150, 0.0, 0.5, 0.5), (0.3, 0.5, 1.0, 1.0), (1.0 - 2.0**-14, 0.9, 0.0, 0.7)],
+         harmonic=True, r_max=None)
+@example(order=2048, rows=[(5e-4, 0.2, 1.0, 0.5), (1.0 - 2.0**-14, 0.0, 0.3, 1.0)], harmonic=False, r_max=0.9)
+@example(order=31, rows=[(5e-4, 0.2, 1.0, 0.5), (1.0 - 2.0**-14, 0.6, 0.3, 1.0)], harmonic=True, r_max=0.5)
+@example(order=1, rows=[(1e-150, 0.0, 1.0, 1.0), (1.0 - 2.0**-14, 0.3, 1.0, 1.0)], harmonic=True, r_max=None)
+def test_family_stack_rows_equal_the_member_builders_bit_for_bit(order, rows, harmonic, r_max):
     # rows: (a, gamma, k, lambda), a gamma and a weight k * lambda per row as
     # the deficit identity check draws them
     a, gamma, k, lam = map(np.array, zip(*rows))
-    stacks = family_stack(a, gamma, order, k * lam) if harmonic else (family_stack(a, gamma, order),)
+    stacks = (family_stack(a, gamma, order, k * lam, r_max=r_max) if harmonic
+              else (family_stack(a, gamma, order, r_max=r_max),))
+    n = stacks[0].order
+    assert n == order if r_max is None else n <= order
     for i, (a_i, gamma_i, k_i, lam_i) in enumerate(rows):
         members = (harmonic_extremal(a_i, gamma_i, k_i * lam_i, order) if harmonic
                    else (mobius_family_coeffs(a_i, gamma_i, order),))
         for stack, member in zip(stacks, members, strict=True):
-            assert stack.order == order and stack.coeffs.shape == (len(rows), order + 1)
-            assert stack.coeffs[i].tolist() == member.coeffs.tolist()
+            assert stack.order == n and stack.coeffs.shape == (len(rows), n + 1)
+            assert stack.coeffs[i].tolist() == member.coeffs[: n + 1].tolist()
             assert (stack.tail.q[i], stack.tail.C[i]) == (member.tail.q, member.tail.C)
+        # and against the reference that computes every power, underflowed ones
+        # included: the stack and the member builders share one row writer
+        reference = family_coeffs_reference(a_i, gamma_i, order)[: n + 1]
+        assert not np.any(reference.imag)
+        assert np.array_equal(stacks[0].coeffs[i], reference.real)
+        if harmonic:
+            g = k_i * lam_i * reference.real
+            g[0] = 0.0
+            assert np.array_equal(stacks[1].coeffs[i], g)
 
 
 @pytest.mark.parametrize("weight", [None, 0.35, 1.0])

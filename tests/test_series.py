@@ -6,6 +6,7 @@ import pytest
 from bohrlab.series import (
     DiskDomain,
     PowerSeries,
+    SeriesStack,
     TailBound,
     numeric_taylor,
     recenter_affine,
@@ -104,6 +105,11 @@ def test_numeric_taylor_rejects_bad_input():
         numeric_taylor(lambda z: z, 4, samples=8)
     with pytest.raises(ValueError):
         numeric_taylor(lambda z: 1.0, 4)  # one value, not one per sample point
+    with pytest.raises(ValueError):
+        numeric_taylor(lambda z: [z, z * np.nan], 4)  # one non-finite row
+    for bad in (lambda z: [z[1:], z[1:]], lambda z: [[z]]):  # rows one short, a third axis
+        with pytest.raises(ValueError, match="one row of them per function"):
+            numeric_taylor(bad, 4)
 
 
 def test_numeric_taylor_propagates_errors_from_the_function():
@@ -136,6 +142,10 @@ def test_taylor_coefficients_rows_equal_numeric_taylor():
              for c, d in zip(centres, shifts)]
     rows = taylor_coefficients(np.array([f(z) for f in funcs]), 8, 0.5)
     assert rows.shape == (5, 9)
+    stack = numeric_taylor(lambda u: [f(u) for f in funcs], 8, 0.5)
+    assert isinstance(stack, SeriesStack) and stack.order == 8
+    assert np.array_equal(stack.coeffs, rows)
+    assert not stack.tail.q.any() and not stack.tail.C.any()  # no certificates
     for row, f in zip(rows, funcs):
         assert np.array_equal(row, numeric_taylor(f, 8, 0.5).coeffs)
 
@@ -189,6 +199,22 @@ def test_recenter_tail_metadata():
     p = PowerSeries(np.array([1.0, 0.5]), TailBound(0.5, 1.0))
     assert recenter_affine(p, 0.5).tail == TailBound(0.25, 1.0)
     assert recenter_affine(PowerSeries(np.array([1.0, 0.5])), 0.5).tail is None
+
+
+def test_stacked_recenter_equals_the_member_calls_bit_for_bit():
+    rng = np.random.default_rng(8)
+    members = [PowerSeries(random_decaying_series(rng, 24), TailBound(0.5, 2.0)) for _ in range(3)]
+    stack = SeriesStack(np.stack([m.coeffs for m in members]), np.full(3, 0.5), np.full(3, 2.0))
+    gammas = np.array([0.0, 0.4, 0.85])
+    for gamma in (0.3, gammas):  # one gamma for all, one per member
+        rescaled = recenter_affine(stack, gamma)
+        for i, member in enumerate(members):
+            alone = recenter_affine(member, float(np.broadcast_to(gamma, 3)[i]))
+            assert np.array_equal(rescaled.coeffs[i], alone.coeffs)
+            assert (rescaled.tail.q[i], rescaled.tail.C[i]) == (alone.tail.q, alone.tail.C)
+    for bad in (1.0, -0.1, np.array([0.2, 0.3]), np.array([0.2, 1.0, 0.3])):
+        with pytest.raises(ValueError, match="gamma"):
+            recenter_affine(stack, bad)
 
 
 def test_tail_bound_validation_and_soundness_spot_check():

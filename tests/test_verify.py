@@ -17,6 +17,7 @@ from bohrlab.verify import (
     CheckReport,
     area_coupling,
     bounded_on_disk_domain,
+    certified_area_weight,
     check_coefficient_bounds,
     check_dilatation_coefficients,
     check_family_deficit_identity,
@@ -51,6 +52,7 @@ from oracles import (
     recentred_slack_certificate_reference,
     ruscheweyh_reference,
     schwarz_pick_reference,
+    stack_of,
 )
 
 
@@ -86,6 +88,9 @@ def test_value_and_deriv_equals_call_and_reference_derivative():
     (check_ruscheweyh, ruscheweyh_reference, {"n_samples": 100}),
     (check_family_deficit_identity, family_deficit_identity_reference, {"n_samples": 40}),
     (check_recentred_slack_certificate, recentred_slack_certificate_reference, {"n_samples": 30}),
+    (check_ruscheweyh, ruscheweyh_reference, {"n_samples": 7, "alphas": (0.5j, -0.6), "n_max": 12}),
+    (check_recentred_slack_certificate, recentred_slack_certificate_reference,
+     {"n_samples": 7, "gammas": (0.9, 0.2), "order": 48}),
     (check_dilatation_coefficients, dilatation_coefficients_reference, {"n_samples": 100}),
     (check_dilatation_coefficients, dilatation_coefficients_reference, {"n_samples": 30, "k": 0.9, "order": 64}),
     (check_coefficient_bounds, coefficient_bounds_reference, {"n_samples": 120}),
@@ -93,6 +98,7 @@ def test_value_and_deriv_equals_call_and_reference_derivative():
     (check_recentred_consistency, recentred_consistency_reference, {"n_samples": 25}),
     (check_recentred_consistency, recentred_consistency_reference, {"n_samples": 100, "order": 64}),
 ], ids=["schwarz-pick", "ruscheweyh", "family-deficit-identity", "recentred-slack-certificate",
+        "ruscheweyh-7-samples-2-centres-n12", "recentred-slack-certificate-7-samples-2-gammas-order48",
         "dilatation-coefficients", "dilatation-coefficients-k0.9-order64", "coefficient-bounds",
         "coefficient-bounds-7-samples-n24", "recentred-consistency", "recentred-consistency-100-order64"])
 def test_rewritten_checks_equal_their_per_sample_references(check, reference, kwargs, seed):
@@ -300,6 +306,9 @@ def test_recentred_functional_matches_centered_route():
     assert abs(direct - recentred) < 1e-12
 
 
+_FIELDS = ("total", "majorant", "correction", "tail_error")
+
+
 def test_vector_recentred_area_total_equals_scalar_calls():
     rng = np.random.default_rng(9)
     alpha = PowerSeries(random_decaying_series(rng, 96, 0.8))
@@ -308,14 +317,49 @@ def test_vector_recentred_area_total_equals_scalar_calls():
         vector = recentred_area_total(alpha, r, gamma)
         for j, rj in enumerate(r):
             scalar = recentred_area_total(alpha, float(rj), gamma)
-            for field in ("total", "majorant", "correction", "tail_error"):
+            for field in _FIELDS:
                 assert getattr(vector, field)[j] == getattr(scalar, field), field
             assert isinstance(scalar.total, float)
+    # a stack, its rows with and without a tail certificate: row i equals the
+    # call on member i alone, on a shared (1, R) row and at one r and gamma each
+    members = [PowerSeries(random_decaying_series(rng, 96, 0.8)) for _ in range(3)]
+    members += [mobius_family_coeffs(a, 0.2, 96) for a in (0.4, 0.93)]
+    stack = stack_of(members)
+    for gamma in (0.0, 0.3, 0.6):
+        row = np.linspace(0.05, 0.8 * (1.0 - gamma), 6)
+        shared = recentred_area_total(stack, row[None, :], gamma, weight=1.5)
+        assert shared.total.shape == (len(members), row.size)
+        for i, member in enumerate(members):
+            alone = recentred_area_total(member, row, gamma, weight=1.5)
+            for field in _FIELDS:
+                assert np.array_equal(getattr(shared, field)[i], getattr(alone, field)), field
+    gammas = np.array([0.0, 0.3, 0.6, 0.85, 0.45])
+    radii = np.array([0.7, 0.05, 0.3, 0.1, 0.5])
+    per_member = recentred_area_total(stack, radii, gammas)
+    for i, member in enumerate(members):
+        alone = recentred_area_total(member, float(radii[i]), float(gammas[i]))
+        for field in _FIELDS:
+            assert getattr(per_member, field)[i] == getattr(alone, field), field
+
+
+def test_stacked_recentred_area_total_rejects_bad_radii_and_gammas():
+    stack = stack_of([mobius_family_coeffs(a, 0.2, 32) for a in (0.4, 0.9)])
+    with pytest.raises(ValueError, match="radius"):
+        recentred_area_total(stack, np.array([0.1, 0.2, 0.3]), 0.2)
+    with pytest.raises(ValueError, match="gamma"):
+        recentred_area_total(stack, np.array([0.1, 0.2]), np.array([0.2, 1.0]))
 
 
 def test_recentred_slack_certificate_suite():
     report = check_recentred_slack_certificate(seed=42)
     assert report.passed
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 0.6, 0.9])
+def test_recentred_slack_certificate_holds_at_the_certified_weight(gamma):
+    # K_cert(gamma), the largest weight the recentred slack envelope proves (8/9 at gamma = 0)
+    report = recentred_slack_certificate_reference(gammas=(gamma,), seed=42, weight=certified_area_weight(gamma))
+    assert report.passed and report.worst_slack > 0.0
 
 
 def test_proof_internal_anchor_values():
