@@ -8,7 +8,7 @@ radius solvers, a sampled inequality-check suite, and a grid explorer for
 the best admissible area-correction weight.
 """
 
-from .conjecture import ConstantEstimate, estimate_constant, sweep_conjecture
+from .conjecture import ConstantEstimate, estimate_constant
 from .extremals import harmonic_extremal, mobius_family_coeffs, sharpness_a_grid
 from .functionals import (
     FunctionalValue,
@@ -33,6 +33,6 @@ from .series import (
     recenter_affine,
 )
 from .solver import RadiusResult, bohr_radius_of_function, family_infimum_radius
-from .verify import CheckReport, run_default_checks
+from .verify import CheckReport
 
 __version__ = "0.1.0"

@@ -309,12 +309,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    estimates = conjecture_mod.sweep_conjecture(
-        args.gammas,
-        grid=args.grid,
-        augment_samples=args.augment_random_samples,
-        seed=args.seed,
-    )
+    estimates = [
+        conjecture_mod.estimate_constant(gamma, grid=args.grid, augment_samples=args.augment_random_samples,
+                                         seed=args.seed)
+        for gamma in args.gammas
+    ]
     failures = 0
     floor = functionals.DEFAULT_AREA_WEIGHT - 1e-6
     for est in estimates:
@@ -371,7 +370,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=_at_least(0), default=42)
         p.add_argument("--out", default=None, help="artifact path (.json or .csv)")
         # also accepted after the subcommand; SUPPRESS keeps the top-level value
         p.add_argument("--config", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
@@ -434,6 +432,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--tol", type=_POSITIVE, default=1e-10)
     common(p)
 
+    for name in ("verify", "conjecture", "identity-check"):  # the commands that draw random samples
+        sub.choices[name].add_argument("--seed", type=_at_least(0), default=42)
     return parser, sub.choices
 
 

@@ -33,7 +33,6 @@ from .verify import bounded_on_disk_domain, random_blaschke
 __all__ = [
     "ConstantEstimate",
     "estimate_constant",
-    "sweep_conjecture",
     "non_monotonic_pairs",
     "write_estimates_csv",
     "witness_violates",
@@ -89,7 +88,6 @@ def estimate_constant(
     grid: int = 64,
     augment_samples: int = 0,
     seed: int = 42,
-    augment_order: int = 192,
 ) -> ConstantEstimate:
     """The family ratio's minimum on a grid x grid lattice of the window
     a in ``A_BOUNDS``, r in [``R_MIN``, r0], lowered by any augmented sample's;
@@ -110,7 +108,7 @@ def estimate_constant(
         aug_min, aug_idx = np.inf, None
         for s in range(augment_samples):
             f = bounded_on_disk_domain(random_blaschke(rng), domain)
-            p = numeric_taylor(f, augment_order, rho=0.9)
+            p = numeric_taylor(f, 192, rho=0.9)
             ratio = _ratio(
                 functionals.majorant(p, r_vals), functionals.dirichlet_area(p, r_vals * (1.0 - gamma))
             )
@@ -145,21 +143,16 @@ def at_window_corner(estimate: ConstantEstimate) -> bool:
     return (estimate.witness_a, estimate.witness_r) == (A_BOUNDS[1], sharp_majorant_radius(estimate.gamma))
 
 
-def witness_violates(estimate: ConstantEstimate, bump: float = 1e-6, order: int = DEFAULT_ORDER) -> bool:
+def witness_violates(estimate: ConstantEstimate, bump: float = 1e-6) -> bool:
     """True when raising the weight to k_hat + bump makes the stored family
     witness exceed one; only meaningful for family witnesses (finite a)."""
     if not np.isfinite(estimate.witness_a):
         return False
-    p = mobius_family_coeffs(estimate.witness_a, estimate.gamma, order)
+    p = mobius_family_coeffs(estimate.witness_a, estimate.gamma, DEFAULT_ORDER)
     value = functionals.area_refined_total(
         p, estimate.witness_r, estimate.gamma, weight=estimate.k_hat + bump
     )
     return value.total > 1.0
-
-
-def sweep_conjecture(gammas: Sequence[float], **kwargs) -> list[ConstantEstimate]:
-    """Run :func:`estimate_constant` across a gamma grid, in grid order."""
-    return [estimate_constant(float(g), **kwargs) for g in gammas]
 
 
 def non_monotonic_pairs(estimates: Sequence[ConstantEstimate]) -> list[tuple[float, float]]:

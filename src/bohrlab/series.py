@@ -54,8 +54,8 @@ class TailBound:
 class PowerSeries:
     """Coefficients a_0..a_N of an analytic function.
 
-    The arithmetic never depends on where the expansion is centered; a series
-    about a point c is evaluated by passing z - c to :meth:`evaluate`.
+    The arithmetic never depends on where the expansion is centered: the
+    coefficients of a series about a point c stand for sum a_n (z - c)^n.
     """
 
     coeffs: np.ndarray
@@ -84,21 +84,6 @@ class PowerSeries:
         computes them so that each is computed once per series (the
         evaluators' weight tables in :mod:`functionals`)."""
         return {}
-
-    def evaluate(self, z):
-        """Evaluate at z (scalar or array).  For a series about c pass z - c.
-
-        Horner's rule as ``numpy.polynomial.polynomial.polyval`` runs it, so
-        the value equals polyval's bit for bit."""
-        c = self.coeffs
-        z = np.asarray(z) if isinstance(z, (list, tuple)) else z
-        value = c[-1] + z * 0
-        for i in range(2, c.size + 1):
-            value = c[-i] + value * z
-        return value
-
-    def __call__(self, z):
-        return self.evaluate(z)
 
 
 class SeriesStack:
@@ -203,14 +188,6 @@ class DiskDomain:
 
     def __post_init__(self) -> None:
         _check_gamma(self.gamma)
-
-    @property
-    def center(self) -> float:
-        return -self.gamma / (1.0 - self.gamma)
-
-    @property
-    def radius(self) -> float:
-        return 1.0 / (1.0 - self.gamma)
 
     @property
     def coefficient_ratio_sup(self) -> float:

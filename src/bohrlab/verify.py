@@ -1,10 +1,10 @@
 """Executable checks for the inequalities behind the radius computations.
 
 Each check samples functions (random products of disk-automorphism factors,
-members of the closed-form extremal family, or user-supplied callables),
-evaluates both sides of one inequality on a grid, and reports the worst slack
-together with the parameters that witness it.  A report passes when the worst
-slack stays above minus the assertion tolerance.
+which :func:`default_checks` draws and sizes, or members of the closed-form
+extremal family), evaluates both sides of one inequality on a grid, and
+reports the worst slack together with the parameters that witness it.  A
+report passes when the worst slack stays above minus the assertion tolerance.
 
 The module also carries the named closed forms that drive the bounds: slack
 certificates and the scalar envelopes whose sign and monotonicity structure
@@ -52,7 +52,6 @@ __all__ = [
     "harmonic_radius_cap",
     "shape_reports",
     "default_checks",
-    "run_default_checks",
     "reports_to_json",
 ]
 
@@ -97,7 +96,7 @@ class BlaschkeProduct:
     """
 
     zeros: tuple
-    rotation: complex = 1.0 + 0.0j
+    rotation: complex
 
     def __call__(self, z):
         z = np.asarray(z, dtype=np.complex128)
@@ -105,9 +104,6 @@ class BlaschkeProduct:
         for w in self.zeros:
             out = out * (w - z) / (1.0 - np.conjugate(w) * z)
         return out[()] if out.ndim == 0 else out
-
-    def deriv(self, z):
-        return self.value_and_deriv(z)[1]
 
     def value_and_deriv(self, z):
         """(f(z), f'(z)), each factor's w - z and 1 - conj(w) z formed once."""
@@ -127,14 +123,13 @@ class BlaschkeProduct:
         return value[()], total[()]
 
 
-def random_blaschke(rng, max_factors: int = 4, zero_radius: float = 0.9, rotate: bool = True) -> BlaschkeProduct:
-    """Product of 1..max_factors factors with zeros uniform in |z| <= zero_radius."""
-    n = int(rng.integers(1, max_factors + 1))
-    radii = zero_radius * np.sqrt(rng.uniform(0.0, 1.0, n))
+def random_blaschke(rng) -> BlaschkeProduct:
+    """Product of 1 to 4 factors with zeros uniform in |z| <= 0.9, uniformly rotated."""
+    n = int(rng.integers(1, 5))
+    radii = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, n))
     angles = rng.uniform(0.0, 2.0 * np.pi, n)
     zeros = tuple(radii * np.exp(1j * angles))
-    rotation = complex(np.exp(2j * np.pi * rng.uniform())) if rotate else 1.0 + 0.0j
-    return BlaschkeProduct(zeros, rotation)
+    return BlaschkeProduct(zeros, complex(np.exp(2j * np.pi * rng.uniform())))
 
 
 def _blaschke_stream(seed: int) -> Callable[[int], list]:
@@ -166,9 +161,9 @@ def bounded_on_disk_domain(sample: Callable, domain: DiskDomain) -> Callable:
     return lambda w: sample(domain.to_unit_disk(w))
 
 
-def _disk_grid(n_radii: int = 20, n_angles: int = 50, r_max: float = 0.95) -> np.ndarray:
-    radii = np.linspace(0.05, r_max, n_radii)
-    angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
+def _disk_grid() -> np.ndarray:
+    radii = np.linspace(0.05, 0.95, 20)
+    angles = 2.0 * np.pi * np.arange(50) / 50
     return (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
 
 
@@ -176,26 +171,16 @@ def _disk_grid(n_radii: int = 20, n_angles: int = 50, r_max: float = 0.95) -> np
 # sampled inequality checks
 
 
-def check_schwarz_pick(
-    n_samples: int = 200,
-    seed: int = 42,
-    tol: float = 1e-10,
-    samples: Sequence | None = None,
-    grid: np.ndarray | None = None,
-) -> CheckReport:
+def check_schwarz_pick(samples: Sequence[BlaschkeProduct]) -> CheckReport:
     """Pointwise growth bound |f(z)| <= (r+|f(0)|)/(1+|f(0)|r) and derivative
-    bound |f'(z)| <= (1-|f(z)|^2)/(1-|z|^2) for bounded analytic samples,
-    by default the first n_samples products of the seed's stream."""
-    if samples is None:
-        samples = _blaschke_stream(seed)(n_samples)
-    z = _disk_grid() if grid is None else np.asarray(grid)
+    bound |f'(z)| <= (1-|f(z)|^2)/(1-|z|^2) for the given products."""
+    z = _disk_grid()
     r = np.abs(z)
     one_minus_r2 = 1.0 - r**2
     worst = np.inf
     witness: dict = {}
     for idx, f in enumerate(samples):
-        pair = f.value_and_deriv(z) if isinstance(f, BlaschkeProduct) else (f(z), f.deriv(z))
-        vals, derivs = (np.abs(np.asarray(v)) for v in pair)
+        vals, derivs = (np.abs(np.asarray(v)) for v in f.value_and_deriv(z))
         f0 = abs(complex(f(0.0)))
         growth = (r + f0) / (1.0 + f0 * r) - vals
         slope = (1.0 - vals**2) / one_minus_r2 - derivs
@@ -204,45 +189,31 @@ def check_schwarz_pick(
             if slack[j] < worst:
                 worst = float(slack[j])
                 witness = {"sample": idx, "inequality": label, "z": [float(z[j].real), float(z[j].imag)]}
-    return CheckReport.from_slack("schwarz-pick", len(samples), worst, witness, tol)
+    return CheckReport.from_slack("schwarz-pick", len(samples), worst, witness, 1e-10)
 
 
 def check_coefficient_bounds(
-    n_samples: int = 120,
-    gammas: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 0.9),
-    n_max: int = 16,
-    seed: int = 42,
-    tol: float = NUMERIC_TOL,
-    rho: float = 0.5,
-    samples: Sequence | None = None,
+    samples: Sequence, gammas: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 0.9), n_max: int = 16
 ) -> CheckReport:
     """|a_n| <= (1 - |a_0|^2)/(1 + gamma) for the unit-disk coefficients of
     functions bounded on the enlarged disk (gamma = 0 is the classical bound);
-    sample i, by default product i of the seed's stream, is carried onto the
-    disk of gammas[i % len(gammas)], and one ``numeric_taylor`` call expands
-    every sample."""
-    if samples is None:
-        samples = _blaschke_stream(seed)(n_samples)
+    sample i is carried onto the disk of gammas[i % len(gammas)], and one
+    ``numeric_taylor`` call expands every sample."""
     gamma = np.array([float(gammas[i % len(gammas)]) for i in range(len(samples))])
     domains = [DiskDomain(g) for g in gamma.tolist()]
     coeffs = numeric_taylor(lambda z: [bounded_on_disk_domain(f, d)(z) for f, d in zip(samples, domains)],
-                            n_max, rho).coeffs
+                            n_max, 0.5).coeffs
     a0 = np.hypot(coeffs[:, 0].real, coeffs[:, 0].imag)  # as abs() rounds a scalar
     # float_power squares as Python's float ** does
     slack = ((1.0 - np.float_power(a0, 2)) / (1.0 + gamma))[:, None] - np.abs(coeffs[:, 1:])
     # the first minimum in sample order, as a running strict minimum finds it
     i, j = np.unravel_index(np.argmin(slack), slack.shape)
     witness = {"sample": int(i), "gamma": float(gamma[i]), "n": int(j) + 1, "a0_abs": float(a0[i])}
-    return CheckReport.from_slack("coefficient-bounds", len(samples), slack[i, j], witness, tol)
+    return CheckReport.from_slack("coefficient-bounds", len(samples), slack[i, j], witness, NUMERIC_TOL)
 
 
 def check_ruscheweyh(
-    n_samples: int = 100,
-    alphas: Sequence[complex] = (0.0, 0.3, -0.45, 0.25j, -0.2 - 0.35j),
-    n_max: int = 8,
-    seed: int = 42,
-    tol: float = NUMERIC_TOL,
-    samples: Sequence | None = None,
+    samples: Sequence, alphas: Sequence[complex] = (0.0, 0.3, -0.45, 0.25j, -0.2 - 0.35j), n_max: int = 8
 ) -> CheckReport:
     """Off-center derivative bound
     |f^(n)(alpha)| / n! <= (1 - |f(alpha)|^2) / ((1-|alpha|)^(n-1) (1-|alpha|^2)).
@@ -250,11 +221,8 @@ def check_ruscheweyh(
     Derivatives are Taylor coefficients of f(alpha + s u), which keeps them
     well conditioned; each sample is evaluated on every centre's circle at
     once, and one FFT call expands every finite (sample, centre) row.  A row
-    with a non-finite value is skipped and counted.  The samples default to
-    the first n_samples products of the seed's stream.
+    with a non-finite value is skipped and counted.
     """
-    if samples is None:
-        samples = _blaschke_stream(seed)(n_samples)
     powers = np.arange(1, n_max + 1, dtype=float)
     centres = [complex(alpha) for alpha in alphas]
     scales = [0.45 * (1.0 - abs(alpha)) for alpha in centres]
@@ -276,19 +244,10 @@ def check_ruscheweyh(
         worst, alpha = float(slack[i, row, j]), centres[row]
         witness = {"sample": int(i), "alpha": [alpha.real, alpha.imag], "n": int(j) + 1}
     witness["skipped"] = int(finite.size - np.count_nonzero(finite))
-    return CheckReport.from_slack("ruscheweyh-derivatives", len(samples) * len(alphas), worst, witness, tol)
+    return CheckReport.from_slack("ruscheweyh-derivatives", len(samples) * len(alphas), worst, witness, NUMERIC_TOL)
 
 
-def check_dilatation_coefficients(
-    n_samples: int = 100,
-    k: float = 0.5,
-    order: int = 128,
-    seed: int = 42,
-    tol: float = NUMERIC_TOL,
-    r_grid: np.ndarray | None = None,
-    rho: float = 0.92,
-    samples: Sequence | None = None,
-) -> CheckReport:
+def check_dilatation_coefficients(samples: Sequence, k: float = 0.5, order: int = 128) -> CheckReport:
     """Coefficient inequality sum |b_n|^2 r^n <= k^2 sum |a_n|^2 r^n for
     co-analytic parts g with |g'| <= k |h'|.
 
@@ -296,21 +255,17 @@ def check_dilatation_coefficients(
     omega.  The closed-form harmonic family is left out: its g = k*lambda*(h -
     h(0)) has the slack k^2 |a_0|^2 + k^2 (1 - lambda^2) sum_{n>=1} |a_n|^2 r^n
     >= 0 by construction.  Sample i takes its h and omega from products 2i
-    and 2i+1 of ``samples``, by default the seed's stream.
+    and 2i+1 of ``samples``.
     """
-    if samples is None:
-        samples = _blaschke_stream(seed)(2 * n_samples)
-    if r_grid is None:
-        r_grid = np.linspace(0.05, 0.9, 18)
-    r_grid = np.asarray(r_grid, dtype=float)
+    r_grid = np.linspace(0.05, 0.9, 18)
     worst = np.inf
     witness: dict = {}
     powers = r_grid[None, :] ** np.arange(order + 1, dtype=float)[:, None]
-    z = _circle(8 * order, rho)
+    z = _circle(8 * order, 0.92)
     n = np.arange(1, order + 1)
     for i, (h_sample, omega_sample) in enumerate(zip(samples[::2], samples[1::2])):
         # h and omega expanded by one FFT
-        h, omega = taylor_coefficients(np.stack([h_sample(z), omega_sample(z)]), order, rho)
+        h, omega = taylor_coefficients(np.stack([h_sample(z), omega_sample(z)]), order, 0.92)
         b = np.zeros(order + 1, dtype=np.complex128)
         # the first `order` terms of omega h', from the terms of omega that reach them
         b[1:] = k * np.convolve(omega[:order], h[1:] * n)[:order] / n
@@ -319,7 +274,7 @@ def check_dilatation_coefficients(
         if slacks[j] < worst:
             worst = float(slacks[j])
             witness = {"sample": i, "kind": "integrated-dilatation", "k": k, "r": float(r_grid[j])}
-    return CheckReport.from_slack("dilatation-coefficients", len(samples) // 2, worst, witness, tol)
+    return CheckReport.from_slack("dilatation-coefficients", len(samples) // 2, worst, witness, NUMERIC_TOL)
 
 
 # ----------------------------------------------------------------------
@@ -443,9 +398,7 @@ def recentred_area_total(
     return FunctionalValue(m + weight * area, m, weight * area, r, m_tail + weight * area_tail)
 
 
-def check_recentred_consistency(
-    n_samples: int = 25, seed: int = 42, order: int = 128, tol: float = 1e-12
-) -> CheckReport:
+def check_recentred_consistency(n_samples: int = 25, seed: int = 42, order: int = 128) -> CheckReport:
     """The centered and recentred evaluations of the area-refined total must
     agree on the extremal family.  Each route evaluates all samples in one
     call on their family stack, one radius and gamma per member."""
@@ -463,25 +416,17 @@ def check_recentred_consistency(
     if worst_resid > 0.0:
         i = resids.index(worst_resid)  # the first maximum, as a running strict maximum finds it
         witness = {"sample": i, "gamma": float(gammas[i]), "a": float(a_values[i]), "r": float(radii[i])}
-    return CheckReport.from_slack("recentred-consistency", n_samples, -worst_resid, witness, tol)
+    return CheckReport.from_slack("recentred-consistency", n_samples, -worst_resid, witness, 1e-12)
 
 
 def check_recentred_slack_certificate(
-    n_samples: int = 30,
-    gammas: Sequence[float] = (0.0, 0.3, 0.6),
-    order: int = 96,
-    seed: int = 42,
-    tol: float = NUMERIC_TOL,
-    samples: Sequence | None = None,
+    samples: Sequence, gammas: Sequence[float] = (0.0, 0.3, 0.6), order: int = 96
 ) -> CheckReport:
     """recentred_area_total <= 1 + recentred_slack(r, |alpha_0|) for bounded
-    samples expanded about gamma, by default the first n_samples products of
-    the seed's stream; ties the slack certificate to its meaning.  Sample i
-    is expanded about gammas[i % len(gammas)]: one ``numeric_taylor`` call
-    expands every sample, and one stacked call per gamma sums its samples on
-    that gamma's radius row."""
-    if samples is None:
-        samples = _blaschke_stream(seed)(n_samples)
+    samples expanded about gamma; ties the slack certificate to its meaning.
+    Sample i is expanded about gammas[i % len(gammas)]: one ``numeric_taylor``
+    call expands every sample, and one stacked call per gamma sums its samples
+    on that gamma's radius row."""
     gamma = np.array([float(gammas[i % len(gammas)]) for i in range(len(samples))])
     s = 0.9 * (1.0 - gamma)
 
@@ -502,7 +447,7 @@ def check_recentred_slack_certificate(
         i, j = np.unravel_index(np.argmin(slack), slack.shape)
         worst, r = slack[i, j], float(radii[i % step][0, j])
         witness = {"sample": int(i), "gamma": float(gamma[i]), "r": r, "a0_abs": float(a0[i])}
-    return CheckReport.from_slack("recentred-slack-certificate", len(samples), worst, witness, tol)
+    return CheckReport.from_slack("recentred-slack-certificate", len(samples), worst, witness, NUMERIC_TOL)
 
 
 # Samples per stacked evaluator call in check_family_deficit_identity.  Its
@@ -564,9 +509,10 @@ def check_family_deficit_identity(
 # grid assertions on the scalar closed forms
 
 
-def shape_reports(grid: int = 400) -> list[CheckReport]:
+def shape_reports() -> list[CheckReport]:
     """Sign and monotonicity checks of the scalar closed forms on dense grids."""
     reports: list[CheckReport] = []
+    grid = 400
 
     def add(name, samples, worst, witness=None, tol=1e-12):
         reports.append(CheckReport.from_slack("shape:" + name, samples, worst, witness or {}, tol))
@@ -671,10 +617,10 @@ SHAPE_CHECKS = tuple("shape:" + name for name in """
 
 
 def default_checks(seed: int = 42, fast: bool = False) -> dict[str, Callable[[], CheckReport]]:
-    """Every check by report name, in a fixed order, each a thunk with its
-    default sample size; the shape checks share one shape_reports() call, and
-    the sampled checks the seed's one stream of products: each gets the first
-    n (dilatation the first 2n), just what it draws alone."""
+    """Every check by report name, in a fixed order, each a thunk; the shape
+    checks share one shape_reports() call.  This is the one place that draws
+    and sizes the sampled checks' samples: each gets the first n products of
+    the seed's one stream (dilatation the first 2n, as n pairs)."""
     scale = 0.4 if fast else 1.0
 
     def n(base: int) -> int:
@@ -682,20 +628,15 @@ def default_checks(seed: int = 42, fast: bool = False) -> dict[str, Callable[[],
 
     first = _blaschke_stream(seed)
     checks = {
-        "schwarz-pick": lambda: check_schwarz_pick(samples=first(n(200))),
-        "coefficient-bounds": lambda: check_coefficient_bounds(samples=first(n(120))),
-        "ruscheweyh-derivatives": lambda: check_ruscheweyh(samples=first(n(100))),
-        "dilatation-coefficients": lambda: check_dilatation_coefficients(samples=first(2 * n(100))),
+        "schwarz-pick": lambda: check_schwarz_pick(first(n(200))),
+        "coefficient-bounds": lambda: check_coefficient_bounds(first(n(120))),
+        "ruscheweyh-derivatives": lambda: check_ruscheweyh(first(n(100))),
+        "dilatation-coefficients": lambda: check_dilatation_coefficients(first(2 * n(100))),
         "family-deficit-identity":
             lambda: check_family_deficit_identity(n(100), seed, 1024 if fast else 2048),
         "recentred-consistency": lambda: check_recentred_consistency(seed=seed),
-        "recentred-slack-certificate": lambda: check_recentred_slack_certificate(samples=first(n(30))),
+        "recentred-slack-certificate": lambda: check_recentred_slack_certificate(first(n(30))),
     }
     shapes = functools.cache(lambda: {report.name: report for report in shape_reports()})
     checks.update({name: lambda name=name: shapes()[name] for name in SHAPE_CHECKS})
     return checks
-
-
-def run_default_checks(seed: int = 42, fast: bool = False) -> list[CheckReport]:
-    """All checks with their default sample sizes, in a fixed order."""
-    return [check() for check in default_checks(seed, fast).values()]

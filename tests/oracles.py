@@ -18,7 +18,6 @@ assert that the batched code equals them bit for bit.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 from itertools import pairwise
 from typing import Callable
 
@@ -198,8 +197,10 @@ def area_upper_bound(a0_abs: float, r: float) -> float:
 
 
 def disk_domain_contains(domain, z) -> np.ndarray:
-    """Whether z lies in the open disk of ``domain`` (a ``DiskDomain``)."""
-    return np.abs(np.asarray(z) - domain.center) < domain.radius
+    """Whether z lies in the open disk of ``domain`` (a ``DiskDomain``): centre
+    -g/(1-g), radius 1/(1-g)."""
+    g = domain.gamma
+    return np.abs(np.asarray(z) + g / (1.0 - g)) < 1.0 / (1.0 - g)
 
 
 def from_unit_disk(domain, z):
@@ -214,18 +215,13 @@ def family_member(a: float, gamma: float, z):
     return (a - gamma - (1.0 - gamma) * z) / (1.0 - a * gamma - a * (1.0 - gamma) * z)
 
 
-@dataclass(frozen=True)
-class AnalyticSample:
-    """Callable-with-derivative wrapper for hand-built test functions."""
+def blaschke_samples(n: int, seed: int) -> list:
+    """The first n products of the seed's stream, as ``verify.default_checks``
+    draws them: ``random_blaschke`` on a fresh ``default_rng(seed)``."""
+    from bohrlab import verify
 
-    func: Callable
-    dfunc: Callable
-
-    def __call__(self, z):
-        return self.func(z)
-
-    def deriv(self, z):
-        return self.dfunc(z)
+    rng = np.random.default_rng(seed)
+    return [verify.random_blaschke(rng) for _ in range(n)]
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,14 @@ from bohrlab.series import DiskDomain, numeric_taylor
 from bohrlab.solver import family_infimum_radius
 from bohrlab.verify import random_blaschke
 
-from oracles import family_member, polynomial, quadrature_mean_square_derivative, random_decaying_series, stacked_bound
+from oracles import (
+    blaschke_samples,
+    family_member,
+    polynomial,
+    quadrature_mean_square_derivative,
+    random_decaying_series,
+    stacked_bound,
+)
 
 GAMMA_GRID = [round(0.1 * i, 10) for i in range(10)]
 A_GRID = [float(a) for a in sharpness_a_grid(14)]
@@ -172,10 +179,10 @@ def test_criterion_07_harmonic_radii():
 
 def test_criterion_08_inequality_suites():
     reports = [
-        verify.check_schwarz_pick(n_samples=200, seed=42),
-        verify.check_coefficient_bounds(n_samples=120, seed=42),
-        verify.check_ruscheweyh(n_samples=100, seed=42),
-        verify.check_dilatation_coefficients(n_samples=100, seed=42),
+        verify.check_schwarz_pick(blaschke_samples(200, 42)),
+        verify.check_coefficient_bounds(blaschke_samples(120, 42)),
+        verify.check_ruscheweyh(blaschke_samples(100, 42)),
+        verify.check_dilatation_coefficients(blaschke_samples(200, 42)),  # 100 (h, omega) pairs
     ]
     ok = all(r.samples >= 100 and r.worst_slack >= -1e-8 for r in reports)
     detail = "; ".join(f"{r.name}: n={r.samples} slack={r.worst_slack:+.1e}" for r in reports)
@@ -225,7 +232,7 @@ def test_criterion_11_oracle_equivalence():
 
 def test_criterion_12_constant_explorer():
     floor = 8.0 / 9.0 - 1e-6
-    estimates = conjecture.sweep_conjecture([0.0, 0.25, 0.5, 0.75, 0.9])
+    estimates = [conjecture.estimate_constant(gamma) for gamma in (0.0, 0.25, 0.5, 0.75, 0.9)]
     floor_ok = all(e.k_hat >= floor for e in estimates)
     witness_ok = all(conjecture.witness_violates(e, bump=1e-6) for e in estimates)
     limit_ok = all(e.k_hat >= extremals.family_limit_weight(e.gamma) for e in estimates)

@@ -171,6 +171,8 @@ def test_usage_error_exit_code():
         ["conjecture", "--refinements", "1"],
         ["identity-check", "--samples", "0"],
         ["verify", "--seed", "-1"],
+        ["radius", "--theorem", "B", "--seed", "1"],  # only the commands that draw random samples take a seed
+        ["sweep", "--seed", "1"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -378,7 +380,7 @@ def test_conjecture_notes_the_corner_witnesses_once_and_keeps_its_csv(tmp_path):
     notes = [line for line in text.splitlines() if line.startswith("note:")]
     assert notes == ["note: the witness sits on the window corner (a=0.99, r=r0) at gamma=0, 0.25, 0.5, 0.9: "
                      "the minimum is on the window's edge, where K_hat tends to K* as a -> 1"]
-    estimates = conjecture.sweep_conjecture([0.0, 0.25, 0.99, 0.5, 0.9])
+    estimates = [conjecture.estimate_constant(gamma) for gamma in (0.0, 0.25, 0.99, 0.5, 0.9)]
     assert [conjecture.at_window_corner(e) for e in estimates] == [True, True, False, True, True]
     # the CSV the command wrote before it printed the note, byte for byte
     assert out.read_bytes() == (
@@ -473,8 +475,10 @@ def test_abbreviated_flag_is_a_usage_error(tmp_path, capsys, argv, message):
         (["radius", "--theorem", "B"], {"order": 512.5}, "--order"),
         (["verify"], {"fast": 1}, "expected true or false"),
         (["radius", "--theorem", "B"], {"gama": 0.5}, "config key 'gama' names no option of radius"),
+        (["radius", "--theorem", "B"], {"seed": 1}, "config key 'seed' names no option of radius"),
     ],
-    ids=["list", "quoted-number", "out-of-range", "fraction-for-int", "number-for-switch", "unknown-key"],
+    ids=["list", "quoted-number", "out-of-range", "fraction-for-int", "number-for-switch", "unknown-key",
+         "seed-on-radius"],
 )
 def test_bad_config_file_is_a_usage_error(tmp_path, capsys, argv, config, message):
     cfg = tmp_path / "cfg.json"
@@ -616,9 +620,9 @@ def _text(name):
 # Options each command always gets (small sizes: --order <= 64, --samples <= 5, verify --fast),
 # then options it may get.
 _COMMAND_OPTIONS = {
-    "radius": (("theorem", "order"), ("gamma", "a", "k", "lambda", "K", "tol", "seed")),
+    "radius": (("theorem", "order"), ("gamma", "a", "k", "lambda", "K", "tol")),
     "verify": (("fast",), ("check", "seed")),
-    "sweep": (("order",), ("theorem", "gammas", "grid", "k", "lambda", "seed")),
+    "sweep": (("order",), ("theorem", "gammas", "grid", "k", "lambda")),
     "conjecture": ((), ("gammas", "grid", "augment-random-samples", "seed")),
     "identity-check": (("samples",), ("tol", "seed")),
 }
@@ -713,6 +717,30 @@ _SMALL_RUNS = {
     "conjecture": ["conjecture", "--gammas", "0.5", "--grid", "4"],
     "identity-check": ["identity-check", "--samples", "1"],
 }
+
+
+class _ReadLog(argparse.Namespace):
+    """A namespace that logs the name of every attribute read from it once ``reads`` is set."""
+
+    reads = None
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "reads")
+        if reads is not None:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("command", sorted(_SMALL_RUNS))
+def test_every_option_is_read_by_its_command(command):
+    # an option its handler never reads is accepted and then silently ignored
+    parser, commands = cli.build_parser()
+    args = parser.parse_args(_SMALL_RUNS[command], namespace=_ReadLog())
+    args.reads = set()
+    getattr(cli, "cmd_" + command.replace("-", "_"))(args)
+    # main itself reads --config (its SUPPRESS copy here has no dest) and verify's --all
+    options = {action.dest for action in commands[command]._actions if action.default is not argparse.SUPPRESS}
+    assert options - {"all"} - args.reads == set()
 
 
 @pytest.mark.parametrize("target", ["missing-dir", "a-dir", "missing-dir-csv"])

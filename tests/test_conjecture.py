@@ -17,7 +17,6 @@ from bohrlab.conjecture import (
     check_gammas,
     estimate_constant,
     non_monotonic_pairs,
-    sweep_conjecture,
     witness_violates,
     write_estimates_csv,
 )
@@ -46,8 +45,6 @@ def test_estimate_past_the_gamma_cap_raises(gamma):
     with pytest.raises(ValueError, match="at most 0.999"):
         estimate_constant(gamma)
     with pytest.raises(ValueError, match="at most 0.999"):
-        sweep_conjecture([0.5, gamma])
-    with pytest.raises(ValueError, match="at most 0.999"):
         check_gammas([0.0, gamma, 0.5])
     check_gammas([0.0, MAX_GAMMA])
 
@@ -68,7 +65,7 @@ def test_gamma_zero_bracket_runs_from_eight_ninths_to_sixteen_ninths():
 
 
 def test_sweep_floor_and_witness_validity():
-    estimates = sweep_conjecture([0.0, 0.25, 0.5, 0.75])
+    estimates = [estimate_constant(gamma) for gamma in (0.0, 0.25, 0.5, 0.75)]
     assert len(estimates) == 4
     for est in estimates:
         assert est.k_hat >= FLOOR
@@ -82,8 +79,8 @@ def test_high_gamma_probe():
 
 def test_determinism_bit_identical_csv(tmp_path):
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_estimates_csv(sweep_conjecture([0.0, 0.5], grid=32), f1)
-    write_estimates_csv(sweep_conjecture([0.0, 0.5], grid=32), f2)
+    write_estimates_csv([estimate_constant(gamma, grid=32) for gamma in (0.0, 0.5)], f1)
+    write_estimates_csv([estimate_constant(gamma, grid=32) for gamma in (0.0, 0.5)], f2)
     assert f1.read_bytes() == f2.read_bytes()
     header = f1.read_text().splitlines()[0]
     assert header == "gamma,K_hat,a_witness,r_witness,refinements"
@@ -98,7 +95,7 @@ def test_augmentation_only_lowers_the_estimate():
 
 
 def test_non_monotonic_pairs_are_diagnostics():
-    estimates = sweep_conjecture([0.0, 0.5], grid=32)
+    estimates = [estimate_constant(gamma, grid=32) for gamma in (0.0, 0.5)]
     pairs = non_monotonic_pairs(estimates)
     assert isinstance(pairs, list)
     # K_hat rises with K*, so nothing is flagged; a K_hat that falls while K* rises is
@@ -108,9 +105,9 @@ def test_non_monotonic_pairs_are_diagnostics():
     assert non_monotonic_pairs(estimates[::-1]) == []
 
 
-def test_degenerate_single_point_sweep():
-    estimates = sweep_conjecture([0.0], grid=32)
-    assert len(estimates) == 1
+def test_degenerate_single_point_sweep(tmp_path):
+    write_estimates_csv([estimate_constant(0.0, grid=32)], tmp_path / "one.csv")
+    assert len((tmp_path / "one.csv").read_text().splitlines()) == 2  # the header and one row
 
 
 def test_ratio_grid_matches_the_series_evaluator():

@@ -16,6 +16,9 @@ from pathlib import Path
 import pytest
 
 import bohrlab
+from bohrlab import conjecture, verify
+from bohrlab.series import DiskDomain, PowerSeries
+from bohrlab.verify import BlaschkeProduct
 
 SRC = Path(bohrlab.__file__).resolve().parent.parent
 MODULES = sorted(f"bohrlab.{m.name}" for m in pkgutil.iter_modules(bohrlab.__path__))
@@ -32,9 +35,24 @@ def test_the_package_keeps_no_test_only_series_helpers():
     assert not any(hasattr(bohrlab, name) for name in ("mul", "differentiate"))
 
 
+def test_the_package_keeps_no_name_that_no_command_reaches():
+    # tests evaluate a series with numpy's polyval, and draw check samples with oracles.blaschke_samples
+    removed = {
+        bohrlab: ("sweep_conjecture", "run_default_checks"),
+        verify: ("run_default_checks",),
+        conjecture: ("sweep_conjecture",),
+        PowerSeries: ("evaluate", "__call__"),
+        BlaschkeProduct: ("deriv",),
+        DiskDomain: ("center", "radius"),
+    }
+    # vars, not hasattr: every class has a __call__, its type's
+    assert [(owner.__name__, name) for owner, names in removed.items() for name in names
+            if name in vars(owner)] == []
+
+
 def test_cli_import_loads_no_test_dependency():
     # the oracles' arbitrary-precision and property-test libraries stay out of src/, and
-    # numpy.polynomial too: PowerSeries.evaluate runs polyval's Horner loop itself
+    # numpy.polynomial too: tests evaluate series with its polyval, and no command needs it
     code = ("import sys, bohrlab.cli; "
             "print(sorted({'sympy', 'mpmath', 'hypothesis', 'numpy.polynomial'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,

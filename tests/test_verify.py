@@ -1,5 +1,6 @@
 """Inequality check suite: trivial cases, closed-form oracles, and determinism."""
 
+import functools
 import json
 
 import numpy as np
@@ -14,6 +15,7 @@ from bohrlab.extremals import (
 )
 from bohrlab.series import DiskDomain, PowerSeries, numeric_taylor
 from bohrlab.verify import (
+    BlaschkeProduct,
     CheckReport,
     area_coupling,
     bounded_on_disk_domain,
@@ -34,19 +36,19 @@ from bohrlab.verify import (
     recentred_slack,
     recentred_slack_envelope,
     reports_to_json,
-    run_default_checks,
     shape_reports,
     weighted_area_slack,
 )
 
 from bohrlab import verify
 from oracles import (
-    AnalyticSample,
     automorphism_coeffs,
     blaschke_deriv_reference,
+    blaschke_samples,
     coefficient_bounds_reference,
     dilatation_coefficients_reference,
     family_deficit_identity_reference,
+    from_unit_disk,
     random_decaying_series,
     recentred_consistency_reference,
     recentred_slack_certificate_reference,
@@ -65,7 +67,7 @@ def test_blaschke_product_bounded_and_derivative():
         h = 1e-7
         for w in (0.2 + 0.1j, -0.4j):
             fd = (b(w + h) - b(w - h)) / (2 * h)
-            assert abs(b.deriv(w) - fd) < 1e-6
+            assert abs(b.value_and_deriv(w)[1] - fd) < 1e-6
 
 
 def test_value_and_deriv_equals_call_and_reference_derivative():
@@ -76,10 +78,20 @@ def test_value_and_deriv_equals_call_and_reference_derivative():
         value, deriv = b.value_and_deriv(z)
         assert np.array_equal(value, b(z))
         assert np.array_equal(deriv, blaschke_deriv_reference(b, z))
-        assert np.array_equal(b.deriv(z), deriv)
         value0, deriv0 = b.value_and_deriv(0.3 - 0.2j)
         assert value0 == b(0.3 - 0.2j) and deriv0 == blaschke_deriv_reference(b, 0.3 - 0.2j)
         assert np.ndim(value0) == 0 and np.ndim(deriv0) == 0
+
+
+# The checks that take their products as their first argument
+_TAKE_SAMPLES = (check_schwarz_pick, check_coefficient_bounds, check_ruscheweyh, check_dilatation_coefficients,
+                 check_recentred_slack_certificate)
+
+
+def on_stream(check, n_samples, seed, **kwargs):
+    """``check`` on the first n_samples products of the seed's stream (dilatation: n_samples pairs)."""
+    per_sample = 2 if check is check_dilatation_coefficients else 1
+    return check(blaschke_samples(per_sample * n_samples, seed), **kwargs)
 
 
 @pytest.mark.parametrize("seed", [42, 5, 7])
@@ -102,7 +114,8 @@ def test_value_and_deriv_equals_call_and_reference_derivative():
         "dilatation-coefficients", "dilatation-coefficients-k0.9-order64", "coefficient-bounds",
         "coefficient-bounds-7-samples-n24", "recentred-consistency", "recentred-consistency-100-order64"])
 def test_rewritten_checks_equal_their_per_sample_references(check, reference, kwargs, seed):
-    assert check(seed=seed, **kwargs) == reference(seed=seed, **kwargs)
+    run = functools.partial(on_stream, check) if check in _TAKE_SAMPLES else check
+    assert run(seed=seed, **kwargs) == reference(seed=seed, **kwargs)
 
 
 @pytest.mark.parametrize("seed", [42, 5, 7])
@@ -140,7 +153,7 @@ def test_shared_sample_stream_reports_equal_each_check_alone(seed, fast):
     checks = verify.default_checks(seed, fast)
     # in reverse, so the first check run draws the whole pool
     for name, (check, n, n_fast) in reversed(_SAMPLED.items()):
-        assert checks[name]() == check(n_samples=n_fast if fast else n, seed=seed), name
+        assert checks[name]() == on_stream(check, n_fast if fast else n, seed), name
     assert checks["recentred-consistency"]() == check_recentred_consistency(seed=seed)
 
 
@@ -165,14 +178,14 @@ def test_dilatation_samples_equal_the_per_sample_reference(monkeypatch):
     monkeypatch.setattr(verify, "random_blaschke", lambda rng: (lambda f: lambda z: 10.0 * f(z))(blaschke(rng)))
     for seed in (42, 5):
         for n in range(1, 9):
-            report = check_dilatation_coefficients(n_samples=n, seed=seed)
+            report = on_stream(check_dilatation_coefficients, n, seed)
             assert report.witness["kind"] == "integrated-dilatation"
             assert report == dilatation_coefficients_reference(n_samples=n, seed=seed)
 
 
 def test_dilatation_report_reads_its_random_samples():
     # no closed-form row (whose k = 0 cases had slack exactly 0) joins the fold
-    report = check_dilatation_coefficients(seed=42)
+    report = on_stream(check_dilatation_coefficients, 100, 42)
     assert report.samples == 100 and report.passed
     assert report.witness == {"sample": 45, "kind": "integrated-dilatation", "k": 0.5, "r": 0.05}
     assert report.worst_slack == pytest.approx(3.1715e-4, rel=1e-4)
@@ -182,38 +195,35 @@ def test_ruscheweyh_skips_and_counts_non_finite_rows(monkeypatch):
     # the identity, but NaN right of Re z = 0.25, which only the circle about 0.3 reaches
     nan_near = lambda rng: (lambda z: np.where(z.real > 0.25, np.nan, z))
     monkeypatch.setattr(verify, "random_blaschke", nan_near)
-    report = check_ruscheweyh(n_samples=3)
+    report = check_ruscheweyh(blaschke_samples(3, 42))
     assert report.witness["skipped"] == 3
     assert report.witness["alpha"] != [0.3, 0.0]
     assert report == ruscheweyh_reference(n_samples=3)
 
 
 def test_schwarz_pick_identity_map_has_zero_slack():
-    ident = AnalyticSample(lambda z: np.asarray(z), lambda z: np.ones_like(np.asarray(z, dtype=complex)))
-    report = check_schwarz_pick(samples=[ident])
+    ident = BlaschkeProduct((0j,), -1)  # -(0 - z) = z
+    report = check_schwarz_pick([ident])
     assert report.passed
     assert abs(report.worst_slack) < 1e-12
 
 
 def test_schwarz_pick_constant_sample():
-    const = AnalyticSample(
-        lambda z: np.full_like(np.asarray(z, dtype=complex), 0.3),
-        lambda z: np.zeros_like(np.asarray(z, dtype=complex)),
-    )
-    report = check_schwarz_pick(samples=[const])
+    const = BlaschkeProduct((), 0.3)
+    report = check_schwarz_pick([const])
     assert report.passed
     assert report.worst_slack > 0.0
 
 
 def test_schwarz_pick_random_suite():
-    report = check_schwarz_pick(n_samples=200, seed=42)
+    report = check_schwarz_pick(blaschke_samples(200, 42))
     assert report.passed
     assert report.samples == 200
     assert report.worst_slack >= -1e-10
 
 
 def test_coefficient_bounds_suite_and_constant():
-    report = check_coefficient_bounds(n_samples=120, seed=42)
+    report = check_coefficient_bounds(blaschke_samples(120, 42))
     assert report.passed and report.worst_slack >= -1e-8
     # constant sample: every higher coefficient vanishes, slack is the bound itself
     gamma = 0.5
@@ -235,7 +245,7 @@ def test_coefficient_bound_near_extremality():
 
 
 def test_ruscheweyh_suite():
-    report = check_ruscheweyh(n_samples=100, seed=42)
+    report = check_ruscheweyh(blaschke_samples(100, 42))
     assert report.passed and report.worst_slack >= -1e-8
     assert report.witness["skipped"] == 0
 
@@ -250,10 +260,10 @@ def test_ruscheweyh_automorphism_closed_form():
 
 
 def test_dilatation_coefficients_suite_and_zero_case():
-    report = check_dilatation_coefficients(n_samples=100, seed=42)
+    report = on_stream(check_dilatation_coefficients, 100, 42)
     assert report.passed and report.worst_slack >= -1e-8
     # k = 0 forces g identically zero: b = 0, so every slack is exactly 0
-    zero = check_dilatation_coefficients(n_samples=10, k=0.0, seed=42)
+    zero = on_stream(check_dilatation_coefficients, 10, 42, k=0.0)
     assert zero.passed and zero.worst_slack == 0.0 and zero.samples == 10
 
 
@@ -351,7 +361,7 @@ def test_stacked_recentred_area_total_rejects_bad_radii_and_gammas():
 
 
 def test_recentred_slack_certificate_suite():
-    report = check_recentred_slack_certificate(seed=42)
+    report = check_recentred_slack_certificate(blaschke_samples(30, 42))
     assert report.passed
 
 
@@ -405,13 +415,13 @@ def test_bounded_on_disk_domain_stays_bounded():
     rng = np.random.default_rng(4)
     dom = DiskDomain(0.6)
     f = bounded_on_disk_domain(random_blaschke(rng), dom)
-    w = (dom.center + 0.98 * dom.radius * np.exp(2j * np.pi * np.arange(32) / 32))
+    w = from_unit_disk(dom, 0.98 * np.exp(2j * np.pi * np.arange(32) / 32))
     assert np.all(np.abs(f(w)) <= 1.0 + 1e-10)
 
 
 def test_reports_json_round_trip_and_determinism():
-    r1 = run_default_checks(seed=42, fast=True)
-    r2 = run_default_checks(seed=42, fast=True)
+    r1 = [check() for check in verify.default_checks(seed=42, fast=True).values()]
+    r2 = [check() for check in verify.default_checks(seed=42, fast=True).values()]
     assert reports_to_json(r1) == reports_to_json(r2)
     parsed = json.loads(reports_to_json(r1))
     assert all(set(item) == {"name", "samples", "worst_slack", "witness", "passed", "tolerance"} for item in parsed)
