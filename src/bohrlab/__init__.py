@@ -19,7 +19,6 @@ from .functionals import (
     domain_ratio_area_total,
     harmonic_total,
     majorant,
-    norm_f0,
     norm_refined_total,
     sharp_harmonic_radius,
     sharp_majorant_radius,

@@ -292,8 +292,10 @@ def cmd_sweep(args) -> int:
             # only the theorem's own parameter gets a nonzero column
             k, lam = (x if bound.param == name else 0.0 for name in ("k", "lambda"))
             r_values = np.linspace(0.0, bound.radius(gamma, x), args.grid)
-            # the whole family in one stack, every member on the one radius row
-            family = family_stack(a_grid, gamma, args.order, values["k"] if bound.harmonic else None)
+            # the whole family in one stack, every member on the one radius row; its rows
+            # stop where the grid's largest radius stops reading them
+            family = family_stack(a_grid, gamma, args.order, values["k"] if bound.harmonic else None,
+                                  r_max=r_values[-1])
             fv = bound.total(family, r_values[None, :], gamma, x)
             violations += int(np.count_nonzero(fv.padded() > 1.0))
             rows += fv.total.size
@@ -401,14 +403,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub.add_parser("sweep", help="tabulate one bound over the (gamma, a, r) grid", allow_abbrev=False)
     p.add_argument("--theorem", choices=SWEEP_THEOREMS, default="1")
     p.add_argument("--gammas", type=_parse_gammas, default="0:0.9:10",
-                   help=f"a comma list or start:stop:count of at most {_MAX_GAMMAS} values (about 8 ms and "
-                   "125 KB of --out per gamma at the default --grid: at most about 8 s and 125 MB)")
+                   help=f"a comma list or start:stop:count of at most {_MAX_GAMMAS} values (about 4 ms and "
+                   "125 KB of --out per gamma at the default --grid: at most about 4 s and 125 MB)")
     p.add_argument("--grid", type=_between(1, _MAX_SWEEP_GRID), default=64,
                    help=f"radii per (gamma, a) pair, at most {_MAX_SWEEP_GRID} (with --out about 8 KB "
                    "and 0.1 ms per radius and gamma: at most about 35 MB and 0.4 s per gamma)")
     p.add_argument("--k", type=_UNIT, default=None)
     p.add_argument("--lambda", dest="lam", type=_LAMBDA, default=None)
-    p.add_argument("--order", type=_ORDER, default=DEFAULT_ORDER, help=_ORDER_HELP)
+    p.add_argument("--order", type=_ORDER, default=DEFAULT_ORDER,
+                   help=f"{_ORDER_HELP}; each gamma's rows stop where its grid's largest radius stops reading "
+                   "them (32 or 64 terms at the defaults), never past --order")
     common(p)
 
     p = sub.add_parser("conjecture", help="estimate the best admissible area weight per gamma",
@@ -432,8 +436,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--tol", type=_POSITIVE, default=1e-10)
     common(p)
 
+    seed_help = {"conjecture": "seeds only --augment-random-samples: without them the output is the same at "
+                 "every seed"}
     for name in ("verify", "conjecture", "identity-check"):  # the commands that draw random samples
-        sub.choices[name].add_argument("--seed", type=_at_least(0), default=42)
+        sub.choices[name].add_argument("--seed", type=_at_least(0), default=42, help=seed_help.get(name))
     return parser, sub.choices
 
 

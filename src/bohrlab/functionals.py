@@ -33,7 +33,6 @@ __all__ = [
     "FunctionalValue",
     "SeriesStack",
     "majorant",
-    "norm_f0",
     "dirichlet_area",
     "bohr_total",
     "area_refined_total",
@@ -223,6 +222,7 @@ def _majorant(p: PowerSeries, r):
 
 
 def _norm_f0(p: PowerSeries, r):
+    """The squared-coefficient norm of the constant-free part, sum_{n>=1} |a_n|^2 r^{2n}."""
     # squares are products: Python's float ** 2 and numpy's can round apart
     value, skipped = _power_sum(_terms(p, "norm"), r * r)
     if p.tail is None:
@@ -249,12 +249,6 @@ def majorant(p: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:
     """Sum of |a_n| r^n over the stored coefficients, up to the cut."""
     _check_radius(r, p)
     return _majorant(p, r)[0]
-
-
-def norm_f0(p: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:
-    """Squared-coefficient norm of the constant-free part: sum_{n>=1} |a_n|^2 r^{2n}."""
-    _check_radius(r, p)
-    return _norm_f0(p, r)[0]
 
 
 def dirichlet_area(p: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:

@@ -535,10 +535,24 @@ def family_infimum_reference(bound_for: Callable, a, gamma: float, tol: float = 
     )
 
 
+def sweep_order(a_grid, gamma: float, r_max: float, order: int) -> int:
+    """The order a sweep's rows stop at: the shortest N in 32, 64, 128, ...
+    with C x^(N+1) / (1 - x) <= 2^-60, x = q r_max, on every member, at
+    most ``order``."""
+    from bohrlab.extremals import family_constants
+
+    tails = [(float(q) * r_max, float(c)) for _, q, c in (family_constants(a, gamma) for a in a_grid)]
+    n = 32
+    while n < order and any(c * x ** (n + 1) / (1.0 - x) > 2.0**-60 for x, c in tails):
+        n *= 2
+    return min(n, order)
+
+
 def sweep_csv_reference(args) -> str:
     """``cli.cmd_sweep`` as it wrote its CSV: every row a list of cells, each
-    float written by ``csv.writer`` as its repr.  Writes ``args.out`` and
-    returns the stdout line."""
+    float written by ``csv.writer`` as its repr, each member its own series
+    at the order of :func:`sweep_order`.  Writes ``args.out`` and returns the
+    stdout line."""
     import csv
     from pathlib import Path
 
@@ -546,14 +560,16 @@ def sweep_csv_reference(args) -> str:
     from bohrlab.extremals import sharpness_a_grid
 
     bound = cli.BOUNDS[args.theorem]
+    a_grid = sharpness_a_grid(14).tolist()
     rows, violations = [], 0
     for gamma in args.gammas:
         values = cli._parameters(args, gamma)
         x = values.get(bound.param)
         columns = [x if bound.param == name else 0.0 for name in ("k", "lambda")]
         r_values = np.linspace(0.0, bound.radius(gamma, x), args.grid)
-        for a in sharpness_a_grid(14).tolist():
-            fv = bound.total(cli._series(bound, a, gamma, values["k"], args.order), r_values, gamma, x)
+        order = sweep_order(a_grid, gamma, float(r_values[-1]), args.order)
+        for a in a_grid:
+            fv = bound.total(cli._series(bound, a, gamma, values["k"], order), r_values, gamma, x)
             violations += int(np.count_nonzero(fv.padded() > 1.0))
             fields = (r_values, fv.total, fv.majorant, fv.correction, fv.tail_error)
             for cells in zip(*(f.tolist() for f in fields)):

@@ -8,7 +8,9 @@ import subprocess
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from bohrlab import cli, conjecture, solver, verify
 from bohrlab.cli import SWEEP_THEOREMS, THEOREMS, main
 from bohrlab.extremals import family_stack, mobius_family_coeffs, sharpness_a_grid
 from bohrlab.functionals import bohr_total
+from bohrlab.series import DEFAULT_ORDER
 from bohrlab.solver import UPPER_LIMIT
 
 from oracles import bisection_radius, member_radius_root, member_series_stack, sweep_csv_reference
@@ -323,6 +326,46 @@ def test_sweep_csv_bytes_equal_the_csv_writer_reference(property_dir, argv):
     assert out.read_bytes() == ref.read_bytes()
 
 
+@pytest.mark.parametrize("theorem", SWEEP_THEOREMS)
+def test_sweep_rows_stop_at_the_grid_radius_and_keep_the_full_rows_cells(tmp_path, theorem):
+    # each gamma's stack stops where the grid's largest radius stops reading it
+    # (32 or 64 terms, against 2,049); every cell stays within an ulp of the
+    # full-order stack's, tail_error within 2^-58, and the row and violation
+    # counts are the full stack's
+    gammas = [0.0, 0.37, 0.9, 0.99]
+    bound = cli.BOUNDS[theorem]
+    orders = []
+
+    def recording_family_stack(*args, **kwargs):
+        stack = family_stack(*args, **kwargs)
+        orders.append((stack[0] if bound.harmonic else stack).order)
+        return stack
+
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--theorem", theorem, "--gammas", ",".join(map(repr, gammas))]
+    with mock.patch.object(cli, "family_stack", recording_family_stack):
+        code, line = run_cli(*argv, "--out", str(out))
+        assert run_cli(*argv, "--order", "40")[0] == code
+    assert len(orders) == 2 * len(gammas)
+    assert max(orders[: len(gammas)]) <= 128 and max(orders[len(gammas):]) <= 40
+    with out.open(newline="") as fh:
+        cells = np.array([list(map(float, row)) for row in list(csv.reader(fh))[1:]]).reshape(len(gammas), 14, 64, 9)
+    args = cli.build_parser()[0].parse_args(argv)
+    violations = 0
+    for gamma, swept in zip(gammas, cells):
+        values = cli._parameters(args, gamma)
+        x = values.get(bound.param)
+        r_values = np.linspace(0.0, bound.radius(gamma, x), 64)
+        full = bound.total(family_stack(sharpness_a_grid(14), gamma, DEFAULT_ORDER,
+                                        values["k"] if bound.harmonic else None), r_values[None, :], gamma, x)
+        for column, value in enumerate((full.total, full.majorant, full.correction), start=5):
+            assert np.all(np.abs(swept[..., column] - value) <= np.spacing(np.abs(value)))
+        assert np.all(np.abs(swept[..., 8] - full.tail_error) <= 2.0**-58)
+        violations += int(np.count_nonzero(full.padded() > 1.0))
+    assert line == f"sweep theorem {theorem}: {len(gammas) * 14 * 64} rows, {violations} admissibility violations\n"
+    assert code == (0 if violations == 0 else 1)
+
+
 def test_conjecture_command(tmp_path):
     out = tmp_path / "conj.csv"
     code, text = run_cli("conjecture", "--gammas", "0,0.5", "--grid", "32", "--out", str(out))
@@ -333,6 +376,14 @@ def test_conjecture_command(tmp_path):
     rows = out.read_text().splitlines()
     assert rows[0] == "gamma,K_hat,a_witness,r_witness,refinements"
     assert len(rows) == 3
+
+
+def test_conjecture_seed_reaches_only_the_random_samples(tmp_path):
+    # with no --augment-random-samples nothing random is drawn: every seed gives the same output
+    runs = [run_cli("conjecture", "--gammas", "0,0.5", "--seed", seed, "--out", str(tmp_path / f"{seed}.csv"))
+            for seed in ("1", "2")]
+    assert runs[0] == runs[1]
+    assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
 
 
 def test_conjecture_default_csv_cells(tmp_path):

@@ -1,6 +1,9 @@
 """Bound evaluators against brute-force summation and quadrature oracles."""
 
+import contextlib
+import csv
 import dataclasses
+import io
 from unittest import mock
 
 import mpmath
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bohrlab import functionals
+from bohrlab import cli, functionals
 
 from bohrlab.extremals import (
     family_constants,
@@ -25,7 +28,6 @@ from bohrlab.functionals import (
     domain_ratio_area_total,
     harmonic_total,
     majorant,
-    norm_f0,
     norm_refined_total,
     sharp_harmonic_radius,
     sharp_majorant_radius,
@@ -75,7 +77,12 @@ def test_majorant_brute_force_oracle():
     assert abs(majorant(p, 0.25) - brute_force_majorant(0.5, 0.0, 0.25)) < 1e-12
 
 
-# Each sum's tail bound: the second value of its kernel, (sum, bound on the rest).
+# The norm sum, which no evaluator returns alone, is the first value of its
+# kernel, (sum, bound on the rest); each sum's tail bound is the second.
+def norm_f0(p, r):
+    return functionals._norm_f0(p, r)[0]
+
+
 def majorant_tail_bound(p, r):
     return functionals._majorant(p, r)[1]
 
@@ -640,3 +647,43 @@ def test_padded_totals_on_rows_cut_at_their_largest_radius_cover_the_whole_serie
     exact = _family_sums_50_digits(a, gamma, r)
     assert float(bohr_total(stack, radius).padded()[0]) >= exact[0] - _ROUNDING * exact[0]
     _assert_value_plus_tail_covers(stack, radius, exact)
+
+
+@settings(max_examples=30)
+@given(
+    theorem=st.sampled_from(["B", "1", "2", "3", "4"]),
+    gamma=st.floats(0.0, 0.99),
+    grid=st.integers(1, 64),
+    k=st.none() | st.floats(0.0, 1.0),
+    lam=st.none() | st.floats(0.05, 4.0),
+)
+def test_sweep_rows_cut_at_the_grid_radius_stay_certified(tmp_path_factory, theorem, gamma, grid, k, lam):
+    # sweep's rows stop where its largest radius stops reading them: every
+    # cell of every row still lies within tail_error (and the allowance
+    # above) of the whole member's closed form
+    out = tmp_path_factory.mktemp("sweep") / "sweep.csv"
+    argv = ["sweep", "--theorem", theorem, "--gammas", repr(gamma), "--grid", str(grid), "--out", str(out)]
+    argv += [] if k is None else ["--k", repr(k)]
+    argv += [] if lam is None else ["--lambda", repr(lam)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv)
+    with out.open(newline="") as fh:
+        rows = [list(map(float, row)) for row in list(csv.reader(fh))[1:]]
+    assert len(rows) == 14 * grid
+    for _, a, k_cell, lam_cell, r, *cells, tail in rows:
+        a0 = abs(float(family_constants(a, gamma)[0]))
+        series_sum, norm, area = _family_sums_50_digits(a, gamma, r)
+        with mpmath.workdps(50):
+            majorant_sum, correction = series_sum, mpmath.mpf(0)
+            if theorem == "1":
+                weight = mpmath.mpf(functionals.DEFAULT_AREA_WEIGHT)
+                correction = weight * _family_sums_50_digits(a, gamma, r * (1.0 - gamma))[2]
+            elif theorem == "2":
+                correction = (1 / (1 + mpmath.mpf(a0)) + r / (1 - mpmath.mpf(r))) * norm
+            elif theorem == "3":
+                correction = 2 * ((1 + mpmath.mpf(lam_cell)) / (1 + 2 * mpmath.mpf(lam_cell))) ** 2 * area
+            elif theorem == "4":  # the co-analytic part is k (h - h(0))
+                majorant_sum = a0 + (1 + mpmath.mpf(k_cell)) * (series_sum - a0)
+            exact = (majorant_sum + correction, majorant_sum, correction)
+            for cell, value in zip(cells, exact, strict=True):
+                assert abs(cell - value) <= tail + _ROUNDING * abs(value)
