@@ -150,9 +150,9 @@ def witness_violates(estimate: ConstantEstimate, bump: float = 1e-6) -> bool:
         return False
     p = mobius_family_coeffs(estimate.witness_a, estimate.gamma, DEFAULT_ORDER)
     value = functionals.area_refined_total(
-        p, estimate.witness_r, estimate.gamma, weight=estimate.k_hat + bump
+        p, np.array([estimate.witness_r]), estimate.gamma, weight=estimate.k_hat + bump
     )
-    return value.total > 1.0
+    return bool(value.total[0] > 1.0)
 
 
 def non_monotonic_pairs(estimates: Sequence[ConstantEstimate]) -> list[tuple[float, float]]:

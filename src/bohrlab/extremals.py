@@ -19,7 +19,6 @@ import math
 import numpy as np
 
 from .functionals import _CUT, _FIRST_LENGTH, DEFAULT_AREA_WEIGHT, SeriesStack
-from .series import DEFAULT_ORDER, PowerSeries, TailBound, _check_gamma
 
 __all__ = [
     "family_constants",
@@ -30,7 +29,6 @@ __all__ = [
     "family_harmonic_deficit",
     "mobius_family_coeffs",
     "harmonic_extremal",
-    "family_stack",
     "sharpness_a_grid",
 ]
 
@@ -94,65 +92,15 @@ def family_harmonic_deficit(r, a, gamma, k, lam):
     return (1.0 + gamma) - (1.0 + k * lam) * (1.0 + a) * (1.0 - gamma) * r / d
 
 
-def mobius_family_coeffs(a: float, gamma: float = 0.0, order: int = DEFAULT_ORDER) -> PowerSeries:
-    """Unit-disk Taylor coefficients of the family member at (a, gamma).
-
-    The series is A_0 - sum_{n>=1} C q^n z^n with the constants of
-    :func:`family_constants`, and it carries the exact tail certificate (q, C).
-    a = 0 degenerates (C divides by a), so a must lie in (0, 1).
-    """
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"a must lie in (0, 1), got {a}")
-    _check_gamma(gamma)
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    a0, q, scale = family_constants(a, gamma)
-    coeffs = np.zeros((1, order + 1))
-    _write_rows(coeffs, a0, np.array([q]), np.array([scale]))
-    return PowerSeries(coeffs[0], TailBound(q, scale))
-
-
-def _write_rows(coeffs: np.ndarray, a0, q, scale) -> None:
-    """Write member i, A_0 - sum_{n>=1} C q^n z^n, into the zeroed float64 row
-    i of ``coeffs``, every row by one broadcast power."""
-    # q**n < 2^-1100 rounds to zero, which libm is slow to reach: each row
-    # stops at its own cut and stays zero past it
-    kept = [min(coeffs.shape[1] - 1, int(1100.0 / -math.log2(x))) if x > 0.0 else 0 for x in q.tolist()]
-    n = np.arange(1, max(kept, default=0) + 1)
-    terms = coeffs[:, 1 : n.size + 1]
-    written = n <= np.array(kept)[:, None]
-    np.power(q[:, None], n, out=terms, where=written)
-    np.multiply(-scale[:, None], terms, out=terms, where=written)
-    coeffs[:, 0] = a0
-
-
-def harmonic_extremal(
-    a: float, gamma: float = 0.0, weight: float = 1.0, order: int = DEFAULT_ORDER
-) -> tuple[PowerSeries, PowerSeries]:
-    """Return (h, g) with h the family member at (a, gamma) and g = weight * (h - h(0)).
-
-    The dilatation g'/h' is the constant ``weight`` = k * lambda in [0, 1], so
-    |g'| <= k |h'| holds pointwise for any lambda in [0, 1].
-    """
-    if not 0.0 <= weight <= 1.0:
-        raise ValueError(f"weight must lie in [0, 1], got {weight}")
-    h = mobius_family_coeffs(a, gamma, order)
-    g_coeffs = weight * h.coeffs
-    g_coeffs[0] = 0.0
-    return h, PowerSeries(g_coeffs, TailBound(h.tail.q, weight * h.tail.C))
-
-
-def family_stack(a, gamma, order: int = DEFAULT_ORDER, weight=None, r_max=None):
-    """The members at (a, gamma), one stack row each, written in place: each
-    row, q and C equal :func:`mobius_family_coeffs` on that member bit for bit.
-    The coefficients are real, so the rows are float64, half the bytes of the
-    complex rows, and every evaluator value is unchanged: ``abs`` of a real x
-    equals the complex ``hypot(x, 0)`` bit for bit.
-
-    ``a``, ``gamma``, ``weight`` and ``r_max`` are floats or arrays, one entry
-    per row.  With a ``weight`` (k * lambda, in [0, 1]) the result is the
-    harmonic pair of stacks (h, g) that :func:`harmonic_extremal` gives member
-    by member.
+def mobius_family_coeffs(a, gamma, order: int, r_max=None) -> SeriesStack:
+    """The family members at (a, gamma), one stack row each: member i is
+    A_0 - sum_{n>=1} C q^n z^n with the constants of :func:`family_constants`,
+    written in place, with the exact tail certificate (q, C).  ``a``,
+    ``gamma`` and ``r_max`` are floats or arrays, one entry per row; a = 0
+    degenerates (C divides by a), so every a must lie in (0, 1).  The
+    coefficients are real, so the rows are float64, and every evaluator value
+    equals that of the complex member row: ``abs`` of a real x equals the
+    complex ``hypot(x, 0)`` bit for bit.
 
     With ``r_max``, the largest radius in [0, 1) at which each row will be
     read, the rows stop at the shortest order N in 32, 64, 128, ... (else
@@ -183,16 +131,33 @@ def family_stack(a, gamma, order: int = DEFAULT_ORDER, weight=None, r_max=None):
             length *= 2
         order = min(length, order)
     coeffs = np.zeros((a.size, order + 1))
-    _write_rows(coeffs, a0, q, scale)
-    h = SeriesStack(coeffs, q, scale)
-    if weight is None:
-        return h
-    weight = np.broadcast_to(np.asarray(weight, dtype=float), a.shape)
+    # q**n < 2^-1100 rounds to zero, which libm is slow to reach: each row
+    # stops at its own cut and stays zero past it
+    kept = [min(order, int(1100.0 / -math.log2(x))) if x > 0.0 else 0 for x in q.tolist()]
+    n = np.arange(1, max(kept, default=0) + 1)
+    terms = coeffs[:, 1 : n.size + 1]
+    written = n <= np.array(kept)[:, None]
+    np.power(q[:, None], n, out=terms, where=written)
+    np.multiply(-scale[:, None], terms, out=terms, where=written)
+    coeffs[:, 0] = a0
+    return SeriesStack(coeffs, q, scale)
+
+
+def harmonic_extremal(a, gamma, weight, order: int, r_max=None) -> tuple[SeriesStack, SeriesStack]:
+    """The harmonic pairs (h, g) at (a, gamma), one stack row per member: h is
+    :func:`mobius_family_coeffs` and g = weight * (h - h(0)), with ``weight``
+    (k * lambda, in [0, 1]) a float or an array, one entry per row.
+
+    The dilatation g'/h' is the constant ``weight``, so |g'| <= k |h'| holds
+    pointwise for any lambda in [0, 1].
+    """
+    h = mobius_family_coeffs(a, gamma, order, r_max)
+    weight = np.broadcast_to(np.asarray(weight, dtype=float), h.tail.q.shape)
     if not np.all((0.0 <= weight) & (weight <= 1.0)):
         raise ValueError(f"every weight must lie in [0, 1], got {weight}")
-    g = weight[:, None] * coeffs
+    g = weight[:, None] * h.coeffs
     g[:, 0] = 0.0
-    return h, SeriesStack(g, q, weight * scale)
+    return h, SeriesStack(g, h.tail.q, weight * h.tail.C)
 
 
 def sharpness_a_grid(j_max: int = 14) -> np.ndarray:

@@ -22,7 +22,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import functionals
-from .extremals import family_area_deficit, family_harmonic_deficit, family_norm_deficit, family_stack
+from .extremals import (family_area_deficit, family_harmonic_deficit, family_norm_deficit, harmonic_extremal,
+                        mobius_family_coeffs)
 from .functionals import DEFAULT_AREA_WEIGHT, FunctionalValue, sharp_majorant_radius
 from .series import DiskDomain, PowerSeries, SeriesStack, _circle, numeric_taylor, recenter_affine, taylor_coefficients
 
@@ -404,7 +405,7 @@ def check_recentred_consistency(n_samples: int = 25, seed: int = 42, order: int 
     call on their family stack, one radius and gamma per member."""
     u = np.random.default_rng(seed).random((n_samples, 3))
     gammas, a_values, radii = _uniform(u, np.array([0.0, 0.05, 0.05]), np.array([0.9, 0.95, 0.9])).T
-    stack = family_stack(a_values, gammas, order)
+    stack = mobius_family_coeffs(a_values, gammas, order)
     direct = functionals.area_refined_total(stack, radii, gammas).total
     # the stack's rows are real: divide a complex copy, which rounds as the
     # member's complex coefficients do (real division can round apart)
@@ -482,7 +483,7 @@ def check_family_deficit_identity(
         radii, ks, lams = _uniform(u[:, 2:], np.array([0.01, 0.0, 0.0]), np.array([0.9, 1.0, 1.0])).T
         if not np.all(a_values > gammas):  # the sharpness witnesses, whose A_0 = |A_0| the identities read
             raise ValueError("the deficit identities need a > gamma")
-        h, g = family_stack(a_values, gammas, order, ks * lams, r_max=radii)  # rows as long as the sums read
+        h, g = harmonic_extremal(a_values, gammas, ks * lams, order, r_max=radii)  # rows as long as the sums read
         # the norm table first: the area table then reuses its weights
         norms = functionals.norm_refined_total(h, radii).total.tolist()
         totals = zip(

@@ -9,10 +9,11 @@ derivative) live here too.
 
 The reference section keeps the plain per-sample versions of code that the
 package now runs batched: the uncached ``numeric_taylor``, the O(n^2)
-Blaschke derivative, the full family power vector, the conjecture grid
-built one member at a time, seven sampled checks, the family solve that
-ran one member after another and the per-member stack it solved on.  Tests
-assert that the batched code equals them bit for bit.
+Blaschke derivative, the full family power vector, one family member as its
+own complex series (the scalar reference of every family row), the
+conjecture grid built one member at a time, seven sampled checks, the family
+solve that ran one member after another and the per-member stack it solved
+on.  Tests assert that the batched code equals them bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable
 import mpmath
 import numpy as np
 
-from bohrlab.series import PowerSeries, TailBound
+from bohrlab.series import DEFAULT_ORDER, PowerSeries, TailBound
 
 
 def polynomial(coeffs) -> PowerSeries:
@@ -250,6 +251,25 @@ def family_coeffs_reference(a: float, gamma: float, order: int) -> np.ndarray:
     return coeffs
 
 
+def member(a: float, gamma: float, order: int = DEFAULT_ORDER) -> PowerSeries:
+    """One family member as its own complex series with its tail certificate
+    (q, C): the scalar reference for the rows ``mobius_family_coeffs`` writes,
+    each equal to its row bit for bit."""
+    from bohrlab.extremals import family_constants
+
+    _, q, scale = family_constants(a, gamma)
+    return PowerSeries(family_coeffs_reference(a, gamma, order), TailBound(q, scale))
+
+
+def harmonic_member(a: float, gamma: float, weight: float, order: int = DEFAULT_ORDER):
+    """The harmonic pair (h, g) of one member, h = :func:`member` and
+    g = weight * (h - h(0)): the scalar reference for ``harmonic_extremal``."""
+    h = member(a, gamma, order)
+    g_coeffs = weight * h.coeffs
+    g_coeffs[0] = 0.0
+    return h, PowerSeries(g_coeffs, TailBound(h.tail.q, weight * h.tail.C))
+
+
 def ratio_grid_reference(gamma: float, a_values: np.ndarray, r_values: np.ndarray) -> np.ndarray:
     """``conjecture._ratio_grid`` computing each member's (|A_0|, q, C) alone,
     in Python floats, as the family's properties did."""
@@ -393,8 +413,7 @@ def family_deficit_identity_reference(n_samples: int = 100, seed: int = 42, orde
     sample: once alone for the area and norm identities, once inside the
     harmonic pair."""
     from bohrlab import functionals, verify
-    from bohrlab.extremals import (family_area_deficit, family_harmonic_deficit, family_norm_deficit,
-                                   harmonic_extremal, mobius_family_coeffs)
+    from bohrlab.extremals import family_area_deficit, family_harmonic_deficit, family_norm_deficit
 
     rng = np.random.default_rng(seed)
     worst_resid, witness = 0.0, {}
@@ -407,14 +426,14 @@ def family_deficit_identity_reference(n_samples: int = 100, seed: int = 42, orde
         pref = (1.0 - a) / (1.0 - a * gamma)
         if not a > gamma:
             raise ValueError("the deficit identities need a > gamma")
-        p = mobius_family_coeffs(a, gamma, order)
+        p = member(a, gamma, order)
         resids = {
             "area": abs(functionals.area_refined_total(p, r, gamma).total
                         - (1.0 - (1.0 - a) * family_area_deficit(r, a, gamma))),
             "norm": abs(functionals.norm_refined_total(p, r).total
                         - (1.0 - pref * family_norm_deficit(r, a, gamma))),
         }
-        h, g = harmonic_extremal(a, gamma, k * lam, order)
+        h, g = harmonic_member(a, gamma, k * lam, order)
         resids["harmonic"] = abs(functionals.harmonic_total(h, g, r).total
                                  - (1.0 - pref * family_harmonic_deficit(r, a, gamma, k, lam)))
         for label, resid in resids.items():
@@ -428,7 +447,6 @@ def recentred_consistency_reference(n_samples: int = 25, seed: int = 42, order: 
     """``check_recentred_consistency`` drawing each sample's parameters with
     ``rng.uniform`` and building and evaluating one member at a time."""
     from bohrlab import functionals, verify
-    from bohrlab.extremals import mobius_family_coeffs
 
     rng = np.random.default_rng(seed)
     worst_resid, witness = 0.0, {}
@@ -436,7 +454,7 @@ def recentred_consistency_reference(n_samples: int = 25, seed: int = 42, order: 
         gamma = float(rng.uniform(0.0, 0.9))
         a = float(rng.uniform(0.05, 0.95))
         r = float(rng.uniform(0.05, 0.9))
-        p = mobius_family_coeffs(a, gamma, order)
+        p = member(a, gamma, order)
         direct = functionals.area_refined_total(p, r, gamma).total
         recentred = verify.recentred_area_total(
             PowerSeries(p.coeffs / (1.0 - gamma) ** np.arange(order + 1)),
@@ -499,13 +517,16 @@ def stack_of(members):
     return SeriesStack(np.stack([m.coeffs for m in members]), q, c)
 
 
-def member_series_stack(bound, a, gamma: float, k: float, order: int):
-    """The stack ``cli.cmd_radius`` solved on before ``family_stack``: each
-    member's own series from ``cli._series``, copied into complex
-    ``SeriesStack`` rows (h and g apart for a harmonic bound)."""
-    from bohrlab import cli
+def member_series(bound, a: float, gamma: float, k: float, order: int):
+    """The member at (a, gamma) as its own series: :func:`member`, or
+    :func:`harmonic_member`'s pair (h, g) for a harmonic bound."""
+    return harmonic_member(a, gamma, k, order) if bound.harmonic else member(a, gamma, order)
 
-    members = [cli._series(bound, float(x), gamma, k, order) for x in a]
+
+def member_series_stack(bound, a, gamma: float, k: float, order: int):
+    """The members' own series from :func:`member_series`, copied into
+    complex ``SeriesStack`` rows (h and g apart for a harmonic bound)."""
+    members = [member_series(bound, float(x), gamma, k, order) for x in a]
     return tuple(map(stack_of, zip(*members))) if bound.harmonic else stack_of(members)
 
 
@@ -551,8 +572,10 @@ def sweep_order(a_grid, gamma: float, r_max: float, order: int) -> int:
 def sweep_csv_reference(args) -> str:
     """``cli.cmd_sweep`` as it wrote its CSV: every row a list of cells, each
     float written by ``csv.writer`` as its repr, each member its own series
-    at the order of :func:`sweep_order`.  Writes ``args.out`` and returns the
-    stdout line."""
+    at the order of :func:`sweep_order`.  Violations count only at the gammas
+    where the family lies in the theorem's class (theorem 3 with lambda at or
+    above 1/(1+gamma)); the others are named in a note line.  Writes
+    ``args.out`` and returns the stdout lines."""
     import csv
     from pathlib import Path
 
@@ -561,16 +584,19 @@ def sweep_csv_reference(args) -> str:
 
     bound = cli.BOUNDS[args.theorem]
     a_grid = sharpness_a_grid(14).tolist()
-    rows, violations = [], 0
+    rows, violations, outside = [], 0, []
     for gamma in args.gammas:
         values = cli._parameters(args, gamma)
         x = values.get(bound.param)
         columns = [x if bound.param == name else 0.0 for name in ("k", "lambda")]
         r_values = np.linspace(0.0, bound.radius(gamma, x), args.grid)
         order = sweep_order(a_grid, gamma, float(r_values[-1]), args.order)
+        in_class = bound.extremal is None or x >= bound.extremal(gamma)
+        if not in_class:
+            outside.append(gamma)
         for a in a_grid:
-            fv = bound.total(cli._series(bound, a, gamma, values["k"], order), r_values, gamma, x)
-            violations += int(np.count_nonzero(fv.padded() > 1.0))
+            fv = bound.total(member_series(bound, a, gamma, values["k"], order), r_values, gamma, x)
+            violations += int(np.count_nonzero(fv.padded() > 1.0)) if in_class else 0
             fields = (r_values, fv.total, fv.majorant, fv.correction, fv.tail_error)
             for cells in zip(*(f.tolist() for f in fields)):
                 rows.append([gamma, a, *columns, *cells])
@@ -579,4 +605,8 @@ def sweep_csv_reference(args) -> str:
         writer.writerow(["gamma", "a", "k", "lambda", "r", "total", "majorant", "correction", "tail_error"])
         for row in rows:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    return f"sweep theorem {args.theorem}: {len(rows)} rows, {violations} admissibility violations\n"
+    note = "" if not outside else (
+        f"note: {bound.param}={x!r} is below the value where the family is extremal at gamma="
+        f"{', '.join(f'{g:g}' for g in outside)}: the family is outside the theorem's class there, "
+        "so those rows are tabulated but not counted as violations\n")
+    return note + f"sweep theorem {args.theorem}: {len(rows)} rows, {violations} admissibility violations\n"

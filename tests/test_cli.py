@@ -18,12 +18,13 @@ from hypothesis import strategies as st
 import bohrlab
 from bohrlab import cli, conjecture, solver, verify
 from bohrlab.cli import SWEEP_THEOREMS, THEOREMS, main
-from bohrlab.extremals import family_stack, mobius_family_coeffs, sharpness_a_grid
+from bohrlab.extremals import sharpness_a_grid
 from bohrlab.functionals import bohr_total
 from bohrlab.series import DEFAULT_ORDER
 from bohrlab.solver import UPPER_LIMIT
 
-from oracles import bisection_radius, member_radius_root, member_series_stack, sweep_csv_reference
+from oracles import (bisection_radius, member, member_radius_root, member_series, member_series_stack,
+                     sweep_csv_reference)
 
 # subprocesses of ``python -m bohrlab.cli`` import the package from this tree
 SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(bohrlab.__file__).resolve().parents[1])}
@@ -132,7 +133,7 @@ def test_radius_json_lists_members_and_itp_saves_evaluator_calls(tmp_path):
     # plain bisection on the same 4 members takes 136 steps; ITP at most 25% of that
     bisection_steps = 0
     for a in grid:
-        p = mobius_family_coeffs(a, 0.5)
+        p = member(a, 0.5)
         padded = lambda r: bohr_total(p, r).padded()
         assert padded(UPPER_LIMIT) > 1.0
         bisection_steps += bisection_radius(padded)[1]
@@ -336,14 +337,17 @@ def test_sweep_rows_stop_at_the_grid_radius_and_keep_the_full_rows_cells(tmp_pat
     bound = cli.BOUNDS[theorem]
     orders = []
 
-    def recording_family_stack(*args, **kwargs):
-        stack = family_stack(*args, **kwargs)
+    builder = "harmonic_extremal" if bound.harmonic else "mobius_family_coeffs"
+    build = getattr(cli, builder)
+
+    def recording_builder(*args, **kwargs):
+        stack = build(*args, **kwargs)
         orders.append((stack[0] if bound.harmonic else stack).order)
         return stack
 
     out = tmp_path / "sweep.csv"
     argv = ["sweep", "--theorem", theorem, "--gammas", ",".join(map(repr, gammas))]
-    with mock.patch.object(cli, "family_stack", recording_family_stack):
+    with mock.patch.object(cli, builder, recording_builder):
         code, line = run_cli(*argv, "--out", str(out))
         assert run_cli(*argv, "--order", "40")[0] == code
     assert len(orders) == 2 * len(gammas)
@@ -356,8 +360,8 @@ def test_sweep_rows_stop_at_the_grid_radius_and_keep_the_full_rows_cells(tmp_pat
         values = cli._parameters(args, gamma)
         x = values.get(bound.param)
         r_values = np.linspace(0.0, bound.radius(gamma, x), 64)
-        full = bound.total(family_stack(sharpness_a_grid(14), gamma, DEFAULT_ORDER,
-                                        values["k"] if bound.harmonic else None), r_values[None, :], gamma, x)
+        full = bound.total(cli._series(bound, sharpness_a_grid(14), gamma, values["k"], DEFAULT_ORDER, None),
+                           r_values[None, :], gamma, x)
         for column, value in enumerate((full.total, full.majorant, full.correction), start=5):
             assert np.all(np.abs(swept[..., column] - value) <= np.spacing(np.abs(value)))
         assert np.all(np.abs(swept[..., 8] - full.tail_error) <= 2.0**-58)
@@ -850,7 +854,7 @@ _RADIUS_CASES = [("A", 0.0, None)] + [
 
 @pytest.mark.parametrize("theorem,gamma,k", _RADIUS_CASES)
 def test_radius_result_equals_the_solve_on_per_member_series(tmp_path, theorem, gamma, k):
-    # the family's float64 family_stack rows solve exactly as its complex per-member series did
+    # the family's float64 stack rows solve exactly as its complex per-member series do
     out = tmp_path / "radius.json"
     argv = ["radius", "--theorem", theorem, "--out", str(out)]
     argv += [] if theorem == "A" else ["--gamma", repr(gamma)]
@@ -869,9 +873,9 @@ def test_radius_result_equals_the_solve_on_per_member_series(tmp_path, theorem, 
 
 @pytest.mark.parametrize("a", [0.2, 0.9, 1.0 - 2.0**-14])
 @pytest.mark.parametrize("theorem", THEOREMS)
-def test_radius_a_equals_the_one_row_family_stack_solve(tmp_path, theorem, a):
-    # --a solves on the member's own series, the family on family_stack rows: one member
-    # gives the same result either way, bit for bit
+def test_radius_a_equals_the_solve_on_the_members_own_series(tmp_path, theorem, a):
+    # --a solves on a one-row stack: the member's own complex series gives the
+    # same result, bit for bit
     out = tmp_path / "radius.json"
     argv = ["radius", "--theorem", theorem, "--a", repr(a), "--out", str(out)]
     argv += [] if theorem == "A" else ["--gamma", "0.37", "--k", "0.35"]
@@ -880,8 +884,8 @@ def test_radius_a_equals_the_one_row_family_stack_solve(tmp_path, theorem, a):
     bound = cli.BOUNDS[theorem]
     values = {**cli._parameters(args, args.gamma or 0.0), **bound.pinned}
     gamma, x = values["gamma"], values.get(bound.param)
-    row = family_stack([a], gamma, args.order, values["k"] if bound.harmonic else None)
-    ref = solver.family_infimum_radius(lambda r: bound.total(row, r, gamma, x), [a], gamma, tol=args.tol)
+    series = member_series(bound, a, gamma, values["k"], args.order)
+    ref = solver.family_infimum_radius(lambda r: bound.total(series, r, gamma, x), [a], gamma, tol=args.tol)
     assert json.loads(out.read_text())["result"] == json.loads(json.dumps(asdict(ref)))
 
 
@@ -909,6 +913,30 @@ def test_theorem_3_asserts_its_closed_form_only_where_the_family_is_in_its_class
     # a closed form above the computed radius fails exactly where it is asserted
     monkeypatch.setitem(cli.BOUNDS, "3", replace(cli.BOUNDS["3"], radius=lambda gamma, x: 0.9))
     assert run_cli(*argv)[0] == (1 if asserted else 0)
+
+
+@pytest.mark.parametrize("lam,counted", [("0.6", False), (repr(1.0 / 1.5), True), ("0.8", True)],
+                         ids=["below", "extremal", "above"])
+def test_theorem_3_sweep_counts_violations_only_where_the_family_is_in_its_class(tmp_path, lam, counted):
+    # at gamma = 0.5 the family is extremal at lambda = 1/(1+gamma) = 2/3: below it the
+    # family is outside the theorem's class and its rows bound nothing, as radius says
+    out, ref = tmp_path / "sweep.csv", tmp_path / "sweep-ref.csv"
+    argv = ["sweep", "--theorem", "3", "--gammas", "0.5", "--lambda", lam]
+    code, text = run_cli(*argv, "--out", str(out))
+    args = cli.build_parser()[0].parse_args(argv + ["--out", str(ref)])
+    assert sweep_csv_reference(args) == text and out.read_bytes() == ref.read_bytes()
+    lines = text.splitlines()
+    assert code == 0 and lines[-1].startswith("sweep theorem 3: 896 rows, ")
+    if counted:
+        assert len(lines) == 1
+    else:
+        assert lines == ["note: lambda=0.6 is below the value where the family is extremal at gamma=0.5: the family "
+                         "is outside the theorem's class there, so those rows are tabulated but not counted as "
+                         "violations", "sweep theorem 3: 896 rows, 0 admissibility violations"]
+    # on a mixed list only the gammas outside the class are named; the others still count
+    code, text = run_cli("sweep", "--theorem", "3", "--gammas", "0,0.5,0.9", "--lambda", "0.6")
+    assert text.startswith("note: lambda=0.6 is below the value where the family is extremal at gamma=0, 0.5: ")
+    assert code == 0
 
 
 def test_identity_check_samples_past_the_cap_are_a_usage_error(tmp_path, capsys):

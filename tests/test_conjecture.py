@@ -20,10 +20,10 @@ from bohrlab.conjecture import (
     witness_violates,
     write_estimates_csv,
 )
-from bohrlab.extremals import family_area_deficit, family_limit_weight, mobius_family_coeffs
+from bohrlab.extremals import family_area_deficit, family_limit_weight
 from bohrlab.verify import area_coupling, certified_area_weight, recentred_slack_envelope
 
-from oracles import ratio_grid_reference
+from oracles import member, ratio_grid_reference
 
 FLOOR = 8.0 / 9.0 - 1e-6
 
@@ -72,6 +72,16 @@ def test_sweep_floor_and_witness_validity():
         assert witness_violates(est, bump=1e-6)
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.25, 0.5, 0.9, MAX_GAMMA])
+@pytest.mark.parametrize("bump", [1e-6, -1e-6])
+def test_witness_violates_reads_the_scalar_total_of_its_member(gamma, bump):
+    # the one-row stack at the witness radius against the member's own series at that float
+    est = estimate_constant(gamma)
+    value = functionals.area_refined_total(member(est.witness_a, gamma), est.witness_r, gamma, weight=est.k_hat + bump)
+    assert witness_violates(est, bump=bump) == (value.total > 1.0)
+    assert witness_violates(est, bump=bump) == (bump > 0.0)
+
+
 def test_high_gamma_probe():
     est = estimate_constant(0.99, grid=32)
     assert est.k_hat >= family_limit_weight(0.99)
@@ -118,7 +128,7 @@ def test_ratio_grid_matches_the_series_evaluator():
         r_values = np.linspace(1e-3, functionals.sharp_majorant_radius(gamma), 16)
         grid = _ratio_grid(gamma, a_values, r_values)
         for i, a in enumerate(a_values):
-            p = mobius_family_coeffs(float(a), gamma)
+            p = member(float(a), gamma)
             fv = functionals.area_refined_total(p, r_values, gamma, weight=1.0)
             series = (1.0 - fv.majorant) / fv.correction
             # 1 - majorant cancels near the sharp radius, which puts about

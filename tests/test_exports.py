@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import bohrlab
-from bohrlab import conjecture, functionals, verify
+from bohrlab import conjecture, extremals, functionals, verify
 from bohrlab.series import DiskDomain, PowerSeries
 from bohrlab.verify import BlaschkeProduct
 
@@ -37,12 +37,14 @@ def test_the_package_keeps_no_test_only_series_helpers():
 
 def test_the_package_keeps_no_name_that_no_command_reaches():
     # tests evaluate a series with numpy's polyval, draw check samples with oracles.blaschke_samples
-    # and read the norm sum from functionals._norm_f0
+    # and read the norm sum from functionals._norm_f0; mobius_family_coeffs and harmonic_extremal
+    # write every family stack
     removed = {
         bohrlab: ("sweep_conjecture", "run_default_checks", "norm_f0"),
         functionals: ("norm_f0",),
         verify: ("run_default_checks",),
         conjecture: ("sweep_conjecture",),
+        extremals: ("family_stack",),
         PowerSeries: ("evaluate", "__call__"),
         BlaschkeProduct: ("deriv",),
         DiskDomain: ("center", "radius"),

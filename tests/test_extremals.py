@@ -13,14 +13,14 @@ from bohrlab.extremals import (
     family_constants,
     family_harmonic_deficit,
     family_norm_deficit,
-    family_stack,
     harmonic_extremal,
     mobius_family_coeffs,
     sharpness_a_grid,
 )
-from bohrlab.series import numeric_taylor
+from bohrlab.series import PowerSeries, numeric_taylor
 
-from oracles import automorphism_coeffs, differentiate, family_coeffs_reference, family_coefficient, family_member
+from oracles import (automorphism_coeffs, differentiate, family_coeffs_reference, family_coefficient, family_member,
+                     harmonic_member, member)
 
 
 def test_member_validation():
@@ -35,22 +35,22 @@ def test_member_validation():
 
 
 def test_known_coefficients_gamma_zero():
-    p = mobius_family_coeffs(0.5, 0.0, 16)
-    assert abs(p.coeffs[0] - 0.5) < 1e-15
+    c = mobius_family_coeffs(0.5, 0.0, 16).coeffs[0]
+    assert abs(c[0] - 0.5) < 1e-15
     for n in range(1, 17):
-        assert abs(-p.coeffs[n].real - 1.5 * 0.5**n) < 1e-15
+        assert abs(-c[n] - 1.5 * 0.5**n) < 1e-15
 
 
 def test_matches_numeric_taylor():
     p = mobius_family_coeffs(0.5, 0.25, 32)
     q = numeric_taylor(lambda z: family_member(0.5, 0.25, z), 32, rho=0.9)
-    assert np.max(np.abs(p.coeffs - q.coeffs)) < 1e-10
+    assert np.max(np.abs(p.coeffs[0] - q.coeffs)) < 1e-10
 
 
 def test_reduces_to_automorphism_at_gamma_zero():
     for a in (0.2, 0.5, 0.8):
         p = mobius_family_coeffs(a, 0.0, 24)
-        assert np.max(np.abs(p.coeffs - automorphism_coeffs(a, 24))) < 1e-13
+        assert np.max(np.abs(p.coeffs[0] - automorphism_coeffs(a, 24))) < 1e-13
 
 
 def test_bounded_on_unit_circle_samples():
@@ -61,17 +61,17 @@ def test_bounded_on_unit_circle_samples():
 def test_coefficient_decay_ratio_exact():
     p = mobius_family_coeffs(0.8, 0.3, 64)
     q = 0.8 * (1.0 - 0.3) / (1.0 - 0.8 * 0.3)
-    mags = np.abs(p.coeffs[1:])
+    mags = np.abs(p.coeffs[0, 1:])
     ratios = mags[1:] / mags[:-1]
     assert np.max(np.abs(ratios - q)) < 1e-12
-    assert p.tail is not None and abs(p.tail.q - q) < 1e-15
+    assert abs(p.tail.q[0] - q) < 1e-15
 
 
 def test_tail_certificate_covers_stored_coefficients():
     p = mobius_family_coeffs(0.95, 0.2, 64)
     n = np.arange(33, 65)
-    bound = p.tail.C * p.tail.q ** n
-    assert np.all(np.abs(p.coeffs[33:]) <= bound * (1 + 1e-12))
+    bound = p.tail.C[0] * p.tail.q[0] ** n
+    assert np.all(np.abs(p.coeffs[0, 33:]) <= bound * (1 + 1e-12))
 
 
 def test_extremal_limit_behavior():
@@ -79,11 +79,11 @@ def test_extremal_limit_behavior():
     gamma, r = 0.25, 0.3
     prev_tail = np.inf
     for a in (0.9, 0.99, 0.999, 0.9999):
-        p = mobius_family_coeffs(a, gamma, 256)
-        tail_sum = float(np.abs(p.coeffs[1:]) @ r ** np.arange(1, 257))
+        c = mobius_family_coeffs(a, gamma, 256).coeffs[0]
+        tail_sum = float(np.abs(c[1:]) @ r ** np.arange(1, 257))
         assert tail_sum < prev_tail
         prev_tail = tail_sum
-    assert abs(p.coeffs[0] - 1.0) < 1e-3
+    assert abs(c[0] - 1.0) < 1e-3
     assert tail_sum < 1e-3
 
 
@@ -96,7 +96,7 @@ def test_extremal_limit_behavior():
 @example(a=0.3, gamma=0.0, order=2048)  # q = 0.3: q^n underflows past n = 618
 @example(a=1e-3, gamma=0.2, order=256)  # q^n underflows past n = 104
 def test_family_coefficients_equal_the_full_power_vector(a, gamma, order):
-    assert np.array_equal(mobius_family_coeffs(a, gamma, order).coeffs, family_coeffs_reference(a, gamma, order))
+    assert np.array_equal(mobius_family_coeffs(a, gamma, order).coeffs[0], family_coeffs_reference(a, gamma, order))
 
 
 @settings(max_examples=60)
@@ -118,23 +118,22 @@ def test_family_coefficients_equal_the_full_power_vector(a, gamma, order):
 @example(order=2048, rows=[(5e-4, 0.2, 1.0, 0.5), (1.0 - 2.0**-14, 0.0, 0.3, 1.0)], harmonic=False, r_max=0.9)
 @example(order=31, rows=[(5e-4, 0.2, 1.0, 0.5), (1.0 - 2.0**-14, 0.6, 0.3, 1.0)], harmonic=True, r_max=0.5)
 @example(order=1, rows=[(1e-150, 0.0, 1.0, 1.0), (1.0 - 2.0**-14, 0.3, 1.0, 1.0)], harmonic=True, r_max=None)
-def test_family_stack_rows_equal_the_member_builders_bit_for_bit(order, rows, harmonic, r_max):
+def test_builder_rows_equal_the_member_references_bit_for_bit(order, rows, harmonic, r_max):
     # rows: (a, gamma, k, lambda), a gamma and a weight k * lambda per row as
     # the deficit identity check draws them
     a, gamma, k, lam = map(np.array, zip(*rows))
-    stacks = (family_stack(a, gamma, order, k * lam, r_max=r_max) if harmonic
-              else (family_stack(a, gamma, order, r_max=r_max),))
+    stacks = (harmonic_extremal(a, gamma, k * lam, order, r_max) if harmonic
+              else (mobius_family_coeffs(a, gamma, order, r_max),))
     n = stacks[0].order
     assert n == order if r_max is None else n <= order
     for i, (a_i, gamma_i, k_i, lam_i) in enumerate(rows):
-        members = (harmonic_extremal(a_i, gamma_i, k_i * lam_i, order) if harmonic
-                   else (mobius_family_coeffs(a_i, gamma_i, order),))
-        for stack, member in zip(stacks, members, strict=True):
+        references = (harmonic_member(a_i, gamma_i, k_i * lam_i, order) if harmonic
+                      else (member(a_i, gamma_i, order),))
+        for stack, ref in zip(stacks, references, strict=True):
             assert stack.order == n and stack.coeffs.shape == (len(rows), n + 1)
-            assert stack.coeffs[i].tolist() == member.coeffs[: n + 1].tolist()
-            assert (stack.tail.q[i], stack.tail.C[i]) == (member.tail.q, member.tail.C)
-        # and against the reference that computes every power, underflowed ones
-        # included: the stack and the member builders share one row writer
+            assert stack.coeffs[i].tolist() == ref.coeffs[: n + 1].tolist()
+            assert (stack.tail.q[i], stack.tail.C[i]) == (ref.tail.q, ref.tail.C)
+        # the rows are real: h is the full power vector, g is weight * h with g[0] = 0
         reference = family_coeffs_reference(a_i, gamma_i, order)[: n + 1]
         assert not np.any(reference.imag)
         assert np.array_equal(stacks[0].coeffs[i], reference.real)
@@ -145,39 +144,41 @@ def test_family_stack_rows_equal_the_member_builders_bit_for_bit(order, rows, ha
 
 
 @pytest.mark.parametrize("weight", [None, 0.35, 1.0])
-def test_family_stack_rows_are_float64_and_equal_the_complex_member_rows(weight):
+def test_builder_rows_are_float64_and_equal_the_complex_member_rows(weight):
     a, gamma, order = sharpness_a_grid(14), 0.37, 2048
-    stacks = (family_stack(a, gamma, order),) if weight is None else family_stack(a, gamma, order, weight)
-    members = [(mobius_family_coeffs(x, gamma, order),) if weight is None
-               else harmonic_extremal(x, gamma, weight, order) for x in a.tolist()]
+    stacks = ((mobius_family_coeffs(a, gamma, order),) if weight is None
+              else harmonic_extremal(a, gamma, weight, order))
+    members = [(member(x, gamma, order),) if weight is None
+               else harmonic_member(x, gamma, weight, order) for x in a.tolist()]
     for stack, rows in zip(stacks, zip(*members), strict=True):
         complex_rows = np.stack([row.coeffs for row in rows])
         assert stack.coeffs.dtype == np.float64 and complex_rows.dtype == np.complex128
         assert np.array_equal(stack.coeffs, complex_rows) and not np.any(complex_rows.imag)
 
 
-def test_family_stack_takes_floats_and_rejects_what_the_member_builders_reject():
-    h = family_stack(0.5, 0.2, 16)
-    assert h.coeffs.tolist() == [mobius_family_coeffs(0.5, 0.2, 16).coeffs.tolist()]
+def test_builders_take_floats_and_arrays_and_reject_bad_members():
+    h = mobius_family_coeffs(0.5, 0.2, 16)
+    assert h.coeffs.shape == (1, 17)
+    assert h.coeffs.tolist() == mobius_family_coeffs([0.5, 0.6], 0.2, 16).coeffs[:1].tolist()
     for a, gamma in ((0.0, 0.2), (1.0, 0.2), ([0.5, np.nan], 0.2), (0.5, 1.0), (0.5, [0.2, -0.1])):
         with pytest.raises(ValueError, match="every a must lie in"):
-            family_stack(a, gamma, 16)
+            mobius_family_coeffs(a, gamma, 16)
     for weight in (-0.1, 1.5, np.nan):
         with pytest.raises(ValueError, match="every weight must lie in"):
-            family_stack([0.5, 0.6], 0.2, 16, weight)
+            harmonic_extremal([0.5, 0.6], 0.2, weight, 16)
     with pytest.raises(ValueError, match="order"):
-        family_stack(0.5, 0.2, 0)
-    with np.errstate(over="ignore"):  # C = inf, which mobius_family_coeffs rejects too
+        mobius_family_coeffs(0.5, 0.2, 0)
+    with np.errstate(over="ignore"):  # C = inf
         with pytest.raises(ValueError, match="overflows"):
-            family_stack([0.5, 1e-320], 0.2, 16)
-        with pytest.raises(ValueError):
+            mobius_family_coeffs([0.5, 1e-320], 0.2, 16)
+        with pytest.raises(ValueError, match="overflows"):
             mobius_family_coeffs(1e-320, 0.2, 16)
 
 
-def test_family_stack_without_a_largest_radius_writes_the_full_order():
+def test_builders_without_a_largest_radius_write_the_full_order():
     a, gamma = sharpness_a_grid(14), 0.37
     for order in (1, 31, 100, 2048):
-        for stack in (family_stack(a, gamma, order), *family_stack(a, gamma, order, 0.5)):
+        for stack in (mobius_family_coeffs(a, gamma, order), *harmonic_extremal(a, gamma, 0.5, order)):
             assert stack.order == order and stack.coeffs.shape == (a.size, order + 1)
 
 
@@ -189,10 +190,10 @@ def test_family_stack_without_a_largest_radius_writes_the_full_order():
 )
 @example(order=2048, rows=[(0.5, 0.2, 0.0)])  # x = 0: the shortest order
 @example(order=2048, rows=[(1.0 - 2.0**-40, 0.0, 0.999)])  # nothing drops off: the full order
-def test_family_stack_up_to_a_largest_radius_stops_at_the_first_order_that_drops_below_the_cut(order, rows):
+def test_builders_up_to_a_largest_radius_stop_at_the_first_order_that_drops_below_the_cut(order, rows):
     a, gamma, r_max = map(np.array, zip(*rows))
-    full = family_stack(a, gamma, order)
-    short = family_stack(a, gamma, order, r_max=r_max)
+    full = mobius_family_coeffs(a, gamma, order)
+    short = mobius_family_coeffs(a, gamma, order, r_max)
     n, ladder = short.order, [32 << j for j in range(12)]
     assert n == order or (n in ladder and n < order)
     assert short.coeffs.tolist() == full.coeffs[:, : n + 1].tolist()
@@ -202,10 +203,10 @@ def test_family_stack_up_to_a_largest_radius_stops_at_the_first_order_that_drops
     dropped = lambda m: np.max(full.tail.C * x ** (m + 1) / (1.0 - x))
     assert n == order or dropped(n) <= functionals._CUT
     assert all(dropped(m) > functionals._CUT for m in ladder if m < n)
-    h, g = family_stack(a, gamma, order, 0.5, r_max=r_max)
+    h, g = harmonic_extremal(a, gamma, 0.5, order, r_max)
     assert h.order == g.order == n
     with pytest.raises(ValueError, match="every r_max must lie in"):
-        family_stack(a, gamma, order, r_max=1.0)
+        mobius_family_coeffs(a, gamma, order, 1.0)
 
 
 def test_sharpness_grid():
@@ -223,18 +224,18 @@ def test_harmonic_zero_dilatation():
 
 
 def test_harmonic_coefficients_closed_form():
-    h, g = harmonic_extremal(0.5, 0.0, 1.0, 16)
-    assert g.coeffs[0] == 0.0
+    h, g = (stack.coeffs[0] for stack in harmonic_extremal(0.5, 0.0, 1.0, 16))
+    assert g[0] == 0.0
     for n in range(1, 17):
-        assert abs(g.coeffs[n].real + 1.5 * 0.5**n) < 1e-14
-        assert abs(g.coeffs[n] - h.coeffs[n]) < 1e-14
+        assert abs(g[n] + 1.5 * 0.5**n) < 1e-14
+        assert abs(g[n] - h[n]) < 1e-14
     # cross-check one coefficient against the oracle formula
-    assert abs(abs(g.coeffs[3]) - family_coefficient(0.5, 0.0, 3)) < 1e-14
+    assert abs(abs(g[3]) - family_coefficient(0.5, 0.0, 3)) < 1e-14
 
 
 def test_harmonic_dilatation_pointwise():
     k, lam = 0.7, 0.8
-    h, g = harmonic_extremal(0.6, 0.3, k * lam, 256)
+    h, g = (PowerSeries(stack.coeffs[0]) for stack in harmonic_extremal(0.6, 0.3, k * lam, 256))
     dh, dg = differentiate(h), differentiate(g)
     z = 0.7 * np.exp(2j * np.pi * np.arange(32) / 32)
     dg_z, dh_z = np.abs(polyval(z, dg.coeffs)), np.abs(polyval(z, dh.coeffs))

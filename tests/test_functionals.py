@@ -14,12 +14,7 @@ from hypothesis import strategies as st
 
 from bohrlab import cli, functionals
 
-from bohrlab.extremals import (
-    family_constants,
-    family_stack,
-    harmonic_extremal,
-    mobius_family_coeffs,
-)
+from bohrlab.extremals import family_constants, harmonic_extremal, mobius_family_coeffs
 from bohrlab.functionals import (
     FunctionalValue,
     area_refined_total,
@@ -42,6 +37,8 @@ from oracles import (
     brute_force_majorant,
     brute_force_norm,
     constant,
+    harmonic_member,
+    member,
     polynomial,
     quadrature_mean_square_derivative,
     random_decaying_series,
@@ -66,14 +63,14 @@ def test_majorant_domain_error():
 def test_majorant_near_extremal_limit():
     # automorphism family at the classical radius: approaches one from below
     a = 1.0 - 2.0**-10
-    p = mobius_family_coeffs(a, 0.0)
+    p = member(a, 0.0)
     total = majorant(p, 1.0 / 3.0)
     assert total < 1.0
     assert 1.0 - total < 1e-2
 
 
 def test_majorant_brute_force_oracle():
-    p = mobius_family_coeffs(0.5, 0.0)
+    p = member(0.5, 0.0)
     assert abs(majorant(p, 0.25) - brute_force_majorant(0.5, 0.0, 0.25)) < 1e-12
 
 
@@ -98,16 +95,16 @@ def dirichlet_area_tail_bound(p, r):
 def test_majorant_tail_bound_is_sound():
     # truncate a family series early: stored sum + tail bound must cover the
     # full sum computed at high order
-    full = mobius_family_coeffs(0.9, 0.1, 4096)
-    short = mobius_family_coeffs(0.9, 0.1, 24)
+    full = member(0.9, 0.1, 4096)
+    short = member(0.9, 0.1, 24)
     r = 0.6
     assert majorant(full, r) <= majorant(short, r) + majorant_tail_bound(short, r) + 1e-12
     assert majorant_tail_bound(short, r) > 0.0
 
 
 def test_norm_and_area_tail_bounds_are_sound():
-    full = mobius_family_coeffs(0.9, 0.1, 4096)
-    short = mobius_family_coeffs(0.9, 0.1, 24)
+    full = member(0.9, 0.1, 4096)
+    short = member(0.9, 0.1, 24)
     r = 0.6
     assert norm_f0(full, r) <= norm_f0(short, r) + norm_f0_tail_bound(short, r) + 1e-14
     assert dirichlet_area(full, r) <= dirichlet_area(short, r) + dirichlet_area_tail_bound(short, r) + 1e-14
@@ -116,8 +113,8 @@ def test_norm_and_area_tail_bounds_are_sound():
 
 
 # A short series keeps every tail bound nonzero; the last case has no tail certificate.
-_SHORT = mobius_family_coeffs(0.9, 0.3, 24)
-_H, _G = harmonic_extremal(0.9, 0.3, 0.7 * 0.5, 24)
+_SHORT = member(0.9, 0.3, 24)
+_H, _G = harmonic_member(0.9, 0.3, 0.7 * 0.5, 24)
 _UNCERTIFIED = PowerSeries(_SHORT.coeffs)
 _BY_RADIUS = {
     "majorant": lambda r: majorant(_SHORT, r),
@@ -166,9 +163,9 @@ def _member(name, a, gamma, k, order, certified, phase):
     """A family member, its coefficients turned by e^{i phase} (complex, with the
     same moduli), with or without its tail certificate."""
     if name == "harmonic_total":
-        pair = harmonic_extremal(a, gamma, k, order)
+        pair = harmonic_member(a, gamma, k, order)
     else:
-        pair = (mobius_family_coeffs(a, gamma, order),)
+        pair = (member(a, gamma, order),)
     turned = tuple(PowerSeries(s.coeffs * np.exp(1j * phase), s.tail if certified else None) for s in pair)
     return turned if name == "harmonic_total" else turned[0]
 
@@ -219,10 +216,10 @@ def _scaled(member, scale):
         min_size=1, max_size=6,
     ),
     radii=st.lists(st.one_of(st.just(0.0), st.floats(0.0, UPPER_LIMIT), st.just(UPPER_LIMIT)), min_size=1, max_size=8),
-    built=st.sampled_from(["members", "family_stack"]),
+    built=st.sampled_from(["members", "builder"]),
 )
 @example(name="norm_refined_total", gamma=0.5, weight=1.0, order=2048,
-         rows=[(0.5, True, 0.0, 1.0), (1.0 - 2.0**-14, True, 0.0, 1.0)], radii=[0.0, 0.3, UPPER_LIMIT], built="family_stack")
+         rows=[(0.5, True, 0.0, 1.0), (1.0 - 2.0**-14, True, 0.0, 1.0)], radii=[0.0, 0.3, UPPER_LIMIT], built="builder")
 # the scaled member stops its sums before the other one does, at every radius
 @example(name="bohr_total", gamma=0.0, weight=0.0, order=2048,
          rows=[(0.3, True, 0.0, 2.0**-80), (1.0 - 2.0**-14, True, 0.0, 1.0)], radii=[0.5, 0.9], built="members")
@@ -231,10 +228,11 @@ def test_shared_radius_row_rows_equal_single_series_calls_bit_for_bit(name, gamm
     # a scale of 2^-80 makes a member's sums tiny, so it stops them at shorter
     # lengths than the other members at the same radius; the harmonic weight
     # is k with lambda = 1
-    if built == "family_stack":  # the members as the sweep builds them
+    if built == "builder":  # the members as the sweep builds them
         members = [_member(name, a, gamma, weight, order, True, 0.0) for a, *_ in rows]
-        stack = family_stack(np.array([a for a, *_ in rows]), gamma, order,
-                             weight if name == "harmonic_total" else None)
+        a = np.array([a for a, *_ in rows])
+        stack = (harmonic_extremal(a, gamma, weight, order) if name == "harmonic_total"
+                 else mobius_family_coeffs(a, gamma, order))
     else:
         members = [_scaled(_member(name, a, gamma, weight, order, certified, phase), scale)
                    for a, certified, phase, scale in rows]
@@ -261,7 +259,7 @@ def test_constant_term_modulus_rounds_as_the_scalar_abs():
 
 
 def test_stack_takes_one_radius_per_member():
-    p, q = (mobius_family_coeffs(a, 0.2, 64) for a in (0.5, 0.9))
+    p, q = (member(a, 0.2, 64) for a in (0.5, 0.9))
     stack = stack_of([p, q])
     row = np.full((1, 3), 0.3)
     for r in (0.3, np.array([0.3]), np.array([0.1, 0.2, 0.3]), np.full((2, 3), 0.3), np.full((1, 3, 1), 0.3)):
@@ -294,7 +292,7 @@ def test_area_refined_rows_take_one_gamma_per_member_bit_for_bit(order, rows):
 
 
 def test_gamma_array_needs_a_stack_and_one_gamma_in_0_1_per_member():
-    p, q = (mobius_family_coeffs(a, 0.2, 64) for a in (0.5, 0.9))
+    p, q = (member(a, 0.2, 64) for a in (0.5, 0.9))
     stack, radii = stack_of([p, q]), np.array([0.3, 0.4])
     with pytest.raises(ValueError, match="one gamma per member"):
         area_refined_total(p, 0.3, np.array([0.2]))
@@ -314,7 +312,7 @@ def test_gamma_array_needs_a_stack_and_one_gamma_in_0_1_per_member():
 
 
 def test_functional_value_serialization():
-    p = mobius_family_coeffs(0.6, 0.2)
+    p = member(0.6, 0.2)
     fv = area_refined_total(p, 0.4, 0.2)
     data = dataclasses.asdict(fv)
     assert set(data) == {"total", "majorant", "correction", "r", "tail_error"}
@@ -324,7 +322,7 @@ def test_functional_value_serialization():
 def test_norm_f0_values():
     assert norm_f0(constant(0.7), 0.5) == 0.0
     assert abs(norm_f0(polynomial([0.0, 1.0]), 0.5) - 0.25) < 1e-15
-    p = mobius_family_coeffs(0.5, 0.0)
+    p = member(0.5, 0.0)
     assert abs(norm_f0(p, 0.3) - brute_force_norm(0.5, 0.0, 0.3)) < 1e-12
 
 
@@ -342,7 +340,7 @@ def test_dirichlet_area_quadrature_oracle_random_polynomials():
 
 
 def test_dirichlet_area_univalent_family_vs_quadrature():
-    p = mobius_family_coeffs(0.5, 0.0, 256)
+    p = member(0.5, 0.0, 256)
     r = 0.3
     assert abs(dirichlet_area(p, r) - quadrature_mean_square_derivative(p.coeffs, r)) < 1e-8
     assert abs(dirichlet_area(p, r) - brute_force_area(0.5, 0.0, r)) < 1e-12
@@ -362,7 +360,7 @@ def test_area_upper_bound_values_and_property():
 
 
 def test_total_equals_majorant_plus_correction():
-    p = mobius_family_coeffs(0.6, 0.2)
+    p = member(0.6, 0.2)
     for fv in (
         bohr_total(p, 0.4),
         area_refined_total(p, 0.4, 0.2),
@@ -402,11 +400,11 @@ def test_functionals_monotone_in_radius():
 
 def test_area_refined_admissible_and_sharp_points():
     gamma = 0.5
-    p = mobius_family_coeffs(0.9, gamma)
+    p = member(0.9, gamma)
     fv = area_refined_total(p, 1.5 / 3.5, gamma)
     assert fv.padded() <= 1.0
     # just past the sharp radius a near-extremal member violates the bound
-    p = mobius_family_coeffs(1.0 - 2.0**-10, 0.0)
+    p = member(1.0 - 2.0**-10, 0.0)
     fv = area_refined_total(p, 1.0 / 3.0 + 0.01, 0.0)
     assert fv.total > 1.0
 
@@ -421,7 +419,7 @@ def test_norm_refined_over_random_bounded_samples():
 
 def test_norm_refined_sharpness():
     gamma = 0.25
-    p = mobius_family_coeffs(1.0 - 2.0**-12, gamma)
+    p = member(1.0 - 2.0**-12, gamma)
     r = sharp_majorant_radius(gamma) + 0.01
     assert norm_refined_total(p, r).total > 1.0
 
@@ -456,14 +454,14 @@ def test_domain_ratio_agrees_with_area_refined_when_recentering_is_trivial():
 
 
 def test_harmonic_total_cases():
-    h, g = harmonic_extremal(0.9, 0.5, 0.5)
+    h, g = harmonic_member(0.9, 0.5, 0.5)
     r0 = sharp_harmonic_radius(0.5, 0.5)
     assert harmonic_total(h, g, r0).padded() <= 1.0
     # k = 0 reduces to the plain majorant
-    h, g = harmonic_extremal(0.7, 0.2, 0.0)
+    h, g = harmonic_member(0.7, 0.2, 0.0)
     assert abs(harmonic_total(h, g, 0.4).total - bohr_total(h, 0.4).total) < 1e-15
     # sharpness just past the harmonic radius
-    h, g = harmonic_extremal(1.0 - 2.0**-12, 0.0, 1.0)
+    h, g = harmonic_member(1.0 - 2.0**-12, 0.0, 1.0)
     assert harmonic_total(h, g, 0.2 + 0.01).total > 1.0
 
 
@@ -514,7 +512,7 @@ def _assert_cut_is_sound(p, r, exact):
     r=st.floats(0.0, 0.999),
 )
 def test_cut_sums_are_sound_on_the_family(a, gamma, order, r):
-    _assert_cut_is_sound(mobius_family_coeffs(a, gamma, order), r, _family_sums_50_digits(a, gamma, r))
+    _assert_cut_is_sound(member(a, gamma, order), r, _family_sums_50_digits(a, gamma, r))
 
 
 def _spike(n):
@@ -549,14 +547,14 @@ def test_cut_sums_are_sound_without_a_certificate(name, r):
 
 def test_cut_lengths_per_radius_keep_vector_calls_bit_for_bit():
     # radii up to 0.999 stop at every length from 32 to the full 2049
-    p = mobius_family_coeffs(0.99, 0.2)
+    p = member(0.99, 0.2)
     radii = np.linspace(0.0, 0.999, 101)
     for fn in (fn for pair in _SUMS for fn in pair):
         assert np.array_equal(fn(p, radii), [fn(p, float(r)) for r in radii])
 
 
 def test_integer_radius_sums_in_floating_point():
-    p = mobius_family_coeffs(0.9, 0.5)
+    p = member(0.9, 0.5)
     assert majorant(p, 0) == majorant(p, 0.0) == abs(p.coeffs[0])
 
 
@@ -591,7 +589,7 @@ def _assert_value_plus_tail_covers(p, r, exact):
 def test_certificate_tail_is_rounded_up_at_q_r_near_one():
     # unrounded, area + tail fell 764 eps short here and norm + tail 382 eps
     exact = _family_sums_50_digits(0.9999, 0.0, 0.999)
-    _assert_value_plus_tail_covers(mobius_family_coeffs(0.9999, 0.0, 24), 0.999, exact)
+    _assert_value_plus_tail_covers(member(0.9999, 0.0, 24), 0.999, exact)
 
 
 @settings(max_examples=60)
@@ -604,7 +602,7 @@ def test_certificate_tail_is_rounded_up_at_q_r_near_one():
 def test_certificate_tail_covers_the_series_for_q_r_near_one(a, gamma, order, qr):
     r = qr / family_constants(a, gamma)[1]
     assume(r < 1.0)
-    _assert_value_plus_tail_covers(mobius_family_coeffs(a, gamma, order), r, _family_sums_50_digits(a, gamma, r))
+    _assert_value_plus_tail_covers(member(a, gamma, order), r, _family_sums_50_digits(a, gamma, r))
 
 
 @settings(max_examples=60)
@@ -631,8 +629,8 @@ def test_totals_on_rows_cut_at_their_largest_radius_equal_the_full_order_totals(
         return (bohr_total(h, r), area_refined_total(h, r, gamma), norm_refined_total(h, r),
                 domain_ratio_area_total(h, r, 0.7), harmonic_total(h, g, r))
 
-    for short, full in zip(totals(*family_stack(a, gamma, order, weight, r_max=r_max)),
-                           totals(*family_stack(a, gamma, order, weight)), strict=True):
+    for short, full in zip(totals(*harmonic_extremal(a, gamma, weight, order, r_max)),
+                           totals(*harmonic_extremal(a, gamma, weight, order)), strict=True):
         assert np.all(np.abs(short.total - full.total) <= 2.0 * functionals._CUT + np.spacing(full.total))
 
 
@@ -641,7 +639,7 @@ def test_totals_on_rows_cut_at_their_largest_radius_equal_the_full_order_totals(
 def test_padded_totals_on_rows_cut_at_their_largest_radius_cover_the_whole_series(a, gamma, r):
     # the certificate covers every term past the shorter row; the allowance
     # is _ROUNDING, for the roundoff of the summed terms, as above
-    stack = family_stack(a, gamma, 2048, r_max=r)
+    stack = mobius_family_coeffs(a, gamma, 2048, r)
     assert stack.order < 2048
     radius = np.array([r])  # a stack takes one radius per member
     exact = _family_sums_50_digits(a, gamma, r)

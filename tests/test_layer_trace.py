@@ -5,8 +5,8 @@ The tracer in ``perfbench/layer_trace.py`` wraps each layer module's
 through hooks named ``_count_<layer>_<function>``.  A hook whose function
 was renamed or dropped from ``__all__`` is never called, and a changed
 signature can leave it reading the wrong argument: either way a counter
-silently reads zero.  These tests pin the hook names and the counts of one
-traced run.
+silently reads zero.  These tests pin the hook names and the counts of a
+few traced runs.
 """
 
 import contextlib
@@ -57,3 +57,19 @@ def test_one_harmonic_member_solve_counts_both_series_and_one_solve():
     assert m["extremals.series_built"][0] == 2
     assert m["extremals.coeffs_built"][0] == 4098
     assert m["solver.solves"][0] == 1
+
+
+@pytest.mark.parametrize("argv,series,coeffs", [
+    # the four members a_11..a_14 at the full order 2048: one stack, or h and g
+    (["radius", "--theorem", "B", "--gamma", "0.5"], 1, 4 * 2049),
+    (["radius", "--theorem", "4", "--gamma", "0.5"], 2, 8 * 2049),
+    # the 14 members, their rows cut at 32 terms by the grid's largest radius
+    (["sweep", "--theorem", "4", "--gammas", "0.3"], 2, 2 * 14 * 33),
+])
+def test_the_family_builds_are_counted(argv, series, coeffs):
+    tracer = layer_trace.LayerTrace()
+    with tracer, contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    m = tracer.metrics(1)
+    assert m["extremals.series_built"][0] == series
+    assert m["extremals.coeffs_built"][0] == coeffs

@@ -16,18 +16,18 @@ from hypothesis import strategies as st
 
 from bohrlab import cli
 from bohrlab.cli import BOUNDS
-from bohrlab.extremals import harmonic_extremal, mobius_family_coeffs, sharpness_a_grid
+from bohrlab.extremals import sharpness_a_grid
 from bohrlab.functionals import DEFAULT_AREA_WEIGHT, bohr_total, harmonic_total, sharp_harmonic_radius
 from bohrlab.series import DiskDomain
 from bohrlab.solver import (SMALLEST_TOL, UPPER_LIMIT, RadiusResult, a_to_one_limit, bohr_radius_of_function,
                             family_infimum_radius)
 
-from oracles import (bisection_radius, constant, family_infimum_reference, member_radius_root, stack_of, stacked_bound,
-                     zero)
+from oracles import (bisection_radius, constant, family_infimum_reference, harmonic_member, member, member_radius_root,
+                     member_series, stack_of, stacked_bound, zero)
 
 
 def majorant_bound(a, gamma=0.0, order=2048):
-    p = mobius_family_coeffs(a, gamma, order)
+    p = member(a, gamma, order)
     return lambda r: bohr_total(p, r)
 
 
@@ -106,7 +106,7 @@ def test_solver_requires_positive_tolerance():
 @pytest.mark.parametrize("tol", [1e-320, 5e-324, 0.5 * SMALLEST_TOL, math.nan])
 def test_solver_rejects_a_tolerance_below_the_smallest(tol):
     # these overflowed the step budget: OverflowError at 1e-320
-    p = mobius_family_coeffs(0.9, 0.5)
+    p = member(0.9, 0.5)
     with pytest.raises(ValueError, match=r"at least 2\^-1024"):
         bohr_radius_of_function(lambda r: bohr_total(p, r), tol=tol)
 
@@ -140,7 +140,7 @@ def test_family_harmonic_corollary_case():
     family = sharpness_a_grid(14)
 
     def bound_for(a):
-        h, g = harmonic_extremal(a, 0.25, 1.0)
+        h, g = harmonic_member(a, 0.25, 1.0)
         return lambda r: harmonic_total(h, g, r)
 
     res = family_infimum_radius(stacked_bound(bound_for, family), family, 0.25, tol=1e-10)
@@ -207,9 +207,9 @@ def _theorem_bound(theorem, gamma, k, a):
     values.update(bound.pinned)
     gamma, x = values["gamma"], values.get(bound.param)
     if bound.harmonic:
-        series = harmonic_extremal(a, gamma, values["k"])
+        series = harmonic_member(a, gamma, values["k"])
     else:
-        series = mobius_family_coeffs(a, gamma)
+        series = member(a, gamma)
     return lambda r: bound.total(series, r, gamma, x).padded()
 
 
@@ -347,14 +347,14 @@ def _theorem_family(theorem, gamma, k, members, order=2048):
     values.update(bound.pinned)
     gamma, x = values["gamma"], values.get(bound.param)
     a_values, series = [], []
-    for member in members:
-        if isinstance(member, _Constant):
-            h = constant(member.c, order)
-            a_values.append(member.a)
+    for x_or_constant in members:
+        if isinstance(x_or_constant, _Constant):
+            h = constant(x_or_constant.c, order)
+            a_values.append(x_or_constant.a)
             series.append((h, zero(order)) if bound.harmonic else h)
         else:
-            a_values.append(member)
-            series.append(cli._series(bound, member, gamma, values["k"], order))
+            a_values.append(x_or_constant)
+            series.append(member_series(bound, x_or_constant, gamma, values["k"], order))
     stack = tuple(map(stack_of, zip(*series))) if bound.harmonic else stack_of(series)
     by_a = dict(zip(a_values, series))  # members at one a have one series
     return (a_values, gamma, lambda r: bound.total(stack, r, gamma, x),

@@ -11,7 +11,6 @@ from bohrlab.extremals import (
     family_area_deficit,
     family_harmonic_deficit,
     family_norm_deficit,
-    mobius_family_coeffs,
 )
 from bohrlab.series import DiskDomain, PowerSeries, numeric_taylor
 from bohrlab.verify import (
@@ -49,6 +48,7 @@ from oracles import (
     dilatation_coefficients_reference,
     family_deficit_identity_reference,
     from_unit_disk,
+    member,
     random_decaying_series,
     recentred_consistency_reference,
     recentred_slack_certificate_reference,
@@ -236,7 +236,7 @@ def test_coefficient_bound_near_extremality():
     # the first family coefficient meets the bound exactly, for every a
     for a in (0.5, 1.0 - 2.0**-12):
         for gamma in (0.0, 0.25, 0.7):
-            p = mobius_family_coeffs(a, gamma, 8)
+            p = member(a, gamma, 8)
             a0 = abs(p.coeffs[0])
             bound = (1.0 - a0**2) / (1.0 + gamma)
             slack = bound - abs(p.coeffs[1])
@@ -269,7 +269,7 @@ def test_dilatation_coefficients_suite_and_zero_case():
 
 def test_deficit_identity_frozen_point():
     # evaluated totals vs closed-form deficits at one hand-computed point
-    p = mobius_family_coeffs(0.5, 0.0)
+    p = member(0.5, 0.0)
     total = functionals.area_refined_total(p, 1.0 / 3.0, 0.0).total
     assert abs(total - (1.0 - 0.5 * family_area_deficit(1.0 / 3.0, 0.5, 0.0))) < 1e-12
     total2 = functionals.norm_refined_total(p, 0.25).total
@@ -308,7 +308,7 @@ def test_recentred_consistency_check():
 
 def test_recentred_functional_matches_centered_route():
     gamma = 0.4
-    p = mobius_family_coeffs(0.7, gamma, 128)
+    p = member(0.7, gamma, 128)
     alpha = PowerSeries(p.coeffs / (1.0 - gamma) ** np.arange(129))
     r = 0.37
     direct = functionals.area_refined_total(p, r, gamma).total
@@ -333,27 +333,27 @@ def test_vector_recentred_area_total_equals_scalar_calls():
     # a stack, its rows with and without a tail certificate: row i equals the
     # call on member i alone, on a shared (1, R) row and at one r and gamma each
     members = [PowerSeries(random_decaying_series(rng, 96, 0.8)) for _ in range(3)]
-    members += [mobius_family_coeffs(a, 0.2, 96) for a in (0.4, 0.93)]
+    members += [member(a, 0.2, 96) for a in (0.4, 0.93)]
     stack = stack_of(members)
     for gamma in (0.0, 0.3, 0.6):
         row = np.linspace(0.05, 0.8 * (1.0 - gamma), 6)
         shared = recentred_area_total(stack, row[None, :], gamma, weight=1.5)
         assert shared.total.shape == (len(members), row.size)
-        for i, member in enumerate(members):
-            alone = recentred_area_total(member, row, gamma, weight=1.5)
+        for i, one in enumerate(members):
+            alone = recentred_area_total(one, row, gamma, weight=1.5)
             for field in _FIELDS:
                 assert np.array_equal(getattr(shared, field)[i], getattr(alone, field)), field
     gammas = np.array([0.0, 0.3, 0.6, 0.85, 0.45])
     radii = np.array([0.7, 0.05, 0.3, 0.1, 0.5])
     per_member = recentred_area_total(stack, radii, gammas)
-    for i, member in enumerate(members):
-        alone = recentred_area_total(member, float(radii[i]), float(gammas[i]))
+    for i, one in enumerate(members):
+        alone = recentred_area_total(one, float(radii[i]), float(gammas[i]))
         for field in _FIELDS:
             assert getattr(per_member, field)[i] == getattr(alone, field), field
 
 
 def test_stacked_recentred_area_total_rejects_bad_radii_and_gammas():
-    stack = stack_of([mobius_family_coeffs(a, 0.2, 32) for a in (0.4, 0.9)])
+    stack = stack_of([member(a, 0.2, 32) for a in (0.4, 0.9)])
     with pytest.raises(ValueError, match="radius"):
         recentred_area_total(stack, np.array([0.1, 0.2, 0.3]), 0.2)
     with pytest.raises(ValueError, match="gamma"):
