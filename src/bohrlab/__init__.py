@@ -26,8 +26,6 @@ from .functionals import (
 from .series import (
     DEFAULT_ORDER,
     DiskDomain,
-    PowerSeries,
-    TailBound,
     numeric_taylor,
     recenter_affine,
 )

@@ -50,6 +50,9 @@ A_BOUNDS = (0.05, 0.99)
 R_MIN = 1e-3
 # The largest gamma estimate_constant takes (see check_gammas)
 MAX_GAMMA = 0.999
+# Augmented samples per numeric_taylor, majorant and area call (on the shared
+# radius row): a block's 64 rows of 1536 circle samples take about 1.5 MB.
+_AUGMENT_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -106,16 +109,16 @@ def estimate_constant(
         rng = np.random.default_rng(seed)
         domain = DiskDomain(gamma)
         aug_min, aug_idx = np.inf, None
-        for s in range(augment_samples):
-            f = bounded_on_disk_domain(random_blaschke(rng), domain)
-            p = numeric_taylor(f, 192, rho=0.9)
-            ratio = _ratio(
-                functionals.majorant(p, r_vals), functionals.dirichlet_area(p, r_vals * (1.0 - gamma))
-            )
-            j = int(np.argmin(ratio))
-            if ratio[j] < aug_min:
-                aug_min, aug_idx = float(ratio[j]), s
-                aug_r = float(r_vals[j])
+        r_row, area_row = r_vals[None, :], (r_vals * (1.0 - gamma))[None, :]
+        for start in range(0, augment_samples, _AUGMENT_BLOCK):
+            block = [bounded_on_disk_domain(random_blaschke(rng), domain)
+                     for _ in range(min(_AUGMENT_BLOCK, augment_samples - start))]
+            p = numeric_taylor(lambda z: [f(z) for f in block], 192, rho=0.9)
+            ratio = _ratio(functionals.majorant(p, r_row), functionals.dirichlet_area(p, area_row))
+            # the first minimum in sample order, as a running strict minimum finds it
+            i, j = np.unravel_index(int(np.argmin(ratio)), ratio.shape)
+            if ratio[i, j] < aug_min:
+                aug_min, aug_idx, aug_r = float(ratio[i, j]), start + int(i), float(r_vals[j])
         stats["augment"] = {"count": augment_samples, "seed": seed, "min": aug_min, "winner": None}
         if aug_min < best:
             best, best_a, best_r = aug_min, float("nan"), aug_r

@@ -9,16 +9,16 @@ neglected mass is the series past the stored order, bounded by the tail
 certificate, plus the stored terms past the cut: each sum stops where the
 stored terms it skips are certified to add at most 2^-60.
 
-Every sum and evaluator takes the radius ``r`` as a float or a
-1-D array of radii.  A float gives plain floats; an array gives values
-shaped like ``r``, each equal bit for bit to the scalar call at that radius.
-In place of a series, each also takes a :class:`SeriesStack` of same-order
-series with one radius per member: row i then equals, bit for bit, the call
-on member i alone at r[i], so a family is evaluated in one call.  A stack
-also takes one radius row of shape (1, R) that every member shares, and the
-results are (M, R) arrays (``r`` stays the row as given) whose row i equals,
-bit for bit, the call on member i alone at the 1-D radii r[0]; each power
-table x^n is then built once for the whole stack.
+Every sum and evaluator takes a :class:`SeriesStack` of M same-order
+series (one series is a one-row stack) and its radii as an array, in one of
+two shapes.  A 1-D array of M radii gives one radius per member, and values
+of shape (M,) whose row i equals, bit for bit, the call on member i alone at
+r[i:i+1], so a family is evaluated in one call.  One radius row of shape
+(1, R) that every member shares gives (M, R) arrays (``r`` stays the row as
+given) whose row i equals, bit for bit, the call on member i alone on that
+row, and each entry the call at that one radius; each power table x^n is
+then built once for the whole stack.  Any other radius, a float included, is
+a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import PowerSeries, SeriesStack, _check_gamma
+from .series import SeriesStack, _check_gamma
 
 __all__ = [
     "FunctionalValue",
@@ -53,42 +53,35 @@ class FunctionalValue:
     """Value of one bound at radius r: total = majorant + correction exactly,
     and the true (untruncated) value lies within total +- tail_error."""
 
-    total: float | np.ndarray
-    majorant: float | np.ndarray
-    correction: float | np.ndarray
-    r: float | np.ndarray
-    tail_error: float | np.ndarray
+    total: np.ndarray
+    majorant: np.ndarray
+    correction: np.ndarray
+    r: np.ndarray
+    tail_error: np.ndarray
 
-    def padded(self) -> float | np.ndarray:
+    def padded(self) -> np.ndarray:
         """Safe-side value for <= 1 assertions."""
         return self.total + self.tail_error
 
 
-def _check_radius(r: float | np.ndarray, *series) -> None:
-    if isinstance(r, np.ndarray):
-        ok = bool(np.all((0.0 <= r) & (r < 1.0)))
-    else:
-        ok = 0.0 <= r < 1.0
-    if not ok:
+def _check_radius(r: np.ndarray, *series: SeriesStack) -> None:
+    """r in [0, 1): one radius per member of stacks all of one size, or one (1, R) row they share."""
+    members = {p.coeffs.shape[0] for p in series}
+    if not (isinstance(r, np.ndarray) and len(members) == 1
+            and (r.shape == (*members,) or (r.ndim == 2 and len(r) == 1))):
+        raise ValueError("radius must be an array: a stack of M series takes M radii, one per member, or one (1, R) "
+                         f"row that every member shares; got {type(r).__name__} of shape {np.shape(r)} for "
+                         f"stacks of {sorted(members)} members")
+    if not np.all((0.0 <= r) & (r < 1.0)):
         raise ValueError(f"radius must lie in [0, 1), got {r}")
-    shape = np.shape(r)
-    # the shape each series takes: any float or 1-D array, or M radii for a stack of M
-    takes = {(p.coeffs.shape[0],) if isinstance(p, SeriesStack) else None for p in series}
-    if len(shape) == 2:  # one row that every member shares: stacks only, all of one size
-        ok = shape[0] == 1 and len(takes) == 1 and None not in takes
-    else:
-        ok = takes <= {None, shape} and (len(shape) == 1 or not isinstance(r, np.ndarray))
-    if not ok:
-        raise ValueError("radius must be a float or a 1-D array; a stack of M series takes M radii, "
-                         f"one radius per member, or one (1, R) row that every member shares; got shape {shape}")
 
 
 def _check_radius_and_gamma(r, gamma: float | np.ndarray, p) -> None:
-    """:func:`_check_radius`, and gamma in [0, 1): a float, or for a stack
-    with one radius per member, one gamma per member."""
+    """:func:`_check_radius`, and gamma in [0, 1): a float, or with one radius
+    per member, one gamma per member."""
     if isinstance(gamma, np.ndarray):
-        if not isinstance(p, SeriesStack) or gamma.shape != p.coeffs.shape[:1] or np.ndim(r) != 1:
-            raise ValueError(f"an array of gamma needs a stack, one radius and one gamma per member, got {gamma}")
+        if gamma.shape != p.coeffs.shape[:1] or np.ndim(r) != 1:
+            raise ValueError(f"an array of gamma needs one radius and one gamma per member, got {gamma}")
         if not np.all((0.0 <= gamma) & (gamma < 1.0)):
             raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
     else:
@@ -96,21 +89,16 @@ def _check_radius_and_gamma(r, gamma: float | np.ndarray, p) -> None:
     _check_radius(r, p)
 
 
-def _like_radius(value, r):
-    """``value`` as a plain float for a scalar radius, as it is for an array."""
-    return value if isinstance(r, np.ndarray) else float(value)
-
-
 def _per_member(values, r):
     """A stack's per-member ``values`` as a column when its members share one radius row."""
-    return values[:, None] if getattr(r, "ndim", 0) == 2 else values  # np.ndim costs more than the sum's tail
+    return values[:, None] if r.ndim == 2 else values
 
 
 def _constant_modulus(p, r):
-    """|a_0|, one per row for a stack, each rounded as the scalar ``abs()`` rounds
-    it: numpy's vectorised complex ``np.abs`` can differ by an ulp, ``np.hypot`` can not."""
-    a0 = p.coeffs.T[0]
-    return _per_member(np.hypot(a0.real, a0.imag), r) if a0.ndim else _like_radius(abs(a0), r)
+    """|a_0|, one per row, each rounded as the scalar ``abs()`` rounds it:
+    numpy's vectorised complex ``np.abs`` can differ by an ulp, ``np.hypot`` can not."""
+    a0 = p.coeffs[:, 0]
+    return _per_member(np.hypot(a0.real, a0.imag), r)
 
 
 # A sum stops at the shortest length L on the ladder 32, 64, 128, ... whose
@@ -128,7 +116,7 @@ class _Terms:
     ``lengths`` ends with the full length; ``heads[j]`` is the exponent of the
     first term skipped at ``lengths[j]`` and ``suffix[..., j]`` bounds the
     skipped weights, sum_{k >= L} w_k, from above (0 at the full length).
-    For a stack, ``weights`` and ``suffix`` have one row per member; the
+    ``weights`` and ``suffix`` have one row per member of the stack; the
     exponents, lengths and heads depend on the order alone.
     """
 
@@ -139,8 +127,8 @@ class _Terms:
     suffix: np.ndarray
 
 
-def _terms(p: PowerSeries, kind: str) -> _Terms:
-    """The terms of one of the three sums over p's coefficients, built once per series or stack."""
+def _terms(p: SeriesStack, kind: str) -> _Terms:
+    """The terms of one of the three sums over p's coefficients, built once per stack."""
     memo = p._memo
     if kind not in memo:
         n = np.arange(p.order + 1, dtype=float)
@@ -162,96 +150,86 @@ def _terms(p: PowerSeries, kind: str) -> _Terms:
     return memo[kind]
 
 
-def _power_sum(terms: _Terms, x: float | np.ndarray):
+def _power_sum(terms: _Terms, x: np.ndarray):
     """(sum_k w_k x^n_k, bound on the stored terms it skipped) for each x.
 
-    The weights are one row per x, one vector shared by every x, or, for a
-    (1, R) row of x, one row per member of a stack, each against every x.
-    Each x sums its first L terms, L the shortest length with x^n_L S_L <=
-    _CUT: every skipped term is at most x^n_L times its weight, as x < 1 and
-    the exponents increase.  L depends on x and its row alone and each sum is
-    one dot product, so every x rounds exactly as the scalar call does.
+    The weights are one row per x, or, for a (1, R) row of x, one row per
+    member of a stack, each against every x.  Each x sums its first L terms,
+    L the shortest length with x^n_L S_L <= _CUT: every skipped term is at
+    most x^n_L times its weight, as x < 1 and the exponents increase.  L
+    depends on x and its row alone and each sum is one dot product, so every
+    x rounds exactly as it does alone.
     """
-    xs = np.atleast_1d(x)
-    shared = xs.ndim == 2  # one row of x for every member: an (M, R) result
-    bounds = np.power.outer(xs, terms.heads) * (terms.suffix[:, None] if shared else terms.suffix)
+    shared = x.ndim == 2  # one row of x for every member: an (M, R) result
+    bounds = np.power.outer(x, terms.heads) * (terms.suffix[:, None] if shared else terms.suffix)
     pick = np.argmax(bounds <= _CUT, axis=-1)
     if shared:
         skipped = np.take_along_axis(bounds, pick[..., None], axis=-1)[..., 0]
     else:  # the same, at a third of the call overhead
-        skipped = bounds[np.arange(xs.size), pick]
+        skipped = bounds[np.arange(x.size), pick]
     lengths = terms.lengths[pick]
     value = np.empty(lengths.shape)
     # sorted(set()) rather than np.unique, which imports numpy.ma
     for length in sorted(set(lengths.ravel().tolist())):
         cells = lengths == length
-        weights = terms.weights[..., :length]
+        weights = terms.weights[:, :length]
         if shared:  # the powers of each x that any member needs, once; every member dots them
             cols = cells.any(axis=0)
-            sums = np.vecdot(np.power.outer(xs[0, cols], terms.exponents[:length]), weights[:, None])
+            sums = np.vecdot(np.power.outer(x[0, cols], terms.exponents[:length]), weights[:, None])
             value[:, cols] = np.where(cells[:, cols], sums, value[:, cols])
         else:
-            powers = np.power.outer(xs[cells], terms.exponents[:length])
-            value[cells] = np.vecdot(powers, weights if weights.ndim == 1 else weights[cells])
-    if isinstance(x, np.ndarray):
-        return value, skipped
-    return float(value[0]), float(skipped[0])
+            value[cells] = np.vecdot(np.power.outer(x[cells], terms.exponents[:length]), weights[cells])
+    return value, skipped
 
 
-def _rounded_up(tail, p: PowerSeries, x, r):
-    """A certificate tail at radius r, scaled up to cover its rounding: x =
+def _rounded_up(tail, p: SeriesStack, x):
+    """A certificate tail, scaled up to cover its rounding: x =
     fl(q r) or fl(fl(q r)^2) is off by a relative e <= u = 2^-53 or 4u (against
     q^2 r*r, exact or rounded), which moves x^(N+1) by (N+1) e, 1/(1-x)^k by
     k e/(1-x) and N+1 - N x by at most S e, S = N+1 + 1/(1-x) >= 2; the form's
     own roundings add at most (S + 10) u.  The worst, the area form, is off by
     2S * 4u + (S + 10) u <= 14 S u, under the factor's 8 S 2^-52 = 16 S u."""
-    return _like_radius(tail * (1.0 + 8.0 * (p.order + 1 + 1.0 / (1.0 - x)) * 2.0**-52), r)
+    return tail * (1.0 + 8.0 * (p.order + 1 + 1.0 / (1.0 - x)) * 2.0**-52)
 
 
-def _majorant(p: PowerSeries, r):
+def _majorant(p: SeriesStack, r):
     """(sum of |a_n| r^n over the terms summed, bound on the rest of the
     series): the bound covers the stored terms past the cut plus sum_{n>N}
-    from the tail certificate (nothing if absent).  ``_norm_f0`` and
-    ``_dirichlet_area`` return their sums the same way."""
+    from the tail certificate (exactly 0 for a row without one, C = 0).
+    ``_norm_f0`` and ``_dirichlet_area`` return their sums the same way."""
     value, skipped = _power_sum(_terms(p, "majorant"), r)
-    if p.tail is None:  # a certificate with C = 0 (a stack row without one) adds exactly 0
-        return value, skipped
     q, c = _per_member(p.tail.q, r), _per_member(p.tail.C, r)
     x = q * r  # below one: q < 1 and r < 1
-    return value, _rounded_up(c * np.power(x, p.order + 1) / (1.0 - x), p, x, r) + skipped
+    return value, _rounded_up(c * np.power(x, p.order + 1) / (1.0 - x), p, x) + skipped
 
 
-def _norm_f0(p: PowerSeries, r):
+def _norm_f0(p: SeriesStack, r):
     """The squared-coefficient norm of the constant-free part, sum_{n>=1} |a_n|^2 r^{2n}."""
     # squares are products: Python's float ** 2 and numpy's can round apart
     value, skipped = _power_sum(_terms(p, "norm"), r * r)
-    if p.tail is None:
-        return value, skipped
     q, c = _per_member(p.tail.q, r), _per_member(p.tail.C, r)
     x = (q * r) * (q * r)
     tail = c * c * np.power(x, p.order + 1) / (1.0 - x)
-    return value, _rounded_up(tail, p, x, r) + skipped
+    return value, _rounded_up(tail, p, x) + skipped
 
 
-def _dirichlet_area(p: PowerSeries, r):
+def _dirichlet_area(p: SeriesStack, r):
     value, skipped = _power_sum(_terms(p, "area"), r * r)
-    if p.tail is None:
-        return value, skipped
     q, c = _per_member(p.tail.q, r), _per_member(p.tail.C, r)
     x = (q * r) * (q * r)
     n1 = p.order + 1
     # sum_{n>N} n x^n = x^{N+1} ((N+1) - N x) / (1-x)^2
     tail = c * c * np.power(x, n1) * (n1 - p.order * x) / ((1.0 - x) * (1.0 - x))
-    return value, _rounded_up(tail, p, x, r) + skipped
+    return value, _rounded_up(tail, p, x) + skipped
 
 
-def majorant(p: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:
+def majorant(p: SeriesStack, r: np.ndarray) -> np.ndarray:
     """Sum of |a_n| r^n over the stored coefficients, up to the cut."""
     _check_radius(r, p)
     return _majorant(p, r)[0]
 
 
-def dirichlet_area(p: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:
+def dirichlet_area(p: SeriesStack, r: np.ndarray) -> np.ndarray:
     """Multiplicity-counted image area over pi: sum_{n>=1} n |a_n|^2 r^{2n}.
 
     By Parseval this equals (1/pi) * integral of |f'|^2 over the disk of
@@ -261,7 +239,7 @@ def dirichlet_area(p: PowerSeries, r: float | np.ndarray) -> float | np.ndarray:
     return _dirichlet_area(p, r)[0]
 
 
-def bohr_total(p: PowerSeries, r: float | np.ndarray) -> FunctionalValue:
+def bohr_total(p: SeriesStack, r: np.ndarray) -> FunctionalValue:
     """Plain majorant with no correction term."""
     _check_radius(r, p)
     m, tail = _majorant(p, r)
@@ -269,7 +247,7 @@ def bohr_total(p: PowerSeries, r: float | np.ndarray) -> FunctionalValue:
 
 
 def area_refined_total(
-    p: PowerSeries, r: float | np.ndarray, gamma: float | np.ndarray, weight: float = DEFAULT_AREA_WEIGHT
+    p: SeriesStack, r: np.ndarray, gamma: float | np.ndarray, weight: float = DEFAULT_AREA_WEIGHT
 ) -> FunctionalValue:
     """Majorant plus weighted image-area correction for functions bounded on
     the enlarged disk of parameter gamma.
@@ -279,8 +257,8 @@ def area_refined_total(
     of the matching off-center subdisk under the recentred function, so both
     readings of the correction term agree.
 
-    On a stack with one radius per member, ``gamma`` may also be one value
-    per member, as ``r`` is.
+    With one radius per member, ``gamma`` may also be one value per member,
+    as ``r`` is.
     """
     _check_radius_and_gamma(r, gamma, p)
     m, m_tail = _majorant(p, r)
@@ -288,7 +266,7 @@ def area_refined_total(
     return FunctionalValue(m + weight * area, m, weight * area, r, m_tail + weight * area_tail)
 
 
-def norm_refined_total(p: PowerSeries, r: float | np.ndarray) -> FunctionalValue:
+def norm_refined_total(p: SeriesStack, r: np.ndarray) -> FunctionalValue:
     """Majorant plus the squared-coefficient norm correction
     (1/(1+|a_0|) + r/(1-r)) * sum_{n>=1} |a_n|^2 r^{2n}."""
     _check_radius(r, p)
@@ -300,7 +278,7 @@ def norm_refined_total(p: PowerSeries, r: float | np.ndarray) -> FunctionalValue
     return FunctionalValue(m + corr, m, corr, r, m_tail + factor * norm_tail)
 
 
-def domain_ratio_area_total(p: PowerSeries, r: float | np.ndarray, ratio_sup: float) -> FunctionalValue:
+def domain_ratio_area_total(p: SeriesStack, r: np.ndarray, ratio_sup: float) -> FunctionalValue:
     """Majorant plus 2 ((1+L)/(1+2L))^2 times the Dirichlet area, where L is
     the domain's coefficient-ratio supremum sup |a_n|/(1-|a_0|^2)."""
     if not ratio_sup > 0.0:
@@ -313,7 +291,7 @@ def domain_ratio_area_total(p: PowerSeries, r: float | np.ndarray, ratio_sup: fl
     return FunctionalValue(m + corr, m, corr, r, m_tail + weight * area_tail)
 
 
-def harmonic_total(h: PowerSeries, g: PowerSeries, r: float | np.ndarray) -> FunctionalValue:
+def harmonic_total(h: SeriesStack, g: SeriesStack, r: np.ndarray) -> FunctionalValue:
     """Joint majorant of a harmonic mapping h + conj(g): the analytic majorant
     plus the co-analytic majorant without its constant term."""
     _check_radius(r, h, g)

@@ -1,20 +1,20 @@
 """Truncated complex power series and the enlarged-disk geometry.
 
-The basic value type is an immutable coefficient vector a_0..a_N together
-with optional tail metadata: a certificate that |a_n| <= C * q**n for every
-index beyond the stored order.  All arithmetic is plain double precision;
-the tail metadata is what lets the downstream evaluators report rigorous
-truncation bounds instead of silently dropping mass.
+The one series type is :class:`SeriesStack`: the coefficient vectors a_0..a_N
+of one or more series of one order, one row each, together with each row's
+tail certificate, |a_n| <= C * q**n for every index beyond the stored order.
+All arithmetic is plain double precision; the certificates are what let the
+downstream evaluators report rigorous truncation bounds instead of silently
+dropping mass.
 
-Everything here is a pure function of immutable inputs, so values can be
-shared freely across threads and parameter sweeps.
+Everything here is a pure function of its inputs, so values can be shared
+freely across threads and parameter sweeps.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from types import SimpleNamespace
 from typing import Callable
 
@@ -22,8 +22,6 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_ORDER",
-    "TailBound",
-    "PowerSeries",
     "SeriesStack",
     "DiskDomain",
     "numeric_taylor",
@@ -36,65 +34,17 @@ __all__ = [
 DEFAULT_ORDER = 2048
 
 
-@dataclass(frozen=True)
-class TailBound:
-    """Certificate |a_n| <= C * q**n for all coefficients beyond the stored order."""
-
-    q: float
-    C: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.q < 1.0:
-            raise ValueError(f"tail ratio must lie in [0, 1), got {self.q}")
-        if not (math.isfinite(self.C) and self.C >= 0.0):
-            raise ValueError(f"tail constant must be finite and nonnegative, got {self.C}")
-
-
-@dataclass(frozen=True)
-class PowerSeries:
-    """Coefficients a_0..a_N of an analytic function.
-
-    The arithmetic never depends on where the expansion is centered: the
-    coefficients of a series about a point c stand for sum a_n (z - c)^n.
-    """
-
-    coeffs: np.ndarray
-    tail: TailBound | None = None
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.coeffs, dtype=np.complex128).reshape(-1)
-        if arr.size == 0:
-            raise ValueError("a series needs at least its constant coefficient")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("series coefficients must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
-
-    # ------------------------------------------------------------------
-    # views
-
-    @property
-    def order(self) -> int:
-        """Truncation order N; ``coeffs`` holds a_0..a_N."""
-        return self.coeffs.size - 1
-
-    @cached_property
-    def _memo(self) -> dict:
-        """Values derived from the coefficients, stored here by the code that
-        computes them so that each is computed once per series (the
-        evaluators' weight tables in :mod:`functionals`)."""
-        return {}
-
-
 class SeriesStack:
-    """Series of one order, evaluated together at one radius per member or on
-    one radius row that every member shares.
+    """Series of one order, one per row (one series is a one-row stack),
+    evaluated together at one radius per member or on one radius row that
+    every member shares.
 
-    ``coeffs`` (complex, or float64 for real series) has one member per row,
-    as do the evaluators' weight tables; ``q`` and ``C`` are the members'
-    certificate arrays, 0 where a member has none, and all 0 when they are
-    left out.  All three are held as given, with no copy and no finiteness
-    check.
+    ``coeffs`` (complex, or float64 for real series) has one member per row;
+    ``q`` and ``C`` are the members' certificate arrays, 0 where a member has
+    none, and all 0 when they are left out.  All three are held as given, with
+    no copy and no finiteness check (:func:`numeric_taylor` checks what it
+    reads from outside the package).  ``_memo`` keeps the evaluators' weight
+    tables, each built once per stack.
     """
 
     def __init__(self, coeffs: np.ndarray, q: np.ndarray | None = None, C: np.ndarray | None = None) -> None:
@@ -119,18 +69,19 @@ def taylor_coefficients(vals: np.ndarray, order: int, rho: float) -> np.ndarray:
     return coeffs / rho ** np.arange(order + 1)
 
 
-def numeric_taylor(f: Callable, order: int, rho: float = 0.5, samples: int | None = None) -> PowerSeries | SeriesStack:
-    """Taylor coefficients about 0 of a black-box analytic function.
+def numeric_taylor(f: Callable, order: int, rho: float = 0.5, samples: int | None = None) -> SeriesStack:
+    """Taylor coefficients about 0 of black-box analytic functions.
 
     Computes a_n = (2*pi)^-1 * integral of f(rho e^{i t}) e^{-i n t} dt / rho**n
     with uniform trapezoid sampling, i.e. one FFT over ``samples`` points on
     the circle of radius ``rho``.  The default uses 8 samples per requested
     order, which keeps the aliasing error geometrically small; roundoff grows
     like eps / rho**n, so callers extracting high orders should raise ``rho``.
-    ``f`` is called once, on the cached, read-only array of all sample points.
-    An ``f`` that returns one row of values per function, shape (M, samples),
-    gives the :class:`SeriesStack` of the M expansions, with no certificates;
-    row i equals, bit for bit, the expansion of row i alone.
+    ``f`` is called once, on the cached, read-only array of all sample points,
+    and returns one row of values per function, shape (M, samples), or one
+    row alone, shape (samples,).  The result is the :class:`SeriesStack` of
+    the M expansions (one for a lone row), with no certificates; row i
+    equals, bit for bit, the expansion of row i alone.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -146,8 +97,12 @@ def numeric_taylor(f: Callable, order: int, rho: float = 0.5, samples: int | Non
                          f"got shape {vals.shape} for {m}")
     if not np.all(np.isfinite(vals)):
         raise ValueError("function produced non-finite samples on the circle")
-    coeffs = taylor_coefficients(vals, order, rho)
-    return SeriesStack(coeffs) if vals.ndim == 2 else PowerSeries(coeffs)
+    with np.errstate(all="ignore"):  # rho**n underflows, or the division by it overflows: raised below
+        coeffs = taylor_coefficients(vals.reshape(-1, m), order, rho)
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError(f"non-finite Taylor coefficients at order {order} and rho = {rho}: "
+                         "raise rho or lower the order")
+    return SeriesStack(coeffs)
 
 
 def _check_gamma(gamma: float) -> None:
@@ -155,25 +110,19 @@ def _check_gamma(gamma: float) -> None:
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
 
 
-def recenter_affine(p: PowerSeries | SeriesStack, gamma: float | np.ndarray) -> PowerSeries | SeriesStack:
-    """Rescale a series about gamma into its unit-disk counterpart.
+def recenter_affine(p: SeriesStack, gamma: float | np.ndarray) -> SeriesStack:
+    """Rescale a stack about gamma into its unit-disk counterpart.
 
     Given g(z) = sum alpha_n (z - gamma)^n, returns G with b_n =
-    alpha_n * (1-gamma)^n, so that g = G((z - gamma)/(1 - gamma)).  A
-    :class:`SeriesStack` is rescaled row by row, about one gamma or one gamma
-    per member; row i equals, bit for bit, the call on member i alone.
+    alpha_n * (1-gamma)^n, so that g = G((z - gamma)/(1 - gamma)); the
+    certificate ratio q scales by 1 - gamma.  Each row is rescaled about one
+    gamma for all, or one gamma per member; row i equals, bit for bit, the
+    call on member i alone.
     """
-    if isinstance(p, SeriesStack):
-        if not np.all((0.0 <= gamma) & (gamma < 1.0)) or np.shape(gamma) not in {(), p.coeffs.shape[:1]}:
-            raise ValueError(f"gamma must lie in [0, 1), one value or one per member, got {gamma}")
-        scale = 1.0 - gamma
-        return SeriesStack(p.coeffs * np.power.outer(scale, np.arange(p.order + 1)), p.tail.q * scale, p.tail.C)
-    _check_gamma(gamma)
-    scale = (1.0 - gamma) ** np.arange(p.order + 1)
-    tail = None
-    if p.tail is not None:
-        tail = TailBound(p.tail.q * (1.0 - gamma), p.tail.C)
-    return PowerSeries(p.coeffs * scale, tail)
+    if not np.all((0.0 <= gamma) & (gamma < 1.0)) or np.shape(gamma) not in {(), p.coeffs.shape[:1]}:
+        raise ValueError(f"gamma must lie in [0, 1), one value or one per member, got {gamma}")
+    scale = 1.0 - gamma
+    return SeriesStack(p.coeffs * np.power.outer(scale, np.arange(p.order + 1)), p.tail.q * scale, p.tail.C)
 
 
 @dataclass(frozen=True)

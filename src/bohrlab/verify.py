@@ -25,7 +25,7 @@ from . import functionals
 from .extremals import (family_area_deficit, family_harmonic_deficit, family_norm_deficit, harmonic_extremal,
                         mobius_family_coeffs)
 from .functionals import DEFAULT_AREA_WEIGHT, FunctionalValue, sharp_majorant_radius
-from .series import DiskDomain, PowerSeries, SeriesStack, _circle, numeric_taylor, recenter_affine, taylor_coefficients
+from .series import DiskDomain, SeriesStack, _circle, numeric_taylor, recenter_affine, taylor_coefficients
 
 __all__ = [
     "CheckReport",
@@ -381,17 +381,15 @@ def harmonic_radius_cap(a, gamma, k):
 
 
 def recentred_area_total(
-    p: PowerSeries | SeriesStack, r: float | np.ndarray, gamma: float | np.ndarray, weight: float = DEFAULT_AREA_WEIGHT
+    p: SeriesStack, r: np.ndarray, gamma: float | np.ndarray, weight: float = DEFAULT_AREA_WEIGHT
 ) -> FunctionalValue:
-    """Majorant of a series expanded about gamma plus the weighted Dirichlet
-    area of its unit-disk rescaling at the same radius (or radii, as in
-    :mod:`functionals`).
+    """Majorant of each series of a stack expanded about gamma plus the
+    weighted Dirichlet area of its unit-disk rescaling at the same radius.
 
     Feeding it the recentred coefficients of a function on the enlarged disk
     at radius r*(1-gamma) reproduces :func:`functionals.area_refined_total`.
-    A :class:`SeriesStack` takes its radii and gamma as
-    :func:`functionals.area_refined_total` does; row i then equals, bit for
-    bit, the call on member i alone.
+    It takes its radii and gamma as :func:`functionals.area_refined_total`
+    does; row i then equals, bit for bit, the call on member i alone.
     """
     functionals._check_radius_and_gamma(r, gamma, p)
     m, m_tail = functionals._majorant(p, r)

@@ -4,16 +4,17 @@ Everything above the reference section is deliberately written from first
 principles (direct summation of the defining formulas, pointwise quadrature,
 geometric sums in 30-digit arithmetic) and never calls the evaluators under
 test, so agreement is meaningful.  The series helpers that only tests need
-(exact polynomials and constants, the Cauchy product, the termwise
-derivative) live here too.
+(one series as a one-row stack, exact constants, and on coefficient vectors
+the Cauchy product and the termwise derivative) live here too.
 
 The reference section keeps the plain per-sample versions of code that the
 package now runs batched: the uncached ``numeric_taylor``, the O(n^2)
 Blaschke derivative, the full family power vector, one family member as its
-own complex series (the scalar reference of every family row), the
-conjecture grid built one member at a time, seven sampled checks, the family
-solve that ran one member after another and the per-member stack it solved
-on.  Tests assert that the batched code equals them bit for bit.
+own one-row complex stack (the reference of every family row), the
+conjecture grid built one member at a time and its augmentation one sample
+at a time, seven sampled checks, the family solve that ran one member after
+another and the per-member stack it solved on.  Tests assert that the
+batched code equals them bit for bit.
 """
 
 from __future__ import annotations
@@ -25,40 +26,35 @@ from typing import Callable
 import mpmath
 import numpy as np
 
-from bohrlab.series import DEFAULT_ORDER, PowerSeries, TailBound
+from bohrlab.series import DEFAULT_ORDER, SeriesStack
 
 
-def polynomial(coeffs) -> PowerSeries:
-    """A series that is exactly the stored polynomial (provably zero tail)."""
-    return PowerSeries(np.asarray(coeffs, dtype=np.complex128), TailBound(0.0, 0.0))
+def series(coeffs, q=0.0, C=0.0) -> SeriesStack:
+    """One series a_0..a_N as a one-row complex stack, with the tail
+    certificate (q, C), floats or one-entry arrays; left out, q = C = 0: the
+    series is exactly the stored polynomial."""
+    return SeriesStack(np.asarray(coeffs, dtype=np.complex128).reshape(1, -1), np.full(1, q, dtype=float),
+                       np.full(1, C, dtype=float))
 
 
-def constant(value: complex, order: int = 0) -> PowerSeries:
+def constant(value: complex, order: int = 0) -> SeriesStack:
     c = np.zeros(order + 1, dtype=np.complex128)
     c[0] = value
-    return PowerSeries(c, TailBound(0.0, 0.0))
+    return series(c)
 
 
-def zero(order: int = 0) -> PowerSeries:
+def zero(order: int = 0) -> SeriesStack:
     return constant(0.0, order)
 
 
-def mul(p: PowerSeries, q: PowerSeries) -> PowerSeries:
-    """Cauchy product truncated at the smaller order.
-
-    The truncation drops cross terms, so no geometric tail certificate is
-    propagated.
-    """
-    n = min(p.order, q.order)
-    coeffs = np.convolve(p.coeffs, q.coeffs)[: n + 1]
-    return PowerSeries(coeffs)
+def mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Cauchy product of two coefficient vectors, truncated at the smaller order."""
+    return np.convolve(p, q)[: min(p.size, q.size)]
 
 
-def differentiate(p: PowerSeries) -> PowerSeries:
-    """Termwise derivative; the result is one order shorter."""
-    if p.order == 0:
-        return zero()
-    return PowerSeries(p.coeffs[1:] * np.arange(1, p.order + 1))
+def differentiate(p: np.ndarray) -> np.ndarray:
+    """Termwise derivative of a coefficient vector; the result is one order shorter."""
+    return p[1:] * np.arange(1, p.size) if p.size > 1 else np.zeros(1, dtype=p.dtype)
 
 
 def family_constant_term(a: float, gamma: float) -> float:
@@ -251,23 +247,23 @@ def family_coeffs_reference(a: float, gamma: float, order: int) -> np.ndarray:
     return coeffs
 
 
-def member(a: float, gamma: float, order: int = DEFAULT_ORDER) -> PowerSeries:
-    """One family member as its own complex series with its tail certificate
-    (q, C): the scalar reference for the rows ``mobius_family_coeffs`` writes,
-    each equal to its row bit for bit."""
+def member(a: float, gamma: float, order: int = DEFAULT_ORDER) -> SeriesStack:
+    """One family member as its own one-row complex stack with its tail
+    certificate (q, C): the reference for the rows ``mobius_family_coeffs``
+    writes, each equal to its row bit for bit."""
     from bohrlab.extremals import family_constants
 
     _, q, scale = family_constants(a, gamma)
-    return PowerSeries(family_coeffs_reference(a, gamma, order), TailBound(q, scale))
+    return series(family_coeffs_reference(a, gamma, order), q, scale)
 
 
 def harmonic_member(a: float, gamma: float, weight: float, order: int = DEFAULT_ORDER):
     """The harmonic pair (h, g) of one member, h = :func:`member` and
-    g = weight * (h - h(0)): the scalar reference for ``harmonic_extremal``."""
+    g = weight * (h - h(0)): the reference for ``harmonic_extremal``."""
     h = member(a, gamma, order)
     g_coeffs = weight * h.coeffs
-    g_coeffs[0] = 0.0
-    return h, PowerSeries(g_coeffs, TailBound(h.tail.q, weight * h.tail.C))
+    g_coeffs[:, 0] = 0.0
+    return h, series(g_coeffs, h.tail.q, weight * h.tail.C)
 
 
 def ratio_grid_reference(gamma: float, a_values: np.ndarray, r_values: np.ndarray) -> np.ndarray:
@@ -283,6 +279,40 @@ def ratio_grid_reference(gamma: float, a_values: np.ndarray, r_values: np.ndarra
     x = q * r_values
     y = (x * (1.0 - gamma)) ** 2
     return _ratio(a0 + scale * x / (1.0 - x), scale**2 * y / (1.0 - y) ** 2)
+
+
+def estimate_constant_reference(gamma: float, grid: int = 64, augment_samples: int = 0, seed: int = 42):
+    """``conjecture.estimate_constant`` expanding and summing its augmented
+    samples one at a time, each on its own one-row stack, and keeping a
+    running strict minimum over them."""
+    from bohrlab import functionals, verify
+    from bohrlab.conjecture import A_BOUNDS, R_MIN, ConstantEstimate, _ratio, _ratio_grid
+    from bohrlab.series import DiskDomain, numeric_taylor
+
+    r_max = functionals.sharp_majorant_radius(gamma)
+    a_vals = np.linspace(*A_BOUNDS, grid)
+    r_vals = np.linspace(R_MIN, r_max, grid)
+    ratio = _ratio_grid(gamma, a_vals, r_vals)
+    i, j = np.unravel_index(int(np.argmin(ratio)), ratio.shape)
+    best, best_a, best_r = float(ratio[i, j]), float(a_vals[i]), float(r_vals[j])
+    level = {"level": 0, "min": best, "a_window": list(A_BOUNDS), "r_window": [R_MIN, r_max]}
+    stats: dict = {"levels": [level], "grid": grid}
+    if augment_samples > 0:
+        rng = np.random.default_rng(seed)
+        domain = DiskDomain(gamma)
+        aug_min, aug_idx, aug_r = np.inf, None, None
+        for s in range(augment_samples):
+            p = numeric_taylor(verify.bounded_on_disk_domain(verify.random_blaschke(rng), domain), 192, rho=0.9)
+            ratio = _ratio(functionals.majorant(p, r_vals[None, :])[0],
+                           functionals.dirichlet_area(p, (r_vals * (1.0 - gamma))[None, :])[0])
+            j = int(np.argmin(ratio))
+            if ratio[j] < aug_min:
+                aug_min, aug_idx, aug_r = float(ratio[j]), s, float(r_vals[j])
+        stats["augment"] = {"count": augment_samples, "seed": seed, "min": aug_min, "winner": None}
+        if aug_min < best:
+            best, best_a, best_r = aug_min, float("nan"), aug_r
+            stats["augment"]["winner"] = aug_idx
+    return ConstantEstimate(gamma, best, best_a, best_r, stats)
 
 
 def blaschke_deriv_reference(f, z):
@@ -335,10 +365,10 @@ def coefficient_bounds_reference(
     for i in range(n_samples):
         gamma = float(gammas[i % len(gammas)])
         f = verify.bounded_on_disk_domain(verify.random_blaschke(rng), DiskDomain(gamma))
-        p = numeric_taylor(f, n_max, rho=rho)
-        a0 = abs(p.coeffs[0])
+        c = numeric_taylor(f, n_max, rho=rho).coeffs[0]
+        a0 = abs(c[0])
         bound = (1.0 - a0**2) / (1.0 + gamma)
-        slack = bound - np.abs(p.coeffs[1:])
+        slack = bound - np.abs(c[1:])
         j = int(np.argmin(slack))
         if slack[j] < worst:
             worst = float(slack[j])
@@ -366,12 +396,12 @@ def ruscheweyh_reference(
             alpha = complex(alpha)
             s = 0.45 * (1.0 - abs(alpha))
             try:
-                p = numeric_taylor(lambda u: f(alpha + s * u), n_max, rho=0.5)
+                c = numeric_taylor(lambda u: f(alpha + s * u), n_max, rho=0.5).coeffs[0]
             except ValueError:
                 skipped += 1
                 continue
-            fa = abs(p.coeffs[0])
-            derivs = np.abs(p.coeffs[1:]) / s**powers
+            fa = abs(c[0])
+            derivs = np.abs(c[1:]) / s**powers
             bounds = (1.0 - fa**2) / ((1.0 - abs(alpha)) ** (powers - 1.0) * (1.0 - abs(alpha) ** 2))
             slack = bounds - derivs
             j = int(np.argmin(slack))
@@ -395,12 +425,11 @@ def dilatation_coefficients_reference(
     worst, witness = np.inf, {}
     powers = r_grid[None, :] ** np.arange(order + 1, dtype=float)[:, None]
     for i in range(n_samples):
-        h = numeric_taylor(verify.random_blaschke(rng), order, rho=rho)
-        omega = numeric_taylor(verify.random_blaschke(rng), order, rho=rho)
-        prod = mul(omega, differentiate(h))
+        h = numeric_taylor(verify.random_blaschke(rng), order, rho=rho).coeffs[0]
+        omega = numeric_taylor(verify.random_blaschke(rng), order, rho=rho).coeffs[0]
         b = np.zeros(order + 1, dtype=np.complex128)
-        b[1:] = k * prod.coeffs / np.arange(1, order + 1)
-        slacks = k**2 * (np.abs(h.coeffs) ** 2 @ powers) - np.abs(b) ** 2 @ powers
+        b[1:] = k * mul(omega, differentiate(h)) / np.arange(1, order + 1)
+        slacks = k**2 * (np.abs(h) ** 2 @ powers) - np.abs(b) ** 2 @ powers
         j = int(np.argmin(slacks))
         if slacks[j] < worst:
             worst = float(slacks[j])
@@ -426,15 +455,15 @@ def family_deficit_identity_reference(n_samples: int = 100, seed: int = 42, orde
         pref = (1.0 - a) / (1.0 - a * gamma)
         if not a > gamma:
             raise ValueError("the deficit identities need a > gamma")
-        p = member(a, gamma, order)
+        p, radius = member(a, gamma, order), np.array([r])
         resids = {
-            "area": abs(functionals.area_refined_total(p, r, gamma).total
+            "area": abs(functionals.area_refined_total(p, radius, gamma).total[0]
                         - (1.0 - (1.0 - a) * family_area_deficit(r, a, gamma))),
-            "norm": abs(functionals.norm_refined_total(p, r).total
+            "norm": abs(functionals.norm_refined_total(p, radius).total[0]
                         - (1.0 - pref * family_norm_deficit(r, a, gamma))),
         }
         h, g = harmonic_member(a, gamma, k * lam, order)
-        resids["harmonic"] = abs(functionals.harmonic_total(h, g, r).total
+        resids["harmonic"] = abs(functionals.harmonic_total(h, g, radius).total[0]
                                  - (1.0 - pref * family_harmonic_deficit(r, a, gamma, k, lam)))
         for label, resid in resids.items():
             if resid > worst_resid:
@@ -455,12 +484,12 @@ def recentred_consistency_reference(n_samples: int = 25, seed: int = 42, order: 
         a = float(rng.uniform(0.05, 0.95))
         r = float(rng.uniform(0.05, 0.9))
         p = member(a, gamma, order)
-        direct = functionals.area_refined_total(p, r, gamma).total
+        direct = functionals.area_refined_total(p, np.array([r]), gamma).total[0]
         recentred = verify.recentred_area_total(
-            PowerSeries(p.coeffs / (1.0 - gamma) ** np.arange(order + 1)),
-            r * (1.0 - gamma),
+            series(p.coeffs / (1.0 - gamma) ** np.arange(order + 1)),
+            np.array([r * (1.0 - gamma)]),
             gamma,
-        ).total
+        ).total[0]
         resid = abs(direct - recentred)
         if resid > worst_resid:
             worst_resid = resid
@@ -475,7 +504,7 @@ def recentred_slack_certificate_reference(
     """``check_recentred_slack_certificate`` with one ``numeric_taylor`` call per
     sample and one scalar call per radius."""
     from bohrlab import verify
-    from bohrlab.series import PowerSeries, numeric_taylor
+    from bohrlab.series import numeric_taylor
 
     rng = np.random.default_rng(seed)
     worst, witness = np.inf, {}
@@ -484,10 +513,10 @@ def recentred_slack_certificate_reference(
         f = verify.random_blaschke(rng)
         s = 0.9 * (1.0 - gamma)
         c = numeric_taylor(lambda u: f(gamma + s * u), order, rho=0.9)
-        alpha = PowerSeries(c.coeffs / s ** np.arange(order + 1))
-        a0 = abs(alpha.coeffs[0])
+        alpha = series(c.coeffs / s ** np.arange(order + 1))
+        a0 = abs(alpha.coeffs[0, 0])
         for r in np.linspace(0.05, 0.8 * (1.0 - gamma), 6):
-            total = verify.recentred_area_total(alpha, float(r), gamma, weight).total
+            total = verify.recentred_area_total(alpha, np.array([r]), gamma, weight).total[0]
             cap = 1.0 + verify.recentred_slack(float(r), a0, gamma, weight)
             if cap - total < worst:
                 worst = cap - total
@@ -496,36 +525,33 @@ def recentred_slack_certificate_reference(
 
 
 def _padded(value) -> float:
-    return value.padded() if hasattr(value, "padded") else float(value)
+    return float(np.ravel(value.padded() if hasattr(value, "padded") else value)[0])
 
 
 def stacked_bound(bound_for: Callable, a) -> Callable:
-    """The family bound ``family_infimum_radius`` takes, from per-member bounds:
-    row i of its value is ``bound_for(a[i])`` padded at r[i]."""
+    """The family bound ``family_infimum_radius`` takes, from per-member bounds
+    of a float radius: row i of its value is ``bound_for(a[i])`` padded at r[i]."""
     bounds = [bound_for(x) for x in a]
-    return lambda r: np.array([_padded(bound(float(x))) for bound, x in zip(bounds, r)])
+    return lambda r: np.array([_padded(bound(x)) for bound, x in zip(bounds, r.tolist())])
 
 
-def stack_of(members):
-    """A ``SeriesStack`` of same-order series, copied into rows; a member with
-    no tail certificate gets q = C = 0."""
-    from bohrlab.functionals import SeriesStack
-
+def stack_of(members) -> SeriesStack:
+    """The rows of same-order stacks (one-row stacks, one per member) copied
+    into one ``SeriesStack``."""
     members = list(members)
-    tails = [(m.tail.q, m.tail.C) if m.tail is not None else (0.0, 0.0) for m in members]
-    q, c = (np.array(column) for column in zip(*tails))
-    return SeriesStack(np.stack([m.coeffs for m in members]), q, c)
+    return SeriesStack(*(np.concatenate(column) for column in zip(*((m.coeffs, m.tail.q, m.tail.C)
+                                                                     for m in members))))
 
 
 def member_series(bound, a: float, gamma: float, k: float, order: int):
-    """The member at (a, gamma) as its own series: :func:`member`, or
+    """The member at (a, gamma) as its own one-row stack: :func:`member`, or
     :func:`harmonic_member`'s pair (h, g) for a harmonic bound."""
     return harmonic_member(a, gamma, k, order) if bound.harmonic else member(a, gamma, order)
 
 
 def member_series_stack(bound, a, gamma: float, k: float, order: int):
-    """The members' own series from :func:`member_series`, copied into
-    complex ``SeriesStack`` rows (h and g apart for a harmonic bound)."""
+    """The members' own one-row stacks from :func:`member_series`, copied into
+    one complex ``SeriesStack`` (h and g apart for a harmonic bound)."""
     members = [member_series(bound, float(x), gamma, k, order) for x in a]
     return tuple(map(stack_of, zip(*members))) if bound.harmonic else stack_of(members)
 
@@ -595,9 +621,9 @@ def sweep_csv_reference(args) -> str:
         if not in_class:
             outside.append(gamma)
         for a in a_grid:
-            fv = bound.total(member_series(bound, a, gamma, values["k"], order), r_values, gamma, x)
+            fv = bound.total(member_series(bound, a, gamma, values["k"], order), r_values[None, :], gamma, x)
             violations += int(np.count_nonzero(fv.padded() > 1.0)) if in_class else 0
-            fields = (r_values, fv.total, fv.majorant, fv.correction, fv.tail_error)
+            fields = (r_values, fv.total[0], fv.majorant[0], fv.correction[0], fv.tail_error[0])
             for cells in zip(*(f.tolist() for f in fields)):
                 rows.append([gamma, a, *columns, *cells])
     with Path(args.out).open("w", newline="") as fh:

@@ -134,7 +134,7 @@ def test_radius_json_lists_members_and_itp_saves_evaluator_calls(tmp_path):
     bisection_steps = 0
     for a in grid:
         p = member(a, 0.5)
-        padded = lambda r: bohr_total(p, r).padded()
+        padded = lambda r: bohr_total(p, np.array([r])).padded()[0]
         assert padded(UPPER_LIMIT) > 1.0
         bisection_steps += bisection_radius(padded)[1]
     assert bisection_steps == 136

@@ -2,6 +2,7 @@
 and the closed-form bracket K_cert <= K_opt <= K* of the optimal weight."""
 
 import dataclasses
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -10,7 +11,7 @@ import sympy as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bohrlab import functionals
+from bohrlab import conjecture, functionals
 from bohrlab.conjecture import (
     MAX_GAMMA,
     _ratio_grid,
@@ -23,7 +24,7 @@ from bohrlab.conjecture import (
 from bohrlab.extremals import family_area_deficit, family_limit_weight
 from bohrlab.verify import area_coupling, certified_area_weight, recentred_slack_envelope
 
-from oracles import member, ratio_grid_reference
+from oracles import estimate_constant_reference, member, ratio_grid_reference
 
 FLOOR = 8.0 / 9.0 - 1e-6
 
@@ -77,8 +78,9 @@ def test_sweep_floor_and_witness_validity():
 def test_witness_violates_reads_the_scalar_total_of_its_member(gamma, bump):
     # the one-row stack at the witness radius against the member's own series at that float
     est = estimate_constant(gamma)
-    value = functionals.area_refined_total(member(est.witness_a, gamma), est.witness_r, gamma, weight=est.k_hat + bump)
-    assert witness_violates(est, bump=bump) == (value.total > 1.0)
+    value = functionals.area_refined_total(member(est.witness_a, gamma), np.array([est.witness_r]), gamma,
+                                           weight=est.k_hat + bump)
+    assert witness_violates(est, bump=bump) == (value.total[0] > 1.0)
     assert witness_violates(est, bump=bump) == (bump > 0.0)
 
 
@@ -102,6 +104,24 @@ def test_augmentation_only_lowers_the_estimate():
     assert aug.k_hat <= base.k_hat + 1e-15
     assert aug.k_hat >= FLOOR
     assert aug.grid_stats["augment"]["count"] == 8
+
+
+@pytest.mark.parametrize("samples", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("masked", [False, True])
+def test_augmentation_blocks_equal_the_per_sample_reference(samples, masked):
+    # each block of samples is expanded and summed in one call; its first
+    # minimum in sample order is the running strict minimum of the samples
+    # taken one at a time.  With the family grid masked to inf, an augmented
+    # sample is the witness and grid_stats names its index
+    grid = np.full((16, 16), np.inf) if masked else None
+    with mock.patch.object(conjecture, "_ratio_grid", (lambda gamma, a, r: grid) if masked else _ratio_grid):
+        for gamma, seed in ((0.0, 3), (0.5, 11), (0.9, 42)):
+            est = estimate_constant(gamma, grid=16, augment_samples=samples, seed=seed)
+            ref = estimate_constant_reference(gamma, grid=16, augment_samples=samples, seed=seed)
+            assert est.k_hat == ref.k_hat and est.witness_r == ref.witness_r
+            assert est.witness_a == ref.witness_a or np.isnan(est.witness_a) and np.isnan(ref.witness_a)
+            assert est.grid_stats["augment"] == ref.grid_stats["augment"]
+            assert (est.grid_stats["augment"]["winner"] is not None) == masked
 
 
 def test_non_monotonic_pairs_are_diagnostics():
@@ -129,11 +149,11 @@ def test_ratio_grid_matches_the_series_evaluator():
         grid = _ratio_grid(gamma, a_values, r_values)
         for i, a in enumerate(a_values):
             p = member(float(a), gamma)
-            fv = functionals.area_refined_total(p, r_values, gamma, weight=1.0)
-            series = (1.0 - fv.majorant) / fv.correction
+            fv = functionals.area_refined_total(p, r_values[None, :], gamma, weight=1.0)
+            series = (1.0 - fv.majorant[0]) / fv.correction[0]
             # 1 - majorant cancels near the sharp radius, which puts about
             # eps / area of absolute rounding error into the series side
-            slack = 1e-12 * series + 4.0 * np.finfo(float).eps / fv.correction
+            slack = 1e-12 * series + 4.0 * np.finfo(float).eps / fv.correction[0]
             assert np.all(np.abs(grid[i] - series) <= slack)
 
 

@@ -27,7 +27,7 @@ from bohrlab.functionals import (
     sharp_harmonic_radius,
     sharp_majorant_radius,
 )
-from bohrlab.series import DiskDomain, PowerSeries, TailBound, numeric_taylor
+from bohrlab.series import DiskDomain, numeric_taylor
 from bohrlab.solver import UPPER_LIMIT
 from bohrlab.verify import random_blaschke
 
@@ -39,9 +39,9 @@ from oracles import (
     constant,
     harmonic_member,
     member,
-    polynomial,
     quadrature_mean_square_derivative,
     random_decaying_series,
+    series,
     stack_of,
     zero,
 )
@@ -50,32 +50,33 @@ from oracles import (
 def test_majorant_constant():
     p = constant(-0.4 + 0.3j)
     for r in (0.0, 0.3, 0.9):
-        assert abs(majorant(p, r) - 0.5) < 1e-15
+        assert abs(majorant(p, np.array([r]))[0] - 0.5) < 1e-15
 
 
 def test_majorant_domain_error():
     p = constant(1.0)
-    for r in (1.0, 1.5, -0.1, np.array([0.2, 1.0]), np.array([np.nan]), np.zeros((2, 2))):
-        with pytest.raises(ValueError):
-            majorant(p, r)
+    for r in ([1.0], [1.5], [-0.1], [[0.2, 1.0]], [np.nan], [[np.nan, 0.5]]):
+        with pytest.raises(ValueError, match=r"radius must lie in \[0, 1\)"):
+            majorant(p, np.array(r))
 
 
 def test_majorant_near_extremal_limit():
     # automorphism family at the classical radius: approaches one from below
     a = 1.0 - 2.0**-10
     p = member(a, 0.0)
-    total = majorant(p, 1.0 / 3.0)
+    total = majorant(p, np.array([1.0 / 3.0]))[0]
     assert total < 1.0
     assert 1.0 - total < 1e-2
 
 
 def test_majorant_brute_force_oracle():
     p = member(0.5, 0.0)
-    assert abs(majorant(p, 0.25) - brute_force_majorant(0.5, 0.0, 0.25)) < 1e-12
+    assert abs(majorant(p, np.array([0.25]))[0] - brute_force_majorant(0.5, 0.0, 0.25)) < 1e-12
 
 
 # The norm sum, which no evaluator returns alone, is the first value of its
-# kernel, (sum, bound on the rest); each sum's tail bound is the second.
+# kernel, (sum, bound on the rest); each sum's tail bound is the second.  Each
+# takes a one-row stack and its radii as the evaluators do.
 def norm_f0(p, r):
     return functionals._norm_f0(p, r)[0]
 
@@ -97,7 +98,7 @@ def test_majorant_tail_bound_is_sound():
     # full sum computed at high order
     full = member(0.9, 0.1, 4096)
     short = member(0.9, 0.1, 24)
-    r = 0.6
+    r = np.array([0.6])
     assert majorant(full, r) <= majorant(short, r) + majorant_tail_bound(short, r) + 1e-12
     assert majorant_tail_bound(short, r) > 0.0
 
@@ -105,7 +106,7 @@ def test_majorant_tail_bound_is_sound():
 def test_norm_and_area_tail_bounds_are_sound():
     full = member(0.9, 0.1, 4096)
     short = member(0.9, 0.1, 24)
-    r = 0.6
+    r = np.array([0.6])
     assert norm_f0(full, r) <= norm_f0(short, r) + norm_f0_tail_bound(short, r) + 1e-14
     assert dirichlet_area(full, r) <= dirichlet_area(short, r) + dirichlet_area_tail_bound(short, r) + 1e-14
     assert norm_f0_tail_bound(short, r) > 0.0
@@ -115,7 +116,7 @@ def test_norm_and_area_tail_bounds_are_sound():
 # A short series keeps every tail bound nonzero; the last case has no tail certificate.
 _SHORT = member(0.9, 0.3, 24)
 _H, _G = harmonic_member(0.9, 0.3, 0.7 * 0.5, 24)
-_UNCERTIFIED = PowerSeries(_SHORT.coeffs)
+_UNCERTIFIED = series(_SHORT.coeffs)
 _BY_RADIUS = {
     "majorant": lambda r: majorant(_SHORT, r),
     "majorant_tail_bound": lambda r: majorant_tail_bound(_SHORT, r),
@@ -134,18 +135,19 @@ _BY_RADIUS = {
 
 @pytest.mark.parametrize("name", list(_BY_RADIUS))
 def test_vector_radii_equal_scalar_calls_bit_for_bit(name):
+    # a one-row stack on a radius row equals, entry by entry, its calls at one radius each
     def fields(value):
         if isinstance(value, FunctionalValue):
             return [value.total, value.majorant, value.correction, value.r, value.tail_error]
         return [value]
 
     radii = np.linspace(0.0, 0.9, 37)
-    vector = fields(_BY_RADIUS[name](radii))
-    scalar = [fields(_BY_RADIUS[name](float(r))) for r in radii]
+    vector = fields(_BY_RADIUS[name](radii[None, :]))
+    scalar = [fields(_BY_RADIUS[name](np.array([r]))) for r in radii]
     for i, column in enumerate(vector):
-        assert isinstance(column, np.ndarray) and column.shape == radii.shape
-        assert all(type(row[i]) is float for row in scalar)
-        assert np.array_equal(column, [row[i] for row in scalar])
+        assert isinstance(column, np.ndarray) and column.shape == (1, radii.size)
+        assert all(row[i].shape == (1,) for row in scalar)
+        assert np.array_equal(column[0], [row[i][0] for row in scalar])
 
 
 # Each evaluator on one member's series (a pair (h, g) for the harmonic one).
@@ -160,13 +162,13 @@ _RADII = st.one_of(st.just(0.0), st.floats(0.0, UPPER_LIMIT), st.floats(UPPER_LI
 
 
 def _member(name, a, gamma, k, order, certified, phase):
-    """A family member, its coefficients turned by e^{i phase} (complex, with the
-    same moduli), with or without its tail certificate."""
+    """A family member's one-row stack, its coefficients turned by e^{i phase}
+    (complex, with the same moduli), with or without its tail certificate."""
     if name == "harmonic_total":
         pair = harmonic_member(a, gamma, k, order)
     else:
         pair = (member(a, gamma, order),)
-    turned = tuple(PowerSeries(s.coeffs * np.exp(1j * phase), s.tail if certified else None) for s in pair)
+    turned = tuple(series(s.coeffs * np.exp(1j * phase), *((s.tail.q, s.tail.C) if certified else ())) for s in pair)
     return turned if name == "harmonic_total" else turned[0]
 
 
@@ -191,15 +193,14 @@ def test_stacked_rows_equal_single_series_calls_bit_for_bit(name, gamma, k, orde
     fields = ("total", "majorant", "correction", "r", "tail_error")
     stacked = _EVALUATORS[name](stack, radii, gamma)
     for i, member in enumerate(members):
-        single = _EVALUATORS[name](member, float(radii[i]), gamma)
+        single = _EVALUATORS[name](member, radii[i : i + 1], gamma)
         for field in fields:
-            assert type(getattr(single, field)) is float
-            assert getattr(stacked, field)[i] == getattr(single, field), (field, i)
+            assert getattr(stacked, field)[i] == getattr(single, field)[0], (field, i)
 
 
 def _scaled(member, scale):
     """A member (or pair) times a power of two, with its certificate scaled to match."""
-    scaled = tuple(PowerSeries(s.coeffs * scale, None if s.tail is None else TailBound(s.tail.q, s.tail.C * scale))
+    scaled = tuple(series(s.coeffs * scale, s.tail.q, s.tail.C * scale)
                    for s in (member if isinstance(member, tuple) else (member,)))
     return scaled if isinstance(member, tuple) else scaled[0]
 
@@ -241,35 +242,52 @@ def test_shared_radius_row_rows_equal_single_series_calls_bit_for_bit(name, gamm
     stacked = _EVALUATORS[name](stack, r[None, :], gamma)
     assert stacked.r.shape == (1, r.size) and np.array_equal(stacked.r[0], r)
     for i, member in enumerate(members):
-        single = _EVALUATORS[name](member, r, gamma)
+        single = _EVALUATORS[name](member, r[None, :], gamma)
         for field in ("total", "majorant", "correction", "tail_error"):
             assert getattr(stacked, field).shape == (len(rows), r.size)
-            assert getattr(stacked, field)[i].tolist() == getattr(single, field).tolist(), (field, i)
+            assert getattr(stacked, field)[i].tolist() == getattr(single, field)[0].tolist(), (field, i)
 
 
 def test_constant_term_modulus_rounds_as_the_scalar_abs():
     # numpy's vectorised complex abs differs from abs() by an ulp on about a
-    # third of inputs; |a_0| keeps abs(), for a series and for each stack row
+    # third of inputs; |a_0| keeps abs(), for a one-row stack and for each row of a larger one
     consts = np.random.default_rng(3).normal(size=(64, 2)) @ [1.0, 1j]
-    gs = [polynomial([c]) for c in consts]
+    gs = [series([c]) for c in consts]
     h = zero()
     stacked = harmonic_total(stack_of([h] * len(gs)), stack_of(gs), np.full(len(gs), 0.5))
+    half = np.array([0.5])
     for i, (c, g) in enumerate(zip(consts, gs)):
-        assert harmonic_total(h, g, 0.5).total == majorant(g, 0.5) - abs(c) == stacked.total[i]
+        assert harmonic_total(h, g, half).total[0] == majorant(g, half)[0] - abs(c) == stacked.total[i]
 
 
-def test_stack_takes_one_radius_per_member():
-    p, q = (member(a, 0.2, 64) for a in (0.5, 0.9))
-    stack = stack_of([p, q])
-    row = np.full((1, 3), 0.3)
-    for r in (0.3, np.array([0.3]), np.array([0.1, 0.2, 0.3]), np.full((2, 3), 0.3), np.full((1, 3, 1), 0.3)):
-        with pytest.raises(ValueError, match=r"one radius per member, or one \(1, R\) row"):
-            bohr_total(stack, r)
-    # a shared row needs stacks, all of one size
-    for args in ((p, row), (stack, p, row), (stack, stack_of([p]), row)):
-        with pytest.raises(ValueError, match=r"a float or a 1-D array.*\(1, R\) row"):
-            (bohr_total if len(args) == 2 else harmonic_total)(*args)
-    assert bohr_total(stack, row).total.shape == harmonic_total(stack, stack, row).total.shape == (2, 3)
+# Every evaluator and sum on a stack (and its harmonic pair), at radii r.
+_ON_STACK = {
+    "majorant": majorant,
+    "dirichlet_area": dirichlet_area,
+    **{name: lambda p, r, e=e, pair=name == "harmonic_total": e((p, p) if pair else p, r, 0.3)
+       for name, e in _EVALUATORS.items()},
+}
+
+
+@pytest.mark.parametrize("name", list(_ON_STACK))
+@pytest.mark.parametrize("members", [1, 2])
+def test_radius_must_be_one_per_member_or_one_shared_row(name, members):
+    stack = stack_of([member(a, 0.2, 64) for a in (0.5, 0.9)][:members])
+    for r in (0.3, 1, np.float64(0.3), np.array(0.3), np.full(members + 1, 0.3), np.full((members, 3, 1), 0.3),
+              np.full((1, 3, 1), 0.3), np.full((2, 3), 0.3), [0.3] * members):
+        with pytest.raises(ValueError, match=r"an array: a stack of M series takes M radii, one per member, "
+                                             r"or one \(1, R\) row that every member shares"):
+            _ON_STACK[name](stack, r)
+    for r, shape in ((np.full(members, 0.3), (members,)), (np.full((1, 3), 0.3), (members, 3))):
+        value = _ON_STACK[name](stack, r)
+        assert getattr(value, "total", value).shape == shape
+
+
+def test_harmonic_pair_needs_stacks_of_one_size():
+    stack = stack_of([member(a, 0.2, 64) for a in (0.5, 0.9)])
+    for r in (np.full((1, 3), 0.3), np.full(2, 0.3), np.full(1, 0.3)):
+        with pytest.raises(ValueError, match=r"one \(1, R\) row that every member shares"):
+            harmonic_total(stack, member(0.5, 0.2, 64), r)
 
 
 @settings(max_examples=60)
@@ -286,20 +304,20 @@ def test_area_refined_rows_take_one_gamma_per_member_bit_for_bit(order, rows):
     radii, gammas = np.array([row[2] for row in rows]), np.array([row[1] for row in rows])
     stacked = area_refined_total(stack_of(members), radii, gammas)
     for i, member in enumerate(members):
-        single = area_refined_total(member, float(radii[i]), float(gammas[i]))
+        single = area_refined_total(member, radii[i : i + 1], float(gammas[i]))
         for field in ("total", "majorant", "correction", "r", "tail_error"):
-            assert getattr(stacked, field)[i] == getattr(single, field), (field, i)
+            assert getattr(stacked, field)[i] == getattr(single, field)[0], (field, i)
 
 
 def test_gamma_array_needs_a_stack_and_one_gamma_in_0_1_per_member():
     p, q = (member(a, 0.2, 64) for a in (0.5, 0.9))
     stack, radii = stack_of([p, q]), np.array([0.3, 0.4])
-    with pytest.raises(ValueError, match="one gamma per member"):
-        area_refined_total(p, 0.3, np.array([0.2]))
+    with pytest.raises(ValueError, match="one gamma per member"):  # not on a one-row stack's radius row
+        area_refined_total(p, np.array([[0.3]]), np.array([0.2]))
     with pytest.raises(ValueError, match="one gamma per member"):
         area_refined_total(p, radii, np.array([0.2, 0.2]))
     with pytest.raises(ValueError, match="one gamma per member"):  # as many gammas as coefficients
-        area_refined_total(polynomial([0.1, 0.2]), radii, np.array([0.2, 0.2]))
+        area_refined_total(series([0.1, 0.2]), radii, np.array([0.2, 0.2]))
     for gammas in (np.array([0.2]), np.array([0.2, 0.2, 0.2]), np.array([[0.2, 0.2]])):
         with pytest.raises(ValueError, match="one gamma per member"):
             area_refined_total(stack, radii, gammas)
@@ -313,21 +331,22 @@ def test_gamma_array_needs_a_stack_and_one_gamma_in_0_1_per_member():
 
 def test_functional_value_serialization():
     p = member(0.6, 0.2)
-    fv = area_refined_total(p, 0.4, 0.2)
+    fv = area_refined_total(p, np.array([0.4]), 0.2)
     data = dataclasses.asdict(fv)
     assert set(data) == {"total", "majorant", "correction", "r", "tail_error"}
-    assert data["r"] == 0.4
+    assert data["r"].tolist() == [0.4]
 
 
 def test_norm_f0_values():
-    assert norm_f0(constant(0.7), 0.5) == 0.0
-    assert abs(norm_f0(polynomial([0.0, 1.0]), 0.5) - 0.25) < 1e-15
+    half = np.array([0.5])
+    assert norm_f0(constant(0.7), half) == 0.0
+    assert abs(norm_f0(series([0.0, 1.0]), half) - 0.25) < 1e-15
     p = member(0.5, 0.0)
-    assert abs(norm_f0(p, 0.3) - brute_force_norm(0.5, 0.0, 0.3)) < 1e-12
+    assert abs(norm_f0(p, np.array([0.3])) - brute_force_norm(0.5, 0.0, 0.3)) < 1e-12
 
 
 def test_dirichlet_area_identity_map():
-    assert abs(dirichlet_area(polynomial([0.0, 1.0]), 0.5) - 0.25) < 1e-15
+    assert abs(dirichlet_area(series([0.0, 1.0]), np.array([0.5])) - 0.25) < 1e-15
 
 
 def test_dirichlet_area_quadrature_oracle_random_polynomials():
@@ -335,15 +354,16 @@ def test_dirichlet_area_quadrature_oracle_random_polynomials():
     for _ in range(50):
         coeffs = random_decaying_series(rng, int(rng.integers(2, 12)))
         r = float(rng.uniform(0.1, 0.9))
-        p = polynomial(coeffs)
-        assert abs(dirichlet_area(p, r) - quadrature_mean_square_derivative(coeffs, r)) < 1e-8
+        p = series(coeffs)
+        assert abs(dirichlet_area(p, np.array([r]))[0] - quadrature_mean_square_derivative(coeffs, r)) < 1e-8
 
 
 def test_dirichlet_area_univalent_family_vs_quadrature():
     p = member(0.5, 0.0, 256)
     r = 0.3
-    assert abs(dirichlet_area(p, r) - quadrature_mean_square_derivative(p.coeffs, r)) < 1e-8
-    assert abs(dirichlet_area(p, r) - brute_force_area(0.5, 0.0, r)) < 1e-12
+    area = dirichlet_area(p, np.array([r]))[0]
+    assert abs(area - quadrature_mean_square_derivative(p.coeffs[0], r)) < 1e-8
+    assert abs(area - brute_force_area(0.5, 0.0, r)) < 1e-12
 
 
 def test_area_upper_bound_values_and_property():
@@ -356,16 +376,16 @@ def test_area_upper_bound_values_and_property():
         f = random_blaschke(rng)
         p = numeric_taylor(f, 96, rho=0.9)
         r = float(rng.uniform(0.05, 0.8))
-        assert dirichlet_area(p, r) <= area_upper_bound(abs(p.coeffs[0]), r) + 1e-9
+        assert dirichlet_area(p, np.array([r]))[0] <= area_upper_bound(abs(p.coeffs[0, 0]), r) + 1e-9
 
 
 def test_total_equals_majorant_plus_correction():
-    p = member(0.6, 0.2)
+    p, r = member(0.6, 0.2), np.array([0.4])
     for fv in (
-        bohr_total(p, 0.4),
-        area_refined_total(p, 0.4, 0.2),
-        norm_refined_total(p, 0.4),
-        domain_ratio_area_total(p, 0.4, 1.0 / 1.2),
+        bohr_total(p, r),
+        area_refined_total(p, r, 0.2),
+        norm_refined_total(p, r),
+        domain_ratio_area_total(p, r, 1.0 / 1.2),
     ):
         assert fv.total == fv.majorant + fv.correction
         assert fv.tail_error >= 0.0
@@ -373,7 +393,7 @@ def test_total_equals_majorant_plus_correction():
 
 def test_unimodular_constant_saturates_every_bound():
     c = constant(np.exp(0.7j))
-    for r in (0.1, 0.5, 0.9):
+    for r in np.array([[0.1], [0.5], [0.9]]):
         assert abs(bohr_total(c, r).total - 1.0) < 1e-15
         assert abs(area_refined_total(c, r, 0.3).total - 1.0) < 1e-15
         assert abs(norm_refined_total(c, r).total - 1.0) < 1e-15
@@ -384,9 +404,9 @@ def test_functionals_monotone_in_radius():
     rng = np.random.default_rng(29)
     radii = np.linspace(0.0, 0.85, 24)
     for _ in range(10):
-        p = PowerSeries(random_decaying_series(rng, 48))
-        h = PowerSeries(random_decaying_series(rng, 48))
-        g = PowerSeries(np.concatenate([[0.0], random_decaying_series(rng, 47)]))
+        p = series(random_decaying_series(rng, 48))
+        h = series(random_decaying_series(rng, 48))
+        g = series(np.concatenate([[0.0], random_decaying_series(rng, 47)]))
         for fn in (
             lambda r: bohr_total(p, r).total,
             lambda r: area_refined_total(p, r, 0.4).total,
@@ -394,18 +414,18 @@ def test_functionals_monotone_in_radius():
             lambda r: domain_ratio_area_total(p, r, 0.8).total,
             lambda r: harmonic_total(h, g, r).total,
         ):
-            values = np.array([fn(float(r)) for r in radii])
+            values = np.array([fn(np.array([r]))[0] for r in radii])
             assert np.all(np.diff(values) >= -1e-12)
 
 
 def test_area_refined_admissible_and_sharp_points():
     gamma = 0.5
     p = member(0.9, gamma)
-    fv = area_refined_total(p, 1.5 / 3.5, gamma)
+    fv = area_refined_total(p, np.array([1.5 / 3.5]), gamma)
     assert fv.padded() <= 1.0
     # just past the sharp radius a near-extremal member violates the bound
     p = member(1.0 - 2.0**-10, 0.0)
-    fv = area_refined_total(p, 1.0 / 3.0 + 0.01, 0.0)
+    fv = area_refined_total(p, np.array([1.0 / 3.0 + 0.01]), 0.0)
     assert fv.total > 1.0
 
 
@@ -414,14 +434,14 @@ def test_norm_refined_over_random_bounded_samples():
     for _ in range(200):
         f = random_blaschke(rng)
         p = numeric_taylor(f, 64, rho=0.9)
-        assert norm_refined_total(p, 1.0 / 3.0).total <= 1.0 + 1e-9
+        assert norm_refined_total(p, np.array([1.0 / 3.0])).total <= 1.0 + 1e-9
 
 
 def test_norm_refined_sharpness():
     gamma = 0.25
     p = member(1.0 - 2.0**-12, gamma)
     r = sharp_majorant_radius(gamma) + 0.01
-    assert norm_refined_total(p, r).total > 1.0
+    assert norm_refined_total(p, np.array([r])).total > 1.0
 
 
 def test_domain_ratio_threshold_identity():
@@ -435,34 +455,35 @@ def test_domain_ratio_bound_on_blaschke_samples():
     for _ in range(50):
         f = random_blaschke(rng)
         p = numeric_taylor(f, 64, rho=0.9)
-        assert domain_ratio_area_total(p, 1.0 / 3.0, 1.0).total <= 1.0 + 1e-9
+        assert domain_ratio_area_total(p, np.array([1.0 / 3.0]), 1.0).total <= 1.0 + 1e-9
 
 
 def test_domain_ratio_agrees_with_area_refined_when_recentering_is_trivial():
     # at gamma = 0 both area corrections act on the same disk, so equal
     # weights give equal totals
     rng = np.random.default_rng(41)
-    p = PowerSeries(random_decaying_series(rng, 64))
+    p = series(random_decaying_series(rng, 64))
     for lam in (0.5, 1.0, 2.0):
         weight = 2.0 * ((1.0 + lam) / (1.0 + 2.0 * lam)) ** 2
-        for r in (0.1, 0.3, 0.45):
+        for r in np.array([[0.1], [0.3], [0.45]]):
             lhs = domain_ratio_area_total(p, r, lam).total
             rhs = area_refined_total(p, r, 0.0, weight=weight).total
             assert abs(lhs - rhs) < 1e-12
     with pytest.raises(ValueError):
-        domain_ratio_area_total(p, 0.3, 0.0)
+        domain_ratio_area_total(p, np.array([0.3]), 0.0)
 
 
 def test_harmonic_total_cases():
     h, g = harmonic_member(0.9, 0.5, 0.5)
     r0 = sharp_harmonic_radius(0.5, 0.5)
-    assert harmonic_total(h, g, r0).padded() <= 1.0
+    assert harmonic_total(h, g, np.array([r0])).padded() <= 1.0
     # k = 0 reduces to the plain majorant
     h, g = harmonic_member(0.7, 0.2, 0.0)
-    assert abs(harmonic_total(h, g, 0.4).total - bohr_total(h, 0.4).total) < 1e-15
+    r = np.array([0.4])
+    assert abs(harmonic_total(h, g, r).total - bohr_total(h, r).total) < 1e-15
     # sharpness just past the harmonic radius
     h, g = harmonic_member(1.0 - 2.0**-12, 0.0, 1.0)
-    assert harmonic_total(h, g, 0.2 + 0.01).total > 1.0
+    assert harmonic_total(h, g, np.array([0.2 + 0.01])).total > 1.0
 
 
 def test_sharp_radius_helpers():
@@ -488,18 +509,20 @@ _SUMS = (
 
 
 def _assert_cut_is_sound(p, r, exact):
-    """``exact`` holds the 50-digit value of each full series at r."""
+    """``exact`` holds the 50-digit value of each full series of the one-row
+    stack p at the float r."""
     # the certificate's closed form is not rounded up, and it amplifies the
     # rounding of x = q r by its exponent N + 1 and by 1 / (1 - x)
-    amplify = 0.0 if p.tail is None else 2.0 * (p.order + 1 + 1.0 / (1.0 - p.tail.q * r))
+    amplify = 2.0 * (p.order + 1 + 1.0 / (1.0 - p.tail.q[0] * r))
+    r = np.array([r])
     for (value_fn, tail_fn), full_series in zip(_SUMS, exact):
-        value, tail = value_fn(p, r), tail_fn(p, r)
+        value, tail = value_fn(p, r)[0], tail_fn(p, r)[0]
         slack = _ROUNDING * float(full_series) + amplify * _EPS * tail + np.finfo(float).tiny
         assert value <= full_series + slack
         assert value + tail >= full_series - slack
         # the same kernel with no cut sums every stored term
         with mock.patch.object(functionals, "_CUT", 0.0):
-            full, full_tail = value_fn(p, r), tail_fn(p, r)
+            full, full_tail = value_fn(p, r)[0], tail_fn(p, r)[0]
         assert abs(value - full) <= tail + 1e-15
         assert full_tail <= tail <= full_tail + 2.0**-60
 
@@ -519,7 +542,7 @@ def _spike(n):
     """z^n with no tail certificate: past a cut below n, its whole mass is skipped."""
     coeffs = np.zeros(2 * n + 1)
     coeffs[n] = 1.0
-    return PowerSeries(coeffs)
+    return series(coeffs)
 
 
 _UNCERTIFIED_SERIES = {
@@ -533,9 +556,9 @@ _UNCERTIFIED_SERIES = {
 @given(name=st.sampled_from(sorted(_UNCERTIFIED_SERIES)), r=st.floats(0.0, 0.999))
 def test_cut_sums_are_sound_without_a_certificate(name, r):
     p = _UNCERTIFIED_SERIES[name]
-    assert p.tail is None
+    assert p.tail.C.tolist() == [0.0]
     with mpmath.workdps(50):
-        w = [mpmath.mpf(float(c)) for c in np.abs(p.coeffs)]
+        w = [mpmath.mpf(float(c)) for c in np.abs(p.coeffs[0])]
         x = mpmath.mpf(r * r)
         exact = (
             mpmath.fsum(c * mpmath.mpf(r) ** n for n, c in enumerate(w)),
@@ -550,20 +573,15 @@ def test_cut_lengths_per_radius_keep_vector_calls_bit_for_bit():
     p = member(0.99, 0.2)
     radii = np.linspace(0.0, 0.999, 101)
     for fn in (fn for pair in _SUMS for fn in pair):
-        assert np.array_equal(fn(p, radii), [fn(p, float(r)) for r in radii])
-
-
-def test_integer_radius_sums_in_floating_point():
-    p = member(0.9, 0.5)
-    assert majorant(p, 0) == majorant(p, 0.0) == abs(p.coeffs[0])
+        assert np.array_equal(fn(p, radii[None, :])[0], [fn(p, np.array([r]))[0] for r in radii])
 
 
 def test_spike_past_the_cut_lands_in_the_tail_bound():
     # at r = 0.27, r^32 is below 2^-60: the sum stops before a_32 and the
     # tail bound carries all of it
-    p = _spike(32)
-    assert majorant(p, 0.27) == 0.0
-    assert majorant_tail_bound(p, 0.27) >= 0.27**32
+    p, r = _spike(32), np.array([0.27])
+    assert majorant(p, r) == 0.0
+    assert majorant_tail_bound(p, r) >= 0.27**32
 
 
 def _family_sums_50_digits(a, gamma, r):
@@ -582,8 +600,11 @@ def _family_sums_50_digits(a, gamma, r):
 
 
 def _assert_value_plus_tail_covers(p, r, exact):
+    """Each sum of the one-row stack p at the float r, plus its tail bound,
+    covers the 50-digit value in ``exact``."""
+    r = np.array([r])
     for (value_fn, tail_fn), full_series in zip(_SUMS, exact):
-        assert value_fn(p, r) + tail_fn(p, r) >= full_series - _ROUNDING * abs(full_series)
+        assert value_fn(p, r)[0] + tail_fn(p, r)[0] >= full_series - _ROUNDING * abs(full_series)
 
 
 def test_certificate_tail_is_rounded_up_at_q_r_near_one():
@@ -641,10 +662,9 @@ def test_padded_totals_on_rows_cut_at_their_largest_radius_cover_the_whole_serie
     # is _ROUNDING, for the roundoff of the summed terms, as above
     stack = mobius_family_coeffs(a, gamma, 2048, r)
     assert stack.order < 2048
-    radius = np.array([r])  # a stack takes one radius per member
     exact = _family_sums_50_digits(a, gamma, r)
-    assert float(bohr_total(stack, radius).padded()[0]) >= exact[0] - _ROUNDING * exact[0]
-    _assert_value_plus_tail_covers(stack, radius, exact)
+    assert float(bohr_total(stack, np.array([r])).padded()[0]) >= exact[0] - _ROUNDING * exact[0]
+    _assert_value_plus_tail_covers(stack, r, exact)
 
 
 @settings(max_examples=30)

@@ -27,13 +27,14 @@ from oracles import (bisection_radius, constant, family_infimum_reference, harmo
 
 
 def majorant_bound(a, gamma=0.0, order=2048):
+    """The member's majorant at a float radius, as the evaluator's one-row value."""
     p = member(a, gamma, order)
-    return lambda r: bohr_total(p, r)
+    return lambda r: bohr_total(p, np.array([r]))
 
 
 def test_unconstrained_small_constant():
     p = constant(0.5)
-    res = bohr_radius_of_function(lambda r: bohr_total(p, r))
+    res = bohr_radius_of_function(lambda r: bohr_total(p, np.array([r])))
     assert res.status == "unconstrained"
     assert res.radius == UPPER_LIMIT
 
@@ -41,7 +42,7 @@ def test_unconstrained_small_constant():
 def test_unconstrained_result_brackets_the_rest_of_the_disk():
     # the bound never reaches one on [0, UPPER_LIMIT]: the radius lies anywhere in [UPPER_LIMIT, 1)
     p = constant(0.5)
-    res = bohr_radius_of_function(lambda r: bohr_total(p, r))
+    res = bohr_radius_of_function(lambda r: bohr_total(p, np.array([r])))
     assert res.bracket == (UPPER_LIMIT, 1.0)
     assert res.tol == 1.0 - UPPER_LIMIT
     bound_for = lambda a: majorant_bound(a, 0.5)
@@ -60,7 +61,7 @@ def test_unconstrained_result_brackets_the_rest_of_the_disk():
 
 def test_no_radius_when_already_violated():
     p = constant(1.2)
-    res = bohr_radius_of_function(lambda r: bohr_total(p, r))
+    res = bohr_radius_of_function(lambda r: bohr_total(p, np.array([r])))
     assert res.status == "no_radius"
     assert math.isnan(res.radius)
 
@@ -68,7 +69,7 @@ def test_no_radius_when_already_violated():
 def test_plateau_tie_break_returns_supremum_end():
     # constant exactly one: the bound is identically 1, never above
     p = constant(1.0)
-    res = bohr_radius_of_function(lambda r: bohr_total(p, r))
+    res = bohr_radius_of_function(lambda r: bohr_total(p, np.array([r])))
     assert res.status == "unconstrained"
     assert res.radius == UPPER_LIMIT
     # synthetic plateau that eventually exceeds one: converge to its end
@@ -108,7 +109,7 @@ def test_solver_rejects_a_tolerance_below_the_smallest(tol):
     # these overflowed the step budget: OverflowError at 1e-320
     p = member(0.9, 0.5)
     with pytest.raises(ValueError, match=r"at least 2\^-1024"):
-        bohr_radius_of_function(lambda r: bohr_total(p, r), tol=tol)
+        bohr_radius_of_function(lambda r: bohr_total(p, np.array([r])), tol=tol)
 
 
 @pytest.mark.parametrize("tol", [SMALLEST_TOL, 1e-308, 2.0**-1022])
@@ -141,7 +142,7 @@ def test_family_harmonic_corollary_case():
 
     def bound_for(a):
         h, g = harmonic_member(a, 0.25, 1.0)
-        return lambda r: harmonic_total(h, g, r)
+        return lambda r: harmonic_total(h, g, np.array([r]))
 
     res = family_infimum_radius(stacked_bound(bound_for, family), family, 0.25, tol=1e-10)
     assert abs(res.radius - 1.25 / 5.25) < 1e-3
@@ -210,7 +211,7 @@ def _theorem_bound(theorem, gamma, k, a):
         series = harmonic_member(a, gamma, values["k"])
     else:
         series = member(a, gamma)
-    return lambda r: bound.total(series, r, gamma, x).padded()
+    return lambda r: bound.total(series, np.array([r]), gamma, x).padded()[0]
 
 
 @settings(max_examples=60)
@@ -358,7 +359,7 @@ def _theorem_family(theorem, gamma, k, members, order=2048):
     stack = tuple(map(stack_of, zip(*series))) if bound.harmonic else stack_of(series)
     by_a = dict(zip(a_values, series))  # members at one a have one series
     return (a_values, gamma, lambda r: bound.total(stack, r, gamma, x),
-            lambda a: (lambda r: bound.total(by_a[a], r, gamma, x)))
+            lambda a: (lambda r: bound.total(by_a[a], np.array([r]), gamma, x)))
 
 
 @settings(max_examples=40)

@@ -12,7 +12,7 @@ from bohrlab.extremals import (
     family_harmonic_deficit,
     family_norm_deficit,
 )
-from bohrlab.series import DiskDomain, PowerSeries, numeric_taylor
+from bohrlab.series import DiskDomain, numeric_taylor
 from bohrlab.verify import (
     BlaschkeProduct,
     CheckReport,
@@ -54,6 +54,7 @@ from oracles import (
     recentred_slack_certificate_reference,
     ruscheweyh_reference,
     schwarz_pick_reference,
+    series,
     stack_of,
 )
 
@@ -229,17 +230,17 @@ def test_coefficient_bounds_suite_and_constant():
     gamma = 0.5
     const = lambda w: np.full_like(np.asarray(w, dtype=complex), 0.0)
     p = numeric_taylor(const, 8)
-    assert np.all(np.abs(p.coeffs[1:]) < 1e-14)
+    assert np.all(np.abs(p.coeffs[0, 1:]) < 1e-14)
 
 
 def test_coefficient_bound_near_extremality():
     # the first family coefficient meets the bound exactly, for every a
     for a in (0.5, 1.0 - 2.0**-12):
         for gamma in (0.0, 0.25, 0.7):
-            p = member(a, gamma, 8)
-            a0 = abs(p.coeffs[0])
+            c = member(a, gamma, 8).coeffs[0]
+            a0 = abs(c[0])
             bound = (1.0 - a0**2) / (1.0 + gamma)
-            slack = bound - abs(p.coeffs[1])
+            slack = bound - abs(c[1])
             assert abs(slack) < 1e-3
             assert slack > -1e-12
 
@@ -270,9 +271,9 @@ def test_dilatation_coefficients_suite_and_zero_case():
 def test_deficit_identity_frozen_point():
     # evaluated totals vs closed-form deficits at one hand-computed point
     p = member(0.5, 0.0)
-    total = functionals.area_refined_total(p, 1.0 / 3.0, 0.0).total
+    total = functionals.area_refined_total(p, np.array([1.0 / 3.0]), 0.0).total[0]
     assert abs(total - (1.0 - 0.5 * family_area_deficit(1.0 / 3.0, 0.5, 0.0))) < 1e-12
-    total2 = functionals.norm_refined_total(p, 0.25).total
+    total2 = functionals.norm_refined_total(p, np.array([0.25])).total[0]
     assert abs(total2 - 0.75) < 1e-12  # frozen: 0.7142857.. + 1.0 * 0.0357142..
     assert abs(family_norm_deficit(0.25, 0.5, 0.0) - 0.5) < 1e-12
 
@@ -309,10 +310,10 @@ def test_recentred_consistency_check():
 def test_recentred_functional_matches_centered_route():
     gamma = 0.4
     p = member(0.7, gamma, 128)
-    alpha = PowerSeries(p.coeffs / (1.0 - gamma) ** np.arange(129))
+    alpha = series(p.coeffs / (1.0 - gamma) ** np.arange(129))
     r = 0.37
-    direct = functionals.area_refined_total(p, r, gamma).total
-    recentred = recentred_area_total(alpha, r * (1.0 - gamma), gamma).total
+    direct = functionals.area_refined_total(p, np.array([r]), gamma).total
+    recentred = recentred_area_total(alpha, np.array([r * (1.0 - gamma)]), gamma).total
     assert abs(direct - recentred) < 1e-12
 
 
@@ -320,19 +321,19 @@ _FIELDS = ("total", "majorant", "correction", "tail_error")
 
 
 def test_vector_recentred_area_total_equals_scalar_calls():
+    # a one-row stack on a radius row equals, entry by entry, its calls at one radius each
     rng = np.random.default_rng(9)
-    alpha = PowerSeries(random_decaying_series(rng, 96, 0.8))
+    alpha = series(random_decaying_series(rng, 96, 0.8))
     for gamma in (0.0, 0.3, 0.6):
         r = np.linspace(0.05, 0.8 * (1.0 - gamma), 6)
-        vector = recentred_area_total(alpha, r, gamma)
-        for j, rj in enumerate(r):
-            scalar = recentred_area_total(alpha, float(rj), gamma)
+        vector = recentred_area_total(alpha, r[None, :], gamma)
+        for j in range(r.size):
+            scalar = recentred_area_total(alpha, r[j : j + 1], gamma)
             for field in _FIELDS:
-                assert getattr(vector, field)[j] == getattr(scalar, field), field
-            assert isinstance(scalar.total, float)
+                assert getattr(vector, field)[0, j] == getattr(scalar, field)[0], field
     # a stack, its rows with and without a tail certificate: row i equals the
     # call on member i alone, on a shared (1, R) row and at one r and gamma each
-    members = [PowerSeries(random_decaying_series(rng, 96, 0.8)) for _ in range(3)]
+    members = [series(random_decaying_series(rng, 96, 0.8)) for _ in range(3)]
     members += [member(a, 0.2, 96) for a in (0.4, 0.93)]
     stack = stack_of(members)
     for gamma in (0.0, 0.3, 0.6):
@@ -340,16 +341,16 @@ def test_vector_recentred_area_total_equals_scalar_calls():
         shared = recentred_area_total(stack, row[None, :], gamma, weight=1.5)
         assert shared.total.shape == (len(members), row.size)
         for i, one in enumerate(members):
-            alone = recentred_area_total(one, row, gamma, weight=1.5)
+            alone = recentred_area_total(one, row[None, :], gamma, weight=1.5)
             for field in _FIELDS:
-                assert np.array_equal(getattr(shared, field)[i], getattr(alone, field)), field
+                assert np.array_equal(getattr(shared, field)[i], getattr(alone, field)[0]), field
     gammas = np.array([0.0, 0.3, 0.6, 0.85, 0.45])
     radii = np.array([0.7, 0.05, 0.3, 0.1, 0.5])
     per_member = recentred_area_total(stack, radii, gammas)
     for i, one in enumerate(members):
-        alone = recentred_area_total(one, float(radii[i]), float(gammas[i]))
+        alone = recentred_area_total(one, radii[i : i + 1], float(gammas[i]))
         for field in _FIELDS:
-            assert getattr(per_member, field)[i] == getattr(alone, field), field
+            assert getattr(per_member, field)[i] == getattr(alone, field)[0], field
 
 
 def test_stacked_recentred_area_total_rejects_bad_radii_and_gammas():

@@ -48,6 +48,8 @@ commands() {
     echo "identity-300-5 json identity-check --samples 300 --seed 5"
     echo "conjecture-12 csv conjecture --gammas 0:0.99:12"
     echo "conjecture-augment csv conjecture --gammas 0,0.5 --augment-random-samples 8 --seed 3"
+    # 150 samples: three augmentation blocks of 64, 64 and 22
+    echo "conjecture-augment-150 csv conjecture --gammas 0:0.99:6 --augment-random-samples 150 --seed 11"
 }
 
 run_all() {  # run_all SRC OUT: every command on the package in SRC, its files in OUT
