@@ -19,6 +19,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -194,6 +195,22 @@ def _append_radius_csv(path: Path, row: list) -> None:
         writer.writerow(row)
 
 
+def _print_lines(lines) -> None:
+    """Print each line to stdout.  Commands write their artifact first and
+    print last, so a reader that closes stdout early (``| head -1``) loses
+    only printed lines: the rest go quietly nowhere, and the exit status
+    stays the one the command computed."""
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # later writes, the interpreter's final flush among them, go to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def cmd_radius(args) -> int:
     theorem = args.theorem
     bound = BOUNDS[theorem]
@@ -217,19 +234,21 @@ def cmd_radius(args) -> int:
         shown.append(f"a={args.a:g}")
     if bound.param is not None:
         shown.append(f"{bound.param}={x:g}")
-    print(f"theorem {theorem}: " + " ".join(shown))
-    print(f"  computed radius   = {limit.value:.9f}")
-    print(f"  closed-form value = {closed:.9f}")
-    print(f"  abs difference    = {diff:.3e}")
+    lines = [
+        f"theorem {theorem}: " + " ".join(shown),
+        f"  computed radius   = {limit.value:.9f}",
+        f"  closed-form value = {closed:.9f}",
+        f"  abs difference    = {diff:.3e}",
+    ]
     if args.a is None:
-        print("  limit error       = " + ("none" if limit.error is None else f"{limit.error:.3e}"))
-        print(f"  grid radius       = {result.radius:.9f} (minimum over a = 1 - 2^-j, j = 11..14)")
-    for note in result.diagnostics + limit.notes:
-        print(f"  note: {note}")
+        lines.append("  limit error       = " + ("none" if limit.error is None else f"{limit.error:.3e}"))
+        lines.append(f"  grid radius       = {result.radius:.9f} (minimum over a = 1 - 2^-j, j = 11..14)")
+    lines += [f"  note: {note}" for note in result.diagnostics + limit.notes]
     if side and args.a is None:
         claim = ("the family is in the theorem's class: asserting computed >= closed-form value" if side > 0
                  else "the family is outside the theorem's class: the closed form is a reference, not asserted")
-        print(f"  note: {bound.param}={x!r} is not {bound.extremal(gamma)!r}, where the family is extremal; {claim}")
+        lines.append(f"  note: {bound.param}={x!r} is not {bound.extremal(gamma)!r}, where the family is extremal; "
+                     f"{claim}")
 
     if args.out:
         out = Path(args.out)
@@ -251,6 +270,7 @@ def cmd_radius(args) -> int:
             _append_radius_csv(out, [gamma, k, lam, f"theorem-{theorem}", limit.value, tol])
         else:
             out.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    _print_lines(lines)
     if args.a is not None or side < 0:
         # a single family member only brackets the family radius from above,
         # and a family outside the class bounds nothing: the closed form is
@@ -268,12 +288,11 @@ def cmd_verify(args) -> int:
         print(f"unknown check names: {sorted(unknown)}", file=sys.stderr)
         return 2
     reports = [check() for name, check in checks.items() if not args.checks or name in args.checks]
-    width = max(len(r.name) for r in reports)
-    for r in reports:
-        flag = "PASS" if r.passed else "FAIL"
-        print(f"[{flag}] {r.name:<{width}}  samples={r.samples:<6d} worst_slack={r.worst_slack:+.3e}")
     if args.out:
         Path(args.out).write_text(verify.reports_to_json(reports))
+    width = max(len(r.name) for r in reports)
+    _print_lines(f"[{'PASS' if r.passed else 'FAIL'}] {r.name:<{width}}  samples={r.samples:<6d} "
+                 f"worst_slack={r.worst_slack:+.3e}" for r in reports)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -308,11 +327,13 @@ def cmd_sweep(args) -> int:
                     prefix = f"{gamma!r},{a!r},{k!r},{lam!r}"
                     out.write("".join(f"{prefix},{r},{t!r},{m!r},{c!r},{e!r}\r\n"
                                       for r, t, m, c, e in zip(r_cells, *member)))
+    lines = []
     if outside:
-        print(f"note: {bound.param}={x!r} is below the value where the family is extremal at gamma="
-              f"{', '.join(f'{g:g}' for g in outside)}: the family is outside the theorem's class there, "
-              "so those rows are tabulated but not counted as violations")
-    print(f"sweep theorem {args.theorem}: {rows} rows, {violations} admissibility violations")
+        lines.append(f"note: {bound.param}={x!r} is below the value where the family is extremal at gamma="
+                     f"{', '.join(f'{g:g}' for g in outside)}: the family is outside the theorem's class there, "
+                     "so those rows are tabulated but not counted as violations")
+    lines.append(f"sweep theorem {args.theorem}: {rows} rows, {violations} admissibility violations")
+    _print_lines(lines)
     return 0 if violations == 0 else 1
 
 
@@ -324,25 +345,28 @@ def cmd_conjecture(args) -> int:
     ]
     failures = 0
     floor = functionals.DEFAULT_AREA_WEIGHT - 1e-6
+    lines = []
     for est in estimates:
         limit = family_limit_weight(est.gamma)
         # a family witness must violate every weight above K_hat, and no member lies below K*
         family_ok = conjecture_mod.witness_violates(est) and est.k_hat >= limit
         ok = est.k_hat >= floor and (family_ok or not np.isfinite(est.witness_a))
         failures += not ok
-        print(
+        lines.append(
             f"gamma={est.gamma:<6g} K_hat={est.k_hat:.6f} K*={limit!r} "
             f"K_cert={verify.certified_area_weight(est.gamma)!r} "
             f"witness=(a={est.witness_a:.6g}, r={est.witness_r:.6g}) [{'ok' if ok else 'VIOLATION'}]"
         )
     corners = [f"{est.gamma:g}" for est in estimates if conjecture_mod.at_window_corner(est)]
     if corners:
-        print(f"note: the witness sits on the window corner (a={conjecture_mod.A_BOUNDS[1]:g}, r=r0) at "
-              f"gamma={', '.join(corners)}: the minimum is on the window's edge, where K_hat tends to K* as a -> 1")
-    for left, right in conjecture_mod.non_monotonic_pairs(estimates):
-        print(f"note: K_hat falls from gamma={left:g} to gamma={right:g} while K* rises (diagnostic only)")
+        lines.append(f"note: the witness sits on the window corner (a={conjecture_mod.A_BOUNDS[1]:g}, r=r0) at "
+                     f"gamma={', '.join(corners)}: the minimum is on the window's edge, where K_hat tends to K* as "
+                     "a -> 1")
+    lines += [f"note: K_hat falls from gamma={left:g} to gamma={right:g} while K* rises (diagnostic only)"
+              for left, right in conjecture_mod.non_monotonic_pairs(estimates)]
     if args.out:
         conjecture_mod.write_estimates_csv(estimates, args.out)
+    _print_lines(lines)
     return 0 if failures == 0 else 1
 
 
@@ -350,13 +374,11 @@ def cmd_identity_check(args) -> int:
     report = verify.check_family_deficit_identity(
         n_samples=args.samples, seed=args.seed, tol=args.tol
     )
-    flag = "PASS" if report.passed else "FAIL"
-    print(
-        f"[{flag}] {report.name}: samples={report.samples} "
-        f"max_residual={-report.worst_slack:.3e} tol={report.tolerance:g}"
-    )
     if args.out:
         Path(args.out).write_text(verify.reports_to_json([report]))
+    flag = "PASS" if report.passed else "FAIL"
+    _print_lines([f"[{flag}] {report.name}: samples={report.samples} "
+                  f"max_residual={-report.worst_slack:.3e} tol={report.tolerance:g}"])
     return 0 if report.passed else 1
 
 
@@ -384,7 +406,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("radius", help="solve for a sharp radius and compare with its closed form",
                        allow_abbrev=False)
-    p.add_argument("--theorem", choices=THEOREMS, required=True)
+    # required, from the flag or the config file: main checks it once the file is read
+    p.add_argument("--theorem", choices=THEOREMS, default=None)
     p.add_argument("--gamma", type=_GAMMA, default=None)
     # below 1e-150 the squared tail constant ((1 - a^2) / a)^2 of the member overflows
     p.add_argument("--a", type=_Number(float, lambda value: 1e-150 <= value < 1.0, "lie in [1e-150, 1)"),
@@ -509,6 +532,8 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, ValueError) as exc:
             parser.error(f"cannot read config file: {exc}")
         _apply_config(commands[args.command], args, config, argv)
+    if args.command == "radius" and args.theorem is None:
+        commands["radius"].error("the following arguments are required: --theorem")
     if args.command == "verify" and args.all and args.checks:
         commands["verify"].error("--all runs every check; it cannot be combined with --check")
 

@@ -56,6 +56,18 @@ __all__ = [
     "reports_to_json",
 ]
 
+# Bytes per temporary array in the checks that work in blocks (shape_reports'
+# slack-envelope grid, check_ruscheweyh's samples): about 128 KB, which keeps
+# each block in cache and the whole-grid arrays out of the run's memory
+# high-water.
+_BLOCK_BYTES = 2**17
+
+
+def _block_rows(row_bytes: int) -> int:
+    """Rows of ``row_bytes`` each per block: as many as fill ``_BLOCK_BYTES``, at least one."""
+    return max(1, _BLOCK_BYTES // row_bytes)
+
+
 # Default assertion tolerance once numeric Taylor extraction is in the loop;
 # pure closed-form grid assertions use 1e-12 and pointwise closed-form
 # inequalities 1e-10 directly.
@@ -221,8 +233,9 @@ def check_ruscheweyh(
 
     Derivatives are Taylor coefficients of f(alpha + s u), which keeps them
     well conditioned; each sample is evaluated on every centre's circle at
-    once, and one FFT call expands every finite (sample, centre) row.  A row
-    with a non-finite value is skipped and counted.
+    once, and one FFT call per block of samples expands the block's finite
+    (sample, centre) rows into one slack array for all samples.  A row with a
+    non-finite value is skipped and counted.
     """
     powers = np.arange(1, n_max + 1, dtype=float)
     centres = [complex(alpha) for alpha in alphas]
@@ -230,21 +243,27 @@ def check_ruscheweyh(
     points = np.array([alpha + s * _circle(8 * n_max, 0.5) for alpha, s in zip(centres, scales)])
     scale_powers = np.array([s**powers for s in scales])
     denoms = np.array([(1.0 - abs(alpha)) ** (powers - 1.0) * (1.0 - abs(alpha) ** 2) for alpha in centres])
-    vals = np.array([f(points) for f in samples]).reshape((-1,) + points.shape)
-    finite = np.isfinite(vals).all(axis=2)
+    slack = np.full((len(samples), len(centres), n_max), np.inf)  # a skipped row never holds the minimum
+    skipped = 0
+    step = _block_rows(points.nbytes)
+    for start in range(0, len(samples), step):
+        vals = np.array([f(points) for f in samples[start:start + step]]).reshape((-1,) + points.shape)
+        finite = np.isfinite(vals).all(axis=2)
+        skipped += int(finite.size - np.count_nonzero(finite))
+        if finite.any():
+            coeffs = taylor_coefficients(vals[finite], n_max, 0.5)
+            fa = np.hypot(coeffs[:, :1].real, coeffs[:, :1].imag)  # as abs() rounds a scalar
+            rows = np.nonzero(finite)[1]
+            block = slack[start:start + step]  # a view: writes land in slack
+            block[finite] = (1.0 - fa**2) / denoms[rows] - np.abs(coeffs[:, 1:]) / scale_powers[rows]
     worst = np.inf
     witness: dict = {}
-    if finite.any():
-        coeffs = taylor_coefficients(vals[finite], n_max, 0.5)
-        fa = np.hypot(coeffs[:, :1].real, coeffs[:, :1].imag)  # as abs() rounds a scalar
-        rows = np.nonzero(finite)[1]
-        slack = np.full(finite.shape + (n_max,), np.inf)  # a skipped row never holds the minimum
-        slack[finite] = (1.0 - fa**2) / denoms[rows] - np.abs(coeffs[:, 1:]) / scale_powers[rows]
+    if skipped < len(samples) * len(centres):
         # the first minimum in (sample, centre, n) order, as a running strict minimum finds it
         i, row, j = np.unravel_index(np.argmin(slack), slack.shape)
         worst, alpha = float(slack[i, row, j]), centres[row]
         witness = {"sample": int(i), "alpha": [alpha.real, alpha.imag], "n": int(j) + 1}
-    witness["skipped"] = int(finite.size - np.count_nonzero(finite))
+    witness["skipped"] = skipped
     return CheckReport.from_slack("ruscheweyh-derivatives", len(samples) * len(alphas), worst, witness, NUMERIC_TOL)
 
 
@@ -524,10 +543,17 @@ def shape_reports() -> list[CheckReport]:
     add("recentred-slack-increasing", len(rs) * grid, min(float(np.min(np.diff(v))) for v in rs.values()))
 
     x = np.linspace(0.0, 1.0, grid)
-    g = np.linspace(0.0, 1.0, grid, endpoint=False)
-    env = recentred_slack_envelope(x[:, None], g[None, :])
-    add("slack-envelope-nonpositive", env.size, float(-np.max(env)))
-    add("slack-envelope-increasing", env.size, float(np.min(np.diff(env, axis=0))))
+    g = np.linspace(0.0, 1.0, grid, endpoint=False)[None, :]
+    nonpositive = increasing = np.inf  # each claim's worst slack
+    rows = _block_rows(g.nbytes)
+    # blocks of x rows, each from the previous block's last row, so that their
+    # np.diff spans every block edge: the full grid's values, max and min
+    for start in range(0, grid - 1, rows):
+        env = recentred_slack_envelope(x[start:start + rows + 1, None], g)
+        nonpositive = min(nonpositive, float(-np.max(env)))
+        increasing = min(increasing, float(np.min(np.diff(env, axis=0))))
+    add("slack-envelope-nonpositive", x.size * g.size, nonpositive)
+    add("slack-envelope-increasing", x.size * g.size, increasing)
 
     g = np.linspace(0.0, 1.0 - 1e-9, 1000)
     coupling = area_coupling(g)

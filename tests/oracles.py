@@ -14,7 +14,10 @@ own one-row complex stack (the reference of every family row), the
 conjecture grid built one member at a time and its augmentation one sample
 at a time, seven sampled checks, the family solve that ran one member after
 another and the per-member stack it solved on.  Tests assert that the
-batched code equals them bit for bit.
+batched code equals them bit for bit.  Where the package works in blocks,
+the one-shot version of the same batched code is kept too: the
+slack-envelope grid in one piece and the Ruscheweyh check with one FFT call
+for every sample.
 """
 
 from __future__ import annotations
@@ -410,6 +413,49 @@ def ruscheweyh_reference(
                 witness = {"sample": i, "alpha": [alpha.real, alpha.imag], "n": j + 1}
     witness["skipped"] = skipped
     return verify.CheckReport.from_slack("ruscheweyh-derivatives", n_samples * len(alphas), worst, witness, tol)
+
+
+def ruscheweyh_one_shot_reference(samples, alphas=(0.0, 0.3, -0.45, 0.25j, -0.2 - 0.35j), n_max: int = 8):
+    """``check_ruscheweyh`` with every (sample, centre) row in one array and one FFT call."""
+    from bohrlab import verify
+    from bohrlab.series import _circle, taylor_coefficients
+
+    powers = np.arange(1, n_max + 1, dtype=float)
+    centres = [complex(alpha) for alpha in alphas]
+    scales = [0.45 * (1.0 - abs(alpha)) for alpha in centres]
+    points = np.array([alpha + s * _circle(8 * n_max, 0.5) for alpha, s in zip(centres, scales)])
+    scale_powers = np.array([s**powers for s in scales])
+    denoms = np.array([(1.0 - abs(alpha)) ** (powers - 1.0) * (1.0 - abs(alpha) ** 2) for alpha in centres])
+    vals = np.array([f(points) for f in samples]).reshape((-1,) + points.shape)
+    finite = np.isfinite(vals).all(axis=2)
+    worst = np.inf
+    witness: dict = {}
+    if finite.any():
+        coeffs = taylor_coefficients(vals[finite], n_max, 0.5)
+        fa = np.hypot(coeffs[:, :1].real, coeffs[:, :1].imag)
+        rows = np.nonzero(finite)[1]
+        slack = np.full(finite.shape + (n_max,), np.inf)
+        slack[finite] = (1.0 - fa**2) / denoms[rows] - np.abs(coeffs[:, 1:]) / scale_powers[rows]
+        i, row, j = np.unravel_index(np.argmin(slack), slack.shape)
+        worst, alpha = float(slack[i, row, j]), centres[row]
+        witness = {"sample": int(i), "alpha": [alpha.real, alpha.imag], "n": int(j) + 1}
+    witness["skipped"] = int(finite.size - np.count_nonzero(finite))
+    return verify.CheckReport.from_slack("ruscheweyh-derivatives", len(samples) * len(alphas), worst, witness,
+                                         verify.NUMERIC_TOL)
+
+
+def slack_envelope_full_grid_reference() -> list:
+    """``shape_reports``' two slack-envelope reports from the whole 400 x 400 grid in one array."""
+    from bohrlab import verify
+
+    x = np.linspace(0.0, 1.0, 400)
+    g = np.linspace(0.0, 1.0, 400, endpoint=False)
+    env = verify.recentred_slack_envelope(x[:, None], g[None, :])
+    return [
+        verify.CheckReport.from_slack("shape:slack-envelope-nonpositive", env.size, float(-np.max(env)), {}, 1e-12),
+        verify.CheckReport.from_slack("shape:slack-envelope-increasing", env.size,
+                                      float(np.min(np.diff(env, axis=0))), {}, 1e-12),
+    ]
 
 
 def dilatation_coefficients_reference(

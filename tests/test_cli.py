@@ -487,6 +487,65 @@ def test_config_file_with_flag_override(tmp_path):
     assert "gamma=0.2" in out
 
 
+def test_config_supplies_the_radius_theorem(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theorem": "B", "gamma": 0.5}))
+    by_config, by_flag = tmp_path / "config.json", tmp_path / "flag.json"
+    assert run_cli("--config", str(cfg), "radius", "--order", "256", "--out", str(by_config))[0] == 0
+    assert run_cli("radius", "--theorem", "B", "--gamma", "0.5", "--order", "256", "--out", str(by_flag))[0] == 0
+    assert by_config.read_bytes() == by_flag.read_bytes()
+
+
+@pytest.mark.parametrize("config", [None, {"gamma": 0.5}], ids=["no-config", "config-without-theorem"])
+def test_radius_without_a_theorem_is_a_usage_error(tmp_path, capsys, config):
+    argv = ["radius", "--gamma", "0.5"]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["--config", str(cfg), "radius"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "the following arguments are required: --theorem" in capsys.readouterr().err
+
+
+def _closed_stdout_run(argv, cwd, lines_read):
+    """``python -m bohrlab.cli argv`` whose reader closes stdout after ``lines_read`` lines."""
+    proc = subprocess.Popen([sys.executable, "-m", "bohrlab.cli", *argv], cwd=cwd, env=SRC_ENV,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for _ in range(lines_read):
+        proc.stdout.readline()
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read().decode()
+        return proc.wait(timeout=60), err
+    finally:
+        proc.kill()
+        proc.stderr.close()
+
+
+@pytest.mark.parametrize("argv,out,lines_read", [
+    # about 120 KB of lines: more than a pipe holds, so the command is still writing when the reader leaves
+    (["conjecture", "--gammas", "0:0.99:1000"], "c.csv", 1),
+    # the reader leaves before any line arrives
+    (["verify", "--fast", "--seed", "3"], "v.json", 0),
+    (["identity-check", "--samples", "20"], "i.json", 0),
+    (["radius", "--theorem", "2", "--gamma", "0.3", "--order", "256"], "r.json", 0),
+    (["radius", "--theorem", "3", "--gamma", "0.3", "--lambda", "0.5", "--order", "256"], "r.csv", 0),
+    (["sweep", "--theorem", "B", "--gammas", "0.5", "--grid", "4"], "s.csv", 0),
+], ids=["conjecture", "verify", "identity-check", "radius-json", "radius-csv", "sweep"])
+def test_closed_stdout_keeps_the_artifact_and_exit_status(tmp_path, argv, out, lines_read):
+    piped, unpiped = tmp_path / "piped", tmp_path / "unpiped"
+    piped.mkdir()
+    unpiped.mkdir()
+    reference = subprocess.run([sys.executable, "-m", "bohrlab.cli", *argv, "--out", out], cwd=unpiped,
+                               env=SRC_ENV, capture_output=True, timeout=60)
+    code, err = _closed_stdout_run([*argv, "--out", out], piped, lines_read)
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+    assert code == reference.returncode
+    assert (piped / out).read_bytes() == (unpiped / out).read_bytes()
+
+
 @pytest.mark.parametrize(
     "argv,theorem",
     [(["sweep", "--gammas", "0.5", "--grid", "2", "--order", "64"], "A")],
@@ -504,7 +563,7 @@ def test_config_theorem_outside_choices_is_a_usage_error(tmp_path, capsys, argv,
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["radius", "--the", "B", "--gamma", "0.5"], "required: --theorem"),
+        (["radius", "--the", "B", "--gamma", "0.5"], "unrecognized arguments: --the B"),
         (["radius", "--theorem", "B", "--gam", "0.5"], "unrecognized arguments: --gam 0.5"),
         (["--conf={cfg}", "radius", "--theorem", "B"], "unrecognized arguments: --conf="),
     ],

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,9 +53,11 @@ from oracles import (
     random_decaying_series,
     recentred_consistency_reference,
     recentred_slack_certificate_reference,
+    ruscheweyh_one_shot_reference,
     ruscheweyh_reference,
     schwarz_pick_reference,
     series,
+    slack_envelope_full_grid_reference,
     stack_of,
 )
 
@@ -200,6 +203,62 @@ def test_ruscheweyh_skips_and_counts_non_finite_rows(monkeypatch):
     assert report.witness["skipped"] == 3
     assert report.witness["alpha"] != [0.3, 0.0]
     assert report == ruscheweyh_reference(n_samples=3)
+
+
+def _nan_right_of(cut):
+    """Sample wrapper: NaN right of Re z = cut, which skips the (sample, centre) rows reaching there."""
+    return lambda f: (lambda z: np.where(z.real > cut, np.nan, f(z)))
+
+
+# samples per Ruscheweyh block at the default 5 centres and 64 points per circle
+_RUSCHEWEYH_BLOCK = verify._block_rows(5 * 64 * 16)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 42, 77])
+@pytest.mark.parametrize("n_samples", [1, _RUSCHEWEYH_BLOCK - 1, _RUSCHEWEYH_BLOCK, _RUSCHEWEYH_BLOCK + 1,
+                                       100, 2 * _RUSCHEWEYH_BLOCK + 3])
+def test_blocked_ruscheweyh_equals_the_one_shot_check(seed, n_samples):
+    samples = blaschke_samples(n_samples, seed)
+    assert check_ruscheweyh(samples) == ruscheweyh_one_shot_reference(samples)
+    # rows skipped on both sides of the first block edge, and every row of one sample
+    edge = _RUSCHEWEYH_BLOCK
+    for i, cut in ((edge - 1, 0.25), (edge, 0.25), (edge + 1, -2.0)):
+        if i < n_samples:
+            samples[i] = _nan_right_of(cut)(samples[i])
+    report = check_ruscheweyh(samples)
+    assert report == ruscheweyh_one_shot_reference(samples)
+    if n_samples > edge + 1:
+        assert report.witness["skipped"] == 2 + 5
+
+
+def test_ruscheweyh_with_every_row_skipped_reports_no_witness():
+    samples = [_nan_right_of(-2.0)(f) for f in blaschke_samples(_RUSCHEWEYH_BLOCK + 2, 4)]
+    report = check_ruscheweyh(samples)
+    assert report == ruscheweyh_one_shot_reference(samples)
+    assert report.witness == {"skipped": 5 * len(samples)} and report.worst_slack == np.inf
+
+
+def test_blocked_slack_envelope_reports_equal_the_full_grid():
+    reports = {r.name: r for r in shape_reports()}
+    for reference in slack_envelope_full_grid_reference():
+        assert reports[reference.name] == reference
+
+
+def _traced_peak(fn) -> int:
+    fn()  # caches and lazily loaded modules (the FFT's) first
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# the whole-grid and one-shot versions peak at about 2.6 MB and 1.65 MB
+@pytest.mark.parametrize("check", [shape_reports, functools.partial(check_ruscheweyh, blaschke_samples(100, 42))],
+                         ids=["shape-reports", "ruscheweyh-100-samples"])
+def test_blocked_checks_keep_their_working_set_under_one_megabyte(check):
+    assert _traced_peak(check) <= 2**20
 
 
 def test_schwarz_pick_identity_map_has_zero_slack():
