@@ -191,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"not a git revision: {args.base_rev}")
     try:
         entry = ab(args)
-    except (RuntimeError, subprocess.TimeoutExpired, json.JSONDecodeError, StopIteration, KeyError) as exc:
+    except (RuntimeError, subprocess.TimeoutExpired, json.JSONDecodeError, StopIteration) as exc:
         print(f"A/B run failed: {exc}", file=sys.stderr)
         return 1
     results = json.loads(args.out.read_text()) if args.out.exists() else {}
