@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -261,7 +261,7 @@ def cmd_radius(args) -> int:
             "computed_radius": limit.value,
             "closed_form": closed,
             "abs_diff": diff,
-            "result": asdict(result),
+            "result": dict(vars(result)),
         }
         if args.a is None:
             payload.update(grid_radius=result.radius, limit_error=limit.error)

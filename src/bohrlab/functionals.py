@@ -72,7 +72,7 @@ def _check_radius(r: np.ndarray, *series: SeriesStack) -> None:
         raise ValueError("radius must be an array: a stack of M series takes M radii, one per member, or one (1, R) "
                          f"row that every member shares; got {type(r).__name__} of shape {np.shape(r)} for "
                          f"stacks of {sorted(members)} members")
-    if not np.all((0.0 <= r) & (r < 1.0)):
+    if r.size and not (r.min() >= 0.0 and r.max() < 1.0):  # a NaN fails both; an empty r passes
         raise ValueError(f"radius must lie in [0, 1), got {r}")
 
 
@@ -163,6 +163,10 @@ def _power_sum(terms: _Terms, x: np.ndarray):
     shared = x.ndim == 2  # one row of x for every member: an (M, R) result
     bounds = np.power.outer(x, terms.heads) * (terms.suffix[:, None] if shared else terms.suffix)
     pick = np.argmax(bounds <= _CUT, axis=-1)
+    if pick.size and (first := pick.max()) == pick.min():  # the usual case: every x sums one length
+        length = terms.lengths[first]
+        weights = terms.weights[:, None, :length] if shared else terms.weights[:, :length]
+        return np.vecdot(np.power.outer(x[0] if shared else x, terms.exponents[:length]), weights), bounds[..., first]
     if shared:
         skipped = np.take_along_axis(bounds, pick[..., None], axis=-1)[..., 0]
     else:  # the same, at a third of the call overhead
@@ -192,41 +196,40 @@ def _rounded_up(tail, p: SeriesStack, x):
     return tail * (1.0 + 8.0 * (p.order + 1 + 1.0 / (1.0 - x)) * 2.0**-52)
 
 
-def _majorant(p: SeriesStack, r):
-    """(sum of |a_n| r^n over the terms summed, bound on the rest of the
-    series): the bound covers the stored terms past the cut plus sum_{n>N}
-    from the tail certificate (exactly 0 for a row without one, C = 0).
-    ``_norm_f0`` and ``_dirichlet_area`` return their sums the same way."""
-    value, skipped = _power_sum(_terms(p, "majorant"), r)
+def _sum(p: SeriesStack, kind: str, r):
+    """(sum over the terms summed, bound on the rest of the series) of one of
+    the three sums at r: ``"majorant"``, sum |a_n| r^n; ``"norm"``, the
+    squared-coefficient norm of the constant-free part, sum_{n>=1} |a_n|^2
+    r^{2n}; ``"area"``, sum_{n>=1} n |a_n|^2 r^{2n}.  The bound covers the
+    stored terms past the cut plus sum_{n>N} from the tail certificate, whose
+    closed form starts with the head C^k x^(N+1) (k = 1, x = q r; or k = 2,
+    x = (q r)^2).  Where the head is 0 in every cell (C = 0, or x^(N+1)
+    underflowed and C is finite) the closed form and its rounding-up are
+    exactly 0, so the bound is the skipped mass as it stands, bit for bit;
+    a C of inf or NaN makes the head NaN, which takes the closed form.
+    """
+    square = kind != "majorant"
+    # squares are products: Python's float ** 2 and numpy's can round apart
+    value, skipped = _power_sum(_terms(p, kind), r * r if square else r)
     q, c = _per_member(p.tail.q, r), _per_member(p.tail.C, r)
     x = q * r  # below one: q < 1 and r < 1
-    return value, _rounded_up(c * np.power(x, p.order + 1) / (1.0 - x), p, x) + skipped
-
-
-def _norm_f0(p: SeriesStack, r):
-    """The squared-coefficient norm of the constant-free part, sum_{n>=1} |a_n|^2 r^{2n}."""
-    # squares are products: Python's float ** 2 and numpy's can round apart
-    value, skipped = _power_sum(_terms(p, "norm"), r * r)
-    q, c = _per_member(p.tail.q, r), _per_member(p.tail.C, r)
-    x = (q * r) * (q * r)
-    tail = c * c * np.power(x, p.order + 1) / (1.0 - x)
-    return value, _rounded_up(tail, p, x) + skipped
-
-
-def _dirichlet_area(p: SeriesStack, r):
-    value, skipped = _power_sum(_terms(p, "area"), r * r)
-    q, c = _per_member(p.tail.q, r), _per_member(p.tail.C, r)
-    x = (q * r) * (q * r)
+    if square:
+        x, c = x * x, c * c
     n1 = p.order + 1
-    # sum_{n>N} n x^n = x^{N+1} ((N+1) - N x) / (1-x)^2
-    tail = c * c * np.power(x, n1) * (n1 - p.order * x) / ((1.0 - x) * (1.0 - x))
+    head = c * np.power(x, n1)
+    if not head.any():
+        return value, skipped
+    if kind == "area":  # sum_{n>N} n x^n = x^{N+1} ((N+1) - N x) / (1-x)^2
+        tail = head * (n1 - p.order * x) / ((1.0 - x) * (1.0 - x))
+    else:
+        tail = head / (1.0 - x)
     return value, _rounded_up(tail, p, x) + skipped
 
 
 def majorant(p: SeriesStack, r: np.ndarray) -> np.ndarray:
     """Sum of |a_n| r^n over the stored coefficients, up to the cut."""
     _check_radius(r, p)
-    return _majorant(p, r)[0]
+    return _sum(p, "majorant", r)[0]
 
 
 def dirichlet_area(p: SeriesStack, r: np.ndarray) -> np.ndarray:
@@ -236,13 +239,13 @@ def dirichlet_area(p: SeriesStack, r: np.ndarray) -> np.ndarray:
     radius r; for univalent f it is exactly the image area over pi.
     """
     _check_radius(r, p)
-    return _dirichlet_area(p, r)[0]
+    return _sum(p, "area", r)[0]
 
 
 def bohr_total(p: SeriesStack, r: np.ndarray) -> FunctionalValue:
     """Plain majorant with no correction term."""
     _check_radius(r, p)
-    m, tail = _majorant(p, r)
+    m, tail = _sum(p, "majorant", r)
     return FunctionalValue(m, m, 0.0 * m, r, tail)  # m >= 0: the correction is +0.0
 
 
@@ -261,8 +264,8 @@ def area_refined_total(
     as ``r`` is.
     """
     _check_radius_and_gamma(r, gamma, p)
-    m, m_tail = _majorant(p, r)
-    area, area_tail = _dirichlet_area(p, r * (1.0 - gamma))
+    m, m_tail = _sum(p, "majorant", r)
+    area, area_tail = _sum(p, "area", r * (1.0 - gamma))
     return FunctionalValue(m + weight * area, m, weight * area, r, m_tail + weight * area_tail)
 
 
@@ -272,8 +275,8 @@ def norm_refined_total(p: SeriesStack, r: np.ndarray) -> FunctionalValue:
     _check_radius(r, p)
     a0 = _constant_modulus(p, r)
     factor = 1.0 / (1.0 + a0) + r / (1.0 - r)
-    m, m_tail = _majorant(p, r)
-    norm, norm_tail = _norm_f0(p, r)
+    m, m_tail = _sum(p, "majorant", r)
+    norm, norm_tail = _sum(p, "norm", r)
     corr = factor * norm
     return FunctionalValue(m + corr, m, corr, r, m_tail + factor * norm_tail)
 
@@ -285,8 +288,8 @@ def domain_ratio_area_total(p: SeriesStack, r: np.ndarray, ratio_sup: float) -> 
         raise ValueError(f"coefficient-ratio supremum must be positive, got {ratio_sup}")
     weight = 2.0 * ((1.0 + ratio_sup) / (1.0 + 2.0 * ratio_sup)) ** 2
     _check_radius(r, p)
-    m, m_tail = _majorant(p, r)
-    area, area_tail = _dirichlet_area(p, r)
+    m, m_tail = _sum(p, "majorant", r)
+    area, area_tail = _sum(p, "area", r)
     corr = weight * area
     return FunctionalValue(m + corr, m, corr, r, m_tail + weight * area_tail)
 
@@ -295,8 +298,8 @@ def harmonic_total(h: SeriesStack, g: SeriesStack, r: np.ndarray) -> FunctionalV
     """Joint majorant of a harmonic mapping h + conj(g): the analytic majorant
     plus the co-analytic majorant without its constant term."""
     _check_radius(r, h, g)
-    m_h, h_tail = _majorant(h, r)
-    m_g, g_tail = _majorant(g, r)
+    m_h, h_tail = _sum(h, "majorant", r)
+    m_g, g_tail = _sum(g, "majorant", r)
     total = m_h + (m_g - _constant_modulus(g, r))
     return FunctionalValue(total, total, 0.0 * m_h, r, h_tail + g_tail)  # m_h >= 0: +0.0
 

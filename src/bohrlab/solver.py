@@ -65,8 +65,10 @@ class RadiusResult:
     "unconstrained" when it never does on [0, UPPER_LIMIT] (the radius then
     lies in the bracket (UPPER_LIMIT, 1)), and "no_radius" when the bound
     already exceeds one at r = 0.  ``members`` lists each member of a family
-    solve, in the order given: a, radius, iterations.  ``dataclasses.asdict``
-    gives the JSON form.
+    solve, in the order given: a, radius, iterations.  Every field is a
+    float, int, str, None, or a tuple or dict of them, so the fields as they
+    stand (``vars(result)``) are the JSON form, as ``dataclasses.asdict``'s
+    deep copy is.
     """
 
     radius: float

@@ -411,8 +411,8 @@ def recentred_area_total(
     does; row i then equals, bit for bit, the call on member i alone.
     """
     functionals._check_radius_and_gamma(r, gamma, p)
-    m, m_tail = functionals._majorant(p, r)
-    area, area_tail = functionals._dirichlet_area(recenter_affine(p, gamma), r)
+    m, m_tail = functionals._sum(p, "majorant", r)
+    area, area_tail = functionals._sum(recenter_affine(p, gamma), "area", r)
     return FunctionalValue(m + weight * area, m, weight * area, r, m_tail + weight * area_tail)
 
 

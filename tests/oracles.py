@@ -17,7 +17,10 @@ another and the per-member stack it solved on.  Tests assert that the
 batched code equals them bit for bit.  Where the package works in blocks,
 the one-shot version of the same batched code is kept too: the
 slack-envelope grid in one piece and the Ruscheweyh check with one FFT call
-for every sample.
+for every sample.  The evaluators' sums keep their general form: each
+length a masked loop step, even when every cell sums the same, and the
+certificate tail's closed form at every cell; the radius check keeps its
+range test as one elementwise comparison.
 """
 
 from __future__ import annotations
@@ -568,6 +571,67 @@ def recentred_slack_certificate_reference(
                 worst = cap - total
                 witness = {"sample": i, "gamma": gamma, "r": float(r), "a0_abs": float(a0)}
     return verify.CheckReport.from_slack("recentred-slack-certificate", n_samples, worst, witness, tol)
+
+
+def check_radius_reference(r: np.ndarray, *series: SeriesStack) -> None:
+    """``functionals._check_radius`` with its range test as one elementwise
+    comparison of every radius."""
+    members = {p.coeffs.shape[0] for p in series}
+    if not (isinstance(r, np.ndarray) and len(members) == 1
+            and (r.shape == (*members,) or (r.ndim == 2 and len(r) == 1))):
+        raise ValueError("radius must be an array: a stack of M series takes M radii, one per member, or one (1, R) "
+                         f"row that every member shares; got {type(r).__name__} of shape {np.shape(r)} for "
+                         f"stacks of {sorted(members)} members")
+    if not np.all((0.0 <= r) & (r < 1.0)):
+        raise ValueError(f"radius must lie in [0, 1), got {r}")
+
+
+def power_sum_reference(terms, x: np.ndarray):
+    """``functionals._power_sum`` with each length a loop step: the cells
+    that sum it are picked by a mask, even when every cell sums the same."""
+    from bohrlab.functionals import _CUT
+
+    shared = x.ndim == 2
+    bounds = np.power.outer(x, terms.heads) * (terms.suffix[:, None] if shared else terms.suffix)
+    pick = np.argmax(bounds <= _CUT, axis=-1)
+    if shared:
+        skipped = np.take_along_axis(bounds, pick[..., None], axis=-1)[..., 0]
+    else:
+        skipped = bounds[np.arange(x.size), pick]
+    lengths = terms.lengths[pick]
+    value = np.empty(lengths.shape)
+    for length in sorted(set(lengths.ravel().tolist())):
+        cells = lengths == length
+        weights = terms.weights[:, :length]
+        if shared:
+            cols = cells.any(axis=0)
+            sums = np.vecdot(np.power.outer(x[0, cols], terms.exponents[:length]), weights[:, None])
+            value[:, cols] = np.where(cells[:, cols], sums, value[:, cols])
+        else:
+            value[cells] = np.vecdot(np.power.outer(x[cells], terms.exponents[:length]), weights[cells])
+    return value, skipped
+
+
+def sum_reference(p: SeriesStack, kind: str, r):
+    """``functionals._sum`` on :func:`power_sum_reference`, with the
+    certificate tail's closed form and its upward rounding evaluated at every
+    cell, underflowed ones included."""
+    from bohrlab.functionals import _per_member, _terms
+
+    q, c = _per_member(p.tail.q, r), _per_member(p.tail.C, r)
+    n1 = p.order + 1
+    if kind == "majorant":
+        value, skipped = power_sum_reference(_terms(p, kind), r)
+        x = q * r
+        tail = c * np.power(x, n1) / (1.0 - x)
+    else:
+        value, skipped = power_sum_reference(_terms(p, kind), r * r)
+        x = (q * r) * (q * r)
+        if kind == "area":
+            tail = c * c * np.power(x, n1) * (n1 - p.order * x) / ((1.0 - x) * (1.0 - x))
+        else:
+            tail = c * c * np.power(x, n1) / (1.0 - x)
+    return value, tail * (1.0 + 8.0 * (p.order + 1 + 1.0 / (1.0 - x)) * 2.0**-52) + skipped
 
 
 def _padded(value) -> float:

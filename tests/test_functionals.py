@@ -27,7 +27,7 @@ from bohrlab.functionals import (
     sharp_harmonic_radius,
     sharp_majorant_radius,
 )
-from bohrlab.series import DiskDomain, numeric_taylor
+from bohrlab.series import DiskDomain, SeriesStack, numeric_taylor
 from bohrlab.solver import UPPER_LIMIT
 from bohrlab.verify import random_blaschke
 
@@ -36,6 +36,7 @@ from oracles import (
     brute_force_area,
     brute_force_majorant,
     brute_force_norm,
+    check_radius_reference,
     constant,
     harmonic_member,
     member,
@@ -43,6 +44,7 @@ from oracles import (
     random_decaying_series,
     series,
     stack_of,
+    sum_reference,
     zero,
 )
 
@@ -78,19 +80,19 @@ def test_majorant_brute_force_oracle():
 # kernel, (sum, bound on the rest); each sum's tail bound is the second.  Each
 # takes a one-row stack and its radii as the evaluators do.
 def norm_f0(p, r):
-    return functionals._norm_f0(p, r)[0]
+    return functionals._sum(p, "norm", r)[0]
 
 
 def majorant_tail_bound(p, r):
-    return functionals._majorant(p, r)[1]
+    return functionals._sum(p, "majorant", r)[1]
 
 
 def norm_f0_tail_bound(p, r):
-    return functionals._norm_f0(p, r)[1]
+    return functionals._sum(p, "norm", r)[1]
 
 
 def dirichlet_area_tail_bound(p, r):
-    return functionals._dirichlet_area(p, r)[1]
+    return functionals._sum(p, "area", r)[1]
 
 
 def test_majorant_tail_bound_is_sound():
@@ -582,6 +584,77 @@ def test_spike_past_the_cut_lands_in_the_tail_bound():
     p, r = _spike(32), np.array([0.27])
     assert majorant(p, r) == 0.0
     assert majorant_tail_bound(p, r) >= 0.27**32
+
+
+_LIMIT_A = 1.0 - 2.0 ** -np.arange(11, 15)  # the members radius solves
+
+
+def _family_cases(order):
+    """(stack, harmonic pair, radii, gamma): the members radius solves at one
+    radius each, at radii that make them sum different lengths, at r = 0 and
+    up to UPPER_LIMIT, and on one shared radius row."""
+    p, hg = mobius_family_coeffs(_LIMIT_A, 0.5, order), harmonic_extremal(_LIMIT_A, 0.5, 0.35, order)
+    for r in (np.full(4, 0.4244), np.array([0.0, 0.01, 0.9, UPPER_LIMIT]), np.zeros(4), np.full(4, UPPER_LIMIT),
+              np.array([[0.0, 0.01, 0.3, 0.4244, 0.7, 0.9, 0.99, UPPER_LIMIT]])):
+        yield p, hg, r, 0.5
+
+
+def _uncertified_and_infinite_cases():
+    """numeric_taylor rows, C = 0; then the family at order 64 with one row's C
+    infinite and one NaN, at radii where x^(N+1) underflows and where it does not."""
+    rows = numeric_taylor(lambda z: np.stack([np.exp(z) / 3.0, (0.5 - z) / (1.0 - 0.5 * z), z**40 / 2.0]), 64, 0.9)
+    for r in (np.array([0.2, 0.5, 0.97]), np.full(3, 0.3), np.array([[0.0, 0.2, 0.5, 0.9, UPPER_LIMIT]])):
+        yield rows, (rows, rows), r, 0.3
+    p = mobius_family_coeffs(_LIMIT_A, 0.5, 64)
+    bad = SeriesStack(p.coeffs, p.tail.q, np.array([np.inf, p.tail.C[1], np.nan, p.tail.C[3]]))
+    for r in (np.zeros(4), np.full(4, 1e-6), np.array([1e-6, 0.3, 0.0, 0.9]), np.array([[0.0, 1e-6, 0.5]])):
+        yield bad, (bad, p), r, 0.5
+
+
+_FAST_PATH_CASES = [case for order in (1, 16, 31, 32, 33, 64, 2048) for case in _family_cases(order)]
+_FAST_PATH_CASES += list(_uncertified_and_infinite_cases())
+
+
+@pytest.mark.parametrize("case", range(len(_FAST_PATH_CASES)))
+def test_sums_equal_their_general_form_bit_for_bit(case):
+    # one length for every cell takes one dot product, and an exactly-zero
+    # certificate head skips the tail's closed form: every field of every
+    # evaluator, and both sums, stay bit for bit those of the general form
+    p, hg, r, gamma = _FAST_PATH_CASES[case]
+
+    def values():
+        with np.errstate(invalid="ignore"):  # C = inf times an underflowed x^(N+1)
+            out = {"majorant": majorant(p, r), "dirichlet_area": dirichlet_area(p, r),
+                   "harmonic_total": harmonic_total(*hg, r)}
+            out.update((name, _EVALUATORS[name](p, r, gamma)) for name in _EVALUATORS if name != "harmonic_total")
+        return {name: [getattr(value, field.name) for field in dataclasses.fields(value)]
+                if isinstance(value, FunctionalValue) else [value] for name, value in out.items()}
+
+    fast = values()
+    with mock.patch.object(functionals, "_sum", sum_reference):
+        general = values()
+    for name, fields in general.items():
+        for i, expected in enumerate(fields):
+            assert np.array_equal(fast[name][i], expected, equal_nan=True), (name, i)
+
+
+def test_radius_check_accepts_and_rejects_as_one_elementwise_comparison():
+    stacks = [SeriesStack(np.zeros((m, 65))) for m in (0, 1, 2)]
+    radii = [0.3, [0.3], np.zeros(0), np.zeros((1, 0)), np.zeros((0, 0)), np.array([True]), np.array([0, 1]),
+             np.array([[0.5, np.nan]]), np.array([[0.0, 0.5, np.nextafter(1.0, 0.0)]]), np.array([[0.5, 1.0]])]
+    radii += [np.array([x]) for x in (0.0, -0.0, 0.5, np.nextafter(1.0, 0.0), 1.0, -5e-324, np.nan, np.inf, -np.inf)]
+    radii += [np.array([x, 0.5]) for x in (0.0, -0.0, np.nextafter(1.0, 0.0), 1.0, -5e-324, np.nan, np.inf)]
+
+    def outcome(check, r, p):
+        try:
+            check(r, p)
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    for p in stacks:
+        for r in radii:
+            assert outcome(functionals._check_radius, r, p) == outcome(check_radius_reference, r, p), (p.coeffs.shape, r)
 
 
 def _family_sums_50_digits(a, gamma, r):

@@ -38,6 +38,11 @@ commands() {
     for t in A B 1 2 3 4 corollary; do
         echo "radius-a0.5 csv radius --theorem $t --a 0.5"
     done
+    # order 16: the certificate tail is nonzero at every probe and every member sums its full length
+    for t in B 1 2 3 4; do
+        echo "radius-$t-g0.5-order16 json radius --theorem $t --gamma 0.5 --order 16"
+    done
+    echo "radius-2-g0.9-tol1e-14 json radius --theorem 2 --gamma 0.9 --tol 1e-14"
     for t in B 1 2 3 4; do
         echo "sweep-$t csv sweep --theorem $t --gammas 0:0.99:34"
     done
