@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from bohrlab import cli, functionals
 
-from bohrlab.extremals import family_constants, harmonic_extremal, mobius_family_coeffs
+from bohrlab.extremals import family_constants, harmonic_extremal, mobius_family_coeffs, sharpness_a_grid
 from bohrlab.functionals import (
     FunctionalValue,
     area_refined_total,
@@ -586,7 +586,7 @@ def test_spike_past_the_cut_lands_in_the_tail_bound():
     assert majorant_tail_bound(p, r) >= 0.27**32
 
 
-_LIMIT_A = 1.0 - 2.0 ** -np.arange(11, 15)  # the members radius solves
+_LIMIT_A = sharpness_a_grid(14)[-4:]  # the members radius solves
 
 
 def _family_cases(order):
@@ -654,7 +654,7 @@ def test_radius_check_accepts_and_rejects_as_one_elementwise_comparison():
 
     for p in stacks:
         for r in radii:
-            assert outcome(functionals._check_radius, r, p) == outcome(check_radius_reference, r, p), (p.coeffs.shape, r)
+            assert outcome(functionals._check_radius, r, p) == outcome(check_radius_reference, r, p), (len(p.coeffs), r)
 
 
 def _family_sums_50_digits(a, gamma, r):
