@@ -221,7 +221,7 @@ def cmd_radius(args) -> int:
         return 2
 
     # the family radius is sharp only as a -> 1: solve the members nearest it for their limit
-    a_grid = [args.a] if args.a is not None else sharpness_a_grid(14)[-solver.LIMIT_MEMBERS:]
+    a_grid = [args.a] if args.a is not None else sharpness_a_grid()[-solver.LIMIT_MEMBERS:]
     series = _series(bound, a_grid, gamma, k, args.order, None)  # one stack: one evaluator call per solver round
     result = solver.family_infimum_radius(lambda r: bound.total(series, r, gamma, x), a_grid, gamma, tol=args.tol)
     limit = solver.a_to_one_limit(result, gamma) if args.a is None else solver.Limit(result.radius, None)
@@ -298,7 +298,7 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     bound = BOUNDS[args.theorem]
-    a_grid = sharpness_a_grid(14)
+    a_grid = sharpness_a_grid()
     rows = violations = 0
     outside = []  # the gammas where the family lies outside the theorem's class
     # each gamma's lines go out as they are made, ending in "\r\n" as csv.writer ends them
@@ -492,7 +492,8 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace, con
     the flag appeared on the command line.
 
     Numeric options take JSON numbers, switches take true or false, and a
-    JSON list stands for the flag given once per item.
+    JSON list stands for a repeatable flag given once per item; any other
+    option given a list is a usage error.
     """
     if not isinstance(config, dict):
         parser.error("config file must hold a JSON object of option values")
@@ -511,6 +512,9 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace, con
             parser.error(f"config key {key!r} names no option of {args.command}")
         if action.dest in given:
             continue
+        if isinstance(value, list) and not isinstance(action, argparse._AppendAction):
+            parser.error(f"config value for {action.option_strings[0]}: a list stands only for a repeatable "
+                         f"flag, got {json.dumps(value)}")
         for item in value if isinstance(value, list) else [value]:
             try:
                 parsed = _config_value(action, item)

@@ -50,6 +50,7 @@ A_BOUNDS = (0.05, 0.99)
 R_MIN = 1e-3
 # The largest gamma estimate_constant takes (see check_gammas)
 MAX_GAMMA = 0.999
+_WITNESS_BUMP = 1e-6  # the weight past K_hat at which witness_violates reads the family witness
 # Augmented samples per numeric_taylor, majorant and area call (on the shared
 # radius row): a block's 64 rows of 1536 circle samples take about 1.5 MB.
 _AUGMENT_BLOCK = 64
@@ -146,14 +147,14 @@ def at_window_corner(estimate: ConstantEstimate) -> bool:
     return (estimate.witness_a, estimate.witness_r) == (A_BOUNDS[1], sharp_majorant_radius(estimate.gamma))
 
 
-def witness_violates(estimate: ConstantEstimate, bump: float = 1e-6) -> bool:
-    """True when raising the weight to k_hat + bump makes the stored family
+def witness_violates(estimate: ConstantEstimate) -> bool:
+    """True when raising the weight to k_hat + 1e-6 makes the stored family
     witness exceed one; only meaningful for family witnesses (finite a)."""
     if not np.isfinite(estimate.witness_a):
         return False
     p = mobius_family_coeffs(estimate.witness_a, estimate.gamma, DEFAULT_ORDER)
     value = functionals.area_refined_total(
-        p, np.array([estimate.witness_r]), estimate.gamma, weight=estimate.k_hat + bump
+        p, np.array([estimate.witness_r]), estimate.gamma, weight=estimate.k_hat + _WITNESS_BUMP
     )
     return bool(value.total[0] > 1.0)
 

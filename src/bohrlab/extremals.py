@@ -160,8 +160,6 @@ def harmonic_extremal(a, gamma, weight, order: int, r_max=None) -> tuple[SeriesS
     return h, SeriesStack(g, h.tail.q, weight * h.tail.C)
 
 
-def sharpness_a_grid(j_max: int = 14) -> np.ndarray:
-    """Dyadic grid a_j = 1 - 2**(-j), j = 1..j_max, approaching the extremal limit."""
-    if j_max < 1:
-        raise ValueError("j_max must be at least 1")
-    return 1.0 - 2.0 ** -np.arange(1, j_max + 1)
+def sharpness_a_grid() -> np.ndarray:
+    """Dyadic grid a_j = 1 - 2**(-j), j = 1..14, approaching the extremal limit."""
+    return 1.0 - 2.0 ** -np.arange(1, 15)

@@ -69,27 +69,25 @@ def taylor_coefficients(vals: np.ndarray, order: int, rho: float) -> np.ndarray:
     return coeffs / rho ** np.arange(order + 1)
 
 
-def numeric_taylor(f: Callable, order: int, rho: float = 0.5, samples: int | None = None) -> SeriesStack:
+def numeric_taylor(f: Callable, order: int, rho: float = 0.5) -> SeriesStack:
     """Taylor coefficients about 0 of black-box analytic functions.
 
     Computes a_n = (2*pi)^-1 * integral of f(rho e^{i t}) e^{-i n t} dt / rho**n
-    with uniform trapezoid sampling, i.e. one FFT over ``samples`` points on
-    the circle of radius ``rho``.  The default uses 8 samples per requested
-    order, which keeps the aliasing error geometrically small; roundoff grows
-    like eps / rho**n, so callers extracting high orders should raise ``rho``.
-    ``f`` is called once, on the cached, read-only array of all sample points,
-    and returns one row of values per function, shape (M, samples), or one
-    row alone, shape (samples,).  The result is the :class:`SeriesStack` of
-    the M expansions (one for a lone row), with no certificates; row i
-    equals, bit for bit, the expansion of row i alone.
+    with uniform trapezoid sampling, i.e. one FFT over m = 8 * order points
+    on the circle of radius ``rho``.  Eight samples per order keep the
+    aliasing error geometrically small; roundoff grows like eps / rho**n, so
+    callers extracting high orders should raise ``rho``.  ``f`` is called
+    once, on the cached, read-only array of all sample points, and returns
+    one row of values per function, shape (M, m), or one row alone, shape
+    (m,).  The result is the :class:`SeriesStack` of the M expansions (one
+    for a lone row), with no certificates; row i equals, bit for bit, the
+    expansion of row i alone.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
     if not 0.0 < rho < 1.0:
         raise ValueError("sampling radius must lie in (0, 1)")
-    m = 8 * order if samples is None else int(samples)
-    if m < 8 * order:
-        raise ValueError("need at least 8 samples per coefficient order")
+    m = 8 * order
     z = _circle(m, rho)
     vals = np.asarray(f(z), dtype=np.complex128)
     if vals.shape[-1:] != z.shape or vals.ndim > 2:

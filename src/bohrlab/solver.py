@@ -95,19 +95,20 @@ def _mobius_zero(x0: float, f0: float, x1: float, f1: float, x2: float, f2: floa
         return math.nan
 
 
-def _itp(tol: float, upper: float):
-    """One ITP solve as a generator: it yields each probe point, is sent the
-    padded bound there, and returns the :class:`RadiusResult`."""
+def _itp(tol: float):
+    """One ITP solve on [0, ``UPPER_LIMIT``] as a generator: it yields each
+    probe point, is sent the padded bound there, and returns the
+    :class:`RadiusResult`."""
     if not tol >= SMALLEST_TOL:
         raise ValueError(f"tolerance must be at least 2^-1024 (below it the step budget overflows), got {tol}")
     if (f_lo := (yield 0.0) - 1.0) > 0.0:
         return RadiusResult(math.nan, (0.0, 0.0), tol, 0, None, "no_radius")
-    if (f_hi := (yield upper) - 1.0) <= 0.0:
-        return RadiusResult(upper, (upper, 1.0), 1.0 - upper, 1, None, "unconstrained")
-    lo, hi = 0.0, upper
+    if (f_hi := (yield UPPER_LIMIT) - 1.0) <= 0.0:
+        return RadiusResult(UPPER_LIMIT, (UPPER_LIMIT, 1.0), 1.0 - UPPER_LIMIT, 1, None, "unconstrained")
+    lo, hi = 0.0, UPPER_LIMIT
     # after step j the bracket is at most target * 2^(steps - j - 1) wide;
     # target sits a few ulps under tol to absorb each step's rounding
-    steps, target = math.ceil(math.log2(upper / tol)) + _N0, tol - 8.0 * math.ulp(upper)
+    steps, target = math.ceil(math.log2(UPPER_LIMIT / tol)) + _N0, tol - 8.0 * math.ulp(UPPER_LIMIT)
     replaced = None  # (x, f) of the bracket end the last step moved away from
     iterations = 0
     while hi - lo > tol:
@@ -122,10 +123,10 @@ def _itp(tol: float, upper: float):
             estimate = _mobius_zero(lo, f_lo, hi, f_hi, *replaced)
             if not lo < estimate < hi:  # NaN included
                 estimate = mid
-            # truncate toward mid by _KAPPA_1/upper * width^_KAPPA_2, but by at least a quarter of
-            # target (Brent's minimum step, 1973, ch. 4): an exact estimate then lands just past
+            # truncate toward mid by _KAPPA_1/UPPER_LIMIT * width^_KAPPA_2, but by at least a quarter
+            # of target (Brent's minimum step, 1973, ch. 4): an exact estimate then lands just past
             # the root, and two of them close the bracket
-            shift = max(_KAPPA_1 / upper * (hi - lo) ** _KAPPA_2, 0.25 * target)
+            shift = max(_KAPPA_1 / UPPER_LIMIT * (hi - lo) ** _KAPPA_2, 0.25 * target)
             point = estimate + math.copysign(shift, mid - estimate) if shift <= abs(mid - estimate) else mid
         # project into the band that keeps the step budget
         band = max(math.ldexp(target, steps - iterations - 1) - 0.5 * (hi - lo), 0.0)
@@ -140,11 +141,11 @@ def _itp(tol: float, upper: float):
     return RadiusResult(lo, (lo, hi), hi - lo, iterations, None, "constrained")
 
 
-def _solve_together(bound, count: int, tol: float, upper: float = UPPER_LIMIT) -> list[RadiusResult]:
+def _solve_together(bound, count: int, tol: float) -> list[RadiusResult]:
     """``count`` ITP solves stepped together: each round calls ``bound`` once on
     their probe points and sends each solve its padded value.  A finished solve
     is fed its final ``lo``, and the value that comes back is dropped."""
-    solves = [_itp(tol, upper) for _ in range(count)]
+    solves = [_itp(tol) for _ in range(count)]
     points = [next(solve) for solve in solves]
     results: list[RadiusResult | None] = [None] * count
     while any(res is None for res in results):
@@ -160,21 +161,18 @@ def _solve_together(bound, count: int, tol: float, upper: float = UPPER_LIMIT) -
     return results
 
 
-def bohr_radius_of_function(
-    bound: Callable[[float], FunctionalValue | float],
-    tol: float = 1e-10,
-    upper: float = UPPER_LIMIT,
-) -> RadiusResult:
-    """Largest r in [0, upper] with bound(r) <= 1, found by ITP bracketing
-    in at most ceil(log2(upper/tol)) + 1 steps, for tol >= ``SMALLEST_TOL``;
-    ``bound`` is called with one float radius at a time.
+def bohr_radius_of_function(bound: Callable[[float], FunctionalValue | float], tol: float = 1e-10) -> RadiusResult:
+    """Largest r in [0, ``UPPER_LIMIT``] with bound(r) <= 1, found by ITP
+    bracketing in at most ceil(log2(UPPER_LIMIT/tol)) + 1 steps, for
+    tol >= ``SMALLEST_TOL``; ``bound`` is called with one float radius at a
+    time.
 
     The predicate "bound <= 1" is monotone and decides which end moves, so on
     a plateau where the bound sits exactly at one the search converges to the
     plateau's upper end, matching the supremum semantics of the radius
     definition.
     """
-    return _solve_together(lambda r: bound(float(r[0])), 1, tol, upper)[0]
+    return _solve_together(lambda r: bound(float(r[0])), 1, tol)[0]
 
 
 def family_infimum_radius(

@@ -205,13 +205,12 @@ def check_schwarz_pick(samples: Sequence[BlaschkeProduct]) -> CheckReport:
     return CheckReport.from_slack("schwarz-pick", len(samples), worst, witness, 1e-10)
 
 
-def check_coefficient_bounds(
-    samples: Sequence, gammas: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 0.9), n_max: int = 16
-) -> CheckReport:
+def check_coefficient_bounds(samples: Sequence) -> CheckReport:
     """|a_n| <= (1 - |a_0|^2)/(1 + gamma) for the unit-disk coefficients of
     functions bounded on the enlarged disk (gamma = 0 is the classical bound);
     sample i is carried onto the disk of gammas[i % len(gammas)], and one
     ``numeric_taylor`` call expands every sample."""
+    gammas, n_max = (0.0, 0.25, 0.5, 0.75, 0.9), 16
     gamma = np.array([float(gammas[i % len(gammas)]) for i in range(len(samples))])
     domains = [DiskDomain(g) for g in gamma.tolist()]
     coeffs = numeric_taylor(lambda z: [bounded_on_disk_domain(f, d)(z) for f, d in zip(samples, domains)],
@@ -225,9 +224,7 @@ def check_coefficient_bounds(
     return CheckReport.from_slack("coefficient-bounds", len(samples), slack[i, j], witness, NUMERIC_TOL)
 
 
-def check_ruscheweyh(
-    samples: Sequence, alphas: Sequence[complex] = (0.0, 0.3, -0.45, 0.25j, -0.2 - 0.35j), n_max: int = 8
-) -> CheckReport:
+def check_ruscheweyh(samples: Sequence) -> CheckReport:
     """Off-center derivative bound
     |f^(n)(alpha)| / n! <= (1 - |f(alpha)|^2) / ((1-|alpha|)^(n-1) (1-|alpha|^2)).
 
@@ -237,8 +234,8 @@ def check_ruscheweyh(
     (sample, centre) rows into one slack array for all samples.  A row with a
     non-finite value is skipped and counted.
     """
+    centres, n_max = [complex(alpha) for alpha in (0.0, 0.3, -0.45, 0.25j, -0.2 - 0.35j)], 8
     powers = np.arange(1, n_max + 1, dtype=float)
-    centres = [complex(alpha) for alpha in alphas]
     scales = [0.45 * (1.0 - abs(alpha)) for alpha in centres]
     points = np.array([alpha + s * _circle(8 * n_max, 0.5) for alpha, s in zip(centres, scales)])
     scale_powers = np.array([s**powers for s in scales])
@@ -264,10 +261,10 @@ def check_ruscheweyh(
         worst, alpha = float(slack[i, row, j]), centres[row]
         witness = {"sample": int(i), "alpha": [alpha.real, alpha.imag], "n": int(j) + 1}
     witness["skipped"] = skipped
-    return CheckReport.from_slack("ruscheweyh-derivatives", len(samples) * len(alphas), worst, witness, NUMERIC_TOL)
+    return CheckReport.from_slack("ruscheweyh-derivatives", len(samples) * len(centres), worst, witness, NUMERIC_TOL)
 
 
-def check_dilatation_coefficients(samples: Sequence, k: float = 0.5, order: int = 128) -> CheckReport:
+def check_dilatation_coefficients(samples: Sequence) -> CheckReport:
     """Coefficient inequality sum |b_n|^2 r^n <= k^2 sum |a_n|^2 r^n for
     co-analytic parts g with |g'| <= k |h'|.
 
@@ -277,6 +274,7 @@ def check_dilatation_coefficients(samples: Sequence, k: float = 0.5, order: int 
     >= 0 by construction.  Sample i takes its h and omega from products 2i
     and 2i+1 of ``samples``.
     """
+    k, order = 0.5, 128
     r_grid = np.linspace(0.05, 0.9, 18)
     worst = np.inf
     witness: dict = {}
@@ -416,10 +414,11 @@ def recentred_area_total(
     return FunctionalValue(m + weight * area, m, weight * area, r, m_tail + weight * area_tail)
 
 
-def check_recentred_consistency(n_samples: int = 25, seed: int = 42, order: int = 128) -> CheckReport:
+def check_recentred_consistency(seed: int = 42) -> CheckReport:
     """The centered and recentred evaluations of the area-refined total must
     agree on the extremal family.  Each route evaluates all samples in one
     call on their family stack, one radius and gamma per member."""
+    n_samples, order = 25, 128
     u = np.random.default_rng(seed).random((n_samples, 3))
     gammas, a_values, radii = _uniform(u, np.array([0.0, 0.05, 0.05]), np.array([0.9, 0.95, 0.9])).T
     stack = mobius_family_coeffs(a_values, gammas, order)
@@ -437,14 +436,13 @@ def check_recentred_consistency(n_samples: int = 25, seed: int = 42, order: int 
     return CheckReport.from_slack("recentred-consistency", n_samples, -worst_resid, witness, 1e-12)
 
 
-def check_recentred_slack_certificate(
-    samples: Sequence, gammas: Sequence[float] = (0.0, 0.3, 0.6), order: int = 96
-) -> CheckReport:
+def check_recentred_slack_certificate(samples: Sequence) -> CheckReport:
     """recentred_area_total <= 1 + recentred_slack(r, |alpha_0|) for bounded
     samples expanded about gamma; ties the slack certificate to its meaning.
     Sample i is expanded about gammas[i % len(gammas)]: one ``numeric_taylor``
     call expands every sample, and one stacked call per gamma sums its samples
     on that gamma's radius row."""
+    gammas, order = (0.0, 0.3, 0.6), 96
     gamma = np.array([float(gammas[i % len(gammas)]) for i in range(len(samples))])
     s = 0.9 * (1.0 - gamma)
 

@@ -719,7 +719,7 @@ def sweep_csv_reference(args) -> str:
     from bohrlab.extremals import sharpness_a_grid
 
     bound = cli.BOUNDS[args.theorem]
-    a_grid = sharpness_a_grid(14).tolist()
+    a_grid = sharpness_a_grid().tolist()
     rows, violations, outside = [], 0, []
     for gamma in args.gammas:
         values = cli._parameters(args, gamma)

@@ -37,7 +37,7 @@ from oracles import (
 )
 
 GAMMA_GRID = [round(0.1 * i, 10) for i in range(10)]
-A_GRID = [float(a) for a in sharpness_a_grid(14)]
+A_GRID = [float(a) for a in sharpness_a_grid()]
 N_RADII = 64
 
 
@@ -225,7 +225,7 @@ def test_criterion_12_constant_explorer():
     floor = 8.0 / 9.0 - 1e-6
     estimates = [conjecture.estimate_constant(gamma) for gamma in (0.0, 0.25, 0.5, 0.75, 0.9)]
     floor_ok = all(e.k_hat >= floor for e in estimates)
-    witness_ok = all(conjecture.witness_violates(e, bump=1e-6) for e in estimates)
+    witness_ok = all(conjecture.witness_violates(e) for e in estimates)
     limit_ok = all(e.k_hat >= extremals.family_limit_weight(e.gamma) for e in estimates)
     endpoint = estimates[0].k_hat
     ok = floor_ok and witness_ok and limit_ok

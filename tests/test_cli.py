@@ -125,7 +125,7 @@ def test_radius_json_lists_members_and_itp_saves_evaluator_calls(tmp_path):
     out = tmp_path / "radius.json"
     assert run_cli("radius", "--theorem", "B", "--gamma", "0.5", "--out", str(out))[0] == 0
     result = json.loads(out.read_text())["result"]
-    grid = [float(a) for a in sharpness_a_grid(14)[-4:]]
+    grid = [float(a) for a in sharpness_a_grid()[-4:]]
     members = result["members"]
     assert [m["a"] for m in members] == grid
     assert min(m["radius"] for m in members) == result["radius"]
@@ -360,7 +360,7 @@ def test_sweep_rows_stop_at_the_grid_radius_and_keep_the_full_rows_cells(tmp_pat
         values = cli._parameters(args, gamma)
         x = values.get(bound.param)
         r_values = np.linspace(0.0, bound.radius(gamma, x), 64)
-        full = bound.total(cli._series(bound, sharpness_a_grid(14), gamma, values["k"], DEFAULT_ORDER, None),
+        full = bound.total(cli._series(bound, sharpness_a_grid(), gamma, values["k"], DEFAULT_ORDER, None),
                            r_values[None, :], gamma, x)
         for column, value in enumerate((full.total, full.majorant, full.correction), start=5):
             assert np.all(np.abs(swept[..., column] - value) <= np.spacing(np.abs(value)))
@@ -590,9 +590,16 @@ def test_abbreviated_flag_is_a_usage_error(tmp_path, capsys, argv, message):
         (["verify"], {"fast": 1}, "expected true or false"),
         (["radius", "--theorem", "B"], {"gama": 0.5}, "config key 'gama' names no option of radius"),
         (["radius", "--theorem", "B"], {"seed": 1}, "config key 'seed' names no option of radius"),
+        # a list stands only for a repeatable flag: --gammas kept its last item, and [] was dropped
+        (["sweep", "--theorem", "1"], {"gammas": [0.1, 0.5]}, "config value for --gammas: a list"),
+        (["sweep", "--theorem", "1"], {"gammas": []}, "config value for --gammas: a list"),
+        (["conjecture"], {"gammas": [0.1, 0.5]}, "config value for --gammas: a list"),
+        (["radius", "--theorem", "B"], {"gamma": [0.5]}, "config value for --gamma: a list"),
+        (["verify"], {"fast": [True]}, "config value for --fast: a list"),
     ],
     ids=["list", "quoted-number", "out-of-range", "fraction-for-int", "number-for-switch", "unknown-key",
-         "seed-on-radius"],
+         "seed-on-radius", "sweep-gammas-list", "sweep-gammas-empty-list", "conjecture-gammas-list",
+         "radius-gamma-list", "verify-fast-list"],
 )
 def test_bad_config_file_is_a_usage_error(tmp_path, capsys, argv, config, message):
     cfg = tmp_path / "cfg.json"
@@ -609,6 +616,15 @@ def test_config_switches_and_repeated_flags(tmp_path):
     code, text = run_cli("verify", "--config", str(cfg))
     assert code == 0
     assert [line.split()[1] for line in text.splitlines()] == ["schwarz-pick", "coefficient-bounds"]
+
+
+def test_config_gammas_text_matches_the_flag(tmp_path):
+    # the text form README gives for a list of gammas: both reach the sweep
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gammas": "0.1,0.5", "grid": 4}))
+    by_config = run_cli("sweep", "--theorem", "1", "--order", "64", "--config", str(cfg))
+    assert by_config == run_cli("sweep", "--theorem", "1", "--order", "64", "--gammas", "0.1,0.5", "--grid", "4")
+    assert by_config == (0, "sweep theorem 1: 112 rows, 0 admissibility violations\n")
 
 
 def test_cached_parser_carries_no_state_between_calls(tmp_path, monkeypatch):
@@ -924,7 +940,7 @@ def test_radius_result_equals_the_solve_on_per_member_series(tmp_path, theorem, 
     bound = cli.BOUNDS[theorem]
     values = {**cli._parameters(args, gamma), **bound.pinned}
     x = values.get(bound.param)
-    family = sharpness_a_grid(14)[-4:]
+    family = sharpness_a_grid()[-4:]
     stack = member_series_stack(bound, family, gamma, values["k"], args.order)
     ref = solver.family_infimum_radius(lambda r: bound.total(stack, r, gamma, x), family, gamma, tol=args.tol)
     assert json.loads(out.read_text())["result"] == json.loads(json.dumps(asdict(ref)))

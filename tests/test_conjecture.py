@@ -70,18 +70,20 @@ def test_sweep_floor_and_witness_validity():
     assert len(estimates) == 4
     for est in estimates:
         assert est.k_hat >= FLOOR
-        assert witness_violates(est, bump=1e-6)
+        assert witness_violates(est)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.25, 0.5, 0.9, MAX_GAMMA])
 @pytest.mark.parametrize("bump", [1e-6, -1e-6])
 def test_witness_violates_reads_the_scalar_total_of_its_member(gamma, bump):
-    # the one-row stack at the witness radius against the member's own series at that float
+    # the one-row stack at the witness radius against the member's own series at that float:
+    # the member exceeds one just above k_hat, as witness_violates reads it at its fixed bump, and not below
     est = estimate_constant(gamma)
     value = functionals.area_refined_total(member(est.witness_a, gamma), np.array([est.witness_r]), gamma,
                                            weight=est.k_hat + bump)
-    assert witness_violates(est, bump=bump) == (value.total[0] > 1.0)
-    assert witness_violates(est, bump=bump) == (bump > 0.0)
+    assert (value.total[0] > 1.0) == (bump > 0.0)
+    if bump == conjecture._WITNESS_BUMP:
+        assert witness_violates(est) == (value.total[0] > 1.0)
 
 
 def test_high_gamma_probe():

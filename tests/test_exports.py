@@ -7,6 +7,7 @@ from the trace.
 """
 
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import bohrlab
-from bohrlab import conjecture, extremals, functionals, series, verify
+from bohrlab import conjecture, extremals, functionals, series, solver, verify
 from bohrlab.series import DiskDomain
 from bohrlab.verify import BlaschkeProduct
 
@@ -37,8 +38,9 @@ def test_the_package_keeps_no_test_only_series_helpers():
 
 def test_the_package_keeps_no_name_that_no_command_reaches():
     # tests evaluate a series with numpy's polyval, draw check samples with oracles.blaschke_samples
-    # and read the norm sum from functionals._norm_f0; mobius_family_coeffs and harmonic_extremal
-    # write every family stack; a SeriesStack (one series: a one-row stack) is the one series type
+    # and read the norm sum from functionals._sum(p, "norm", r); mobius_family_coeffs and
+    # harmonic_extremal write every family stack; a SeriesStack (one series: a one-row stack) is the
+    # one series type
     removed = {
         bohrlab: ("sweep_conjecture", "run_default_checks", "norm_f0", "PowerSeries", "TailBound"),
         series: ("PowerSeries", "TailBound"),
@@ -52,6 +54,29 @@ def test_the_package_keeps_no_name_that_no_command_reaches():
     # vars, not hasattr: every class has a __call__, its type's
     assert [(owner.__name__, name) for owner, names in removed.items() for name in names
             if name in vars(owner)] == []
+
+
+# Parameters that no command sets, each now the fixed value it always had: a check's sample
+# grid, the solver's bracket end UPPER_LIMIT, numeric_taylor's 8 samples per order, the
+# witness's 1e-6 weight bump and the 14-member dyadic grid
+_FIXED = {
+    verify.check_coefficient_bounds: ("gammas", "n_max"),
+    verify.check_ruscheweyh: ("alphas", "n_max"),
+    verify.check_dilatation_coefficients: ("k", "order"),
+    verify.check_recentred_consistency: ("n_samples", "order"),
+    verify.check_recentred_slack_certificate: ("gammas", "order"),
+    solver.bohr_radius_of_function: ("upper",),
+    solver._solve_together: ("upper",),
+    solver._itp: ("upper",),
+    series.numeric_taylor: ("samples",),
+    conjecture.witness_violates: ("bump",),
+    extremals.sharpness_a_grid: ("j_max",),
+}
+
+
+@pytest.mark.parametrize("function", _FIXED, ids=lambda f: f"{f.__module__.split('.')[-1]}.{f.__name__}")
+def test_parameters_no_command_sets_stay_fixed(function):
+    assert set(_FIXED[function]) & set(inspect.signature(function).parameters) == set()
 
 
 def test_cli_import_loads_no_test_dependency():

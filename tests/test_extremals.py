@@ -145,7 +145,7 @@ def test_builder_rows_equal_the_member_references_bit_for_bit(order, rows, harmo
 
 @pytest.mark.parametrize("weight", [None, 0.35, 1.0])
 def test_builder_rows_are_float64_and_equal_the_complex_member_rows(weight):
-    a, gamma, order = sharpness_a_grid(14), 0.37, 2048
+    a, gamma, order = sharpness_a_grid(), 0.37, 2048
     stacks = ((mobius_family_coeffs(a, gamma, order),) if weight is None
               else harmonic_extremal(a, gamma, weight, order))
     members = [(member(x, gamma, order),) if weight is None
@@ -176,7 +176,7 @@ def test_builders_take_floats_and_arrays_and_reject_bad_members():
 
 
 def test_builders_without_a_largest_radius_write_the_full_order():
-    a, gamma = sharpness_a_grid(14), 0.37
+    a, gamma = sharpness_a_grid(), 0.37
     for order in (1, 31, 100, 2048):
         for stack in (mobius_family_coeffs(a, gamma, order), *harmonic_extremal(a, gamma, 0.5, order)):
             assert stack.order == order and stack.coeffs.shape == (a.size, order + 1)
@@ -210,12 +210,10 @@ def test_builders_up_to_a_largest_radius_stop_at_the_first_order_that_drops_belo
 
 
 def test_sharpness_grid():
-    grid = sharpness_a_grid(14)
+    grid = sharpness_a_grid()
     assert len(grid) == 14
     assert grid[0] == 0.5
     assert grid[-1] == 1.0 - 2.0**-14
-    with pytest.raises(ValueError):
-        sharpness_a_grid(0)
 
 
 def test_harmonic_zero_dilatation():

@@ -586,7 +586,7 @@ def test_spike_past_the_cut_lands_in_the_tail_bound():
     assert majorant_tail_bound(p, r) >= 0.27**32
 
 
-_LIMIT_A = sharpness_a_grid(14)[-4:]  # the members radius solves
+_LIMIT_A = sharpness_a_grid()[-4:]  # the members radius solves
 
 
 def _family_cases(order):

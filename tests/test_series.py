@@ -96,8 +96,6 @@ def test_numeric_taylor_rejects_bad_input():
     with pytest.raises(ValueError):
         numeric_taylor(lambda z: z, 4, rho=1.5)
     with pytest.raises(ValueError):
-        numeric_taylor(lambda z: z, 4, samples=8)
-    with pytest.raises(ValueError):
         numeric_taylor(lambda z: 1.0, 4)  # one value, not one per sample point
     with pytest.raises(ValueError):
         numeric_taylor(lambda z: [z, z * np.nan], 4)  # one non-finite row

@@ -123,7 +123,7 @@ def test_solver_terminates_down_to_the_smallest_tolerance(tol):
 
 
 def test_family_classical_radius():
-    family = sharpness_a_grid(14)
+    family = sharpness_a_grid()
     res = family_infimum_radius(stacked_bound(majorant_bound, family), family, 0.0, tol=1e-10)
     assert abs(res.radius - 1.0 / 3.0) < 1e-3
     assert res.witness["a"] >= 1.0 - 2.0**-13
@@ -131,14 +131,14 @@ def test_family_classical_radius():
 
 
 def test_family_witness_violates_just_past_radius():
-    family = sharpness_a_grid(12)
+    family = sharpness_a_grid()[:12]
     res = family_infimum_radius(stacked_bound(lambda a: majorant_bound(a, 0.25), family), family, 0.25, tol=1e-10)
     bound_fn = majorant_bound(**res.witness)
     assert bound_fn(res.radius + 2.0 * res.tol).padded() > 1.0
 
 
 def test_family_harmonic_corollary_case():
-    family = sharpness_a_grid(14)
+    family = sharpness_a_grid()
 
     def bound_for(a):
         h, g = harmonic_member(a, 0.25, 1.0)
@@ -190,7 +190,7 @@ def test_result_serialization():
 
 
 def test_family_result_keeps_every_member():
-    family = sharpness_a_grid(10).tolist()
+    family = sharpness_a_grid()[:10].tolist()
     bound_for = lambda a: majorant_bound(a, 0.25)
     res = family_infimum_radius(stacked_bound(bound_for, family), family, 0.25, tol=1e-10)
     members = dataclasses.asdict(res)["members"]
@@ -376,7 +376,7 @@ def test_lockstep_family_equals_the_sequential_reference(theorem, gamma, k, a_va
 
 
 _KINDS = {
-    "constrained": [float(a) for a in sharpness_a_grid(14)],
+    "constrained": [float(a) for a in sharpness_a_grid()],
     "unconstrained": [_Constant(0.2, 0.5), _Constant(0.4, 1.0)],
     "no_radius": [_Constant(0.2, 1.2), _Constant(0.4, 1.5)],
     "mixed": [0.3, _Constant(0.35, 0.5), 0.9, 0.99, _Constant(0.5, 1.0)],
@@ -449,14 +449,14 @@ def test_every_member_closes_in_at_most_seven_steps_above_gamma_nine_tenths(tmp_
 
 def _grid_result(radii, tol=1e-10, a_values=None):
     """A family result whose members are the last len(radii) grid members with these radii."""
-    a_values = sharpness_a_grid(14)[-len(radii):].tolist() if a_values is None else a_values
+    a_values = sharpness_a_grid()[-len(radii):].tolist() if a_values is None else a_values
     members = tuple(dict(a=a, radius=r, iterations=0) for a, r in zip(a_values, radii))
     best = min(radii)
     return RadiusResult(best, (best, best + tol), tol, 0, members=members)
 
 
 def _smooth_radii(limit=0.4, c1=0.3, c2=-2.0, c3=5.0):
-    return [limit + c1 * u + c2 * u**2 + c3 * u**3 for u in (1.0 - sharpness_a_grid(14)[-4:]).tolist()]
+    return [limit + c1 * u + c2 * u**2 + c3 * u**3 for u in (1.0 - sharpness_a_grid()[-4:]).tolist()]
 
 
 def test_limit_cancels_the_first_two_orders_and_bounds_its_error():
@@ -490,7 +490,7 @@ def test_limit_notes_a_grid_outside_the_asymptotic_regime():
 def test_limit_needs_four_constrained_sharpness_witnesses(case):
     radii, gamma = _smooth_radii(), 0.0
     if case == "a-at-most-gamma":
-        gamma = float(sharpness_a_grid(14)[-3])  # a_12 = gamma is no witness
+        gamma = float(sharpness_a_grid()[-3])  # a_12 = gamma is no witness
     elif case == "unconstrained":
         radii[0] = UPPER_LIMIT
     else:

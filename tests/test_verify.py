@@ -104,19 +104,18 @@ def on_stream(check, n_samples, seed, **kwargs):
     (check_ruscheweyh, ruscheweyh_reference, {"n_samples": 100}),
     (check_family_deficit_identity, family_deficit_identity_reference, {"n_samples": 40}),
     (check_recentred_slack_certificate, recentred_slack_certificate_reference, {"n_samples": 30}),
-    (check_ruscheweyh, ruscheweyh_reference, {"n_samples": 7, "alphas": (0.5j, -0.6), "n_max": 12}),
-    (check_recentred_slack_certificate, recentred_slack_certificate_reference,
-     {"n_samples": 7, "gammas": (0.9, 0.2), "order": 48}),
+    # 7 samples: the gammas (3 or 5) and the centres' blocks do not divide them evenly
+    (check_ruscheweyh, ruscheweyh_reference, {"n_samples": 7}),
+    (check_recentred_slack_certificate, recentred_slack_certificate_reference, {"n_samples": 7}),
     (check_dilatation_coefficients, dilatation_coefficients_reference, {"n_samples": 100}),
-    (check_dilatation_coefficients, dilatation_coefficients_reference, {"n_samples": 30, "k": 0.9, "order": 64}),
+    (check_dilatation_coefficients, dilatation_coefficients_reference, {"n_samples": 30}),
     (check_coefficient_bounds, coefficient_bounds_reference, {"n_samples": 120}),
-    (check_coefficient_bounds, coefficient_bounds_reference, {"n_samples": 7, "gammas": (0.6, 0.1), "n_max": 24}),
-    (check_recentred_consistency, recentred_consistency_reference, {"n_samples": 25}),
-    (check_recentred_consistency, recentred_consistency_reference, {"n_samples": 100, "order": 64}),
+    (check_coefficient_bounds, coefficient_bounds_reference, {"n_samples": 7}),
+    (check_recentred_consistency, recentred_consistency_reference, {}),  # 25 samples at order 128
 ], ids=["schwarz-pick", "ruscheweyh", "family-deficit-identity", "recentred-slack-certificate",
-        "ruscheweyh-7-samples-2-centres-n12", "recentred-slack-certificate-7-samples-2-gammas-order48",
-        "dilatation-coefficients", "dilatation-coefficients-k0.9-order64", "coefficient-bounds",
-        "coefficient-bounds-7-samples-n24", "recentred-consistency", "recentred-consistency-100-order64"])
+        "ruscheweyh-7-samples", "recentred-slack-certificate-7-samples", "dilatation-coefficients",
+        "dilatation-coefficients-30-samples", "coefficient-bounds", "coefficient-bounds-7-samples",
+        "recentred-consistency"])
 def test_rewritten_checks_equal_their_per_sample_references(check, reference, kwargs, seed):
     run = functools.partial(on_stream, check) if check in _TAKE_SAMPLES else check
     assert run(seed=seed, **kwargs) == reference(seed=seed, **kwargs)
@@ -319,12 +318,9 @@ def test_ruscheweyh_automorphism_closed_form():
     assert abs(abs(coeffs[1]) - bound) < 1e-14  # equality at n = 1
 
 
-def test_dilatation_coefficients_suite_and_zero_case():
+def test_dilatation_coefficients_suite_passes():
     report = on_stream(check_dilatation_coefficients, 100, 42)
     assert report.passed and report.worst_slack >= -1e-8
-    # k = 0 forces g identically zero: b = 0, so every slack is exactly 0
-    zero = on_stream(check_dilatation_coefficients, 10, 42, k=0.0)
-    assert zero.passed and zero.worst_slack == 0.0 and zero.samples == 10
 
 
 def test_deficit_identity_frozen_point():

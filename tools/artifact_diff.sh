@@ -9,7 +9,9 @@
 # other side is the working tree's src/.  Each command runs with --out, and its
 # stdout and exit code are kept next to the artifact.  Every file is compared
 # with cmp; the script prints the ones that differ and exits 1 if there are
-# any, else 0.  PYTHON names the interpreter (default python3).
+# any, else 0.  Two runs read their options from config files written into the
+# temporary directory, so --config parsing is compared too.  PYTHON names the
+# interpreter (default python3).
 set -euo pipefail
 
 base_rev=${1:?usage: tools/artifact_diff.sh BASE_REV}
@@ -19,6 +21,8 @@ work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 mkdir -p "$work/base-tree" "$work/base" "$work/work"
 git -C "$repo" archive "$base_rev" | tar -x -C "$work/base-tree"
+echo '{"gammas": "0.1,0.5", "grid": 16}' >"$work/sweep-2-config.json"
+echo '{"check": ["schwarz-pick", "ruscheweyh-derivatives"], "fast": true}' >"$work/verify-config.json"
 
 # One run per line: artifact name, artifact suffix, then the command's arguments.
 # Runs that share a name append to one artifact (radius CSVs append).
@@ -48,6 +52,8 @@ commands() {
     done
     echo "sweep-4-k0.3 csv sweep --theorem 4 --gammas 0:0.99:34 --k 0.3"
     echo "sweep-3-lambda0.7 csv sweep --theorem 3 --gammas 0:0.99:34 --lambda 0.7"
+    echo "sweep-2-config csv sweep --theorem 2 --config $work/sweep-2-config.json"
+    echo "verify-config json verify --config $work/verify-config.json"
     echo "verify-all-42 json verify --all --seed 42"
     echo "verify-fast-7 json verify --all --fast --seed 7"
     echo "identity-300-5 json identity-check --samples 300 --seed 5"
