@@ -96,8 +96,8 @@ class _Number:
     """argparse type: text that ``kind`` parses to a finite value passing ``ok``."""
 
     kind: type
-    ok: Callable[[float], bool] = lambda value: True
-    rule: str = "be finite"
+    ok: Callable[[float], bool]
+    rule: str
 
     @property
     def __name__(self) -> str:  # argparse names the type in its error messages
@@ -214,14 +214,19 @@ def _print_lines(lines) -> None:
 def cmd_radius(args) -> int:
     theorem = args.theorem
     bound = BOUNDS[theorem]
+    for name, value in bound.pinned.items():  # each pinned name is its flag's dest: gamma or k
+        given = getattr(args, name)
+        if given not in (None, value):
+            general = next(t for t, b in BOUNDS.items() if b == replace(bound, pinned={}))
+            print(f"theorem {theorem} is the {name}={value:g} case of theorem {general}; use --theorem {general} "
+                  f"for {name}={given:g}", file=sys.stderr)
+            return 2
     values = {**_parameters(args, args.gamma or 0.0), **bound.pinned}
     gamma, k, lam, x = values["gamma"], values["k"], values["lambda"], values.get(bound.param)
-    if args.gamma not in (None, gamma):
-        print(f"theorem {theorem} is the unit-disk case; use --theorem B for gamma > 0", file=sys.stderr)
-        return 2
 
     # the family radius is sharp only as a -> 1: solve the members nearest it for their limit
-    a_grid = [args.a] if args.a is not None else sharpness_a_grid()[-solver.LIMIT_MEMBERS:]
+    grid = sharpness_a_grid()  # member j is a = 1 - 2^-j
+    a_grid = [args.a] if args.a is not None else grid[-solver.LIMIT_MEMBERS:]
     series = _series(bound, a_grid, gamma, k, args.order, None)  # one stack: one evaluator call per solver round
     result = solver.family_infimum_radius(lambda r: bound.total(series, r, gamma, x), a_grid, gamma, tol=args.tol)
     limit = solver.a_to_one_limit(result, gamma) if args.a is None else solver.Limit(result.radius, None)
@@ -242,7 +247,8 @@ def cmd_radius(args) -> int:
     ]
     if args.a is None:
         lines.append("  limit error       = " + ("none" if limit.error is None else f"{limit.error:.3e}"))
-        lines.append(f"  grid radius       = {result.radius:.9f} (minimum over a = 1 - 2^-j, j = 11..14)")
+        lines.append(f"  grid radius       = {result.radius:.9f} (minimum over a = 1 - 2^-j, "
+                     f"j = {grid.size - solver.LIMIT_MEMBERS + 1}..{grid.size})")
     lines += [f"  note: {note}" for note in result.diagnostics + limit.notes]
     if side and args.a is None:
         claim = ("the family is in the theorem's class: asserting computed >= closed-form value" if side > 0
@@ -371,9 +377,7 @@ def cmd_conjecture(args) -> int:
 
 
 def cmd_identity_check(args) -> int:
-    report = verify.check_family_deficit_identity(
-        n_samples=args.samples, seed=args.seed, tol=args.tol
-    )
+    report = verify.check_family_deficit_identity(args.samples, args.seed, DEFAULT_ORDER, args.tol)
     if args.out:
         Path(args.out).write_text(verify.reports_to_json([report]))
     flag = "PASS" if report.passed else "FAIL"
@@ -462,7 +466,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                        allow_abbrev=False)
     p.add_argument("--samples", default=100, type=_between(1, _MAX_IDENTITY_SAMPLES),
                    help=f"random samples, at most {_MAX_IDENTITY_SAMPLES} (about 0.05 ms each: at most about 5 s)")
-    p.add_argument("--tol", type=_POSITIVE, default=1e-10)
+    p.add_argument("--tol", type=_POSITIVE, default=verify.IDENTITY_TOL)
     common(p)
 
     seed_help = {"conjecture": "seeds only --augment-random-samples: without them the output is the same at "

@@ -87,12 +87,7 @@ def _ratio_grid(gamma: float, a_values: np.ndarray, r_values: np.ndarray) -> np.
     return _ratio(*family_majorant_and_area(a_values[:, None], gamma, r_values))
 
 
-def estimate_constant(
-    gamma: float,
-    grid: int = 64,
-    augment_samples: int = 0,
-    seed: int = 42,
-) -> ConstantEstimate:
+def estimate_constant(gamma: float, grid: int, augment_samples: int, seed: int) -> ConstantEstimate:
     """The family ratio's minimum on a grid x grid lattice of the window
     a in ``A_BOUNDS``, r in [``R_MIN``, r0], lowered by any augmented sample's;
     gamma is at most ``MAX_GAMMA``."""
@@ -136,8 +131,9 @@ def check_gammas(gammas: Sequence[float]) -> None:
     gamma = 0.9996 a K_hat above K* read as a violation.
     """
     if max(gammas) > MAX_GAMMA:
+        bump = np.format_float_scientific(_WITNESS_BUMP, trim="-", exp_digits=1)  # 1e-6, as written
         raise ValueError(f"every gamma must be at most {MAX_GAMMA:g}, got {max(gammas)!r}: past it the witness "
-                         "check's weight bump of 1e-6 falls below the rounding of the witness's total")
+                         f"check's weight bump of {bump} falls below the rounding of the witness's total")
 
 
 def at_window_corner(estimate: ConstantEstimate) -> bool:

@@ -14,11 +14,10 @@ series (one series is a one-row stack) and its radii as an array, in one of
 two shapes.  A 1-D array of M radii gives one radius per member, and values
 of shape (M,) whose row i equals, bit for bit, the call on member i alone at
 r[i:i+1], so a family is evaluated in one call.  One radius row of shape
-(1, R) that every member shares gives (M, R) arrays (``r`` stays the row as
-given) whose row i equals, bit for bit, the call on member i alone on that
-row, and each entry the call at that one radius; each power table x^n is
-then built once for the whole stack.  Any other radius, a float included, is
-a ``ValueError``.
+(1, R) that every member shares gives (M, R) arrays whose row i equals, bit
+for bit, the call on member i alone on that row, and each entry the call at
+that one radius; each power table x^n is then built once for the whole
+stack.  Any other radius, a float included, is a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ class FunctionalValue:
     total: np.ndarray
     majorant: np.ndarray
     correction: np.ndarray
-    r: np.ndarray
     tail_error: np.ndarray
 
     def padded(self) -> np.ndarray:
@@ -246,7 +244,7 @@ def bohr_total(p: SeriesStack, r: np.ndarray) -> FunctionalValue:
     """Plain majorant with no correction term."""
     _check_radius(r, p)
     m, tail = _sum(p, "majorant", r)
-    return FunctionalValue(m, m, 0.0 * m, r, tail)  # m >= 0: the correction is +0.0
+    return FunctionalValue(m, m, 0.0 * m, tail)  # m >= 0: the correction is +0.0
 
 
 def area_refined_total(
@@ -266,7 +264,7 @@ def area_refined_total(
     _check_radius_and_gamma(r, gamma, p)
     m, m_tail = _sum(p, "majorant", r)
     area, area_tail = _sum(p, "area", r * (1.0 - gamma))
-    return FunctionalValue(m + weight * area, m, weight * area, r, m_tail + weight * area_tail)
+    return FunctionalValue(m + weight * area, m, weight * area, m_tail + weight * area_tail)
 
 
 def norm_refined_total(p: SeriesStack, r: np.ndarray) -> FunctionalValue:
@@ -278,7 +276,7 @@ def norm_refined_total(p: SeriesStack, r: np.ndarray) -> FunctionalValue:
     m, m_tail = _sum(p, "majorant", r)
     norm, norm_tail = _sum(p, "norm", r)
     corr = factor * norm
-    return FunctionalValue(m + corr, m, corr, r, m_tail + factor * norm_tail)
+    return FunctionalValue(m + corr, m, corr, m_tail + factor * norm_tail)
 
 
 def domain_ratio_area_total(p: SeriesStack, r: np.ndarray, ratio_sup: float) -> FunctionalValue:
@@ -291,7 +289,7 @@ def domain_ratio_area_total(p: SeriesStack, r: np.ndarray, ratio_sup: float) -> 
     m, m_tail = _sum(p, "majorant", r)
     area, area_tail = _sum(p, "area", r)
     corr = weight * area
-    return FunctionalValue(m + corr, m, corr, r, m_tail + weight * area_tail)
+    return FunctionalValue(m + corr, m, corr, m_tail + weight * area_tail)
 
 
 def harmonic_total(h: SeriesStack, g: SeriesStack, r: np.ndarray) -> FunctionalValue:
@@ -301,7 +299,7 @@ def harmonic_total(h: SeriesStack, g: SeriesStack, r: np.ndarray) -> FunctionalV
     m_h, h_tail = _sum(h, "majorant", r)
     m_g, g_tail = _sum(g, "majorant", r)
     total = m_h + (m_g - _constant_modulus(g, r))
-    return FunctionalValue(total, total, 0.0 * m_h, r, h_tail + g_tail)  # m_h >= 0: +0.0
+    return FunctionalValue(total, total, 0.0 * m_h, h_tail + g_tail)  # m_h >= 0: +0.0
 
 
 def sharp_majorant_radius(gamma: float) -> float:

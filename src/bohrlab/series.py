@@ -69,7 +69,7 @@ def taylor_coefficients(vals: np.ndarray, order: int, rho: float) -> np.ndarray:
     return coeffs / rho ** np.arange(order + 1)
 
 
-def numeric_taylor(f: Callable, order: int, rho: float = 0.5) -> SeriesStack:
+def numeric_taylor(f: Callable, order: int, rho: float) -> SeriesStack:
     """Taylor coefficients about 0 of black-box analytic functions.
 
     Computes a_n = (2*pi)^-1 * integral of f(rho e^{i t}) e^{-i n t} dt / rho**n

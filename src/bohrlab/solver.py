@@ -75,8 +75,8 @@ class RadiusResult:
     bracket: tuple[float, float]
     tol: float
     iterations: int
-    witness: dict | None = None
-    status: str = "constrained"
+    witness: dict | None
+    status: str
     diagnostics: tuple[str, ...] = ()
     members: tuple[dict, ...] = ()
 
@@ -161,7 +161,7 @@ def _solve_together(bound, count: int, tol: float) -> list[RadiusResult]:
     return results
 
 
-def bohr_radius_of_function(bound: Callable[[float], FunctionalValue | float], tol: float = 1e-10) -> RadiusResult:
+def bohr_radius_of_function(bound: Callable[[float], FunctionalValue | float], tol: float) -> RadiusResult:
     """Largest r in [0, ``UPPER_LIMIT``] with bound(r) <= 1, found by ITP
     bracketing in at most ceil(log2(UPPER_LIMIT/tol)) + 1 steps, for
     tol >= ``SMALLEST_TOL``; ``bound`` is called with one float radius at a
@@ -179,7 +179,7 @@ def family_infimum_radius(
     bound: Callable[[np.ndarray], FunctionalValue | np.ndarray],
     a: Sequence[float],
     gamma: float,
-    tol: float = 1e-10,
+    tol: float,
 ) -> RadiusResult:
     """Minimum per-function radius over the family members at ``a`` and ``gamma``.
 

@@ -25,7 +25,7 @@ from . import functionals
 from .extremals import (family_area_deficit, family_harmonic_deficit, family_norm_deficit, harmonic_extremal,
                         mobius_family_coeffs)
 from .functionals import DEFAULT_AREA_WEIGHT, FunctionalValue, sharp_majorant_radius
-from .series import DiskDomain, SeriesStack, _circle, numeric_taylor, recenter_affine, taylor_coefficients
+from .series import DEFAULT_ORDER, DiskDomain, SeriesStack, _circle, numeric_taylor, recenter_affine, taylor_coefficients
 
 __all__ = [
     "CheckReport",
@@ -72,6 +72,9 @@ def _block_rows(row_bytes: int) -> int:
 # pure closed-form grid assertions use 1e-12 and pointwise closed-form
 # inequalities 1e-10 directly.
 NUMERIC_TOL = 1e-8
+# Tolerance of the family deficit identities: the default of identity-check's
+# --tol, and the tolerance default_checks runs them at.
+IDENTITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -411,10 +414,10 @@ def recentred_area_total(
     functionals._check_radius_and_gamma(r, gamma, p)
     m, m_tail = functionals._sum(p, "majorant", r)
     area, area_tail = functionals._sum(recenter_affine(p, gamma), "area", r)
-    return FunctionalValue(m + weight * area, m, weight * area, r, m_tail + weight * area_tail)
+    return FunctionalValue(m + weight * area, m, weight * area, m_tail + weight * area_tail)
 
 
-def check_recentred_consistency(seed: int = 42) -> CheckReport:
+def check_recentred_consistency(seed: int) -> CheckReport:
     """The centered and recentred evaluations of the area-refined total must
     agree on the extremal family.  Each route evaluates all samples in one
     call on their family stack, one radius and gamma per member."""
@@ -474,9 +477,7 @@ def check_recentred_slack_certificate(samples: Sequence) -> CheckReport:
 _STACK = 50
 
 
-def check_family_deficit_identity(
-    n_samples: int = 100, seed: int = 42, order: int = 2048, tol: float = 1e-10
-) -> CheckReport:
+def check_family_deficit_identity(n_samples: int, seed: int, order: int, tol: float) -> CheckReport:
     """The evaluated totals on the extremal family must match the closed-form
     deficit identities:
 
@@ -639,7 +640,7 @@ SHAPE_CHECKS = tuple("shape:" + name for name in """
     family-deficit-limit-scaled""".split())
 
 
-def default_checks(seed: int = 42, fast: bool = False) -> dict[str, Callable[[], CheckReport]]:
+def default_checks(seed: int, fast: bool) -> dict[str, Callable[[], CheckReport]]:
     """Every check by report name, in a fixed order, each a thunk; the shape
     checks share one shape_reports() call.  This is the one place that draws
     and sizes the sampled checks' samples: each gets the first n products of
@@ -656,8 +657,9 @@ def default_checks(seed: int = 42, fast: bool = False) -> dict[str, Callable[[],
         "ruscheweyh-derivatives": lambda: check_ruscheweyh(first(n(100))),
         "dilatation-coefficients": lambda: check_dilatation_coefficients(first(2 * n(100))),
         "family-deficit-identity":
-            lambda: check_family_deficit_identity(n(100), seed, 1024 if fast else 2048),
-        "recentred-consistency": lambda: check_recentred_consistency(seed=seed),
+            lambda: check_family_deficit_identity(n(100), seed, DEFAULT_ORDER // 2 if fast else DEFAULT_ORDER,
+                                                  IDENTITY_TOL),
+        "recentred-consistency": lambda: check_recentred_consistency(seed),
         "recentred-slack-certificate": lambda: check_recentred_slack_certificate(first(n(30))),
     }
     shapes = functools.cache(lambda: {report.name: report for report in shape_reports()})

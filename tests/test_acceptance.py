@@ -197,7 +197,7 @@ def test_criterion_09_closed_form_anchors():
 
 
 def test_criterion_10_deficit_identities():
-    report = verify.check_family_deficit_identity(n_samples=100, seed=42, tol=1e-10)
+    report = verify.check_family_deficit_identity(n_samples=100, seed=42, order=2048, tol=1e-10)
     ok = report.passed
     _report(10, "deficit-identities", ok,
             f"max residual={-report.worst_slack:.2e} <= 1e-10 over {report.samples} random triples")
@@ -223,7 +223,7 @@ def test_criterion_11_oracle_equivalence():
 
 def test_criterion_12_constant_explorer():
     floor = 8.0 / 9.0 - 1e-6
-    estimates = [conjecture.estimate_constant(gamma) for gamma in (0.0, 0.25, 0.5, 0.75, 0.9)]
+    estimates = [conjecture.estimate_constant(gamma, 64, 0, 42) for gamma in (0.0, 0.25, 0.5, 0.75, 0.9)]
     floor_ok = all(e.k_hat >= floor for e in estimates)
     witness_ok = all(conjecture.witness_violates(e) for e in estimates)
     limit_ok = all(e.k_hat >= extremals.family_limit_weight(e.gamma) for e in estimates)

@@ -47,6 +47,7 @@ def test_radius_theorem_b():
     assert "0.428571429" in out  # closed form 3/7
     computed = float(out.splitlines()[1].split("=")[1])
     assert abs(computed - 3.0 / 7.0) < 1e-3
+    assert out.splitlines()[5].endswith("(minimum over a = 1 - 2^-j, j = 11..14)")
 
 
 def test_radius_corollary_gamma_zero():
@@ -55,9 +56,23 @@ def test_radius_corollary_gamma_zero():
     assert "0.200000000" in out
 
 
-def test_radius_theorem_a_rejects_nonzero_gamma(capfd):
-    code, _ = run_cli("radius", "--theorem", "A", "--gamma", "0.5")
-    assert code == 2
+@pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("theorem,name,general", [("A", "gamma", "B"), ("corollary", "k", "4")])
+def test_radius_pinned_theorem_takes_only_its_pinned_value(tmp_path, capsys, theorem, name, general, by_config):
+    pinned = {"gamma": 0.0, "k": 1.0}[name]
+    for value, code in ((0.5, 2), (pinned, 0)):
+        argv = ["radius", "--theorem", theorem, "--order", "256"]
+        if by_config:
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps({name: value}))
+            argv += ["--config", str(cfg)]
+        else:
+            argv += [f"--{name}", str(value)]
+        assert main(argv) == code, value
+        err = capsys.readouterr().err
+        if code:
+            assert err == (f"theorem {theorem} is the {name}={pinned:g} case of theorem {general}; "
+                           f"use --theorem {general} for {name}=0.5\n")
 
 
 def test_radius_single_family_member():
@@ -95,9 +110,11 @@ def test_radius_other_theorems_match_closed_forms(theorem, k, tmp_path):
     if k is not None:
         argv += ["--k", str(k)]
     code, _ = run_cli(*argv)
+    if theorem == "corollary" and k is not None:  # the corollary is the k = 1 case: another --k is a usage error
+        assert code == 2 and not out.exists()
+        return
     assert code == 0
     payload = json.loads(out.read_text())
-    # the corollary is the k = 1 case whatever --k says
     expected = CLOSED_FORMS[theorem](gamma, 1.0 if k is None or theorem == "corollary" else k)
     assert payload["closed_form"] == pytest.approx(expected, rel=1e-15)
     assert abs(payload["computed_radius"] - expected) < 1e-3
@@ -272,7 +289,7 @@ def test_verify_shape_checks_share_one_shape_reports_call(monkeypatch):
     calls = []
     shape_reports = verify.shape_reports
     monkeypatch.setattr(verify, "shape_reports", lambda: calls.append(1) or shape_reports())
-    checks = verify.default_checks()
+    checks = verify.default_checks(42, False)
     assert [checks[name]().name for name in verify.SHAPE_CHECKS] == list(verify.SHAPE_CHECKS)
     assert calls == [1]
     assert [r.name for r in shape_reports()] == list(verify.SHAPE_CHECKS)
@@ -435,7 +452,7 @@ def test_conjecture_notes_the_corner_witnesses_once_and_keeps_its_csv(tmp_path):
     notes = [line for line in text.splitlines() if line.startswith("note:")]
     assert notes == ["note: the witness sits on the window corner (a=0.99, r=r0) at gamma=0, 0.25, 0.5, 0.9: "
                      "the minimum is on the window's edge, where K_hat tends to K* as a -> 1"]
-    estimates = [conjecture.estimate_constant(gamma) for gamma in (0.0, 0.25, 0.99, 0.5, 0.9)]
+    estimates = [conjecture.estimate_constant(gamma, 64, 0, 42) for gamma in (0.0, 0.25, 0.99, 0.5, 0.9)]
     assert [conjecture.at_window_corner(e) for e in estimates] == [True, True, False, True, True]
     # the CSV the command wrote before it printed the note, byte for byte
     assert out.read_bytes() == (
@@ -953,7 +970,8 @@ def test_radius_a_equals_the_solve_on_the_members_own_series(tmp_path, theorem, 
     # same result, bit for bit
     out = tmp_path / "radius.json"
     argv = ["radius", "--theorem", theorem, "--a", repr(a), "--out", str(out)]
-    argv += [] if theorem == "A" else ["--gamma", "0.37", "--k", "0.35"]
+    if theorem != "A":  # A pins gamma = 0, and the corollary k = 1
+        argv += ["--gamma", "0.37"] + ([] if theorem == "corollary" else ["--k", "0.35"])
     assert run_cli(*argv)[0] == 0
     args = cli.build_parser()[0].parse_args(argv)
     bound = cli.BOUNDS[theorem]

@@ -30,7 +30,7 @@ FLOOR = 8.0 / 9.0 - 1e-6
 
 
 def test_single_gamma_estimate():
-    est = estimate_constant(0.0)
+    est = estimate_constant(0.0, 64, 0, 42)
     assert est.gamma == 0.0
     assert est.k_hat >= FLOOR
     assert 0.0 < est.witness_a < 1.0
@@ -44,14 +44,16 @@ def test_estimate_past_the_gamma_cap_raises(gamma):
     # the witness's total: at 0.9996 K_hat = 1.8e8 lies above K* = 2.5e7, yet
     # the witness read as no violation
     with pytest.raises(ValueError, match="at most 0.999"):
-        estimate_constant(gamma)
-    with pytest.raises(ValueError, match="at most 0.999"):
+        estimate_constant(gamma, 64, 0, 42)
+    with pytest.raises(ValueError) as raised:
         check_gammas([0.0, gamma, 0.5])
+    assert str(raised.value) == (f"every gamma must be at most 0.999, got {gamma!r}: past it the witness check's "
+                                 "weight bump of 1e-6 falls below the rounding of the witness's total")
     check_gammas([0.0, MAX_GAMMA])
 
 
 def test_estimate_at_the_gamma_cap_is_a_violating_family_witness():
-    est = estimate_constant(MAX_GAMMA)
+    est = estimate_constant(MAX_GAMMA, 64, 0, 42)
     assert witness_violates(est) and est.k_hat >= family_limit_weight(MAX_GAMMA)
 
 
@@ -61,12 +63,12 @@ def test_gamma_zero_bracket_runs_from_eight_ninths_to_sixteen_ninths():
     ulp = np.spacing(1.0)
     assert abs(family_limit_weight(0.0) - 16.0 / 9.0) <= 2 * ulp
     assert abs(certified_area_weight(0.0) - 8.0 / 9.0) <= ulp
-    est = estimate_constant(0.0)
+    est = estimate_constant(0.0, 64, 0, 42)
     assert 16.0 / 9.0 < est.k_hat < 1.02 * 16.0 / 9.0
 
 
 def test_sweep_floor_and_witness_validity():
-    estimates = [estimate_constant(gamma) for gamma in (0.0, 0.25, 0.5, 0.75)]
+    estimates = [estimate_constant(gamma, 64, 0, 42) for gamma in (0.0, 0.25, 0.5, 0.75)]
     assert len(estimates) == 4
     for est in estimates:
         assert est.k_hat >= FLOOR
@@ -78,7 +80,7 @@ def test_sweep_floor_and_witness_validity():
 def test_witness_violates_reads_the_scalar_total_of_its_member(gamma, bump):
     # the one-row stack at the witness radius against the member's own series at that float:
     # the member exceeds one just above k_hat, as witness_violates reads it at its fixed bump, and not below
-    est = estimate_constant(gamma)
+    est = estimate_constant(gamma, 64, 0, 42)
     value = functionals.area_refined_total(member(est.witness_a, gamma), np.array([est.witness_r]), gamma,
                                            weight=est.k_hat + bump)
     assert (value.total[0] > 1.0) == (bump > 0.0)
@@ -87,22 +89,22 @@ def test_witness_violates_reads_the_scalar_total_of_its_member(gamma, bump):
 
 
 def test_high_gamma_probe():
-    est = estimate_constant(0.99, grid=32)
+    est = estimate_constant(0.99, 32, 0, 42)
     assert est.k_hat >= family_limit_weight(0.99)
 
 
 def test_determinism_bit_identical_csv(tmp_path):
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_estimates_csv([estimate_constant(gamma, grid=32) for gamma in (0.0, 0.5)], f1)
-    write_estimates_csv([estimate_constant(gamma, grid=32) for gamma in (0.0, 0.5)], f2)
+    write_estimates_csv([estimate_constant(gamma, 32, 0, 42) for gamma in (0.0, 0.5)], f1)
+    write_estimates_csv([estimate_constant(gamma, 32, 0, 42) for gamma in (0.0, 0.5)], f2)
     assert f1.read_bytes() == f2.read_bytes()
     header = f1.read_text().splitlines()[0]
     assert header == "gamma,K_hat,a_witness,r_witness,refinements"
 
 
 def test_augmentation_only_lowers_the_estimate():
-    base = estimate_constant(0.25, grid=32)
-    aug = estimate_constant(0.25, grid=32, augment_samples=8, seed=42)
+    base = estimate_constant(0.25, 32, 0, 42)
+    aug = estimate_constant(0.25, 32, 8, 42)
     assert aug.k_hat <= base.k_hat + 1e-15
     assert aug.k_hat >= FLOOR
     assert aug.grid_stats["augment"]["count"] == 8
@@ -118,7 +120,7 @@ def test_augmentation_blocks_equal_the_per_sample_reference(samples, masked):
     grid = np.full((16, 16), np.inf) if masked else None
     with mock.patch.object(conjecture, "_ratio_grid", (lambda gamma, a, r: grid) if masked else _ratio_grid):
         for gamma, seed in ((0.0, 3), (0.5, 11), (0.9, 42)):
-            est = estimate_constant(gamma, grid=16, augment_samples=samples, seed=seed)
+            est = estimate_constant(gamma, 16, samples, seed)
             ref = estimate_constant_reference(gamma, grid=16, augment_samples=samples, seed=seed)
             assert est.k_hat == ref.k_hat and est.witness_r == ref.witness_r
             assert est.witness_a == ref.witness_a or np.isnan(est.witness_a) and np.isnan(ref.witness_a)
@@ -127,7 +129,7 @@ def test_augmentation_blocks_equal_the_per_sample_reference(samples, masked):
 
 
 def test_non_monotonic_pairs_are_diagnostics():
-    estimates = [estimate_constant(gamma, grid=32) for gamma in (0.0, 0.5)]
+    estimates = [estimate_constant(gamma, 32, 0, 42) for gamma in (0.0, 0.5)]
     pairs = non_monotonic_pairs(estimates)
     assert isinstance(pairs, list)
     # K_hat rises with K*, so nothing is flagged; a K_hat that falls while K* rises is
@@ -138,7 +140,7 @@ def test_non_monotonic_pairs_are_diagnostics():
 
 
 def test_degenerate_single_point_sweep(tmp_path):
-    write_estimates_csv([estimate_constant(0.0, grid=32)], tmp_path / "one.csv")
+    write_estimates_csv([estimate_constant(0.0, 32, 0, 42)], tmp_path / "one.csv")
     assert len((tmp_path / "one.csv").read_text().splitlines()) == 2  # the header and one row
 
 
@@ -247,7 +249,7 @@ def test_limit_weight_against_the_family_ratio_at_fifty_digits():
 @settings(max_examples=60)
 @given(gamma=st.floats(0.0, 0.99), grid=st.integers(2, 64))
 def test_family_grid_stays_above_the_limit_weight(gamma, grid):
-    est = estimate_constant(gamma, grid=grid)
+    est = estimate_constant(gamma, grid, 0, 42)
     assert est.k_hat >= family_limit_weight(gamma)
     assert certified_area_weight(gamma) <= family_limit_weight(gamma)
 
@@ -270,5 +272,5 @@ def test_family_totals_at_the_certified_weight_stay_at_most_one_up_to_the_sharp_
 def test_family_grid_clears_the_limit_weight_by_one_percent():
     # the margin is smallest at gamma = 0 (1.006%), where the grid's corner a = 0.99 is nearest K*
     gammas = np.linspace(0.0, 0.999, 500)
-    margins = [estimate_constant(float(g)).k_hat / family_limit_weight(float(g)) - 1.0 for g in gammas]
+    margins = [estimate_constant(float(g), 64, 0, 42).k_hat / family_limit_weight(float(g)) - 1.0 for g in gammas]
     assert min(margins) >= 0.01

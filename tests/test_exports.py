@@ -6,6 +6,7 @@ that does not resolve, so a stale entry would silently drop a function
 from the trace.
 """
 
+import ast
 import importlib
 import inspect
 import os
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import bohrlab
-from bohrlab import conjecture, extremals, functionals, series, solver, verify
+from bohrlab import cli, conjecture, extremals, functionals, series, solver, verify
 from bohrlab.series import DiskDomain
 from bohrlab.verify import BlaschkeProduct
 
@@ -77,6 +78,43 @@ _FIXED = {
 @pytest.mark.parametrize("function", _FIXED, ids=lambda f: f"{f.__module__.split('.')[-1]}.{f.__name__}")
 def test_parameters_no_command_sets_stay_fixed(function):
     assert set(_FIXED[function]) & set(inspect.signature(function).parameters) == set()
+
+
+# Run values whose one default is the CLI flag's (every src/ caller passes them), and the
+# defaults no call reached: each takes no default in the library
+_NO_DEFAULT = {
+    verify.check_recentred_consistency: ("seed",),
+    verify.check_family_deficit_identity: ("n_samples", "seed", "order", "tol"),
+    verify.default_checks: ("seed", "fast"),
+    conjecture.estimate_constant: ("grid", "augment_samples", "seed"),
+    series.numeric_taylor: ("rho",),
+    solver.bohr_radius_of_function: ("tol",),
+    solver.family_infimum_radius: ("tol",),
+    solver.RadiusResult: ("witness", "status"),
+    cli._Number: ("ok", "rule"),
+}
+
+
+@pytest.mark.parametrize("function", _NO_DEFAULT, ids=lambda f: f"{f.__module__.split('.')[-1]}.{f.__name__}")
+def test_run_values_take_no_library_default(function):
+    parameters = inspect.signature(function).parameters
+    assert [name for name in _NO_DEFAULT[function] if parameters[name].default is not inspect.Parameter.empty] == []
+
+
+def _settable_values(source: str) -> int:
+    """Parameters with a default (lambdas' included) plus dataclass fields with a default."""
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
+    return count
+
+
+def test_settable_values_in_the_package():
+    # the figure ROADMAP aim 2 tracks; a new default, field default or option raises it
+    assert sum(_settable_values(path.read_text()) for path in (SRC / "bohrlab").glob("*.py")) == 19
 
 
 def test_cli_import_loads_no_test_dependency():

@@ -140,7 +140,7 @@ def test_vector_radii_equal_scalar_calls_bit_for_bit(name):
     # a one-row stack on a radius row equals, entry by entry, its calls at one radius each
     def fields(value):
         if isinstance(value, FunctionalValue):
-            return [value.total, value.majorant, value.correction, value.r, value.tail_error]
+            return [value.total, value.majorant, value.correction, value.tail_error]
         return [value]
 
     radii = np.linspace(0.0, 0.9, 37)
@@ -192,7 +192,7 @@ def test_stacked_rows_equal_single_series_calls_bit_for_bit(name, gamma, k, orde
     members = [_member(name, a, gamma, k, order, certified, phase) for a, _, certified, phase in rows]
     stack = tuple(map(stack_of, zip(*members))) if name == "harmonic_total" else stack_of(members)
     radii = np.array([row[1] for row in rows])
-    fields = ("total", "majorant", "correction", "r", "tail_error")
+    fields = ("total", "majorant", "correction", "tail_error")
     stacked = _EVALUATORS[name](stack, radii, gamma)
     for i, member in enumerate(members):
         single = _EVALUATORS[name](member, radii[i : i + 1], gamma)
@@ -242,7 +242,6 @@ def test_shared_radius_row_rows_equal_single_series_calls_bit_for_bit(name, gamm
         stack = tuple(map(stack_of, zip(*members))) if name == "harmonic_total" else stack_of(members)
     r = np.array(radii)
     stacked = _EVALUATORS[name](stack, r[None, :], gamma)
-    assert stacked.r.shape == (1, r.size) and np.array_equal(stacked.r[0], r)
     for i, member in enumerate(members):
         single = _EVALUATORS[name](member, r[None, :], gamma)
         for field in ("total", "majorant", "correction", "tail_error"):
@@ -307,7 +306,7 @@ def test_area_refined_rows_take_one_gamma_per_member_bit_for_bit(order, rows):
     stacked = area_refined_total(stack_of(members), radii, gammas)
     for i, member in enumerate(members):
         single = area_refined_total(member, radii[i : i + 1], float(gammas[i]))
-        for field in ("total", "majorant", "correction", "r", "tail_error"):
+        for field in ("total", "majorant", "correction", "tail_error"):
             assert getattr(stacked, field)[i] == getattr(single, field)[0], (field, i)
 
 
@@ -335,8 +334,7 @@ def test_functional_value_serialization():
     p = member(0.6, 0.2)
     fv = area_refined_total(p, np.array([0.4]), 0.2)
     data = dataclasses.asdict(fv)
-    assert set(data) == {"total", "majorant", "correction", "r", "tail_error"}
-    assert data["r"].tolist() == [0.4]
+    assert set(data) == {"total", "majorant", "correction", "tail_error"}
 
 
 def test_norm_f0_values():

@@ -57,7 +57,7 @@ def test_differentiate_matches_finite_difference():
 
 
 def test_numeric_taylor_monomial_exact():
-    p = numeric_taylor(lambda z: z**2, 4)
+    p = numeric_taylor(lambda z: z**2, 4, 0.5)
     assert p.coeffs.shape == (1, 5)  # a lone row of samples gives a one-row stack
     assert np.allclose(p.coeffs, [0, 0, 1, 0, 0], atol=1e-10)
 
@@ -66,7 +66,7 @@ def test_numeric_taylor_polynomial_exactness():
     rng = np.random.default_rng(5)
     for _ in range(10):
         coeffs = random_decaying_series(rng, 16)
-        p = numeric_taylor(lambda z: polyval(z, coeffs), 16)
+        p = numeric_taylor(lambda z: polyval(z, coeffs), 16, 0.5)
         assert np.max(np.abs(p.coeffs[0] - coeffs)) < 1e-10
     # larger orders need a larger sampling radius to beat roundoff growth
     coeffs = random_decaying_series(rng, 64)
@@ -90,18 +90,18 @@ def test_numeric_taylor_reconstructs_on_half_radius():
 
 def test_numeric_taylor_rejects_bad_input():
     with pytest.raises(ValueError):
-        numeric_taylor(lambda z: z * np.nan, 4)  # non-finite samples
+        numeric_taylor(lambda z: z * np.nan, 4, 0.5)  # non-finite samples
     with pytest.raises(ValueError):
-        numeric_taylor(lambda z: z, 0)
+        numeric_taylor(lambda z: z, 0, 0.5)
     with pytest.raises(ValueError):
         numeric_taylor(lambda z: z, 4, rho=1.5)
     with pytest.raises(ValueError):
-        numeric_taylor(lambda z: 1.0, 4)  # one value, not one per sample point
+        numeric_taylor(lambda z: 1.0, 4, 0.5)  # one value, not one per sample point
     with pytest.raises(ValueError):
-        numeric_taylor(lambda z: [z, z * np.nan], 4)  # one non-finite row
+        numeric_taylor(lambda z: [z, z * np.nan], 4, 0.5)  # one non-finite row
     for bad in (lambda z: [z[1:], z[1:]], lambda z: [[z]]):  # rows one short, a third axis
         with pytest.raises(ValueError, match="one row of them per function"):
-            numeric_taylor(bad, 4)
+            numeric_taylor(bad, 4, 0.5)
 
 
 def test_numeric_taylor_rejects_non_finite_coefficients_in_every_form():
@@ -122,7 +122,7 @@ def test_numeric_taylor_propagates_errors_from_the_function():
         raise ZeroDivisionError("inside the sampled function")
 
     with pytest.raises(ZeroDivisionError):
-        numeric_taylor(failing, 4)
+        numeric_taylor(failing, 4, 0.5)
     assert calls == [(32,)]  # one vectorised call, no per-point retry
 
 
@@ -158,9 +158,9 @@ def test_function_writing_into_its_samples_raises():
         return z
 
     with pytest.raises(ValueError, match="read-only"):
-        numeric_taylor(scribble, 4)
+        numeric_taylor(scribble, 4, 0.5)
     # the shared circle is untouched: a later extraction is still exact
-    assert np.allclose(numeric_taylor(lambda z: z, 4).coeffs[0], [0, 1, 0, 0, 0], atol=1e-15)
+    assert np.allclose(numeric_taylor(lambda z: z, 4, 0.5).coeffs[0], [0, 1, 0, 0, 0], atol=1e-15)
 
 
 def test_recenter_identity_at_zero():

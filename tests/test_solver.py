@@ -34,7 +34,7 @@ def majorant_bound(a, gamma=0.0, order=2048):
 
 def test_unconstrained_small_constant():
     p = constant(0.5)
-    res = bohr_radius_of_function(lambda r: bohr_total(p, np.array([r])))
+    res = bohr_radius_of_function(lambda r: bohr_total(p, np.array([r])), 1e-10)
     assert res.status == "unconstrained"
     assert res.radius == UPPER_LIMIT
 
@@ -42,12 +42,12 @@ def test_unconstrained_small_constant():
 def test_unconstrained_result_brackets_the_rest_of_the_disk():
     # the bound never reaches one on [0, UPPER_LIMIT]: the radius lies anywhere in [UPPER_LIMIT, 1)
     p = constant(0.5)
-    res = bohr_radius_of_function(lambda r: bohr_total(p, np.array([r])))
+    res = bohr_radius_of_function(lambda r: bohr_total(p, np.array([r])), 1e-10)
     assert res.bracket == (UPPER_LIMIT, 1.0)
     assert res.tol == 1.0 - UPPER_LIMIT
     bound_for = lambda a: majorant_bound(a, 0.5)
     family = [0.3, 0.4]
-    res = family_infimum_radius(stacked_bound(bound_for, family), family, 0.5)
+    res = family_infimum_radius(stacked_bound(bound_for, family), family, 0.5, 1e-10)
     assert res.status == "unconstrained" and res.radius == UPPER_LIMIT
     assert res.bracket == (UPPER_LIMIT, 1.0)
     assert res.tol == 1.0 - UPPER_LIMIT
@@ -61,7 +61,7 @@ def test_unconstrained_result_brackets_the_rest_of_the_disk():
 
 def test_no_radius_when_already_violated():
     p = constant(1.2)
-    res = bohr_radius_of_function(lambda r: bohr_total(p, np.array([r])))
+    res = bohr_radius_of_function(lambda r: bohr_total(p, np.array([r])), 1e-10)
     assert res.status == "no_radius"
     assert math.isnan(res.radius)
 
@@ -69,7 +69,7 @@ def test_no_radius_when_already_violated():
 def test_plateau_tie_break_returns_supremum_end():
     # constant exactly one: the bound is identically 1, never above
     p = constant(1.0)
-    res = bohr_radius_of_function(lambda r: bohr_total(p, np.array([r])))
+    res = bohr_radius_of_function(lambda r: bohr_total(p, np.array([r])), 1e-10)
     assert res.status == "unconstrained"
     assert res.radius == UPPER_LIMIT
     # synthetic plateau that eventually exceeds one: converge to its end
@@ -79,11 +79,11 @@ def test_plateau_tie_break_returns_supremum_end():
 
 
 def test_near_extremal_member_radius():
-    res = bohr_radius_of_function(majorant_bound(1.0 - 2.0**-10))
+    res = bohr_radius_of_function(majorant_bound(1.0 - 2.0**-10), 1e-10)
     assert res.status == "constrained"
     assert abs(res.radius - 1.0 / 3.0) < 1e-2
 
-    res = bohr_radius_of_function(majorant_bound(1.0 - 2.0**-10, 0.5))
+    res = bohr_radius_of_function(majorant_bound(1.0 - 2.0**-10, 0.5), 1e-10)
     assert abs(res.radius - 3.0 / 7.0) < 1e-2
 
 
@@ -178,11 +178,11 @@ def test_family_monotonicity_diagnostic():
 
 def test_family_empty_rejected():
     with pytest.raises(ValueError):
-        family_infimum_radius(stacked_bound(majorant_bound, []), [], 0.0)
+        family_infimum_radius(stacked_bound(majorant_bound, []), [], 0.0, 1e-10)
 
 
 def test_result_serialization():
-    res = family_infimum_radius(stacked_bound(majorant_bound, [0.9]), [0.9], 0.0)
+    res = family_infimum_radius(stacked_bound(majorant_bound, [0.9]), [0.9], 0.0, 1e-10)
     data = json.loads(json.dumps(dataclasses.asdict(res)))
     assert set(data) == {"radius", "bracket", "tol", "iterations", "witness", "status", "diagnostics", "members"}
     assert data["witness"] == {"a": 0.9, "gamma": 0.0}
@@ -198,7 +198,7 @@ def test_family_result_keeps_every_member():
     assert min(m["radius"] for m in members) == res.radius
     assert sum(m["iterations"] for m in members) == res.iterations
     for m, a in zip(members, family):
-        assert m["radius"] == bohr_radius_of_function(bound_for(a)).radius
+        assert m["radius"] == bohr_radius_of_function(bound_for(a), 1e-10).radius
 
 
 def _theorem_bound(theorem, gamma, k, a):
@@ -452,7 +452,7 @@ def _grid_result(radii, tol=1e-10, a_values=None):
     a_values = sharpness_a_grid()[-len(radii):].tolist() if a_values is None else a_values
     members = tuple(dict(a=a, radius=r, iterations=0) for a, r in zip(a_values, radii))
     best = min(radii)
-    return RadiusResult(best, (best, best + tol), tol, 0, members=members)
+    return RadiusResult(best, (best, best + tol), tol, 0, None, "constrained", members=members)
 
 
 def _smooth_radii(limit=0.4, c1=0.3, c2=-2.0, c3=5.0):
@@ -547,7 +547,8 @@ def _family_limit(theorem, gamma, k):
     log_tol=st.floats(-14.0, -4.0),
 )
 def test_computed_radius_is_the_family_limit_within_its_error(theorem, gamma, k, weight, lam, log_tol):
-    gamma = 0.0 if theorem == "A" else gamma
+    gamma = 0.0 if theorem == "A" else gamma  # the pinned values: any other is a usage error
+    k = 1.0 if theorem == "corollary" else k
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         out = Path(tmp) / "r.json"
         argv = ["radius", "--theorem", theorem, "--tol", repr(10.0**log_tol), "--out", str(out),

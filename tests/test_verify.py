@@ -102,7 +102,7 @@ def on_stream(check, n_samples, seed, **kwargs):
 @pytest.mark.parametrize("check, reference, kwargs", [
     (check_schwarz_pick, schwarz_pick_reference, {"n_samples": 200}),
     (check_ruscheweyh, ruscheweyh_reference, {"n_samples": 100}),
-    (check_family_deficit_identity, family_deficit_identity_reference, {"n_samples": 40}),
+    (check_family_deficit_identity, family_deficit_identity_reference, {"n_samples": 40, "order": 2048, "tol": 1e-10}),
     (check_recentred_slack_certificate, recentred_slack_certificate_reference, {"n_samples": 30}),
     # 7 samples: the gammas (3 or 5) and the centres' blocks do not divide them evenly
     (check_ruscheweyh, ruscheweyh_reference, {"n_samples": 7}),
@@ -125,7 +125,7 @@ def test_rewritten_checks_equal_their_per_sample_references(check, reference, kw
 @pytest.mark.parametrize("order", [64, 1024, 2048])
 @pytest.mark.parametrize("n_samples", [1, 9, 10, 11, 49, 50, 51, 100])  # around and past one stack of 50
 def test_stacked_family_deficit_identity_equals_the_per_sample_reference(n_samples, order, seed):
-    kwargs = {"n_samples": n_samples, "seed": seed, "order": order}
+    kwargs = {"n_samples": n_samples, "seed": seed, "order": order, "tol": 1e-10}
     assert check_family_deficit_identity(**kwargs) == family_deficit_identity_reference(**kwargs)
 
 
@@ -287,7 +287,7 @@ def test_coefficient_bounds_suite_and_constant():
     # constant sample: every higher coefficient vanishes, slack is the bound itself
     gamma = 0.5
     const = lambda w: np.full_like(np.asarray(w, dtype=complex), 0.0)
-    p = numeric_taylor(const, 8)
+    p = numeric_taylor(const, 8, 0.5)
     assert np.all(np.abs(p.coeffs[0, 1:]) < 1e-14)
 
 
@@ -334,7 +334,7 @@ def test_deficit_identity_frozen_point():
 
 
 def test_deficit_identity_random_suite():
-    report = check_family_deficit_identity(n_samples=100, seed=42)
+    report = check_family_deficit_identity(n_samples=100, seed=42, order=2048, tol=1e-10)
     assert report.passed
     assert -report.worst_slack <= 1e-10
 

@@ -54,6 +54,10 @@ commands() {
     echo "sweep-3-lambda0.7 csv sweep --theorem 3 --gammas 0:0.99:34 --lambda 0.7"
     echo "sweep-2-config csv sweep --theorem 2 --config $work/sweep-2-config.json"
     echo "verify-config json verify --config $work/verify-config.json"
+    # no flag but --out: each value comes from its flag's default, the one place it is written
+    echo "verify json verify"
+    echo "identity-check json identity-check"
+    echo "conjecture csv conjecture"
     echo "verify-all-42 json verify --all --seed 42"
     echo "verify-fast-7 json verify --all --fast --seed 7"
     echo "identity-300-5 json identity-check --samples 300 --seed 5"
